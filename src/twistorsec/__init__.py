@@ -13,10 +13,9 @@ is verified by named, seeded suites behind the ``twistorsec`` CLI.
 
 from .constants import (ENERGY_BLOCK_COEFF, ENERGY_LIFT_COEFF, MU_COEFF,
                         OMEGA0_SPLIT_COEFF, OMEGA_HAT_COEFF, REALITY_SIGN,
-                        ROTATION_FIBER_EXPONENT, ROTATION_WEIGHT, VOLUME_CONST,
-                        XI_SCALAR_DLAMBDA, XI_SCALAR_PHIPSI)
+                        VOLUME_CONST, XI_SCALAR_DLAMBDA, XI_SCALAR_PHIPSI)
 from .datasets import load_vhs_dataset, render_table, vhs_energy_table
-from .flat_model import (FlatPoint, FlatSection, SectionTangent, d_energy,
+from .flat_model import (FlatPoint, FlatSection, d_energy,
                          energy, energy_infinity, evaluate, fundamental_field,
                          group_action, holomorphic_metric, local_biholo_jacobian,
                          moment_map, omega0_killing, omega0_splitting,

@@ -46,9 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="NAME", help="suite to run (repeatable; "
                         "default: all suites)")
     verify.add_argument("--seed", type=int, default=None)
-    group = verify.add_mutually_exclusive_group()
-    group.add_argument("--exact", dest="exact", action="store_true", default=None)
-    group.add_argument("--float", dest="exact", action="store_false")
     verify.add_argument("--order", type=int, default=None,
                         help="series truncation order")
     verify.add_argument("--modes", type=int, default=None,
@@ -79,9 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--blocks", type=int, default=2,
                       help="number of 4-dimensional blocks")
-    group = demo.add_mutually_exclusive_group()
-    group.add_argument("--exact", dest="exact", action="store_true", default=True)
-    group.add_argument("--float", dest="exact", action="store_false")
     _add_output_flags(demo)
     return parser
 
@@ -92,7 +86,7 @@ def _verify_config(args) -> RunConfig:
         doc["suites"] = args.suite
     elif not doc["suites"]:
         doc["suites"] = sorted(SUITES)
-    overrides = {"seed": args.seed, "exact": args.exact, "order": args.order,
+    overrides = {"seed": args.seed, "order": args.order,
                  "mode_bound": args.modes, "rank_bound": args.rank,
                  "cases": args.cases, "datasets": args.dataset,
                  "out_format": args.format, "out_path": args.out}
@@ -119,23 +113,13 @@ def _cmd_vhs_energy(args) -> int:
     return 0
 
 
+_DEGREE_COLUMNS = ("label", "pair", "hyperhol_degree")
+
+
 def _cmd_hyperhol_degree(args) -> int:
     table = vhs_energy_table(load_vhs_dataset(args.dataset))
-    rows = [{"label": r["label"], "pair": r["pair"],
-             "hyperhol_degree": r["hyperhol_degree"]}
-            for r in table if r["pair"]]
-    fmt = args.format or "json"
-    if fmt == "json":
-        text = json.dumps({"rows": rows}, sort_keys=True, indent=2,
-                          ensure_ascii=False) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("label", "pair", "hyperhol_degree"))
-        for r in rows:
-            writer.writerow([r["label"], r["pair"], r["hyperhol_degree"]])
-        text = buf.getvalue()
-    _emit(text, args.out)
+    rows = [{c: r[c] for c in _DEGREE_COLUMNS} for r in table if r["pair"]]
+    _emit(render_table(rows, args.format or "json", _DEGREE_COLUMNS), args.out)
     return 0
 
 
@@ -143,18 +127,18 @@ def _cmd_flat_demo(args) -> int:
     if args.blocks < 1:
         raise ValueError("need at least one block")
     rng = random.Random(args.seed)
-    s = fm.random_section(rng, args.blocks, exact=args.exact)
-    v = fm.random_section(rng, args.blocks, exact=args.exact)
+    s = fm.random_section(rng, args.blocks)
+    v = fm.random_section(rng, args.blocks)
     field = fm.fundamental_field(s)
     moment = fm.d_energy(s, v) == QQi(0, 1) * fm.omega0_killing(s, field, v)
     reality = conj(fm.energy(fm.real_involution(s))) + fm.energy(s) == QQi(0)
     doc = {
         "seed": args.seed,
         "blocks": args.blocks,
-        "section": s.to_json(args.exact),
+        "section": s.to_json(),
         "energy": format_value(fm.energy(s)),
         "energy_infinity": format_value(fm.energy_infinity(s)),
-        "rotation_field": field.to_json(args.exact),
+        "rotation_field": field.to_json(),
         "moment_map_identity": moment,
         "reality_identity": reality,
     }

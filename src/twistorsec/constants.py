@@ -10,16 +10,6 @@ from fractions import Fraction
 
 from .scalars import QQi
 
-#: Fiber weight of the rotating circle action on the flat model: the lift of
-#: the base rotation lambda -> zeta*lambda acts as (lambda, v, xi) ->
-#: (zeta*lambda, v, zeta*xi).  This is the unique holomorphic lift fixing the
-#: twisted fiberwise symplectic form.  Exponent of zeta on the xi coordinate:
-ROTATION_FIBER_EXPONENT = 1
-
-#: Measured Lie-derivative weight of the rotation on the (J, K)-plane of
-#: symplectic forms: L_X(omega_J + i*omega_K) = ROTATION_WEIGHT * (omega_J + i*omega_K).
-ROTATION_WEIGHT = QQi(0, 1)
-
 #: Fiber moment map mu(z, w) = MU_COEFF * |w|^2, normalized by mu(z, 0) = 0,
 #: solving d(mu) = i * omega_I(X, -) for the standard flat Kaehler form
 #: omega_I = (i/2)(dz^dzbar + dw^dwbar).

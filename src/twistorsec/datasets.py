@@ -55,15 +55,16 @@ def vhs_energy_table(entries):
 _TABLE_COLUMNS = ("label", "n", "l", "energy", "pair", "hyperhol_degree")
 
 
-def render_table(rows, out_format: str) -> str:
+def render_table(rows, out_format: str, columns=_TABLE_COLUMNS) -> str:
+    """Rows as a ``{"rows": [...]}`` JSON document or as CSV with ``columns``."""
     if out_format == "json":
         return json.dumps({"rows": rows}, sort_keys=True, indent=2,
                           ensure_ascii=False) + "\n"
     if out_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_TABLE_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([row[c] for c in _TABLE_COLUMNS])
+            writer.writerow([row[c] for c in columns])
         return buf.getvalue()
     raise ValueError(f"unknown table format: {out_format}")

@@ -12,9 +12,9 @@ so the section space is linear of dimension 4d and tangents have the same
 quadruple shape as sections.
 
 The rotating circle action lifts the base rotation t -> zeta*t by
-(t, v, xi) -> (zeta*t, v, zeta*xi); the fiber weights, the moment map, and
-the per-block energy coefficient are frozen in :mod:`twistorsec.constants`
-together with the oracle results that fixed them.
+(t, v, xi) -> (zeta*t, v, zeta*xi); the moment map and the per-block
+energy coefficient are frozen in :mod:`twistorsec.constants` together with
+the oracle results that fixed them.
 
 At t = infinity all formulas use the explicit chart change (coefficient
 reversal with the O(1) twist), never numerical limits.
@@ -52,8 +52,7 @@ class FlatPoint:
 class FlatSection:
     """A twistor section: per block the quadruple (a1, a2, b1, b2).
 
-    Tangent vectors to the (linear) section space have the same shape; the
-    alias :data:`SectionTangent` marks that use in signatures.
+    Tangent vectors to the (linear) section space have the same shape.
     """
 
     blocks: tuple
@@ -70,9 +69,9 @@ class FlatSection:
     def d(self) -> int:
         return len(self.blocks)
 
-    def to_json(self, exact: bool = True) -> dict:
+    def to_json(self) -> dict:
         return {"d": self.d,
-                "blocks": [[scalar_to_json(c, exact) for c in blk]
+                "blocks": [[scalar_to_json(c) for c in blk]
                            for blk in self.blocks]}
 
     @classmethod
@@ -82,9 +81,6 @@ class FlatSection:
         if doc.get("d") not in (None, len(blocks)):
             raise ValueError("block count does not match the declared d")
         return cls(blocks)
-
-
-SectionTangent = FlatSection
 
 
 def zero_tangent(d: int) -> FlatSection:
@@ -97,16 +93,14 @@ def twistor_line(m: FlatPoint) -> FlatSection:
 
 
 def evaluate(s: FlatSection, t) -> FlatPoint:
-    """Value of the section in the fiber over t; infinity-chart pair at t = infinity."""
+    """Value of the section in the fiber over t; infinity-chart pair at t = infinity.
+
+    On a tangent this is its value at t as a fiber vector.
+    """
     if t is INFINITY:
         return FlatPoint(tuple((a2, b2) for _, a2, _, b2 in s.blocks))
     return FlatPoint(tuple((a1 + a2 * t, b1 + b2 * t)
                            for a1, a2, b1, b2 in s.blocks))
-
-
-def tangent_value(V: FlatSection, t) -> FlatPoint:
-    """A tangent's value at t as a fiber vector (same chart rules as evaluate)."""
-    return evaluate(V, t)
 
 
 def real_involution(s: FlatSection) -> FlatSection:
@@ -296,15 +290,11 @@ def residue_form_phi(s: FlatSection, t, l, V: FlatSection):
     if t is INFINITY:
         raise ValueError("residue form expects a finite base point")
     X = fundamental_field(s)
-    gamma = relative_symplectic(t, tangent_value(X, t), tangent_value(V, t))
+    gamma = relative_symplectic(t, evaluate(X, t), evaluate(V, t))
     return energy(s) * l + gamma
 
 
-def random_section(rng, d: int = 1, exact: bool = True, span: int = 9) -> FlatSection:
+def random_section(rng, d: int = 1, span: int = 9) -> FlatSection:
     """Deterministic random section (or tangent) with d blocks."""
-    if exact:
-        return FlatSection(tuple(tuple(random_qqi(rng, span) for _ in range(4))
-                                 for _ in range(d)))
-    return FlatSection(tuple(tuple(complex(rng.uniform(-span, span),
-                                           rng.uniform(-span, span))
-                                   for _ in range(4)) for _ in range(d)))
+    return FlatSection(tuple(tuple(random_qqi(rng, span) for _ in range(4))
+                             for _ in range(d)))

@@ -81,11 +81,11 @@ class LambdaLift:
             raise ValueError(f"order {k} outside truncation 0..{self.order}")
         return self.phi0 if k == 0 else self.phi[k - 1]
 
-    def to_json(self, exact: bool = True) -> dict:
+    def to_json(self) -> dict:
         return {"rank": self.rank, "order": self.order,
-                "phi0": self.phi0.to_json(exact),
-                "psi": [f.to_json(exact) for f in self.psi],
-                "phi": [f.to_json(exact) for f in self.phi]}
+                "phi0": self.phi0.to_json(),
+                "psi": [f.to_json() for f in self.psi],
+                "phi": [f.to_json() for f in self.phi]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "LambdaLift":
@@ -472,7 +472,7 @@ def bb_slice_residuals(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None):
 
 def random_pure_grade_form(rng, v: VhsBlockData, k: int, bidegree,
                            mode_bound: int = 2, terms: int = 2,
-                           exact: bool = True, constant: bool = False) -> MatrixForm:
+                           constant: bool = False) -> MatrixForm:
     """Random matrix form supported on the grade-k blocks only."""
     from .torus_forms import FS_ZERO, random_fourier_scalar
 
@@ -485,7 +485,7 @@ def random_pure_grade_form(rng, v: VhsBlockData, k: int, bidegree,
                     from .scalars import random_qqi
                     ent[r, c] = FourierScalar.const(random_qqi(rng))
                 else:
-                    ent[r, c] = random_fourier_scalar(rng, mode_bound, terms, exact)
+                    ent[r, c] = random_fourier_scalar(rng, mode_bound, terms)
     if k == 0:  # keep sl-valued: zero out the last diagonal entry's trace share
         total = FS_ZERO
         for idx in range(v.n - 1):

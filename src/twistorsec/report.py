@@ -4,7 +4,7 @@ Reports are rendered to JSON or CSV with fully sorted, stable content so that
 two runs with the same configuration produce byte-identical files.  Wall-clock
 timings are kept on the records for diagnostics but never serialized, since
 they would break that guarantee.  Values are serialized as exact rational
-strings in exact mode.
+strings.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class RunConfig:
 
     suites: tuple = ()
     seed: int = 0
-    exact: bool = True
     order: int = 4
     mode_bound: int = 2
     rank_bound: int = 3
@@ -38,12 +37,24 @@ class RunConfig:
     cases: int = 25
 
     def __post_init__(self):
+        for name in ("seed", "order", "mode_bound", "rank_bound", "cases"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"config field {name!r} must be an integer, "
+                                 f"got {value!r}")
+        for name in ("suites", "datasets"):
+            value = getattr(self, name)
+            if (not isinstance(value, (list, tuple))
+                    or not all(isinstance(x, str) for x in value)):
+                raise ValueError(f"config field {name!r} must be a list of strings")
+        if not isinstance(self.out_path, (str, type(None))):
+            raise ValueError("config field 'out_path' must be a string or null")
         object.__setattr__(self, "suites", tuple(self.suites))
         object.__setattr__(self, "datasets", tuple(self.datasets))
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.out_format not in FORMATS:
-            raise ValueError(f"output format must be one of {FORMATS}")
+            raise ValueError(f"config field 'out_format' must be one of {FORMATS}")
         if self.order < 1 or self.mode_bound < 0 or self.rank_bound < 1:
             raise ValueError("order/mode/rank bounds out of range")
         if self.cases < 0:
@@ -51,15 +62,26 @@ class RunConfig:
 
     def to_json(self) -> dict:
         return {"suites": list(self.suites), "seed": self.seed,
-                "exact": self.exact, "order": self.order,
-                "mode_bound": self.mode_bound, "rank_bound": self.rank_bound,
-                "datasets": list(self.datasets), "out_format": self.out_format,
-                "out_path": self.out_path, "cases": self.cases}
+                "order": self.order, "mode_bound": self.mode_bound,
+                "rank_bound": self.rank_bound, "datasets": list(self.datasets),
+                "out_format": self.out_format, "out_path": self.out_path,
+                "cases": self.cases}
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        """Config from a JSON object.
+
+        ``"exact": true`` is accepted, so that the config block of a report
+        loads back: arithmetic is always exact, and any other value of
+        ``exact`` is rejected.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
+        doc = dict(doc)
+        if doc.pop("exact", True) is not True:
+            raise ValueError("config field 'exact' only accepts true: "
+                             "arithmetic is always exact")
+        extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         return cls(**doc)
@@ -99,10 +121,6 @@ def format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (QQi, int, Fraction, str)):
         return str(v)
-    if isinstance(v, complex):
-        return f"{v.real!r}{v.imag:+}i"
-    if isinstance(v, float):
-        return repr(v)
     if isinstance(v, (tuple, list)):
         return "[" + ", ".join(format_value(x) for x in v) + "]"
     if hasattr(v, "to_json"):
@@ -142,6 +160,7 @@ def failing_suites(records):
 def render_json(config: RunConfig, records) -> str:
     config_doc = config.to_json()
     del config_doc["out_path"]  # where the report lands must not change its bytes
+    config_doc["exact"] = True  # the arithmetic model; report checkers require it
     doc = {
         "config": config_doc,
         "summary": summary(records),

@@ -1,17 +1,11 @@
-"""Scalar arithmetic shared by every module.
+"""Gaussian-rational scalars shared by every module.
 
-Two interchangeable representations of complex numbers are supported:
-
-* exact mode: :class:`QQi`, a Gaussian rational with ``fractions.Fraction``
-  real and imaginary parts.  All arithmetic is closed, so identities can be
-  asserted with ``==`` and no tolerance.
-* floating mode: the builtin ``complex``.  Comparisons then go through
-  :func:`isclose`.
-
-Mixed arithmetic coerces upward: ``QQi`` combined with ``int`` or
-``Fraction`` stays exact, combined with ``float`` or ``complex`` it degrades
-to ``complex``.  Library code is written against this duck-typed interface
-(``+``, ``*``, ``conjugate()``), so every formula runs in either mode.
+:class:`QQi` is a Gaussian rational with ``fractions.Fraction`` real and
+imaginary parts.  All arithmetic is closed, so identities are asserted with
+``==`` and no tolerance.  ``QQi`` combines with ``int`` and ``Fraction`` and
+stays exact; combining it with ``float`` or ``complex`` raises ``TypeError``.
+Library code relies only on ``+``, ``*`` and ``conjugate()``, so it also runs
+on plain ``int`` and ``Fraction`` inputs.
 """
 
 from __future__ import annotations
@@ -63,8 +57,6 @@ class QQi:
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) + other
             return NotImplemented
         return QQi(self.re + o.re, self.im + o.im)
 
@@ -73,8 +65,6 @@ class QQi:
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) - other
             return NotImplemented
         return QQi(self.re - o.re, self.im - o.im)
 
@@ -85,8 +75,6 @@ class QQi:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) * other
             return NotImplemented
         return QQi(self.re * o.re - self.im * o.im,
                    self.re * o.im + self.im * o.re)
@@ -96,8 +84,6 @@ class QQi:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) / other
             return NotImplemented
         n2 = o.re * o.re + o.im * o.im
         if n2 == 0:
@@ -108,8 +94,6 @@ class QQi:
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return other / complex(self)
             return NotImplemented
         return o.__truediv__(self)
 
@@ -154,9 +138,6 @@ class QQi:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
     def __str__(self):
         if self.im == 0:
             return str(self.re)
@@ -172,36 +153,24 @@ HALF = Fraction(1, 2)
 
 
 def conj(z):
-    """Complex conjugate, generic over QQi / complex / int / float / Fraction."""
+    """Complex conjugate, generic over QQi / int / Fraction."""
     if isinstance(z, Fraction):
         return z
     return z.conjugate()
 
 
-def isclose(a, b, tol: float = 1e-9) -> bool:
-    """Equality up to ``tol``; exact values compare exactly."""
-    if isinstance(a, QQi) and isinstance(b, (QQi, int, Fraction)):
-        return a == b
-    return abs(complex(a) - complex(b)) <= tol
-
-
-def scalar_to_json(z, exact: bool = True):
-    """``[re_num, re_den, im_num, im_den]`` in exact mode, ``[re, im]`` in floating mode."""
-    if exact:
-        q = z if isinstance(z, QQi) else QQi(z)
-        return [q.re.numerator, q.re.denominator, q.im.numerator, q.im.denominator]
-    c = complex(z)
-    return [c.real, c.imag]
+def scalar_to_json(z):
+    """``[re_num, re_den, im_num, im_den]``."""
+    q = z if isinstance(z, QQi) else QQi(z)
+    return [q.re.numerator, q.re.denominator, q.im.numerator, q.im.denominator]
 
 
 def scalar_from_json(value):
-    """Inverse of :func:`scalar_to_json`; the list length selects the mode."""
-    if len(value) == 4:
-        rn, rd, im_n, im_d = value
-        return QQi(Fraction(rn, rd), Fraction(im_n, im_d))
-    if len(value) == 2:
-        return complex(value[0], value[1])
-    raise ValueError(f"malformed scalar payload: {value!r}")
+    """Inverse of :func:`scalar_to_json`."""
+    if len(value) != 4:
+        raise ValueError(f"malformed scalar payload: {value!r}")
+    rn, rd, im_n, im_d = value
+    return QQi(Fraction(rn, rd), Fraction(im_n, im_d))
 
 
 def random_qqi(rng, span: int = 9, den: int = 4) -> QQi:
@@ -215,9 +184,3 @@ def random_nonzero_qqi(rng, span: int = 9, den: int = 4) -> QQi:
         z = random_qqi(rng, span, den)
         if z:
             return z
-
-
-def random_scalar(rng, exact: bool = True, span: int = 9):
-    if exact:
-        return random_qqi(rng, span)
-    return complex(rng.uniform(-span, span), rng.uniform(-span, span))

@@ -143,15 +143,15 @@ def suite_chart_involution(cfg, rng):
 
 def _random_flat(cfg, rng, i):
     d = _cycle((1, 2, 3), i)
-    return fm.random_section(rng, d, exact=cfg.exact)
+    return fm.random_section(rng, d)
 
 
 def suite_omega0_invariance(cfg, rng):
     out = []
     for i in range(cfg.cases):
         s = _random_flat(cfg, rng, i)
-        v = fm.random_section(rng, s.d, exact=cfg.exact)
-        w = fm.random_section(rng, s.d, exact=cfg.exact)
+        v = fm.random_section(rng, s.d)
+        w = fm.random_section(rng, s.d)
         zeta = random_nonzero_qqi(rng)
         lhs = fm.omega0_killing(fm.group_action(zeta, s),
                                 fm.group_action(zeta, v),
@@ -195,7 +195,7 @@ def suite_moment_map(cfg, rng):
     out = []
     for i in range(cfg.cases):
         s = _random_flat(cfg, rng, i)
-        v = fm.random_section(rng, s.d, exact=cfg.exact)
+        v = fm.random_section(rng, s.d)
         lhs = fm.d_energy(s, v)
         rhs = QQi(0, 1) * fm.omega0_killing(s, fm.fundamental_field(s), v)
         out.append(check("moment-map", f"identity-{i:04d}", rhs, lhs,
@@ -267,8 +267,8 @@ def suite_omega0_reality(cfg, rng):
     out = []
     for i in range(cfg.cases):
         s = _random_flat(cfg, rng, i)
-        v = fm.random_section(rng, s.d, exact=cfg.exact)
-        w = fm.random_section(rng, s.d, exact=cfg.exact)
+        v = fm.random_section(rng, s.d)
+        w = fm.random_section(rng, s.d)
         lhs = fm.omega0_killing(fm.real_involution(s), fm.real_involution(v),
                                 fm.real_involution(w))
         out.append(check("omega0-reality", f"case-{i:04d}",
@@ -401,8 +401,8 @@ def suite_stokes(cfg, rng):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(1, cfg.rank_bound + 1), i)
-        a10 = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 3, cfg.exact)
-        a01 = tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 3, cfg.exact)
+        a10 = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 3)
+        a01 = tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 3)
         out.append(check("stokes", f"dbar-{i:04d}", QQi(0),
                          tf.integrate_trace(tf.dbar(a10)), "constant-mode kill"))
         out.append(check("stokes", f"del-{i:04d}", QQi(0),
@@ -414,7 +414,7 @@ def suite_d_squared(cfg, rng):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(1, cfg.rank_bound + 1), i)
-        f = tf.random_matrix_form(rng, size, (0, 0), cfg.mode_bound, 3, cfg.exact)
+        f = tf.random_matrix_form(rng, size, (0, 0), cfg.mode_bound, 3)
         mixed = tf.dbar(tf.del_op(f)) + tf.del_op(tf.dbar(f))
         out.append(check_true("d-squared", f"mixed-{i:04d}", mixed.is_zero,
                               "dbar del + del dbar annihilates functions",
@@ -440,8 +440,8 @@ def suite_trace_cyclicity(cfg, rng):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(1, cfg.rank_bound + 1), i)
-        a = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 3, cfg.exact)
-        b = tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 3, cfg.exact)
+        a = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 3)
+        b = tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 3)
         total = tf.integrate_trace(tf.wedge(a, b)) + tf.integrate_trace(tf.wedge(b, a))
         out.append(check("trace-cyclicity", f"case-{i:04d}", QQi(0), total,
                          "trace cyclicity"))
@@ -452,9 +452,9 @@ def suite_backend_exactness(cfg, rng):
     out = []
     cases = max(3, cfg.cases // 5)
     for i in range(cases):
-        f = tf.random_matrix_form(rng, 4, (0, 0), 5, 4, True)
-        a = tf.random_matrix_form(rng, 4, (1, 0), 5, 4, True)
-        b = tf.random_matrix_form(rng, 4, (0, 1), 5, 4, True)
+        f = tf.random_matrix_form(rng, 4, (0, 0), 5, 4)
+        a = tf.random_matrix_form(rng, 4, (1, 0), 5, 4)
+        b = tf.random_matrix_form(rng, 4, (0, 1), 5, 4)
         out.append(check("backend-exactness", f"stokes-{i:04d}", QQi(0),
                          tf.integrate_trace(tf.dbar(a)) + tf.integrate_trace(tf.del_op(b)),
                          "boundary sizes"))
@@ -472,11 +472,11 @@ def suite_backend_exactness(cfg, rng):
 
 
 def _random_lift(cfg, rng, size):
-    psi = [tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 2, cfg.exact,
+    psi = [tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 2,
                                  trace_free=True) for _ in range(cfg.order)]
-    phi = [tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 2, cfg.exact,
+    phi = [tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 2,
                                  trace_free=True) for _ in range(cfg.order)]
-    phi0 = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 2, cfg.exact,
+    phi0 = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 2,
                                  trace_free=True)
     return ll.LambdaLift(size, cfg.order, phi0, tuple(psi), tuple(phi))
 
@@ -485,7 +485,7 @@ def _strict_upper(rng, size):
     ent = np.full((size, size), tf.FS_ZERO, dtype=object)
     for r in range(size):
         for c in range(r + 1, size):
-            ent[r, c] = tf.random_fourier_scalar(rng, 1, 2, True)
+            ent[r, c] = tf.random_fourier_scalar(rng, 1, 2)
     return tf.MatrixForm((0, 0), size, ent)
 
 
@@ -532,7 +532,7 @@ def _commuting_lift(cfg, rng, size):
     tr = sum(c_matrix[r, r] for r in range(size))
     c_matrix = c_matrix - np.eye(size, dtype=object) * (tr / size)
     phi0 = tf.MatrixForm.from_scalar_matrix(c_matrix, (1, 0))
-    f = tf.random_fourier_scalar(rng, cfg.mode_bound, 2, cfg.exact)
+    f = tf.random_fourier_scalar(rng, cfg.mode_bound, 2)
     psi1 = tf.MatrixForm.from_scalar_matrix(
         _trace_adjusted_poly(rng, c_matrix, size), (0, 1)) * f
     return ll.make_lift(phi0, psi=[psi1], order=cfg.order), c_matrix
@@ -542,7 +542,7 @@ def _commutant_tangent(cfg, rng, lift, c_matrix):
     size = lift.rank
     phi_0 = tf.MatrixForm.from_scalar_matrix(
         _trace_adjusted_poly(rng, c_matrix, size), (1, 0))
-    h = tf.random_fourier_scalar(rng, cfg.mode_bound, 2, cfg.exact)
+    h = tf.random_fourier_scalar(rng, cfg.mode_bound, 2)
     psi_1 = tf.MatrixForm.from_scalar_matrix(
         _trace_adjusted_poly(rng, c_matrix, size), (0, 1)) * h
     t = ll.TangentSeries.zero(size, lift.order)
@@ -553,7 +553,7 @@ def _commutant_tangent(cfg, rng, lift, c_matrix):
 
 
 def _random_gauge(cfg, rng, size):
-    xik = [tf.random_matrix_form(rng, size, (0, 0), cfg.mode_bound, 2, cfg.exact,
+    xik = [tf.random_matrix_form(rng, size, (0, 0), cfg.mode_bound, 2,
                                  trace_free=True) for _ in range(cfg.order + 1)]
     return ll.GaugeSeries(cfg.order, tuple(xik))
 
@@ -643,9 +643,9 @@ def suite_dh_involutions(cfg, rng):
         out.append(check_true("dh-involutions", f"glue-{i:04d}",
                               ll.deligne_glue(ll.deligne_glue(lc)) == lc,
                               "regluing twice is the identity", "exponent map"))
-        b = tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 2, cfg.exact,
+        b = tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 2,
                                   trace_free=True)
-        a = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 2, cfg.exact,
+        a = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 2,
                                   trace_free=True)
         p = ll.DHPoint(b, a, random_nonzero_qqi(rng))
         out.append(check_true("dh-involutions", f"square-{i:04d}",

@@ -26,18 +26,14 @@ operations compute residuals and never assume they vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .constants import VOLUME_CONST
 from .scalars import QQi, conj, random_qqi, scalar_from_json, scalar_to_json
 
-_SCALARS = (int, float, complex, QQi)
-try:  # Fraction coefficients are accepted anywhere a scalar is
-    from fractions import Fraction
-    _SCALARS = _SCALARS + (Fraction,)
-except ImportError:  # pragma: no cover
-    pass
+_SCALARS = (int, Fraction, QQi)
 
 
 class FourierScalar:
@@ -83,7 +79,7 @@ class FourierScalar:
             return NotImplemented
         out = dict(self.modes)
         for k, c in other.modes.items():
-            out[k] = out.get(k, QQi(0)) + c
+            out[k] = out[k] + c if k in out else c
         return FourierScalar(out)
 
     __radd__ = __add__
@@ -106,7 +102,8 @@ class FourierScalar:
         for (m1, n1), c1 in self.modes.items():
             for (m2, n2), c2 in other.modes.items():
                 k = (m1 + m2, n1 + n2)
-                out[k] = out.get(k, QQi(0)) + c1 * c2
+                c = c1 * c2
+                out[k] = out[k] + c if k in out else c
         return FourierScalar(out)
 
     def __rmul__(self, other):
@@ -227,9 +224,9 @@ class MatrixForm:
 
     # -- serialization --------------------------------------------------------
 
-    def to_json(self, exact: bool = True) -> dict:
+    def to_json(self) -> dict:
         return {"bidegree": list(self.bidegree), "size": self.size,
-                "entries": [[{"modes": [[m, n, scalar_to_json(c, exact)]
+                "entries": [[{"modes": [[m, n, scalar_to_json(c)]
                                         for (m, n), c in e.items()]}
                              for e in row] for row in self.entries]}
 
@@ -335,20 +332,18 @@ def commutator(a: MatrixForm, b: MatrixForm) -> MatrixForm:
 
 
 def random_fourier_scalar(rng, mode_bound: int = 2, terms: int = 3,
-                          exact: bool = True, span: int = 6) -> FourierScalar:
+                          span: int = 6) -> FourierScalar:
     modes = {}
     for _ in range(terms):
         key = (rng.randint(-mode_bound, mode_bound), rng.randint(-mode_bound, mode_bound))
-        coeff = random_qqi(rng, span) if exact else complex(
-            rng.uniform(-span, span), rng.uniform(-span, span))
-        modes[key] = modes.get(key, QQi(0)) + coeff
+        coeff = random_qqi(rng, span)
+        modes[key] = modes[key] + coeff if key in modes else coeff
     return FourierScalar(modes)
 
 
 def random_matrix_form(rng, size: int, bidegree=(0, 0), mode_bound: int = 2,
-                       terms: int = 2, exact: bool = True,
-                       trace_free: bool = False) -> MatrixForm:
-    ent = np.array([[random_fourier_scalar(rng, mode_bound, terms, exact)
+                       terms: int = 2, trace_free: bool = False) -> MatrixForm:
+    ent = np.array([[random_fourier_scalar(rng, mode_bound, terms)
                      for _ in range(size)] for _ in range(size)], dtype=object)
     if trace_free and size > 0:
         total = FS_ZERO

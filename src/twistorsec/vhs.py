@@ -46,7 +46,6 @@ class VhsBlockData:
     ranks: tuple
     degrees: tuple
     label: str = ""
-    claimed_stable: bool = True  # unchecked flag; stability is not verifiable here
     pair: str = ""  # label of an associated infinity-side dataset, if any
 
     def __post_init__(self):
@@ -70,10 +69,6 @@ class VhsBlockData:
     @property
     def n(self) -> int:
         return sum(self.ranks)
-
-    @property
-    def has_rational_degrees(self) -> bool:
-        return any(isinstance(d, Fraction) for d in self.degrees)
 
     def to_json(self) -> dict:
         doc = {"ranks": list(self.ranks),

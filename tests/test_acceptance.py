@@ -6,6 +6,7 @@ terminal (outside pytest's capture).  Everything is exact Gaussian-rational
 arithmetic; there are no tolerances to tune.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -427,12 +428,20 @@ def test_acceptance_12_scaling_exponents(verdict):
 # -- 13: deterministic command line --------------------------------------------
 
 
+#: sha256 of the `verify --seed 42 --cases 6` JSON report.  A change to the
+#: arithmetic or the suites that alters any record or the config block shows
+#: up here.
+GOLDEN_REPORT_SHA256 = (
+    "4c970ed4b118db8c3ee5f58a3fc839a89145b8d100764506bfbcdc99afdebe60")
+
+
 def test_acceptance_13_cli_determinism(verdict, tmp_path):
     args = ["verify", "--seed", "42", "--cases", "6"]
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     ok = cli.main(args + ["--out", str(out1)]) == 0
     ok = ok and cli.main(args + ["--out", str(out2)]) == 0
     ok = ok and out1.read_bytes() == out2.read_bytes()
+    ok = ok and hashlib.sha256(out1.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256
     table = tmp_path / "table.json"
     ok = ok and cli.main(["vhs-energy", "--out", str(table)]) == 0
     rows = {r["label"]: r

@@ -63,7 +63,6 @@ def test_format_value_branches():
     assert format_value(-4) == "-4"
     assert format_value("already text") == "already text"
     assert format_value(1.5) == "1.5"
-    assert format_value(1.5 + 2j) == "1.5+2.0i"
     assert format_value([1, Fraction(1, 3)]) == "[1, 1/3]"
     v = VhsBlockData((1, 1), (1, -1), label="x")
     doc = json.loads(format_value(v))
@@ -110,6 +109,7 @@ def test_render_json_ignores_out_path():
     assert doc["summary"] == {"total": 2, "passed": 1, "failed": 1}
     assert [r["suite"] for r in doc["records"]] == ["alpha", "beta"]
     assert "out_path" not in doc["config"]
+    assert doc["config"]["exact"] is True
 
 
 def test_json_record_round_trip():
@@ -282,9 +282,28 @@ def test_cli_config_file_and_overrides(tmp_path, capsys):
     # Flags override file values.
     assert cli.main(["verify", "--config", str(cfg_path), "--seed", "12",
                      "--out", str(out)]) == 0
-    doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["config"]["seed"] == 12
+    report = out.read_text(encoding="utf-8")
+    assert json.loads(report)["config"]["seed"] == 12
+    # A report's config block, "exact": true included, loads back as a config.
+    cfg_path.write_text(json.dumps(json.loads(report)["config"]), encoding="utf-8")
+    assert cli.main(["verify", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == report
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"seed": "abc"}, "seed"), ({"cases": None}, "cases"),
+    ({"order": True}, "order"), ({"suites": "stokes"}, "suites"),
+    ({"datasets": [1]}, "datasets"), ({"out_format": 3}, "out_format"),
+    ({"out_path": 5}, "out_path"), ({"exact": False}, "exact"),
+    ([1, 2], "object")])
+def test_cli_rejects_bad_config(tmp_path, capsys, doc, field):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err and captured.out == ""
 
 
 def test_cli_vhs_energy_table(tmp_path):

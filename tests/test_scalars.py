@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from twistorsec.scalars import (I, QQi, conj, isclose, random_nonzero_qqi,
-                                random_qqi, scalar_from_json, scalar_to_json)
+from twistorsec.scalars import (I, QQi, conj, random_nonzero_qqi, random_qqi,
+                                scalar_from_json, scalar_to_json)
 
 rationals = st.fractions(max_denominator=50)
 qqis = st.builds(QQi, rationals, rationals)
@@ -83,16 +83,9 @@ def test_parse_rejects_garbage():
 
 @given(qqis)
 def test_json_round_trip_exact(a):
-    doc = scalar_to_json(a, exact=True)
+    doc = scalar_to_json(a)
     assert len(doc) == 4
     assert scalar_from_json(doc) == a
-
-
-def test_json_float_mode():
-    doc = scalar_to_json(QQi(Fraction(1, 2), 3), exact=False)
-    assert doc == [0.5, 3.0]
-    back = scalar_from_json(doc)
-    assert isclose(back, complex(0.5, 3.0))
 
 
 @given(qqis, rationals)
@@ -102,11 +95,13 @@ def test_mixed_arithmetic_with_exact_types(a, r):
     assert a - 2 == a - QQi(2)
 
 
-def test_mixed_arithmetic_degrades_to_complex():
-    out = QQi(Fraction(1, 2)) * 2.0
-    assert isinstance(out, complex)
-    assert out == 1.0
-    assert QQi(1, 1) + 1j == 1 + 2j
+def test_float_and_complex_are_rejected():
+    with pytest.raises(TypeError):
+        QQi(1) * 0.5
+    with pytest.raises(TypeError):
+        QQi(1) + 1j
+    with pytest.raises(ValueError):
+        scalar_from_json([0.5, 3.0])
 
 
 def test_equality_and_hash_consistency():
