@@ -22,6 +22,15 @@ from .scalars import QQi, conj
 from .suites import SUITES, run_suites
 
 
+class _Once(argparse.Action):
+    """Store an option's value; giving the option twice is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given only once")
+        setattr(namespace, self.dest, values)
+
+
 def _add_output_flags(sub):
     sub.add_argument("--out", help="output file (stdout when omitted)")
     sub.add_argument("--format", choices=("json", "csv"), default=None,
@@ -53,21 +62,21 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--rank", type=int, default=None, help="rank bound")
     verify.add_argument("--cases", type=int, default=None,
                         help="random cases per suite")
-    verify.add_argument("--dataset", action="append", default=None,
-                        metavar="PATH", help="block dataset file (repeatable)")
+    verify.add_argument("--dataset", action=_Once, default=None,
+                        metavar="PATH", help="block dataset file")
     verify.add_argument("--config", default=None,
                         help="JSON run configuration file")
     _add_output_flags(verify)
 
     table = subs.add_parser("vhs-energy",
                             help="energy/degree table for a block dataset")
-    table.add_argument("--dataset", default=None,
+    table.add_argument("--dataset", action=_Once, default=None,
                        help="dataset file (default: shipped samples)")
     _add_output_flags(table)
 
     degrees = subs.add_parser("hyperhol-degree",
                               help="pullback degrees for paired dataset entries")
-    degrees.add_argument("--dataset", default=None,
+    degrees.add_argument("--dataset", action=_Once, default=None,
                          help="dataset file (default: shipped samples)")
     _add_output_flags(degrees)
 
@@ -88,7 +97,8 @@ def _verify_config(args) -> RunConfig:
         doc["suites"] = sorted(SUITES)
     overrides = {"seed": args.seed, "order": args.order,
                  "mode_bound": args.modes, "rank_bound": args.rank,
-                 "cases": args.cases, "datasets": args.dataset,
+                 "cases": args.cases,
+                 "datasets": None if args.dataset is None else [args.dataset],
                  "out_format": args.format, "out_path": args.out}
     for key, value in overrides.items():
         if value is not None:

@@ -22,9 +22,14 @@ def load_vhs_dataset(path: str = None):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     doc = json.loads(text)
-    if not isinstance(doc, dict) or "entries" not in doc:
-        raise ValueError("malformed dataset: expected an object with 'entries'")
-    entries = [VhsBlockData.from_json(e) for e in doc["entries"]]
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+        raise ValueError("malformed dataset: expected an object with an 'entries' list")
+    entries = []
+    for index, entry in enumerate(doc["entries"]):
+        try:
+            entries.append(VhsBlockData.from_json(entry))
+        except ValueError as err:
+            raise ValueError(f"malformed dataset entry {index}: {err}") from None
     labels = [e.label for e in entries]
     if len(set(labels)) != len(labels):
         raise ValueError("malformed dataset: duplicate labels")

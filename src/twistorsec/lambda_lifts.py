@@ -22,15 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .constants import (ENERGY_LIFT_COEFF, OMEGA_HAT_COEFF, XI_SCALAR_DLAMBDA,
                         XI_SCALAR_PHIPSI)
-from .scalars import QQi, conj
-from .torus_forms import (FourierScalar, MatrixForm, commutator, conj_transpose,
-                          dbar, del_op, integrate_trace, random_matrix_form, trace,
-                          wedge, wedge_bracket)
-from .vhs import VhsBlockData, block_slices, grade_positions, xi_matrix
+from .scalars import QQi, conj, random_qqi
+from .torus_forms import (FS_ZERO, FourierScalar, MatrixForm, commutator,
+                          conj_transpose, dbar, del_op, integrate_trace, matmul,
+                          random_fourier_scalar, trace, wedge, wedge_bracket)
+from .vhs import VhsBlockData, xi_matrix
 
 
 def _check_coeff(f: MatrixForm, rank: int, bidegree, what: str):
@@ -295,7 +293,7 @@ def pair_unsigned(a: MatrixForm, b: MatrixForm):
     pair = {a.bidegree, b.bidegree}
     if pair != {(1, 0), (0, 1)}:
         raise ValueError("unsigned pairing needs one (1,0) and one (0,1) form")
-    prod = MatrixForm((1, 1), a.size, a.entries @ b.entries)
+    prod = MatrixForm((1, 1), a.size, matmul(a.entries, b.entries))
     return integrate_trace(prod)
 
 
@@ -340,15 +338,19 @@ def second_variation_weighted(t: TangentSeries, m0, m1, n0, n1):
 # -- circle-fixed lifts from graded block data --------------------------------
 
 
+def _grades(v: VhsBlockData):
+    """Rows of the grading weight i - j of the block (i, j) holding each entry."""
+    block = [i for i, rank in enumerate(v.ranks) for _ in range(rank)]
+    return [[bc - br for bc in block] for br in block]
+
+
 def has_pure_grade(f: MatrixForm, v: VhsBlockData, k: int) -> bool:
     """True when every entry outside the grade-k block positions vanishes."""
     if f.size != v.n:
         return False
-    keep = np.zeros((v.n, v.n), dtype=bool)
-    for i, j, _, _ in grade_positions(v, k):
-        rows, cols = block_slices(v, i, j)
-        keep[rows, cols] = True
-    return all(f.entries[idx].is_zero for idx in zip(*np.nonzero(~keep)))
+    grades = _grades(v)
+    return all(e.is_zero for r, row in enumerate(f.entries)
+               for c, e in enumerate(row) if grades[r][c] != k)
 
 
 def xi_matrix_form(v: VhsBlockData) -> MatrixForm:
@@ -474,23 +476,14 @@ def random_pure_grade_form(rng, v: VhsBlockData, k: int, bidegree,
                            mode_bound: int = 2, terms: int = 2,
                            constant: bool = False) -> MatrixForm:
     """Random matrix form supported on the grade-k blocks only."""
-    from .torus_forms import FS_ZERO, random_fourier_scalar
-
-    ent = np.full((v.n, v.n), FS_ZERO, dtype=object)
-    for i, j, _, _ in grade_positions(v, k):
-        rows, cols = block_slices(v, i, j)
-        for r in range(rows.start, rows.stop):
-            for c in range(cols.start, cols.stop):
-                if constant:
-                    from .scalars import random_qqi
-                    ent[r, c] = FourierScalar.const(random_qqi(rng))
-                else:
-                    ent[r, c] = random_fourier_scalar(rng, mode_bound, terms)
+    ent = [[FS_ZERO] * v.n for _ in range(v.n)]
+    for r, row in enumerate(_grades(v)):  # row-major: draws in grade_positions order
+        for c, grade in enumerate(row):
+            if grade == k:
+                ent[r][c] = (FourierScalar.const(random_qqi(rng)) if constant
+                             else random_fourier_scalar(rng, mode_bound, terms))
     if k == 0:  # keep sl-valued: zero out the last diagonal entry's trace share
-        total = FS_ZERO
-        for idx in range(v.n - 1):
-            total = total + ent[idx, idx]
-        ent[v.n - 1, v.n - 1] = -total
+        ent[-1][-1] = -sum((ent[i][i] for i in range(v.n - 1)), FS_ZERO)
     return MatrixForm(bidegree, v.n, ent)
 
 
@@ -518,8 +511,7 @@ def gauge_transform_lift(lift: LambdaLift, gs) -> LambdaLift:
     (g^-1 A g + g^-1 t del g)_k.  The family must start at the identity.
     """
     gs = list(gs)
-    ident = MatrixForm.from_scalar_matrix(np.eye(lift.rank, dtype=object) * QQi(1))
-    if gs[0] != ident:
+    if gs[0] != MatrixForm.identity(lift.rank):
         raise ValueError("gauge family must start at the identity")
     n = lift.order
     gs = gs + [MatrixForm.zero(lift.rank, (0, 0))] * (n + 1 - len(gs))

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .scalars import QQi, conj
 
 
@@ -150,9 +148,7 @@ def sl2_bracket(A: Sl2Element, B: Sl2Element) -> Sl2Element:
 def ad_matrix(A: Sl2Element):
     """Matrix of ad_A = [A, -] in the basis (e, h, f), columns = images."""
     cols = [sl2_bracket(A, basis) for basis in (E, H, F)]
-    return np.array([[c.a_e for c in cols],
-                     [c.a_h for c in cols],
-                     [c.a_f for c in cols]], dtype=object)
+    return tuple(zip(*((c.a_e, c.a_h, c.a_f) for c in cols)))
 
 
 def killing(A: Sl2Element, B: Sl2Element):

@@ -49,6 +49,8 @@ class RunConfig:
                 raise ValueError(f"config field {name!r} must be a list of strings")
         if not isinstance(self.out_path, (str, type(None))):
             raise ValueError("config field 'out_path' must be a string or null")
+        if len(self.datasets) > 1:
+            raise ValueError("config field 'datasets' holds at most one path")
         object.__setattr__(self, "suites", tuple(self.suites))
         object.__setattr__(self, "datasets", tuple(self.datasets))
         if not 0 <= self.seed < 2 ** 64:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from . import flat_model as fm
 from . import lambda_lifts as ll
 from . import projline as pl
@@ -290,6 +288,16 @@ def suite_energy_reality(cfg, rng):
 # -- graded block data --------------------------------------------------------
 
 
+def _uniformizing_genus(e: vhs.VhsBlockData):
+    """The genus g of a dataset entry labelled uniformizing-g<g>, else None."""
+    head, sep, g = e.label.partition("uniformizing-g")
+    if head or not sep:
+        return None
+    if not g.isdecimal() or str(int(g)) != g:  # one label, one case name per genus
+        raise ValueError(f"dataset entry {e.label!r}: expected uniformizing-g<genus>")
+    return int(g)
+
+
 def suite_vhs_energy(cfg, rng):
     out = []
     for i in range(cfg.cases):
@@ -297,9 +305,9 @@ def suite_vhs_energy(cfg, rng):
         out.append(check("vhs-energy", f"closed-vs-recursive-{i:04d}",
                          vhs.energy_closed(v), vhs.energy_recursive(v),
                          "telescoping sum"))
-    for e in load_vhs_dataset(*(cfg.datasets[:1])):
-        if e.label.startswith("uniformizing-g"):
-            g = int(e.label.split("uniformizing-g")[1])
+    for e in load_vhs_dataset(*cfg.datasets):
+        g = _uniformizing_genus(e)
+        if g is not None:
             out.append(check("vhs-energy", f"dataset-{e.label}", Fraction(1 - g),
                              vhs.energy_closed(e), f"dataset:{e.label}"))
         if e.label == "three-block-2-0-m2":
@@ -336,10 +344,15 @@ def suite_hyperhol_degree(cfg, rng):
                               Fraction(got).denominator == 1,
                               "integer for integral block degrees",
                               "degree additivity"))
-    entries = {e.label: e for e in load_vhs_dataset(*(cfg.datasets[:1]))}
-    for g in range(2, 11):
-        v0 = entries[f"uniformizing-g{g}"]
-        vinf = entries[v0.pair]
+    entries = {e.label: e for e in load_vhs_dataset(*cfg.datasets)}
+    for v0 in entries.values():
+        g = _uniformizing_genus(v0)
+        if g is None:
+            continue
+        vinf = entries.get(v0.pair)
+        if vinf is None:
+            raise ValueError(f"dataset entry {v0.label!r}: pair {v0.pair!r} "
+                             f"is not in the dataset")
         got = vhs.hyperhol_degree(v0, vinf)
         out.append(check("hyperhol-degree", f"uniformizing-g{g}", Fraction(1 - g),
                          got, f"dataset:uniformizing-g{g}"))
@@ -360,8 +373,8 @@ def suite_det_exponent(cfg, rng):
 def _random_graded_matrix(rng, v, k):
     blocks = {}
     for i, j, rows, cols in vhs.grade_positions(v, k):
-        blocks[(i, j)] = np.array([[random_qqi(rng) for _ in range(cols)]
-                                   for _ in range(rows)], dtype=object)
+        blocks[(i, j)] = [[random_qqi(rng) for _ in range(cols)]
+                          for _ in range(rows)]
     return vhs.GradedBlockMatrix(v, blocks)
 
 
@@ -372,9 +385,9 @@ def suite_grade_bracket(cfg, rng):
         k = rng.randint(-(v.l - 1), v.l - 1) if v.l > 1 else 0
         m = _random_graded_matrix(rng, v, k)
         got = vhs.xi_bracket(m, vhs.xi_element(v)).to_full()
-        want = m.to_full() * QQi(k)
-        out.append(check_true("grade-bracket", f"case-{i:04d}",
-                              bool(np.equal(got, want).all()),
+        scale = QQi(k)
+        want = tuple(tuple(x * scale for x in row) for row in m.to_full())
+        out.append(check_true("grade-bracket", f"case-{i:04d}", got == want,
                               f"bracket with the grading element scales grade "
                               f"{k} by {k}", "diagonal weights"))
     return out
@@ -419,7 +432,7 @@ def suite_d_squared(cfg, rng):
         out.append(check_true("d-squared", f"mixed-{i:04d}", mixed.is_zero,
                               "dbar del + del dbar annihilates functions",
                               "mode symbols"))
-    const = tf.MatrixForm.from_scalar_matrix(np.eye(2, dtype=object) * QQi(3))
+    const = tf.MatrixForm.identity(2) * QQi(3)
     mixed = tf.dbar(tf.del_op(const)) + tf.del_op(tf.dbar(const))
     out.append(check_true("d-squared", "mixed-constant", mixed.is_zero,
                           "dbar del + del dbar annihilates constants",
@@ -482,11 +495,9 @@ def _random_lift(cfg, rng, size):
 
 
 def _strict_upper(rng, size):
-    ent = np.full((size, size), tf.FS_ZERO, dtype=object)
-    for r in range(size):
-        for c in range(r + 1, size):
-            ent[r, c] = tf.random_fourier_scalar(rng, 1, 2)
-    return tf.MatrixForm((0, 0), size, ent)
+    rows = [[tf.random_fourier_scalar(rng, 1, 2) if c > r else tf.FS_ZERO
+             for c in range(size)] for r in range(size)]
+    return tf.MatrixForm((0, 0), size, rows)
 
 
 def suite_gauge_covariance(cfg, rng):
@@ -494,8 +505,8 @@ def suite_gauge_covariance(cfg, rng):
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
         lift = _random_lift(cfg, rng, size)
-        ident = tf.MatrixForm.from_scalar_matrix(np.eye(size, dtype=object) * QQi(1))
-        gs = [ident] + [_strict_upper(rng, size) for _ in range(2)]
+        gs = [tf.MatrixForm.identity(size), _strict_upper(rng, size),
+              _strict_upper(rng, size)]
         moved = ll.gauge_transform_lift(lift, gs)
         depth = min(2, lift.order)
         want = ll.integrability_residuals(lift, depth)
@@ -517,34 +528,38 @@ def suite_gauge_covariance(cfg, rng):
     return out
 
 
-def _trace_adjusted_poly(rng, c_matrix, size):
+def _trace_free(m):
+    """The scalar matrix m (rows) minus its trace share on the diagonal."""
+    share = sum(m[r][r] for r in range(len(m))) / len(m)
+    return tuple(tuple(x - share if r == c else x for c, x in enumerate(row))
+                 for r, row in enumerate(m))
+
+
+def _trace_adjusted_poly(rng, c_matrix):
     """A trace-free polynomial in the constant matrix (degree <= 2)."""
     c1, c2 = random_qqi(rng), random_qqi(rng)
-    sq = c_matrix @ c_matrix
-    tr = sum(sq[r, r] for r in range(size))
-    adjusted = sq - np.eye(size, dtype=object) * (tr / size)
-    return c_matrix * c1 + adjusted * c2
+    adjusted = _trace_free(tf.matmul(c_matrix, c_matrix))
+    return tuple(tuple(x * c1 + y * c2 for x, y in zip(r, s))
+                 for r, s in zip(c_matrix, adjusted))
 
 
 def _commuting_lift(cfg, rng, size):
-    c_matrix = np.array([[random_qqi(rng) for _ in range(size)]
-                         for _ in range(size)], dtype=object)
-    tr = sum(c_matrix[r, r] for r in range(size))
-    c_matrix = c_matrix - np.eye(size, dtype=object) * (tr / size)
+    c_matrix = _trace_free([[random_qqi(rng) for _ in range(size)]
+                            for _ in range(size)])
     phi0 = tf.MatrixForm.from_scalar_matrix(c_matrix, (1, 0))
     f = tf.random_fourier_scalar(rng, cfg.mode_bound, 2)
     psi1 = tf.MatrixForm.from_scalar_matrix(
-        _trace_adjusted_poly(rng, c_matrix, size), (0, 1)) * f
+        _trace_adjusted_poly(rng, c_matrix), (0, 1)) * f
     return ll.make_lift(phi0, psi=[psi1], order=cfg.order), c_matrix
 
 
 def _commutant_tangent(cfg, rng, lift, c_matrix):
     size = lift.rank
     phi_0 = tf.MatrixForm.from_scalar_matrix(
-        _trace_adjusted_poly(rng, c_matrix, size), (1, 0))
+        _trace_adjusted_poly(rng, c_matrix), (1, 0))
     h = tf.random_fourier_scalar(rng, cfg.mode_bound, 2)
     psi_1 = tf.MatrixForm.from_scalar_matrix(
-        _trace_adjusted_poly(rng, c_matrix, size), (0, 1)) * h
+        _trace_adjusted_poly(rng, c_matrix), (0, 1)) * h
     t = ll.TangentSeries.zero(size, lift.order)
     psik = list(t.psik)
     phik = list(t.phik)
@@ -589,10 +604,8 @@ def suite_energy_gauge_invariance(cfg, rng):
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
         lift = _random_lift(cfg, rng, size)
-        const = np.array([[random_qqi(rng) for _ in range(size)]
-                          for _ in range(size)], dtype=object)
-        tr = sum(const[r, r] for r in range(size))
-        const = const - np.eye(size, dtype=object) * (tr / size)
+        const = _trace_free([[random_qqi(rng) for _ in range(size)]
+                             for _ in range(size)])
         lift = ll.LambdaLift(size, lift.order,
                              tf.MatrixForm.from_scalar_matrix(const, (1, 0)),
                              lift.psi, lift.phi)

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import reduce
+from operator import add, mul, sub
 
 from .constants import VOLUME_CONST
 from .scalars import QQi, conj, random_qqi, scalar_from_json, scalar_to_json
@@ -146,81 +146,92 @@ FS_ONE = FourierScalar.const(QQi(1))
 _BIDEGREES = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
+def matmul(a, b):
+    """Product of two row matrices; each entry sums from its first product."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(reduce(add, map(mul, row, col)) for col in cols)
+                 for row in a)
+
+
+def _map_rows(rows, fn):
+    return tuple(tuple(fn(e) for e in row) for row in rows)
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixForm:
     """An r x r matrix of Fourier series tagged with a form bidegree."""
 
     bidegree: tuple
     size: int
-    entries: object  # numpy object array of FourierScalar
+    entries: tuple  # r rows, each a tuple of r FourierScalar
 
     def __post_init__(self):
         if tuple(self.bidegree) not in _BIDEGREES:
             raise ValueError(f"bad bidegree {self.bidegree}")
-        arr = np.asarray(self.entries, dtype=object)
-        if arr.shape != (self.size, self.size):
+        rows = tuple(tuple(row) for row in self.entries)
+        if len(rows) != self.size or any(len(row) != self.size for row in rows):
             raise ValueError(f"entries must be {self.size}x{self.size}")
         object.__setattr__(self, "bidegree", tuple(self.bidegree))
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", rows)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, size: int, bidegree=(0, 0)) -> "MatrixForm":
-        return cls(bidegree, size, np.full((size, size), FS_ZERO, dtype=object))
+        return cls(bidegree, size, ((FS_ZERO,) * size,) * size)
+
+    @classmethod
+    def identity(cls, size: int) -> "MatrixForm":
+        return cls.from_scalar_matrix([[QQi(int(r == c)) for c in range(size)]
+                                       for r in range(size)])
 
     @classmethod
     def from_scalar_matrix(cls, matrix, bidegree=(0, 0)) -> "MatrixForm":
-        """Constant-coefficient form from a plain scalar matrix."""
-        arr = np.asarray(matrix, dtype=object)
-        ent = np.array([[FourierScalar.const(arr[i, j]) if arr[i, j] else FS_ZERO
-                         for j in range(arr.shape[1])]
-                        for i in range(arr.shape[0])], dtype=object)
-        return cls(bidegree, arr.shape[0], ent)
+        """Constant-coefficient form from the rows of a plain scalar matrix."""
+        rows = _map_rows(matrix, lambda c: FourierScalar.const(c) if c else FS_ZERO)
+        return cls(bidegree, len(rows), rows)
 
     # -- linear structure -----------------------------------------------------
 
-    def _require_same_shape(self, other: "MatrixForm"):
+    def _combine(self, other, op):
+        if not isinstance(other, MatrixForm):
+            return NotImplemented
         if self.bidegree != other.bidegree or self.size != other.size:
             raise ValueError("bidegree/size mismatch")
+        return MatrixForm(self.bidegree, self.size,
+                          tuple(tuple(map(op, r, s))
+                                for r, s in zip(self.entries, other.entries)))
 
     def __add__(self, other):
-        if not isinstance(other, MatrixForm):
-            return NotImplemented
-        self._require_same_shape(other)
-        return MatrixForm(self.bidegree, self.size, self.entries + other.entries)
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        if not isinstance(other, MatrixForm):
-            return NotImplemented
-        self._require_same_shape(other)
-        return MatrixForm(self.bidegree, self.size, self.entries - other.entries)
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return MatrixForm(self.bidegree, self.size, -self.entries)
+        return MatrixForm(self.bidegree, self.size,
+                          _map_rows(self.entries, lambda e: -e))
 
     def __mul__(self, c):
         if isinstance(c, _SCALARS) or isinstance(c, FourierScalar):
             return MatrixForm(self.bidegree, self.size,
-                              np.array([[e * c for e in row] for row in self.entries],
-                                       dtype=object))
+                              _map_rows(self.entries, lambda e: e * c))
         return NotImplemented
 
     __rmul__ = __mul__
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries.flat)
+        return all(e.is_zero for row in self.entries for e in row)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixForm):
             return NotImplemented
         return (self.bidegree == other.bidegree and self.size == other.size
-                and all(a == b for a, b in zip(self.entries.flat, other.entries.flat)))
+                and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.bidegree, self.size,
-                     tuple(e.items() for e in self.entries.flat)))
+        return hash((self.bidegree, self.size, self.entries))
 
     # -- serialization --------------------------------------------------------
 
@@ -232,16 +243,10 @@ class MatrixForm:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MatrixForm":
-        ent = np.array(
-            [[FourierScalar({(m, n): scalar_from_json(c)
-                             for m, n, c in cell["modes"]})
-              for cell in row] for row in doc["entries"]], dtype=object)
+        ent = [[FourierScalar({(m, n): scalar_from_json(c)
+                               for m, n, c in cell["modes"]})
+                for cell in row] for row in doc["entries"]]
         return cls(tuple(doc["bidegree"]), doc["size"], ent)
-
-
-def _map_entries(f: MatrixForm, fn, bidegree) -> MatrixForm:
-    ent = np.array([[fn(e) for e in row] for row in f.entries], dtype=object)
-    return MatrixForm(bidegree, f.size, ent)
 
 
 def dbar(f: MatrixForm) -> MatrixForm:
@@ -254,8 +259,8 @@ def dbar(f: MatrixForm) -> MatrixForm:
     if q != 0:
         raise ValueError(f"dbar undefined on bidegree {f.bidegree}")
     if p == 0:
-        return _map_entries(f, lambda e: e.d_zbar(), (0, 1))
-    return _map_entries(f, lambda e: -e.d_zbar(), (1, 1))
+        return MatrixForm((0, 1), f.size, _map_rows(f.entries, FourierScalar.d_zbar))
+    return MatrixForm((1, 1), f.size, _map_rows(f.entries, lambda e: -e.d_zbar()))
 
 
 def del_op(f: MatrixForm) -> MatrixForm:
@@ -263,9 +268,7 @@ def del_op(f: MatrixForm) -> MatrixForm:
     p, q = f.bidegree
     if p != 0:
         raise ValueError(f"del undefined on bidegree {f.bidegree}")
-    if q == 0:
-        return _map_entries(f, lambda e: e.d_z(), (1, 0))
-    return _map_entries(f, lambda e: e.d_z(), (1, 1))
+    return MatrixForm((1, q), f.size, _map_rows(f.entries, FourierScalar.d_z))
 
 
 def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
@@ -279,10 +282,8 @@ def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
     p, q = a.bidegree[0] + b.bidegree[0], a.bidegree[1] + b.bidegree[1]
     if p > 1 or q > 1:
         raise ValueError(f"bidegree overflow: {a.bidegree} wedge {b.bidegree}")
-    prod = a.entries @ b.entries
-    if (a.bidegree[1] * b.bidegree[0]) % 2:
-        prod = -prod
-    return MatrixForm((p, q), a.size, prod)
+    prod = MatrixForm((p, q), a.size, matmul(a.entries, b.entries))
+    return -prod if (a.bidegree[1] * b.bidegree[0]) % 2 else prod
 
 
 def wedge_bracket(a: MatrixForm, b: MatrixForm) -> MatrixForm:
@@ -297,10 +298,7 @@ def wedge_bracket(a: MatrixForm, b: MatrixForm) -> MatrixForm:
 
 
 def trace(f: MatrixForm) -> FourierScalar:
-    total = FS_ZERO
-    for i in range(f.size):
-        total = total + f.entries[i, i]
-    return total
+    return sum((row[i] for i, row in enumerate(f.entries)), FS_ZERO)
 
 
 def integrate_trace(f: MatrixForm):
@@ -319,11 +317,9 @@ def conj_transpose(f: MatrixForm) -> MatrixForm:
     orientation: conj(dz^dzbar) = -dz^dzbar.
     """
     p, q = f.bidegree
-    ent = np.array([[f.entries[j, i].conjugate() for j in range(f.size)]
-                    for i in range(f.size)], dtype=object)
-    if (p, q) == (1, 1):
-        ent = -ent
-    return MatrixForm((q, p), f.size, ent)
+    out = MatrixForm((q, p), f.size,
+                     _map_rows(zip(*f.entries), FourierScalar.conjugate))
+    return -out if (p, q) == (1, 1) else out
 
 
 def commutator(a: MatrixForm, b: MatrixForm) -> MatrixForm:
@@ -343,11 +339,8 @@ def random_fourier_scalar(rng, mode_bound: int = 2, terms: int = 3,
 
 def random_matrix_form(rng, size: int, bidegree=(0, 0), mode_bound: int = 2,
                        terms: int = 2, trace_free: bool = False) -> MatrixForm:
-    ent = np.array([[random_fourier_scalar(rng, mode_bound, terms)
-                     for _ in range(size)] for _ in range(size)], dtype=object)
+    ent = [[random_fourier_scalar(rng, mode_bound, terms) for _ in range(size)]
+           for _ in range(size)]
     if trace_free and size > 0:
-        total = FS_ZERO
-        for i in range(size - 1):
-            total = total + ent[i, i]
-        ent[size - 1, size - 1] = -total
+        ent[-1][-1] = -sum((ent[i][i] for i in range(size - 1)), FS_ZERO)
     return MatrixForm(bidegree, size, ent)

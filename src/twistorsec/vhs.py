@@ -22,20 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .scalars import QQi
 
 
 def _as_degree(x):
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, str):
-        f = Fraction(x)
-        return int(f) if f.denominator == 1 else f
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        f = Fraction(x[0], x[1])
-        return int(f) if f.denominator == 1 else f
+    if isinstance(x, str) or (isinstance(x, (list, tuple)) and len(x) == 2):
+        try:
+            f = Fraction(x) if isinstance(x, str) else Fraction(*x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+        else:
+            return int(f) if f.denominator == 1 else f
     raise ValueError(f"not a degree value: {x!r}")
 
 
@@ -49,12 +48,12 @@ class VhsBlockData:
     pair: str = ""  # label of an associated infinity-side dataset, if any
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
+        ranks = tuple(self.ranks)
         degrees = tuple(_as_degree(d) for d in self.degrees)
         if len(ranks) < 1:
             raise ValueError("need at least one block")
-        if any(r < 1 for r in ranks):
-            raise ValueError("ranks must be positive")
+        if any(not isinstance(r, int) or isinstance(r, bool) or r < 1 for r in ranks):
+            raise ValueError("ranks must be positive integers")
         if len(degrees) != len(ranks):
             raise ValueError("ranks and degrees must have equal length")
         if sum(degrees) != 0:
@@ -80,8 +79,15 @@ class VhsBlockData:
 
     @classmethod
     def from_json(cls, doc: dict) -> "VhsBlockData":
-        return cls(tuple(doc["ranks"]), tuple(doc["degrees"]),
-                   label=doc.get("label", ""), pair=doc.get("pair", ""))
+        """An entry of a dataset document; a malformed field raises ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError("entry must be an object")
+        doc = {"label": "", "pair": "", **doc}
+        for name, kind in (("ranks", list), ("degrees", list), ("label", str),
+                           ("pair", str)):
+            if not isinstance(doc.get(name), kind):
+                raise ValueError(f"field {name!r} must be a {kind.__name__}")
+        return cls(doc["ranks"], doc["degrees"], doc["label"], doc["pair"])
 
 
 def energy_closed(v: VhsBlockData):
@@ -100,7 +106,8 @@ def energy_recursive(v: VhsBlockData):
 def hyperhol_degree(v0: VhsBlockData, vinf: VhsBlockData):
     """Degree of the hyperholomorphic line bundle along a fixed section pair."""
     if v0.n != vinf.n:
-        raise ValueError("the 0- and infinity-side data must share the same rank")
+        raise ValueError(f"the 0- and infinity-side data {v0.label!r} and "
+                         f"{vinf.label!r} must share the same rank")
     return energy_closed(v0) + energy_closed(vinf)
 
 
@@ -171,40 +178,37 @@ class GradedBlockMatrix:
     def __post_init__(self):
         for (i, j), blk in self.blocks.items():
             _check_index(self.data, i), _check_index(self.data, j)
-            want = (self.data.ranks[j - 1], self.data.ranks[i - 1])
-            if np.shape(blk) != want:
-                raise ValueError(f"block ({i},{j}) must be {want}, got {np.shape(blk)}")
+            rows, cols = self.data.ranks[j - 1], self.data.ranks[i - 1]
+            if len(blk) != rows or any(len(row) != cols for row in blk):
+                raise ValueError(f"block ({i},{j}) must be {rows}x{cols}")
 
     def grade(self, i: int, j: int) -> int:
         _check_index(self.data, i), _check_index(self.data, j)
         return i - j
 
     def to_full(self):
-        n = self.data.n
-        full = np.full((n, n), QQi(0), dtype=object)
+        zero = QQi(0)
+        full = [[zero] * self.data.n for _ in range(self.data.n)]
         for (i, j), blk in self.blocks.items():
             rows, cols = block_slices(self.data, i, j)
-            full[rows, cols] = np.asarray(blk, dtype=object)
-        return full
+            for r, row in zip(range(rows.start, rows.stop), blk):
+                full[r][cols] = row
+        return tuple(map(tuple, full))
 
     @classmethod
     def from_full(cls, v: VhsBlockData, full) -> "GradedBlockMatrix":
-        full = np.asarray(full, dtype=object)
         blocks = {}
         for i in range(1, v.l + 1):
             for j in range(1, v.l + 1):
                 rows, cols = block_slices(v, i, j)
-                blk = full[rows, cols]
-                if any(bool(x) for x in blk.flat):
+                blk = tuple(tuple(row[cols]) for row in full[rows])
+                if any(x for row in blk for x in row):
                     blocks[(i, j)] = blk
         return cls(v, blocks)
 
     def trace(self):
-        total = QQi(0)
-        for (i, j), blk in self.blocks.items():
-            if i == j:
-                total = total + np.asarray(blk, dtype=object).trace()
-        return total
+        return sum((row[r] for (i, j), blk in self.blocks.items() if i == j
+                    for r, row in enumerate(blk)), QQi(0))
 
 
 def adjoint_weight(m: GradedBlockMatrix, i: int, j: int) -> int:
@@ -220,20 +224,17 @@ def xi_bracket(m: GradedBlockMatrix, xi: XiElement) -> GradedBlockMatrix:
     """
     out = {}
     for (i, j), blk in m.blocks.items():
-        w = xi.weights[i - 1] - xi.weights[j - 1]
-        out[(i, j)] = np.asarray(blk, dtype=object) * QQi(w)
+        w = QQi(xi.weights[i - 1] - xi.weights[j - 1])
+        out[(i, j)] = tuple(tuple(x * w for x in row) for row in blk)
     return GradedBlockMatrix(m.data, out)
 
 
 def xi_matrix(v: VhsBlockData):
     """The grading element as an exact diagonal n x n matrix."""
-    diag = []
-    for w, r in zip(xi_element(v).weights, v.ranks):
-        diag.extend([QQi(w)] * r)
-    full = np.full((v.n, v.n), QQi(0), dtype=object)
-    for idx, w in enumerate(diag):
-        full[idx, idx] = w
-    return full
+    diag = [QQi(w) for w, r in zip(xi_element(v).weights, v.ranks) for _ in range(r)]
+    zero = QQi(0)
+    return tuple(tuple(w if r == c else zero for c in range(v.n))
+                 for r, w in enumerate(diag))
 
 
 def grade_positions(v: VhsBlockData, k: int) -> tuple:

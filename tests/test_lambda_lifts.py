@@ -10,7 +10,6 @@ from shifted lifts.
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from twistorsec.constants import (ENERGY_LIFT_COEFF, XI_SCALAR_DLAMBDA,
@@ -39,7 +38,7 @@ from twistorsec.vhs import VhsBlockData
 
 
 def _const_form(rows, bidegree):
-    return MatrixForm.from_scalar_matrix(np.array(rows, dtype=object), bidegree)
+    return MatrixForm.from_scalar_matrix(rows, bidegree)
 
 
 E21_DZ = _const_form([[0, 0], [QQi(1), 0]], (1, 0))
@@ -78,15 +77,15 @@ IDENT = _const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0))
 def _strict_upper(rng):
     # Families 1 + sum t^k g_k with strictly triangular g_k have determinant
     # one, which the transformed lift's trace-free validation requires.
-    return MatrixForm((0, 0), 2, np.array(
-        [[FourierScalar(), random_fourier_scalar(rng)],
-         [FourierScalar(), FourierScalar()]], dtype=object))
+    return MatrixForm((0, 0), 2,
+                      [[FourierScalar(), random_fourier_scalar(rng)],
+                       [FourierScalar(), FourierScalar()]])
 
 
 def _strict_lower(rng):
-    return MatrixForm((0, 0), 2, np.array(
-        [[FourierScalar(), FourierScalar()],
-         [random_fourier_scalar(rng), FourierScalar()]], dtype=object))
+    return MatrixForm((0, 0), 2,
+                      [[FourierScalar(), FourierScalar()],
+                       [random_fourier_scalar(rng), FourierScalar()]])
 
 
 # -- oracle 1: curvature coefficients via operator composition ----------------
@@ -511,9 +510,8 @@ def test_second_variation_precondition_errors():
         second_variation(lift, t, xi_matrix_form(UNI))  # wrong sign of xi
     bad_xi = MatrixForm(
         (0, 0), 2,
-        np.array([[FourierScalar.char(1, 0), FourierScalar()],
-                  [FourierScalar(), FourierScalar.char(1, 0, QQi(-1))]],
-                 dtype=object))
+        [[FourierScalar.char(1, 0), FourierScalar()],
+         [FourierScalar(), FourierScalar.char(1, 0, QQi(-1))]])
     with pytest.raises(ValueError, match="dbar"):
         second_variation(lift, t, bad_xi)
 
@@ -551,9 +549,9 @@ def test_energy_ignores_beta_one():
     assert energy_of_lift(with_exact) == energy_of_lift(base)
     char = random_pure_grade_form(rng, UNI, 1, (0, 1))
     # Strip any constant mode so the character test stays sharp.
-    stripped = MatrixForm((0, 1), 2, np.array(
-        [[e - FourierScalar.const(e.constant_mode()) for e in row]
-         for row in char.entries], dtype=object))
+    stripped = MatrixForm((0, 1), 2,
+                          [[e - FourierScalar.const(e.constant_mode()) for e in row]
+                           for row in char.entries])
     with_char = c_star_fixed_lift(UNI, E21_DZ, beta={1: stripped})
     assert energy_of_lift(with_char) == energy_of_lift(base)
 

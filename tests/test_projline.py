@@ -68,8 +68,8 @@ def test_killing_matches_symbolic_trace():
     ae, ah, af, be, bh, bf = sympy.symbols("ae ah af be bh bf")
     a = Sl2Element(ae, ah, af)
     b = Sl2Element(be, bh, bf)
-    ma = sympy.Matrix(3, 3, lambda i, j: ad_matrix(a)[i, j])
-    mb = sympy.Matrix(3, 3, lambda i, j: ad_matrix(b)[i, j])
+    ma = sympy.Matrix(3, 3, lambda i, j: ad_matrix(a)[i][j])
+    mb = sympy.Matrix(3, 3, lambda i, j: ad_matrix(b)[i][j])
     oracle = sympy.expand((ma * mb).trace())
     assert sympy.simplify(oracle - sympy.expand(killing(a, b))) == 0
 

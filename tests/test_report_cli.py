@@ -5,6 +5,8 @@ must force byte-identical reports, whatever the process or path.
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -297,13 +299,64 @@ def test_cli_config_file_and_overrides(tmp_path, capsys):
     ({"order": True}, "order"), ({"suites": "stokes"}, "suites"),
     ({"datasets": [1]}, "datasets"), ({"out_format": 3}, "out_format"),
     ({"out_path": 5}, "out_path"), ({"exact": False}, "exact"),
-    ([1, 2], "object")])
+    ([1, 2], "object"), ({"datasets": ["a", "b"]}, "datasets")])
 def test_cli_rejects_bad_config(tmp_path, capsys, doc, field):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["verify", "--config", str(cfg_path)]) == 2
     captured = capsys.readouterr()
     assert field in captured.err and captured.out == ""
+
+
+_ENTRY = {"ranks": [1, 1], "degrees": [1, -1], "label": "a"}
+_VERIFY_VHS = "verify --suite vhs-energy --cases 1 --dataset DATA"
+
+
+@pytest.mark.parametrize("entries, command, code, needle", [
+    ([1], "vhs-energy --dataset DATA", 2, "entry 0"),
+    ([1], _VERIFY_VHS, 2, "entry 0"),
+    ([_ENTRY, dict(_ENTRY, label=["b"])], "vhs-energy --dataset DATA", 2,
+     "entry 1: field 'label'"),
+    ([dict(_ENTRY, label=["b"])], _VERIFY_VHS, 2, "field 'label'"),
+    ([dict(_ENTRY, pair=3)], _VERIFY_VHS, 2, "field 'pair'"),
+    ([{"ranks": [1, 1], "label": "a"}], _VERIFY_VHS, 2, "field 'degrees'"),
+    ([dict(_ENTRY, ranks=[1.5, 1])], _VERIFY_VHS, 2, "ranks must be"),
+    ([dict(_ENTRY, ranks=[True, 1])], _VERIFY_VHS, 2, "ranks must be"),
+    ([dict(_ENTRY, degrees=[[1, 0], -1])], _VERIFY_VHS, 2, "degree value"),
+    ([_ENTRY], "verify --suite hyperhol-degree --cases 1 --dataset DATA", 0, ""),
+    ([dict(_ENTRY, label="uniformizing-g2")],
+     "verify --suite hyperhol-degree --cases 1 --dataset DATA", 2,
+     "'uniformizing-g2': pair ''"),
+    ([dict(_ENTRY, label="uniformizing-gx")], _VERIFY_VHS, 2,
+     "'uniformizing-gx': expected"),
+    ([dict(_ENTRY, label="uniformizing-g02")], _VERIFY_VHS, 2,
+     "'uniformizing-g02': expected"),
+    ([dict(_ENTRY, label="uniformizing-g2", pair="b"),
+      {"ranks": [3], "degrees": [0], "label": "b"}], "hyperhol-degree --dataset DATA",
+     2, "'uniformizing-g2' and 'b'"),
+    ([_ENTRY], _VERIFY_VHS + " --dataset DATA", 2, "--dataset"),
+    ([_ENTRY], "vhs-energy --dataset DATA --dataset DATA", 2, "--dataset"),
+])
+def test_cli_dataset_input(tmp_path, capsys, entries, command, code, needle):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+    argv = [str(path) if arg == "DATA" else arg for arg in command.split()]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert needle in err and "Traceback" not in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, twistorsec.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_vhs_energy_table(tmp_path):

@@ -152,8 +152,8 @@ def test_wedge_frame_sign():
     f = MatrixForm((1, 0), 1, [[FourierScalar.const(QQi(2))]])
     g = MatrixForm((0, 1), 1, [[FourierScalar.const(QQi(3))]])
     # dz ^ dzbar is the canonical orientation; dzbar ^ dz flips it.
-    assert wedge(f, g).entries[0, 0] == FourierScalar.const(QQi(6))
-    assert wedge(g, f).entries[0, 0] == FourierScalar.const(QQi(-6))
+    assert wedge(f, g).entries[0][0] == FourierScalar.const(QQi(6))
+    assert wedge(g, f).entries[0][0] == FourierScalar.const(QQi(-6))
     with pytest.raises(ValueError):
         wedge(f, f)
 
@@ -234,6 +234,7 @@ def test_exactness_of_coefficients():
     rng = random.Random(1)
     f = random_matrix_form(rng, 2, bidegree=(0, 0))
     out = dbar(wedge(f, f))
-    for entry in out.entries.flat:
-        for _, c in entry.items():
-            assert isinstance(c, QQi)
+    for row in out.entries:
+        for entry in row:
+            for _, c in entry.items():
+                assert isinstance(c, QQi)
