@@ -57,10 +57,14 @@ class RunConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.out_format not in FORMATS:
             raise ValueError(f"config field 'out_format' must be one of {FORMATS}")
-        if self.order < 1 or self.mode_bound < 0 or self.rank_bound < 1:
-            raise ValueError("order/mode/rank bounds out of range")
+        if self.order < 1:
+            raise ValueError("config field 'order' must be >= 1")
+        if self.mode_bound < 0:
+            raise ValueError("config field 'mode_bound' must be >= 0")
+        if self.rank_bound < 2:  # the lift suites draw ranks 2..rank_bound
+            raise ValueError("config field 'rank_bound' must be >= 2")
         if self.cases < 0:
-            raise ValueError("case count must be >= 0")
+            raise ValueError("config field 'cases' must be >= 0")
 
     def to_json(self) -> dict:
         return {"suites": list(self.suites), "seed": self.seed,

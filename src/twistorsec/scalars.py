@@ -1,37 +1,83 @@
 """Gaussian-rational scalars shared by every module.
 
-:class:`QQi` is a Gaussian rational with ``fractions.Fraction`` real and
-imaginary parts.  All arithmetic is closed, so identities are asserted with
-``==`` and no tolerance.  ``QQi`` combines with ``int`` and ``Fraction`` and
-stays exact; combining it with ``float`` or ``complex`` raises ``TypeError``.
-Library code relies only on ``+``, ``*`` and ``conjugate()``, so it also runs
-on plain ``int`` and ``Fraction`` inputs.
+:class:`QQi` is a Gaussian rational stored as three Python ints ``(a, b, d)``
+meaning ``(a + b*i)/d``, in the normal form ``d > 0`` and
+``gcd(a, b, d) == 1`` (zero is ``(0, 0, 1)``).  The normal form is unique, so
+equality compares the ints.  All arithmetic is closed, so identities are
+asserted with ``==`` and no tolerance.  ``QQi`` combines with ``int`` and
+``Fraction`` and stays exact; combining it with ``float`` or ``complex`` raises
+``TypeError``.  Library code relies only on ``+``, ``*`` and ``conjugate()``,
+so it also runs on plain ``int`` and ``Fraction`` inputs.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 
-_EXACT_PARTS = (int, Fraction)
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> "QQi":
+    """The QQi ``(a + b*i)/d`` for ints with ``d > 0``, brought to normal form."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    q = _new(QQi)
+    q._a = a
+    q._b = b
+    q._d = d
+    return q
+
+
+def _parts(x):
+    """``(a, b, d)`` of an exact operand in normal form, or None."""
+    if type(x) is QQi:
+        return x._a, x._b, x._d
+    if type(x) is int:
+        return x, 0, 1
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
 
 
 class QQi:
-    """A Gaussian rational ``re + im*i`` with exact Fraction components."""
+    """A Gaussian rational ``(a + b*i)/d`` over one positive denominator.
 
-    __slots__ = ("re", "im")
+    ``re`` and ``im`` read the parts back as ``Fraction``.  The three slots
+    are private and never assigned after construction, so a ``QQi`` is
+    immutable and hashable.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
         if isinstance(re, QQi):
             re, im = re.re, re.im + Fraction(im)
         elif isinstance(re, str) and ("i" in re):
             parsed = QQi.parse(re)
             re, im = parsed.re, parsed.im
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("QQi is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- construction helpers -------------------------------------------------
 
@@ -47,55 +93,58 @@ class QQi:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, QQi):
-            return other
-        if isinstance(other, _EXACT_PARTS):
-            return QQi(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return QQi(self.re + o.re, self.im + o.im)
+        c, e, f = o
+        d = self._d
+        if d == f:
+            return _make(self._a + c, self._b + e, d)
+        return _make(self._a * f + c * d, self._b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return QQi(self.re - o.re, self.im - o.im)
+        c, e, f = o
+        d = self._d
+        if d == f:
+            return _make(self._a - c, self._b - e, d)
+        return _make(self._a * f - c * d, self._b * f - e * d, d * f)
 
     def __rsub__(self, other):
         res = self.__sub__(other)
         return NotImplemented if res is NotImplemented else -res
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return QQi(self.re * o.re - self.im * o.im,
-                   self.re * o.im + self.im * o.re)
+        c, e, f = o
+        a, b = self._a, self._b
+        return _make(a * c - b * e, a * e + b * c, self._d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        n2 = o.re * o.re + o.im * o.im
+        c, e, f = o
+        n2 = c * c + e * e
         if n2 == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi((self.re * o.re + self.im * o.im) / n2,
-                   (self.im * o.re - self.re * o.im) / n2)
+        a, b = self._a, self._b
+        return _make(f * (a * c + b * e), f * (b * c - a * e), self._d * n2)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o.__truediv__(self)
+        return _make(*o).__truediv__(self)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -112,37 +161,38 @@ class QQi:
         return out
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     # -- comparisons / conversions -------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o[0] and self._b == o[1] and self._d == o[2]
 
     def __hash__(self):
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+        return hash(self.re) if self._b == 0 else hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __str__(self):
-        if self.im == 0:
+        if self._b == 0:
             return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        im = self.im
+        sign = "+" if im >= 0 else "-"
+        return f"{self.re}{sign}{abs(im)}i"
 
     def __repr__(self):
         return f"QQi('{self}')"

@@ -33,11 +33,17 @@ from operator import add, mul, sub
 from .constants import VOLUME_CONST
 from .scalars import QQi, conj, random_qqi, scalar_from_json, scalar_to_json
 
-_SCALARS = (int, Fraction, QQi)
+_SCALARS = (QQi, int, Fraction)
 
 
 class FourierScalar:
-    """A finite Fourier series on the torus."""
+    """A finite Fourier series on the torus.
+
+    ``modes`` maps int pairs to nonzero coefficients.  The constructor casts
+    the keys and drops zero coefficients.  Arithmetic builds its results with
+    :func:`_fs` and drops a mode where a sum cancels to zero: coefficients lie
+    in a field, so a product of nonzero coefficients is nonzero.
+    """
 
     __slots__ = ("modes",)
 
@@ -73,14 +79,20 @@ class FourierScalar:
         return bool(self.modes)
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            other = FourierScalar.const(other)
-        if not isinstance(other, FourierScalar):
-            return NotImplemented
+        if type(other) is not FourierScalar:
+            if isinstance(other, _SCALARS):
+                other = FourierScalar.const(other)
+            elif not isinstance(other, FourierScalar):
+                return NotImplemented
         out = dict(self.modes)
         for k, c in other.modes.items():
-            out[k] = out[k] + c if k in out else c
-        return FourierScalar(out)
+            if k in out:
+                c = out[k] + c
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
+        return _fs(out)
 
     __radd__ = __add__
 
@@ -91,20 +103,28 @@ class FourierScalar:
         return (-self) + other
 
     def __neg__(self):
-        return FourierScalar({k: -c for k, c in self.modes.items()})
+        return _fs({k: -c for k, c in self.modes.items()})
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return FourierScalar({k: c * other for k, c in self.modes.items()})
-        if not isinstance(other, FourierScalar):
-            return NotImplemented
+        if type(other) is not FourierScalar:
+            if isinstance(other, _SCALARS):
+                if not other:
+                    return _fs({})
+                return _fs({k: c * other for k, c in self.modes.items()})
+            if not isinstance(other, FourierScalar):
+                return NotImplemented
         out = {}
         for (m1, n1), c1 in self.modes.items():
             for (m2, n2), c2 in other.modes.items():
                 k = (m1 + m2, n1 + n2)
                 c = c1 * c2
-                out[k] = out[k] + c if k in out else c
-        return FourierScalar(out)
+                if k in out:
+                    c = out[k] + c
+                    if not c:
+                        del out[k]
+                        continue
+                out[k] = c
+        return _fs(out)
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
@@ -113,21 +133,24 @@ class FourierScalar:
 
     def conjugate(self) -> "FourierScalar":
         """Complex conjugate: mode (m, n) goes to (-m, -n) with conjugated coefficient."""
-        return FourierScalar({(-m, -n): conj(c) for (m, n), c in self.modes.items()})
+        return _fs({(-m, -n): conj(c) for (m, n), c in self.modes.items()})
 
     def d_z(self) -> "FourierScalar":
         """Apply D: multiply mode (m, n) by n + i*m."""
-        return FourierScalar({(m, n): c * QQi(n, m) for (m, n), c in self.modes.items()})
+        return _fs({(m, n): c * QQi(n, m) for (m, n), c in self.modes.items()
+                    if m or n})
 
     def d_zbar(self) -> "FourierScalar":
         """Apply Dbar: multiply mode (m, n) by -n + i*m."""
-        return FourierScalar({(m, n): c * QQi(-n, m) for (m, n), c in self.modes.items()})
+        return _fs({(m, n): c * QQi(-n, m) for (m, n), c in self.modes.items()
+                    if m or n})
 
     def __eq__(self, other):
-        if isinstance(other, _SCALARS):
-            other = FourierScalar.const(other)
-        if not isinstance(other, FourierScalar):
-            return NotImplemented
+        if type(other) is not FourierScalar:
+            if isinstance(other, _SCALARS):
+                other = FourierScalar.const(other)
+            elif not isinstance(other, FourierScalar):
+                return NotImplemented
         return self.modes == other.modes
 
     def __hash__(self):
@@ -138,6 +161,16 @@ class FourierScalar:
             return "FourierScalar({})"
         terms = ", ".join(f"({m},{n}): {c!r}" for (m, n), c in self.items())
         return f"FourierScalar({{{terms}}})"
+
+
+_set_modes = FourierScalar.modes.__set__
+
+
+def _fs(modes: dict) -> FourierScalar:
+    """A series that takes a fresh dict of nonzero coefficients at int keys."""
+    fs = object.__new__(FourierScalar)
+    _set_modes(fs, modes)
+    return fs
 
 
 FS_ZERO = FourierScalar()
@@ -171,6 +204,11 @@ class MatrixForm:
         rows = tuple(tuple(row) for row in self.entries)
         if len(rows) != self.size or any(len(row) != self.size for row in rows):
             raise ValueError(f"entries must be {self.size}x{self.size}")
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if not isinstance(e, FourierScalar):
+                    raise TypeError(f"entry ({i}, {j}) must be a FourierScalar, "
+                                    f"got {type(e).__name__}")
         object.__setattr__(self, "bidegree", tuple(self.bidegree))
         object.__setattr__(self, "entries", rows)
 

@@ -3,13 +3,17 @@ command-line front end.  The central property is determinism: a fixed seed
 must force byte-identical reports, whatever the process or path.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from twistorsec import cli, suites
 from twistorsec.datasets import (load_vhs_dataset, render_table,
@@ -299,7 +303,9 @@ def test_cli_config_file_and_overrides(tmp_path, capsys):
     ({"order": True}, "order"), ({"suites": "stokes"}, "suites"),
     ({"datasets": [1]}, "datasets"), ({"out_format": 3}, "out_format"),
     ({"out_path": 5}, "out_path"), ({"exact": False}, "exact"),
-    ([1, 2], "object"), ({"datasets": ["a", "b"]}, "datasets")])
+    ([1, 2], "object"), ({"datasets": ["a", "b"]}, "datasets"),
+    ({"rank_bound": 1}, "rank_bound"), ({"order": 0}, "order"),
+    ({"mode_bound": -1}, "mode_bound"), ({"cases": -1}, "cases")])
 def test_cli_rejects_bad_config(tmp_path, capsys, doc, field):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(doc), encoding="utf-8")
@@ -348,6 +354,75 @@ def test_cli_dataset_input(tmp_path, capsys, entries, command, code, needle):
     err = capsys.readouterr().err
     assert got == code
     assert needle in err and "Traceback" not in err
+
+
+# Arbitrary JSON.  Object keys come from an alphabet no config field name
+# uses, so an arbitrary object is an unknown-field error, never a slow
+# all-suites run at the default case count.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text("xyz", max_size=3), kids, max_size=3)),
+    max_leaves=6)
+# The cheap suites and the dataset suites.  A well-typed config runs them
+# with one lift suite, which draws ranks 2..rank_bound, and takes each bound
+# from its valid range or the value just below it.
+_FUZZ_SUITES = ("sl2-jacobi", "chart-involution", "moment-map", "vhs-energy",
+                "hyperhol-degree", "xi-weights", "stokes")
+_fuzz_fields = {"seed": st.integers(-1, 5), "order": st.integers(-1, 3),
+                "mode_bound": st.integers(-1, 2), "rank_bound": st.integers(-1, 3),
+                "cases": st.integers(-1, 2), "datasets": st.just(["DATA"]),
+                "out_format": st.sampled_from(["json", "csv"]),
+                "exact": st.just(True)}
+_fuzz_config = st.one_of(
+    st.fixed_dictionaries(
+        {"suites": st.lists(st.sampled_from(_FUZZ_SUITES), max_size=2).map(
+            lambda names: names + ["gauge-covariance"]),
+         "cases": st.integers(-1, 2), "order": st.integers(0, 3),
+         "mode_bound": st.integers(-1, 2), "rank_bound": st.integers(1, 3)},
+        optional={k: _fuzz_fields[k] for k in ("seed", "out_format")}),
+    st.fixed_dictionaries(
+        {"suites": st.lists(st.sampled_from(_FUZZ_SUITES) | st.text(max_size=3),
+                            min_size=1, max_size=3) | _json,
+         "cases": _fuzz_fields["cases"] | _json},
+        optional={**{k: v | _json for k, v in _fuzz_fields.items() if k != "cases"},
+                  "out_path": _json}),
+    _json.filter(lambda doc: doc != {}))
+_fuzz_entry = _json | st.fixed_dictionaries({}, optional={
+    "ranks": st.lists(st.integers(-1, 3), max_size=3) | _json,
+    "degrees": st.lists(st.integers(-2, 2) | st.sampled_from(["1/2", "1/0", "x"]),
+                        max_size=3) | _json,
+    "label": st.sampled_from(["a", "b", "uniformizing-g2", "uniformizing-g3"]) | _json,
+    "pair": st.sampled_from(["", "a", "b"]) | _json})
+_fuzz_dataset = _json | st.fixed_dictionaries(
+    {"entries": st.lists(_fuzz_entry, max_size=3) | _json})
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_fuzz_config, _fuzz_dataset)
+@example({"suites": ["gauge-covariance"], "cases": 1, "rank_bound": 1}, {})
+def test_cli_exit_contract_on_arbitrary_json(config, dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.json")
+        with open(data, "w", encoding="utf-8") as fh:
+            json.dump(dataset, fh)
+        if isinstance(config, dict) and config.get("datasets") == ["DATA"]:
+            config = dict(config, datasets=[data])
+        cfg = os.path.join(tmp, "run.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        out, err = os.path.join(tmp, "report"), io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--config", cfg, "--out", out])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and not os.path.exists(out)
+            return
+        with open(out, encoding="utf-8") as fh:
+            records = load_records(fh.read(), config.get("out_format", "json"))
+        assert (code == 1) == any(not r.passed for r in records)
 
 
 def test_cli_import_leaves_numpy_unloaded():

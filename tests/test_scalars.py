@@ -1,6 +1,7 @@
 """Gaussian-rational scalar layer: field axioms, parsing, serialization."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -118,3 +119,118 @@ def test_random_generators_are_exact_and_seeded():
     b = random_qqi(random.Random(5))
     assert a == b and isinstance(a, QQi)
     assert bool(random_nonzero_qqi(random.Random(0)))
+
+
+# -- the (a + b*i)/d kernel against a pair-of-Fractions oracle -----------------
+#
+# The oracle keeps a Gaussian rational as its (re, im) pair of Fractions and
+# uses only the textbook formulas; it does not touch the kernel.
+
+
+def _o_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _o_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _o_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _o_div(x, y):
+    n2 = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n2, (x[1] * y[0] - x[0] * y[1]) / n2)
+
+
+_OPS = {"+": (lambda a, b: a + b, _o_add), "-": (lambda a, b: a - b, _o_sub),
+        "*": (lambda a, b: a * b, _o_mul), "/": (lambda a, b: a / b, _o_div)}
+
+# Denominators from a small set make the equal-denominator path of + and -
+# common; unbounded fractions exercise the cross-multiplied one.
+parts = st.one_of(
+    st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 6, 12])),
+    st.fractions(max_denominator=10 ** 6))
+pairs = st.tuples(parts, parts)
+reals = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.fractions(max_denominator=100))
+
+
+def _assert_matches(z, pair):
+    """``z`` is a QQi in normal form whose value is the oracle ``pair``."""
+    assert type(z) is QQi
+    a, b, d = z._a, z._b, z._d
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0 and gcd(a, b, d) == 1
+    if not (a or b):
+        assert (a, b, d) == (0, 0, 1)
+    assert (Fraction(a, d), Fraction(b, d)) == pair
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == pair
+
+
+@given(pairs, pairs, st.sampled_from(sorted(_OPS)))
+def test_kernel_matches_fraction_oracle(x, y, op):
+    kernel, oracle = _OPS[op]
+    if op == "/" and y == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            QQi(*x) / QQi(*y)
+        return
+    _assert_matches(kernel(QQi(*x), QQi(*y)), oracle(x, y))
+
+
+@given(pairs)
+def test_kernel_unary_operations(x):
+    z = QQi(*x)
+    _assert_matches(z, x)
+    _assert_matches(-z, (-x[0], -x[1]))
+    _assert_matches(z.conjugate(), (x[0], -x[1]))
+    _assert_matches(conj(z), (x[0], -x[1]))
+    _assert_matches(z - z, (0, 0))
+    abs2 = z.abs2()
+    assert type(abs2) is Fraction and abs2 == x[0] * x[0] + x[1] * x[1]
+    assert bool(z) == (x != (0, 0))
+
+
+@given(pairs, reals, st.sampled_from(sorted(_OPS)))
+def test_kernel_mixed_operands_on_either_side(x, q, op):
+    kernel, oracle = _OPS[op]
+    r = (Fraction(q), Fraction(0))
+    if q or op != "/":
+        _assert_matches(kernel(QQi(*x), q), oracle(x, r))
+    if x != (0, 0) or op != "/":
+        _assert_matches(kernel(q, QQi(*x)), oracle(r, x))
+
+
+@given(reals)
+def test_kernel_real_values_equal_and_hash_like_their_source(q):
+    z = QQi(q)
+    _assert_matches(z, (Fraction(q), 0))
+    assert z == q and q == z
+    assert hash(z) == hash(q)
+    assert QQi(q, 0) == q and QQi(Fraction(q)) == q
+
+
+@given(st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 9, 10 ** 9))
+def test_kernel_integer_constructor(n, m):
+    _assert_matches(QQi(n, m), (Fraction(n), Fraction(m)))
+
+
+@given(pairs)
+def test_kernel_text_and_json_round_trips(x):
+    z = QQi(*x)
+    for back in (QQi.parse(str(z)), QQi(str(z)), eval(repr(z), {"QQi": QQi}),
+                 scalar_from_json(scalar_to_json(z)), QQi(z)):
+        _assert_matches(back, x)
+    assert scalar_to_json(z) == [x[0].numerator, x[0].denominator,
+                                 x[1].numerator, x[1].denominator]
+    assert repr(QQi(Fraction(1, 2), Fraction(3, 4))) == "QQi('1/2+3/4i')"
+
+
+def test_kernel_constructor_forms():
+    _assert_matches(QQi(QQi(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(5, 2)))
+    _assert_matches(QQi("3/6"), (Fraction(1, 2), Fraction(0)))
+    _assert_matches(QQi(True), (Fraction(1), Fraction(0)))
+    _assert_matches(QQi(Fraction(2, 4), Fraction(-6, 8)) * 4, (Fraction(2), Fraction(-3)))
+    with pytest.raises(AttributeError):
+        QQi(1).re = 2

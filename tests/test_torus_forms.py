@@ -97,6 +97,17 @@ def test_scalar_zero_coefficients_are_dropped():
     assert not FourierScalar({(3, 3): QQi(0)})
 
 
+@given(scalars_st, scalars_st, qqis)
+def test_arithmetic_results_are_clean(f, g, q):
+    # Results skip the public constructor; they must still hold int keys and
+    # only nonzero coefficients, and equal the series that constructor builds.
+    for h in (f + g, f - g, f * g, -f, f * q, q * f, f * 0, f.conjugate(),
+              f.d_z(), f.d_zbar(), f + (-f)):
+        assert all(c for c in h.modes.values())
+        assert all(type(m) is int and type(n) is int for m, n in h.modes)
+        assert h == FourierScalar(h.modes)
+
+
 def test_scalar_immutable_and_hashable():
     f = FourierScalar.char(1, 2)
     with pytest.raises(AttributeError):
@@ -213,6 +224,13 @@ def test_matrix_form_shape_errors():
         wedge(f, g)
     with pytest.raises(ValueError):
         f + MatrixForm.zero(2, (1, 0))
+
+
+def test_matrix_form_rejects_entries_that_are_not_series():
+    with pytest.raises(TypeError, match=r"entry \(0, 0\)"):
+        MatrixForm((0, 0), 1, [[1]])
+    with pytest.raises(TypeError, match=r"entry \(1, 0\) must be a FourierScalar, got QQi"):
+        MatrixForm((0, 0), 2, [[FS_ONE, FS_ZERO], [QQi(1), FS_ONE]])
 
 
 def test_json_round_trip():
