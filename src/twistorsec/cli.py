@@ -8,16 +8,14 @@ when every executed check passes; failing suite names go to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import random
 import sys
 
 from . import flat_model as fm
 from .datasets import load_vhs_dataset, render_table, vhs_energy_table
-from .report import (RunConfig, atomic_write, failing_suites, format_value,
-                     render_report)
+from .report import (RunConfig, atomic_write, csv_text, failing_suites,
+                     format_value, json_text, render_report)
 from .scalars import QQi, conj
 from .suites import SUITES, run_suites
 
@@ -152,16 +150,11 @@ def _cmd_flat_demo(args) -> int:
         "moment_map_identity": moment,
         "reality_identity": reality,
     }
-    fmt = args.format or "json"
-    if fmt == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    if args.format == "csv":
+        text = csv_text(("key", "value"), ([key, json.dumps(doc[key], sort_keys=True)]
+                                           for key in sorted(doc)))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("key", "value"))
-        for key in sorted(doc):
-            writer.writerow([key, json.dumps(doc[key], sort_keys=True)])
-        text = buf.getvalue()
+        text = json_text(doc)
     _emit(text, args.out)
     return 0
 

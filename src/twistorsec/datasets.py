@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from importlib import resources
 
-from .report import format_value
+from .report import csv_text, format_value, json_text, read_json
 from .vhs import VhsBlockData, energy_closed, hyperhol_degree
 
 SHIPPED_DATASET = "data/vhs_samples.json"
@@ -16,12 +14,10 @@ SHIPPED_DATASET = "data/vhs_samples.json"
 def load_vhs_dataset(path: str = None):
     """Entries of a dataset file; the shipped sample collection by default."""
     if path is None:
-        text = resources.files("twistorsec").joinpath(SHIPPED_DATASET).read_text(
-            encoding="utf-8")
+        doc = json.loads(resources.files("twistorsec").joinpath(
+            SHIPPED_DATASET).read_text(encoding="utf-8"))
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    doc = json.loads(text)
+        doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError("malformed dataset: expected an object with an 'entries' list")
     entries = []
@@ -63,13 +59,7 @@ _TABLE_COLUMNS = ("label", "n", "l", "energy", "pair", "hyperhol_degree")
 def render_table(rows, out_format: str, columns=_TABLE_COLUMNS) -> str:
     """Rows as a ``{"rows": [...]}`` JSON document or as CSV with ``columns``."""
     if out_format == "json":
-        return json.dumps({"rows": rows}, sort_keys=True, indent=2,
-                          ensure_ascii=False) + "\n"
+        return json_text({"rows": rows})
     if out_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
-        return buf.getvalue()
+        return csv_text(columns, ([row[c] for c in columns] for row in rows))
     raise ValueError(f"unknown table format: {out_format}")

@@ -21,6 +21,8 @@ antiholomorphic involution at a fixed nonzero parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from .constants import (ENERGY_LIFT_COEFF, OMEGA_HAT_COEFF, XI_SCALAR_DLAMBDA,
                         XI_SCALAR_PHIPSI)
@@ -181,6 +183,13 @@ def _check_order(lift: LambdaLift, up_to: int):
         raise ValueError("order must be >= 0")
 
 
+def _series_terms(op, xs, ys, k: int) -> list:
+    """The terms op(x_i, y_(k-i)), i = 0..k, of the t^k coefficient of the
+    product of the series xs and ys; a term with a zero factor is skipped."""
+    return [op(x, y) for x, y in zip(xs[:k + 1], ys[k::-1])
+            if not (x.is_zero or y.is_zero)]
+
+
 def integrability_residuals(lift: LambdaLift, up_to: int):
     """t^k coefficients, k = 0..up_to, of the curvature of the lift.
 
@@ -190,16 +199,12 @@ def integrability_residuals(lift: LambdaLift, up_to: int):
     Order 0 is dbar(Phi); order 1 is dbar(Phi_1) + [Phi ^ Psi_1].
     """
     _check_order(lift, up_to)
+    a = [lift.a_coeff(k) for k in range(up_to + 1)]
+    b = [lift.b_coeff(k) for k in range(up_to + 1)]
     out = []
     for k in range(up_to + 1):
-        r = dbar(lift.a_coeff(k))
-        if k >= 1:
-            r = r + del_op(lift.b_coeff(k - 1))
-        for i in range(k + 1):
-            a, b = lift.a_coeff(i), lift.b_coeff(k - i)
-            if not (a.is_zero or b.is_zero):
-                r = r + wedge(a, b) + wedge(b, a)
-        out.append(r)
+        r = dbar(a[k]) + del_op(b[k - 1]) if k else dbar(a[k])
+        out.append(reduce(add, _series_terms(wedge_bracket, a, b, k), r))
     return out
 
 
@@ -208,23 +213,15 @@ def linearized_residuals(lift: LambdaLift, t: TangentSeries, up_to: int):
     _check_order(lift, up_to)
     if t.rank != lift.rank or t.order < up_to:
         raise ValueError("tangent shape does not match the lift")
+    a = [lift.a_coeff(k) for k in range(up_to + 1)]
+    b = [lift.b_coeff(k) for k in range(up_to + 1)]
     out = []
     for k in range(up_to + 1):
-        r = dbar(t.phik[k])
-        if k >= 1:
-            r = r + del_op(t.psik[k - 1])
-        for i in range(k + 1):
-            r = r + _bracket_sum(lift.a_coeff(i), t.psik[k - i])
-            r = r + _bracket_sum(t.phik[i], lift.b_coeff(k - i))
-        out.append(r)
+        r = dbar(t.phik[k]) + del_op(t.psik[k - 1]) if k else dbar(t.phik[k])
+        terms = (_series_terms(wedge_bracket, a, t.psik, k)
+                 + _series_terms(wedge_bracket, t.phik, b, k))
+        out.append(reduce(add, terms, r))
     return out
-
-
-def _bracket_sum(a: MatrixForm, b: MatrixForm) -> MatrixForm:
-    """[a ^ b] for a (1,0) and b (0,1), skipping zero factors."""
-    if a.is_zero or b.is_zero:
-        return MatrixForm.zero(a.size, (1, 1))
-    return wedge(a, b) + wedge(b, a)
 
 
 def gauge_tangent(lift: LambdaLift, xi: GaugeSeries) -> TangentSeries:
@@ -236,20 +233,15 @@ def gauge_tangent(lift: LambdaLift, xi: GaugeSeries) -> TangentSeries:
     if xi.rank != lift.rank:
         raise ValueError("gauge parameter rank mismatch")
     n = min(lift.order, xi.order)
+    a = [lift.a_coeff(k) for k in range(n + 1)]
+    b = [lift.b_coeff(k) for k in range(n + 1)]
+    xs = xi.xik
     psik, phik = [], []
     for k in range(n + 1):
-        p = dbar(xi.xik[k])
-        for i in range(1, k + 1):
-            p = p + commutator(lift.b_coeff(i), xi.xik[k - i])
-        f = MatrixForm.zero(lift.rank, (1, 0))
-        if k >= 1:
-            f = f + del_op(xi.xik[k - 1])
-        for i in range(0, k + 1):
-            a = lift.a_coeff(i)
-            if not a.is_zero:
-                f = f + commutator(a, xi.xik[k - i])
-        psik.append(p)
-        phik.append(f)
+        psik.append(reduce(add, _series_terms(wedge_bracket, b, xs, k), dbar(xs[k])))
+        terms = (([del_op(xs[k - 1])] if k else [])
+                 + _series_terms(wedge_bracket, a, xs, k))
+        phik.append(reduce(add, terms) if terms else MatrixForm.zero(lift.rank, (1, 0)))
     return TangentSeries(n, tuple(psik), tuple(phik))
 
 
@@ -491,16 +483,19 @@ def random_pure_grade_form(rng, v: VhsBlockData, k: int, bidegree,
 
 
 def gauge_series_inverse(gs, order: int):
-    """Formal inverse of a (0,0)-form series with g_0 = identity."""
+    """Formal inverse of a (0,0)-form series with g_0 = identity.
+
+    h_k = -sum_(i>=1) g_i h_(k-i): minus the t^(k-1) coefficient of
+    (g_1 + t g_2 + ...) h.
+    A family shorter than order + 1 is padded with zeros.
+    """
     rank = gs[0].size
+    tail = list(gs[1:order + 1])
+    tail += [MatrixForm.zero(rank, (0, 0))] * (order - len(tail))
     hs = [gs[0]]  # identity
     for k in range(1, order + 1):
-        acc = MatrixForm.zero(rank, (0, 0))
-        for i in range(1, k + 1):
-            gi = gs[i] if i < len(gs) else None
-            if gi is not None and not gi.is_zero:
-                acc = acc + wedge(gi, hs[k - i])
-        hs.append(-acc)
+        terms = _series_terms(wedge, tail, hs, k - 1)
+        hs.append(-reduce(add, terms) if terms else MatrixForm.zero(rank, (0, 0)))
     return hs
 
 
@@ -514,28 +509,25 @@ def gauge_transform_lift(lift: LambdaLift, gs) -> LambdaLift:
     if gs[0] != MatrixForm.identity(lift.rank):
         raise ValueError("gauge family must start at the identity")
     n = lift.order
-    gs = gs + [MatrixForm.zero(lift.rank, (0, 0))] * (n + 1 - len(gs))
+    gs = gs[:n + 1] + [MatrixForm.zero(lift.rank, (0, 0))] * (n + 1 - len(gs))
     hs = gauge_series_inverse(gs, n)
 
-    def conjugated(coeff_at, bidegree, derivative, shift):
-        out = []
-        for k in range(n + 1):
-            acc = MatrixForm.zero(lift.rank, bidegree)
-            for i in range(k + 1):
-                for j in range(k - i + 1):
-                    m = k - i - j
-                    x = coeff_at(j)
-                    if x.is_zero:
-                        continue
-                    acc = acc + wedge(wedge(hs[i], x), gs[m])
-            for i in range(k + 1 - shift):
-                g_idx = k - i - shift
-                acc = acc + wedge(hs[i], derivative(gs[g_idx]))
-            out.append(acc)
-        return out
+    g_tail, h_tail = gs[1:], hs[1:]
 
-    new_b = conjugated(lift.b_coeff, (0, 1), dbar, 0)
-    new_a = conjugated(lift.a_coeff, (1, 0), del_op, 1)
+    def conjugated(xs, dgs):
+        # Two series products, h (x g + dg).  As g_0 = h_0 = 1, the t^k
+        # coefficient of y g is y_k plus the t^(k-1) coefficient of
+        # y (g_1 + t g_2 + ...), and likewise for h y.
+        inner = [reduce(add, _series_terms(wedge, xs, g_tail, k - 1), xs[k] + dgs[k])
+                 for k in range(n + 1)]
+        return [reduce(add, _series_terms(wedge, h_tail, inner, k - 1), inner[k])
+                for k in range(n + 1)]
+
+    a = [lift.a_coeff(k) for k in range(n + 1)]
+    b = [lift.b_coeff(k) for k in range(n + 1)]
+    new_b = conjugated(b, [dbar(g) for g in gs])
+    new_a = conjugated(a, [MatrixForm.zero(lift.rank, (1, 0))]
+                       + [del_op(g) for g in gs[:n]])
     if not new_b[0].is_zero:  # g_0 = identity forces a vanishing order-0 term
         raise ValueError("gauge family produced an order-0 dbar coefficient")
     return LambdaLift(lift.rank, n, new_a[0], tuple(new_b[1:]), tuple(new_a[1:]))

@@ -94,8 +94,17 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
+
+
+def read_json(path: str):
+    """The JSON document in a file; one nested too deeply to parse is an input error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 @dataclass
@@ -163,6 +172,20 @@ def failing_suites(records):
     return sorted({r.suite for r in records if not r.passed})
 
 
+def json_text(doc) -> str:
+    """The JSON form of every document the program writes."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def csv_text(columns, rows) -> str:
+    """The CSV form of every table the program writes: a header, then the rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def render_json(config: RunConfig, records) -> str:
     config_doc = config.to_json()
     del config_doc["out_path"]  # where the report lands must not change its bytes
@@ -175,29 +198,22 @@ def render_json(config: RunConfig, records) -> str:
                      "provenance": r.provenance}
                     for r in sort_records(records)],
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json_text(doc)
 
 
 _CSV_COLUMNS = ("suite", "case", "status", "expected", "actual", "provenance")
 
 
 def render_csv(config: RunConfig, records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for r in sort_records(records):
-        writer.writerow([r.suite, r.case, r.status, r.expected, r.actual,
-                         r.provenance])
-    return buf.getvalue()
+    return csv_text(_CSV_COLUMNS, ([r.suite, r.case, r.status, r.expected, r.actual,
+                                    r.provenance] for r in sort_records(records)))
 
 
-def render_report(config: RunConfig, records, out_format: str = None) -> str:
-    fmt = out_format or config.out_format
-    if fmt == "json":
-        return render_json(config, records)
-    if fmt == "csv":
+def render_report(config: RunConfig, records) -> str:
+    """The report in the format of the config, which ``RunConfig`` validates."""
+    if config.out_format == "csv":
         return render_csv(config, records)
-    raise ValueError(f"unknown report format: {fmt}")
+    return render_json(config, records)
 
 
 def records_from_json(text: str):

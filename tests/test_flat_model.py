@@ -26,7 +26,7 @@ from twistorsec.flat_model import (FlatPoint, FlatSection, d_energy, energy,
 from twistorsec.projline import INFINITY
 from twistorsec.scalars import I, QQi, conj
 
-rationals = st.fractions(max_denominator=12)
+rationals = st.builds(Fraction, st.integers(), st.integers(1, 12))
 qqis = st.builds(QQi, rationals, rationals)
 
 

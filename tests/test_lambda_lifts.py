@@ -367,6 +367,22 @@ def test_gauge_transform_against_series_arithmetic():
         assert moved.a_coeff(k) == want_a[k]
 
 
+def test_gauge_series_inverse_pads_a_short_family():
+    # A family shorter than order + 1 is read as zero-padded; g h = 1 holds
+    # through the order, checked with a plain convolution.
+    u = random_matrix_form(random.Random(112), 2, (0, 0), trace_free=True)
+    zero = MatrixForm.zero(2, (0, 0))
+    padded = [IDENT, u, zero, zero]
+    hs = gauge_series_inverse([IDENT, u], 3)
+    assert hs == gauge_series_inverse(padded, 3)
+    assert not hs[3].is_zero  # h_k = (-u)^k
+    for k in range(4):
+        product = zero
+        for i in range(k + 1):
+            product = product + wedge(padded[i], hs[k - i])
+        assert product == (IDENT if k == 0 else zero)
+
+
 def test_gauge_transform_requires_identity_start():
     lift = _random_lift(random.Random(3))
     bad = [random_matrix_form(random.Random(4), 2, (0, 0), trace_free=True)]

@@ -16,7 +16,7 @@ from twistorsec.projline import (E, F, H, INFINITY, SIGMA, PolySection,
                                  wronskian_infinity_chart)
 from twistorsec.scalars import I, QQi
 
-rationals = st.fractions(max_denominator=20)
+rationals = st.builds(Fraction, st.integers(), st.integers(1, 20))
 qqis = st.builds(QQi, rationals, rationals)
 sl2s = st.builds(Sl2Element, qqis, qqis, qqis)
 

@@ -4,6 +4,7 @@ must force byte-identical reports, whatever the process or path.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -139,9 +140,8 @@ def test_csv_record_round_trip():
 def test_render_report_dispatch():
     cfg = RunConfig()
     assert render_report(cfg, SAMPLE) == render_json(cfg, SAMPLE)
-    assert render_report(cfg, SAMPLE, "csv") == render_csv(cfg, SAMPLE)
-    with pytest.raises(ValueError):
-        render_report(cfg, SAMPLE, "xml")
+    csv_cfg = RunConfig(out_format="csv")
+    assert render_report(csv_cfg, SAMPLE) == render_csv(csv_cfg, SAMPLE)
 
 
 def test_atomic_write(tmp_path):
@@ -298,6 +298,11 @@ def test_cli_config_file_and_overrides(tmp_path, capsys):
     capsys.readouterr()
 
 
+#: JSON text nested deeper than the parser's recursion limit; json.dumps
+#: cannot build it.
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"seed": "abc"}, "seed"), ({"cases": None}, "cases"),
     ({"order": True}, "order"), ({"suites": "stokes"}, "suites"),
@@ -305,10 +310,12 @@ def test_cli_config_file_and_overrides(tmp_path, capsys):
     ({"out_path": 5}, "out_path"), ({"exact": False}, "exact"),
     ([1, 2], "object"), ({"datasets": ["a", "b"]}, "datasets"),
     ({"rank_bound": 1}, "rank_bound"), ({"order": 0}, "order"),
-    ({"mode_bound": -1}, "mode_bound"), ({"cases": -1}, "cases")])
+    ({"mode_bound": -1}, "mode_bound"), ({"cases": -1}, "cases"),
+    pytest.param(_DEEP_JSON, "run.json", id="deep-nesting")])
 def test_cli_rejects_bad_config(tmp_path, capsys, doc, field):
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg_path.write_text(doc if isinstance(doc, str) else json.dumps(doc),
+                        encoding="utf-8")
     assert cli.main(["verify", "--config", str(cfg_path)]) == 2
     captured = capsys.readouterr()
     assert field in captured.err and captured.out == ""
@@ -342,10 +349,13 @@ _VERIFY_VHS = "verify --suite vhs-energy --cases 1 --dataset DATA"
      2, "'uniformizing-g2' and 'b'"),
     ([_ENTRY], _VERIFY_VHS + " --dataset DATA", 2, "--dataset"),
     ([_ENTRY], "vhs-energy --dataset DATA --dataset DATA", 2, "--dataset"),
+    pytest.param(_DEEP_JSON, _VERIFY_VHS, 2, "data.json: JSON nested too deeply",
+                 id="deep-nesting"),
 ])
 def test_cli_dataset_input(tmp_path, capsys, entries, command, code, needle):
     path = tmp_path / "data.json"
-    path.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+    path.write_text(entries if isinstance(entries, str)
+                    else json.dumps({"entries": entries}), encoding="utf-8")
     argv = [str(path) if arg == "DATA" else arg for arg in command.split()]
     try:
         got = cli.main(argv)
@@ -457,6 +467,34 @@ def test_cli_hyperhol_degree(tmp_path):
     degrees = {r["label"]: r["hyperhol_degree"] for r in rows}
     for g in range(2, 11):
         assert degrees[f"uniformizing-g{g}"] == str(1 - g)
+
+
+#: sha256 of the reports and tables that a change to the program must leave
+#: byte-identical.  Acceptance test 13 pins `verify --seed 42 --cases 6` JSON.
+_VERIFY_42 = "verify --seed 42"
+_FLAT_DEMO = "flat-demo --seed 3 --blocks 2"
+
+
+@pytest.mark.parametrize("command, sha256", [
+    (_VERIFY_42 + " --cases 25",
+     "5797bfee08cd8de93a2c2fddadf825b170710f7d9727f49b5512045a03926da6"),
+    (_VERIFY_42 + " --cases 6 --format csv",
+     "6c567e3fc1deeef98a3286633b0055c01349508c253949d46c806d49c5a6e2ab"),
+    ("vhs-energy", "f6f62cabf0e9d8705c63a78eb2a20574cde312b7812a2a870138de638f041fd5"),
+    ("vhs-energy --format csv",
+     "0c63e9760e17b6f29ca296abc9aaf2d9234ad2c60794388a01182bf1cbffb43a"),
+    ("hyperhol-degree",
+     "6b1ba9c034a6ea6867f017b8dec3267faaa054e31ee61dfee627b4df5c3fff57"),
+    ("hyperhol-degree --format csv",
+     "eada9020cc2d59ff4436e7a79469eaa0faef0fcf5961f90e6cb4cf3202e2a7f9"),
+    (_FLAT_DEMO, "2fb3b0194b67cafa395fbe0165dbc9a6d37ba7a84e9da3feae439ab79189a5d5"),
+    (_FLAT_DEMO + " --format csv",
+     "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
+])
+def test_cli_golden_outputs(tmp_path, command, sha256):
+    out = tmp_path / "out"
+    assert cli.main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_cli_flat_demo(tmp_path):

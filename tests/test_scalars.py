@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from twistorsec.scalars import (I, QQi, conj, random_nonzero_qqi, random_qqi,
                                 scalar_from_json, scalar_to_json)
 
-rationals = st.fractions(max_denominator=50)
+rationals = st.builds(Fraction, st.integers(), st.integers(1, 50))
 qqis = st.builds(QQi, rationals, rationals)
 
 
@@ -151,9 +151,10 @@ _OPS = {"+": (lambda a, b: a + b, _o_add), "-": (lambda a, b: a - b, _o_sub),
 # common; unbounded fractions exercise the cross-multiplied one.
 parts = st.one_of(
     st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 6, 12])),
-    st.fractions(max_denominator=10 ** 6))
+    st.builds(Fraction, st.integers(), st.integers(1, 10 ** 6)))
 pairs = st.tuples(parts, parts)
-reals = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.fractions(max_denominator=100))
+reals = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                  st.builds(Fraction, st.integers(), st.integers(1, 100)))
 
 
 def _assert_matches(z, pair):

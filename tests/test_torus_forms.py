@@ -19,7 +19,7 @@ from twistorsec.torus_forms import (FS_ONE, FS_ZERO, FourierScalar,
                                     random_fourier_scalar, random_matrix_form,
                                     trace, wedge, wedge_bracket)
 
-rationals = st.fractions(max_denominator=8)
+rationals = st.builds(Fraction, st.integers(), st.integers(1, 8))
 qqis = st.builds(QQi, rationals, rationals)
 mode_keys = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 scalars_st = st.builds(FourierScalar,
