@@ -14,7 +14,7 @@ import sys
 
 from . import flat_model as fm
 from .datasets import load_vhs_dataset, render_table, vhs_energy_table
-from .report import (RunConfig, atomic_write, csv_text, failing_suites,
+from .report import (FORMATS, RunConfig, atomic_write, csv_text, failing_suites,
                      format_value, json_text, render_report)
 from .scalars import QQi, conj
 from .suites import SUITES, run_suites
@@ -31,7 +31,7 @@ class _Once(argparse.Action):
 
 def _add_output_flags(sub):
     sub.add_argument("--out", help="output file (stdout when omitted)")
-    sub.add_argument("--format", choices=("json", "csv"), default=None,
+    sub.add_argument("--format", choices=FORMATS, default=None,
                      help="output format (default json)")
 
 

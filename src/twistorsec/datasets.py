@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import reprlib
 from importlib import resources
 
 from .report import csv_text, format_value, json_text, read_json
@@ -47,7 +48,8 @@ def vhs_energy_table(entries):
         if e.pair:
             partner = by_label.get(e.pair)
             if partner is None:
-                raise ValueError(f"entry {e.label!r} names unknown pair {e.pair!r}")
+                raise ValueError(f"entry {reprlib.repr(e.label)} names unknown "
+                                 f"pair {reprlib.repr(e.pair)}")
             row["hyperhol_degree"] = format_value(hyperhol_degree(e, partner))
         rows.append(row)
     return rows

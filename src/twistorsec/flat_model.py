@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .constants import ENERGY_BLOCK_COEFF, MU_COEFF, OMEGA0_SPLIT_COEFF
 from .projline import INFINITY, antipodal
-from .scalars import HALF, I, QQi, conj, random_qqi, scalar_from_json, scalar_to_json
+from .scalars import HALF, I, QQi, conj, random_qqi, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,6 @@ class FlatSection:
         return {"d": self.d,
                 "blocks": [[scalar_to_json(c) for c in blk]
                            for blk in self.blocks]}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FlatSection":
-        blocks = tuple(tuple(scalar_from_json(c) for c in blk)
-                       for blk in doc["blocks"])
-        if doc.get("d") not in (None, len(blocks)):
-            raise ValueError("block count does not match the declared d")
-        return cls(blocks)
 
 
 def zero_tangent(d: int) -> FlatSection:

@@ -14,7 +14,7 @@ On top of the lifts this module provides the curvature-type integrability
 expansion and its linearization, infinitesimal gauge directions, the energy
 and its first variation, the two-form on tangent series, the second
 variation at circle-fixed lifts, the fixed-lift constructor from graded
-block data, Laurent-window regluing to the infinity coordinate, and the
+block data, Laurent regluing to the infinity coordinate, and the
 antiholomorphic involution at a fixed nonzero parameter.
 """
 
@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
-from .constants import (ENERGY_LIFT_COEFF, OMEGA_HAT_COEFF, XI_SCALAR_DLAMBDA,
-                        XI_SCALAR_PHIPSI)
+from .constants import ENERGY_LIFT_COEFF, OMEGA_HAT_COEFF
 from .scalars import QQi, conj, random_qqi
 from .torus_forms import (FS_ZERO, FourierScalar, MatrixForm, commutator,
                           conj_transpose, dbar, del_op, integrate_trace, matmul,
@@ -102,12 +101,6 @@ def make_lift(phi0: MatrixForm, psi=(), phi=(), order: int = 4) -> LambdaLift:
     if len(psi) > order or len(phi) > order:
         raise ValueError("more coefficients than the truncation order")
     return LambdaLift(rank, order, phi0, tuple(psi), tuple(phi))
-
-
-def admissible(lift: LambdaLift) -> bool:
-    """Shape predicate: dbar-part of t-degree <= 1 and D-part exactly Phi + t*del."""
-    return (all(f.is_zero for f in lift.psi[1:])
-            and all(f.is_zero for f in lift.phi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,50 +384,6 @@ def c_star_fixed_lift(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None,
     return LambdaLift(v.n, n, higgs, tuple(psi_list), tuple(phi_list))
 
 
-def verify_fixed_relations(lift: LambdaLift, xi: MatrixForm) -> dict:
-    """Solve for the scalars making the fixed-point relations hold with xi.
-
-    The t-derivative relation -i t (d/dt) dbar(t) = dbar(t) . (c xi) is
-    checked order by order for c in {-i, i, -1, 1}; the order-zero relations
-    0 = dbar(xi_0) and Phi = [Phi, xi_0] are checked with xi_0 = c' xi.  The
-    report carries both validating scalars and the per-order residuals.
-    """
-    _check_coeff(xi, lift.rank, (0, 0), "xi")
-    candidates = (QQi(0, -1), QQi(0, 1), QQi(-1), QQi(1))
-    residual_table = {}
-    dlambda_scalar = None
-    for c in candidates:
-        residuals = []
-        for k in range(lift.order + 1):
-            lhs = lift.b_coeff(k) * QQi(0, -k)  # -i * k * Psi_k
-            rhs = commutator(lift.b_coeff(k), xi) * c
-            if k == 0:
-                rhs = rhs + dbar(xi) * c
-            residuals.append(lhs - rhs)
-        residual_table[str(c)] = residuals
-        if dlambda_scalar is None and all(r.is_zero for r in residuals):
-            dlambda_scalar = c
-    phipsi_scalar = None
-    for c in candidates:
-        if dbar(xi * c).is_zero and lift.phi0 == commutator(lift.phi0, xi) * c:
-            phipsi_scalar = c
-            break
-    report = {
-        "dlambda_scalar": dlambda_scalar,
-        "dlambda_residuals": residual_table[str(dlambda_scalar)]
-        if dlambda_scalar is not None else residual_table,
-        "phipsi_scalar": phipsi_scalar,
-        "frozen_dlambda_scalar": XI_SCALAR_DLAMBDA,
-        "frozen_phipsi_scalar": XI_SCALAR_PHIPSI,
-    }
-    if dlambda_scalar is None:
-        nonzero = {c: sum(1 for r in rs if not r.is_zero)
-                   for c, rs in residual_table.items()}
-        raise ValueError(f"no scalar validates the derivative relation; "
-                         f"nonzero residual counts per candidate: {nonzero}")
-    return report
-
-
 def bb_slice_residuals(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None):
     """The two affine-slice residual forms (not required to vanish here).
 
@@ -536,34 +485,18 @@ def gauge_transform_lift(lift: LambdaLift, gs) -> LambdaLift:
 # -- Laurent regluing and the antiholomorphic involution ----------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LaurentConnection:
-    """Laurent-window data of a connection pair in one coordinate.
+    """Laurent data of a connection pair in one coordinate.
 
     Operator symbols ("dbar", "del") and form coefficients are kept per
-    exponent; the window bounds the exponents that are represented.
+    exponent.
     """
 
     dbar_ops: dict = field(default_factory=dict)
     dbar_forms: dict = field(default_factory=dict)
     d_ops: dict = field(default_factory=dict)
     d_forms: dict = field(default_factory=dict)
-    window: tuple = None  # (lo, hi) inclusive exponent bounds, or None
-
-    def __post_init__(self):
-        if self.window is not None:
-            lo, hi = self.window
-            for exp in (*self.dbar_ops, *self.dbar_forms, *self.d_ops, *self.d_forms):
-                if not lo <= exp <= hi:
-                    raise ValueError(f"window underflow: exponent {exp} "
-                                     f"outside {self.window}")
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentConnection)
-                and self.dbar_ops == other.dbar_ops
-                and self.d_ops == other.d_ops
-                and self.dbar_forms == other.dbar_forms
-                and self.d_forms == other.d_forms)
 
 
 def lift_to_laurent(lift: LambdaLift) -> LaurentConnection:
@@ -577,15 +510,11 @@ def lift_to_laurent(lift: LambdaLift) -> LaurentConnection:
 def deligne_glue(lc: LaurentConnection) -> LaurentConnection:
     """Reglue to the reciprocal coordinate: parts swap and exponents map to 1 - j.
 
-    Applying the operation twice gives back the original window.
+    Applying the operation twice gives back the original data.
     """
     remap = lambda d: {1 - j: x for j, x in d.items()}
-    window = None
-    if lc.window is not None:
-        lo, hi = lc.window
-        window = (1 - hi, 1 - lo)
     return LaurentConnection(remap(lc.d_ops), remap(lc.d_forms),
-                             remap(lc.dbar_ops), remap(lc.dbar_forms), window)
+                             remap(lc.dbar_ops), remap(lc.dbar_forms))
 
 
 @dataclass(frozen=True, eq=False)

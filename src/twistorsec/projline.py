@@ -145,12 +145,6 @@ def sl2_bracket(A: Sl2Element, B: Sl2Element) -> Sl2Element:
     return Sl2Element(c_e, c_h, c_f)
 
 
-def ad_matrix(A: Sl2Element):
-    """Matrix of ad_A = [A, -] in the basis (e, h, f), columns = images."""
-    cols = [sl2_bracket(A, basis) for basis in (E, H, F)]
-    return tuple(zip(*((c.a_e, c.a_h, c.a_f) for c in cols)))
-
-
 def killing(A: Sl2Element, B: Sl2Element):
     """kappa(A, B) = trace(ad_A o ad_B) = 8 A_h B_h + 4 (A_e B_f + A_f B_e)."""
     return 8 * A.a_h * B.a_h + 4 * (A.a_e * B.a_f + A.a_f * B.a_e)

@@ -1,10 +1,8 @@
 """Run configuration, verification records, and deterministic report output.
 
 Reports are rendered to JSON or CSV with fully sorted, stable content so that
-two runs with the same configuration produce byte-identical files.  Wall-clock
-timings are kept on the records for diagnostics but never serialized, since
-they would break that guarantee.  Values are serialized as exact rational
-strings.
+two runs with the same configuration produce byte-identical files.  Values
+are serialized as exact rational strings.
 """
 
 from __future__ import annotations
@@ -13,8 +11,9 @@ import csv
 import io
 import json
 import os
+import reprlib
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import QQi
@@ -41,7 +40,7 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"config field {name!r} must be an integer, "
-                                 f"got {value!r}")
+                                 f"got {reprlib.repr(value)}")
         for name in ("suites", "datasets"):
             value = getattr(self, name)
             if (not isinstance(value, (list, tuple))
@@ -89,7 +88,7 @@ class RunConfig:
                              "arithmetic is always exact")
         extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
-            raise ValueError(f"unknown config fields: {sorted(extra)}")
+            raise ValueError(f"unknown config fields: {reprlib.repr(sorted(extra))}")
         return cls(**doc)
 
     @classmethod
@@ -117,7 +116,6 @@ class ReportRecord:
     expected: str
     actual: str
     provenance: str
-    wall_time: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if self.status not in ("pass", "fail"):
@@ -214,28 +212,6 @@ def render_report(config: RunConfig, records) -> str:
     if config.out_format == "csv":
         return render_csv(config, records)
     return render_json(config, records)
-
-
-def records_from_json(text: str):
-    doc = json.loads(text)
-    return [ReportRecord(r["suite"], r["case"], r["status"], r["expected"],
-                         r["actual"], r["provenance"])
-            for r in doc["records"]]
-
-
-def records_from_csv(text: str):
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != _CSV_COLUMNS:
-        raise ValueError("malformed CSV report header")
-    return [ReportRecord(*row) for row in rows[1:]]
-
-
-def load_records(text: str, out_format: str):
-    if out_format == "json":
-        return records_from_json(text)
-    if out_format == "csv":
-        return records_from_csv(text)
-    raise ValueError(f"unknown report format: {out_format}")
 
 
 def atomic_write(path: str, text: str):

@@ -169,10 +169,6 @@ class QQi:
     def conjugate(self) -> "QQi":
         return _make(self._a, -self._b, self._d)
 
-    def abs2(self) -> Fraction:
-        """|z|^2 as an exact Fraction."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     # -- comparisons / conversions -------------------------------------------
 
     def __eq__(self, other):
@@ -224,9 +220,11 @@ def scalar_from_json(value):
 
 
 def random_qqi(rng, span: int = 9, den: int = 4) -> QQi:
-    """Deterministic random Gaussian rational with numerators in [-span, span]."""
-    return QQi(Fraction(rng.randint(-span, span), rng.randint(1, den)),
-               Fraction(rng.randint(-span, span), rng.randint(1, den)))
+    """Deterministic random Gaussian rational a/b + (c/e)i with a, c in
+    [-span, span] and b, e in [1, den], drawn in that order."""
+    a, b = rng.randint(-span, span), rng.randint(1, den)
+    c, e = rng.randint(-span, span), rng.randint(1, den)
+    return _make(a * e, c * b, b * e)
 
 
 def random_nonzero_qqi(rng, span: int = 9, den: int = 4) -> QQi:

@@ -10,6 +10,7 @@ these runs are sized by ``config.cases`` to stay interactive.
 from __future__ import annotations
 
 import random
+import reprlib
 from fractions import Fraction
 
 from . import flat_model as fm
@@ -17,8 +18,9 @@ from . import lambda_lifts as ll
 from . import projline as pl
 from . import torus_forms as tf
 from . import vhs
+from .constants import XI_SCALAR_PHIPSI
 from .datasets import load_vhs_dataset
-from .report import ReportRecord, check, check_true, sort_records
+from .report import check, check_true, sort_records
 from .scalars import QQi, conj, random_nonzero_qqi, random_qqi
 
 _BASIS = {"e": pl.E, "h": pl.H, "f": pl.F}
@@ -294,7 +296,8 @@ def _uniformizing_genus(e: vhs.VhsBlockData):
     if head or not sep:
         return None
     if not g.isdecimal() or str(int(g)) != g:  # one label, one case name per genus
-        raise ValueError(f"dataset entry {e.label!r}: expected uniformizing-g<genus>")
+        raise ValueError(f"dataset entry {reprlib.repr(e.label)}: "
+                         f"expected uniformizing-g<genus>")
     return int(g)
 
 
@@ -351,8 +354,8 @@ def suite_hyperhol_degree(cfg, rng):
             continue
         vinf = entries.get(v0.pair)
         if vinf is None:
-            raise ValueError(f"dataset entry {v0.label!r}: pair {v0.pair!r} "
-                             f"is not in the dataset")
+            raise ValueError(f"dataset entry {reprlib.repr(v0.label)}: pair "
+                             f"{reprlib.repr(v0.pair)} is not in the dataset")
         got = vhs.hyperhol_degree(v0, vinf)
         out.append(check("hyperhol-degree", f"uniformizing-g{g}", Fraction(1 - g),
                          got, f"dataset:uniformizing-g{g}"))
@@ -630,7 +633,7 @@ def suite_second_variation_weights(cfg, rng):
         higgs = ll.random_pure_grade_form(rng, v, -1, (1, 0), constant=True)
         beta = {1: ll.random_pure_grade_form(rng, v, 1, (0, 1), cfg.mode_bound)}
         lift = ll.c_star_fixed_lift(v, higgs, beta=beta)
-        xi = -ll.xi_matrix_form(v)
+        xi = XI_SCALAR_PHIPSI * ll.xi_matrix_form(v)
         span = range(-(v.l - 1), v.l)
         g0, g1 = rng.choice(span), rng.choice(span)
         h0, h1 = rng.choice(span), rng.choice(span)
@@ -734,7 +737,7 @@ def run_suites(config):
     """Execute the named suites; deterministic for a fixed config."""
     unknown = [name for name in config.suites if name not in SUITES]
     if unknown:
-        raise ValueError(f"unknown suite names: {unknown}")
+        raise ValueError(f"unknown suite names: {reprlib.repr(unknown)}")
     records = []
     for name in config.suites:
         rng = _rng_for(config.seed, name)

@@ -174,7 +174,6 @@ def _fs(modes: dict) -> FourierScalar:
 
 
 FS_ZERO = FourierScalar()
-FS_ONE = FourierScalar.const(QQi(1))
 
 _BIDEGREES = ((0, 0), (1, 0), (0, 1), (1, 1))
 

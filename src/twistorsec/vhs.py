@@ -19,6 +19,7 @@ or k = 2 interchangeably.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ def _as_degree(x):
             pass
         else:
             return int(f) if f.denominator == 1 else f
-    raise ValueError(f"not a degree value: {x!r}")
+    raise ValueError(f"not a degree value: {reprlib.repr(x)}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,8 @@ def energy_recursive(v: VhsBlockData):
 def hyperhol_degree(v0: VhsBlockData, vinf: VhsBlockData):
     """Degree of the hyperholomorphic line bundle along a fixed section pair."""
     if v0.n != vinf.n:
-        raise ValueError(f"the 0- and infinity-side data {v0.label!r} and "
-                         f"{vinf.label!r} must share the same rank")
+        raise ValueError(f"the 0- and infinity-side data {reprlib.repr(v0.label)} "
+                         f"and {reprlib.repr(vinf.label)} must share the same rank")
     return energy_closed(v0) + energy_closed(vinf)
 
 
@@ -182,10 +183,6 @@ class GradedBlockMatrix:
             if len(blk) != rows or any(len(row) != cols for row in blk):
                 raise ValueError(f"block ({i},{j}) must be {rows}x{cols}")
 
-    def grade(self, i: int, j: int) -> int:
-        _check_index(self.data, i), _check_index(self.data, j)
-        return i - j
-
     def to_full(self):
         zero = QQi(0)
         full = [[zero] * self.data.n for _ in range(self.data.n)]
@@ -195,25 +192,9 @@ class GradedBlockMatrix:
                 full[r][cols] = row
         return tuple(map(tuple, full))
 
-    @classmethod
-    def from_full(cls, v: VhsBlockData, full) -> "GradedBlockMatrix":
-        blocks = {}
-        for i in range(1, v.l + 1):
-            for j in range(1, v.l + 1):
-                rows, cols = block_slices(v, i, j)
-                blk = tuple(tuple(row[cols]) for row in full[rows])
-                if any(x for row in blk for x in row):
-                    blocks[(i, j)] = blk
-        return cls(v, blocks)
-
     def trace(self):
         return sum((row[r] for (i, j), blk in self.blocks.items() if i == j
                     for r, row in enumerate(blk)), QQi(0))
-
-
-def adjoint_weight(m: GradedBlockMatrix, i: int, j: int) -> int:
-    """Grading weight k = i - j of the block; xi_bracket scales the block by k."""
-    return m.grade(i, j)
 
 
 def xi_bracket(m: GradedBlockMatrix, xi: XiElement) -> GradedBlockMatrix:

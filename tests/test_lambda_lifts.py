@@ -15,8 +15,7 @@ import pytest
 from twistorsec.constants import (ENERGY_LIFT_COEFF, XI_SCALAR_DLAMBDA,
                                   XI_SCALAR_PHIPSI)
 from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LambdaLift,
-                                     LaurentConnection, TangentSeries,
-                                     admissible, bb_slice_residuals,
+                                     TangentSeries, bb_slice_residuals,
                                      c_star_fixed_lift, c_star_on_point,
                                      d_energy_of_lift, deligne_glue,
                                      energy_of_lift, gauge_series_inverse,
@@ -27,8 +26,7 @@ from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LambdaLift,
                                      random_pure_grade_form,
                                      real_involution_chart, real_involution_dh,
                                      second_variation,
-                                     second_variation_weighted,
-                                     verify_fixed_relations, xi_matrix_form)
+                                     second_variation_weighted, xi_matrix_form)
 from twistorsec.scalars import QQi, random_qqi
 from twistorsec.torus_forms import (FourierScalar, MatrixForm, commutator,
                                     dbar, del_op, integrate_trace,
@@ -229,8 +227,6 @@ def test_commuting_lift_is_integrable_to_order_one():
     lift = _commuting_lift(QQi(2, 1))
     res = integrability_residuals(lift, 1)
     assert res[0].is_zero and res[1].is_zero
-    assert admissible(lift)
-    assert not admissible(_random_lift(random.Random(2)))
 
 
 def _commutant_tangent(a, b, order=3):
@@ -467,28 +463,40 @@ def test_has_pure_grade():
     assert not has_pure_grade(E21_DZ, VhsBlockData((3,), (0,)), 0)
 
 
-def test_verify_fixed_relations_scalars():
+#: The scalars tried for the two fixed-point relations; the frozen constants
+#: XI_SCALAR_DLAMBDA and XI_SCALAR_PHIPSI are the ones this search found.
+_XI_CANDIDATES = (QQi(0, -1), QQi(0, 1), QQi(-1), QQi(1))
+
+
+def _dlambda_relation_holds(lift, xi, c):
+    """-i t (d/dt) dbar(t) = dbar(t) . (c xi), order by order: -i k Psi_k is
+    c [Psi_k, xi], plus c dbar(xi) at k = 0, where Psi_0 = 0."""
+    return dbar(xi * c).is_zero and all(
+        lift.b_coeff(k) * QQi(0, -k) == commutator(lift.b_coeff(k), xi) * c
+        for k in range(lift.order + 1))
+
+
+def _phipsi_relation_holds(lift, xi, c):
+    """The order-zero relations with xi_0 = c xi: 0 = dbar(xi_0), Phi = [Phi, xi_0]."""
+    return dbar(xi * c).is_zero and lift.phi0 == commutator(lift.phi0, xi) * c
+
+
+def test_fixed_relations_single_out_the_frozen_xi_scalars():
     rng = random.Random(112)
     v = VhsBlockData((1, 2), (2, -2))
     higgs = random_pure_grade_form(rng, v, -1, (1, 0))
     lift = c_star_fixed_lift(v, higgs,
                              beta={1: random_pure_grade_form(rng, v, 1, (0, 1))})
-    report = verify_fixed_relations(lift, xi_matrix_form(v))
-    assert report["dlambda_scalar"] == XI_SCALAR_DLAMBDA == QQi(0, -1)
-    assert report["phipsi_scalar"] == XI_SCALAR_PHIPSI == QQi(-1)
-    assert all(r.is_zero for r in report["dlambda_residuals"])
-    assert report["frozen_dlambda_scalar"] == report["dlambda_scalar"]
-
-
-def test_verify_fixed_relations_rejects_bad_grading():
+    xi = xi_matrix_form(v)
+    assert [c for c in _XI_CANDIDATES
+            if _dlambda_relation_holds(lift, xi, c)] == [XI_SCALAR_DLAMBDA]
+    assert [c for c in _XI_CANDIDATES
+            if _phipsi_relation_holds(lift, xi, c)] == [XI_SCALAR_PHIPSI]
     # A lift whose Psi_1 is not an eigenvector of the bracket with xi.
-    lift = make_lift(E21_DZ, psi=[E12_DZBAR + conj_like_e21()], order=3)
-    with pytest.raises(ValueError):
-        verify_fixed_relations(lift, xi_matrix_form(UNI))
-
-
-def conj_like_e21():
-    return _const_form([[0, 0], [QQi(1), 0]], (0, 1))
+    e21_dzbar = _const_form([[0, 0], [QQi(1), 0]], (0, 1))
+    bad = make_lift(E21_DZ, psi=[E12_DZBAR + e21_dzbar], order=3)
+    assert not any(_dlambda_relation_holds(bad, xi_matrix_form(UNI), c)
+                   for c in _XI_CANDIDATES)
 
 
 def test_second_variation_hand_value():
@@ -616,7 +624,7 @@ def test_tangent_and_gauge_series_validation():
         GaugeSeries(0, (_const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0)),))
 
 
-# -- Laurent windows, regluing, parameter involution --------------------------
+# -- Laurent regluing, parameter involution -----------------------------------
 
 
 def test_lift_to_laurent_and_glue():
@@ -630,15 +638,6 @@ def test_lift_to_laurent_and_glue():
     assert set(glued.dbar_forms) == {1} and set(glued.d_forms) == {0}
     assert glued.dbar_forms[1] == lc.d_forms[0]
     assert deligne_glue(glued) == lc
-
-
-def test_glue_windows():
-    lc = LaurentConnection({0: "dbar"}, {2: E12_DZBAR}, {1: "del"}, {},
-                           window=(0, 2))
-    assert deligne_glue(lc).window == (-1, 1)
-    assert deligne_glue(deligne_glue(lc)).window == (0, 2)
-    with pytest.raises(ValueError, match="window underflow"):
-        LaurentConnection({0: "dbar"}, {3: E12_DZBAR}, {}, {}, window=(0, 2))
 
 
 def test_dh_point_basics():

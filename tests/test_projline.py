@@ -11,14 +11,20 @@ import sympy
 from hypothesis import given, strategies as st
 
 from twistorsec.projline import (E, F, H, INFINITY, SIGMA, PolySection,
-                                 Sl2Element, ad_matrix, antipodal, h_pairing,
-                                 killing, sigma_value, sl2_bracket, wronskian,
+                                 Sl2Element, antipodal, h_pairing, killing,
+                                 sigma_value, sl2_bracket, wronskian,
                                  wronskian_infinity_chart)
 from twistorsec.scalars import I, QQi
 
 rationals = st.builds(Fraction, st.integers(), st.integers(1, 20))
 qqis = st.builds(QQi, rationals, rationals)
 sl2s = st.builds(Sl2Element, qqis, qqis, qqis)
+
+
+def ad_matrix(A: Sl2Element):
+    """Matrix of ad_A = [A, -] in the basis (e, h, f), columns = images."""
+    cols = [sl2_bracket(A, basis) for basis in (E, H, F)]
+    return tuple(zip(*((c.a_e, c.a_h, c.a_f) for c in cols)))
 
 
 def test_bracket_matches_vector_field_oracle():

@@ -4,6 +4,7 @@ must force byte-identical reports, whatever the process or path.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -21,8 +22,8 @@ from twistorsec.datasets import (load_vhs_dataset, render_table,
                                  vhs_energy_table)
 from twistorsec.report import (RunConfig, ReportRecord, atomic_write, check,
                                check_true, failing_suites, format_value,
-                               load_records, render_csv, render_json,
-                               render_report, sort_records, summary)
+                               render_csv, render_json, render_report,
+                               sort_records, summary)
 from twistorsec.scalars import QQi
 from twistorsec.vhs import VhsBlockData, energy_closed, hyperhol_degree
 
@@ -105,6 +106,18 @@ def test_record_helpers():
 SAMPLE = [ReportRecord("beta", "case-1", "pass", "1", "1", "identity A"),
           ReportRecord("alpha", "case-2", "fail", "0", "1/2", 'quote " comma,')]
 
+_COLUMNS = ("suite", "case", "status", "expected", "actual", "provenance")
+
+
+def _read_records(text: str, out_format: str):
+    """The records of a rendered report, read back with the standard library."""
+    if out_format == "csv":
+        rows = list(csv.reader(io.StringIO(text)))
+        assert tuple(rows[0]) == _COLUMNS
+        return [ReportRecord(*row) for row in rows[1:]]
+    return [ReportRecord(*(r[c] for c in _COLUMNS))
+            for r in json.loads(text)["records"]]
+
 
 def test_render_json_ignores_out_path():
     with_path = RunConfig(suites=["stokes"], out_path="/tmp/x.json")
@@ -121,7 +134,7 @@ def test_render_json_ignores_out_path():
 
 def test_json_record_round_trip():
     cfg = RunConfig()
-    back = load_records(render_json(cfg, SAMPLE), "json")
+    back = _read_records(render_json(cfg, SAMPLE), "json")
     assert back == sort_records(SAMPLE)
 
 
@@ -129,12 +142,8 @@ def test_csv_record_round_trip():
     cfg = RunConfig(out_format="csv")
     text = render_csv(cfg, SAMPLE)
     assert text.splitlines()[0] == "suite,case,status,expected,actual,provenance"
-    back = load_records(text, "csv")
+    back = _read_records(text, "csv")
     assert back == sort_records(SAMPLE)
-    with pytest.raises(ValueError):
-        load_records("not,a,report\n1,2,3\n", "csv")
-    with pytest.raises(ValueError):
-        load_records(text, "yaml")
 
 
 def test_render_report_dispatch():
@@ -366,6 +375,50 @@ def test_cli_dataset_input(tmp_path, capsys, entries, command, code, needle):
     assert needle in err and "Traceback" not in err
 
 
+_LONG = "x" * 100_000
+_VERIFY = "verify --config CFG"
+_DEGREES = "hyperhol-degree --dataset DATA"
+_VHS_RUN = {"suites": ["vhs-energy"], "cases": 1, "datasets": ["DATA"]}
+_DEGREE_RUN = {"suites": ["hyperhol-degree"], "cases": 1, "datasets": ["DATA"]}
+
+
+@pytest.mark.parametrize("command, config, entries, needle", [
+    pytest.param(_VERIFY, '{"seed": ' + "[" * 500 + "]" * 500 + "}", [], "'seed'",
+                 id="nested-seed"),
+    pytest.param(_VERIFY, {"seed": _LONG}, [], "'seed'", id="long-seed"),
+    pytest.param(_VERIFY, {"suites": [_LONG]}, [], "unknown suite names",
+                 id="long-suite"),
+    pytest.param(_VERIFY, {_LONG: 1}, [], "unknown config fields", id="long-key"),
+    pytest.param(_VERIFY, _VHS_RUN, [dict(_ENTRY, degrees=[_LONG, 0])],
+                 "degree value", id="long-degree"),
+    pytest.param(_VERIFY, _VHS_RUN, [dict(_ENTRY, label="uniformizing-g1" + _LONG)],
+                 "expected uniformizing-g", id="long-label"),
+    pytest.param(_VERIFY, _DEGREE_RUN,
+                 [dict(_ENTRY, label="uniformizing-g2", pair=_LONG)],
+                 "is not in the dataset", id="long-missing-pair"),
+    pytest.param(_DEGREES, None, [dict(_ENTRY, pair=_LONG)], "names unknown pair",
+                 id="long-unknown-pair"),
+    pytest.param(_DEGREES, None, [dict(_ENTRY, pair=_LONG),
+                                  {"ranks": [3], "degrees": [0], "label": _LONG}],
+                 "same rank", id="long-paired-label"),
+])
+def test_cli_error_echoes_a_short_repr(tmp_path, capsys, command, config, entries,
+                                       needle):
+    data, cfg = tmp_path / "data.json", tmp_path / "run.json"
+    data.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+    if isinstance(config, dict) and config.get("datasets") == ["DATA"]:
+        config = dict(config, datasets=[str(data)])
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config),
+                   encoding="utf-8")
+    argv = [{"CFG": str(cfg), "DATA": str(data)}.get(arg, arg)
+            for arg in command.split()]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert needle in captured.err and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) <= 200
+
+
 # Arbitrary JSON.  Object keys come from an alphabet no config field name
 # uses, so an arbitrary object is an unknown-field error, never a slow
 # all-suites run at the default case count.
@@ -431,7 +484,7 @@ def test_cli_exit_contract_on_arbitrary_json(config, dataset):
             assert err.getvalue().startswith("error: ") and not os.path.exists(out)
             return
         with open(out, encoding="utf-8") as fh:
-            records = load_records(fh.read(), config.get("out_format", "json"))
+            records = _read_records(fh.read(), config.get("out_format", "json"))
         assert (code == 1) == any(not r.passed for r in records)
 
 

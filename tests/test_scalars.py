@@ -42,7 +42,7 @@ def test_multiplicative_inverse(a):
 @given(qqis)
 def test_conjugation(a):
     assert conj(conj(a)) == a
-    assert a * conj(a) == QQi(a.abs2())
+    assert a * conj(a) == QQi(a.re * a.re + a.im * a.im)
     assert conj(a) == QQi(a.re, -a.im)
 
 
@@ -188,8 +188,7 @@ def test_kernel_unary_operations(x):
     _assert_matches(z.conjugate(), (x[0], -x[1]))
     _assert_matches(conj(z), (x[0], -x[1]))
     _assert_matches(z - z, (0, 0))
-    abs2 = z.abs2()
-    assert type(abs2) is Fraction and abs2 == x[0] * x[0] + x[1] * x[1]
+    _assert_matches(z * conj(z), (x[0] * x[0] + x[1] * x[1], 0))
     assert bool(z) == (x != (0, 0))
 
 
@@ -210,6 +209,21 @@ def test_kernel_real_values_equal_and_hash_like_their_source(q):
     assert z == q and q == z
     assert hash(z) == hash(q)
     assert QQi(q, 0) == q and QQi(Fraction(q)) == q
+
+
+def test_random_qqi_matches_its_fraction_form():
+    # random_qqi draws a, b, c, e in this order and returns a/b + (c/e)i.
+    import random
+
+    rng, oracle = random.Random(11), random.Random(11)
+    for span, den in ((9, 4), (1, 1), (1000, 97)):
+        for _ in range(2000):
+            z = random_qqi(rng, span, den)
+            a, b = oracle.randint(-span, span), oracle.randint(1, den)
+            c, e = oracle.randint(-span, span), oracle.randint(1, den)
+            _assert_matches(z, (Fraction(a, b), Fraction(c, e)))
+            assert z == QQi(Fraction(a, b), Fraction(c, e))
+    assert rng.getstate() == oracle.getstate()
 
 
 @given(st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 9, 10 ** 9))

@@ -13,17 +13,18 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from twistorsec.scalars import QQi
-from twistorsec.torus_forms import (FS_ONE, FS_ZERO, FourierScalar,
-                                    MatrixForm, commutator, conj_transpose,
-                                    dbar, del_op, integrate_trace,
-                                    random_fourier_scalar, random_matrix_form,
-                                    trace, wedge, wedge_bracket)
+from twistorsec.torus_forms import (FS_ZERO, FourierScalar, MatrixForm,
+                                    commutator, conj_transpose, dbar, del_op,
+                                    integrate_trace, random_fourier_scalar,
+                                    random_matrix_form, trace, wedge,
+                                    wedge_bracket)
 
 rationals = st.builds(Fraction, st.integers(), st.integers(1, 8))
 qqis = st.builds(QQi, rationals, rationals)
 mode_keys = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 scalars_st = st.builds(FourierScalar,
                        st.dictionaries(mode_keys, qqis, max_size=4))
+FS_ONE = FourierScalar.const(QQi(1))
 
 
 def matrix_forms(size=2, bidegree=(0, 0)):
