@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import reprlib
 import sys
 
 from . import flat_model as fm
@@ -167,12 +168,21 @@ _COMMANDS = {
 }
 
 
+def _describe(err) -> str:
+    """The message of an error, with any file names of an OSError shortened."""
+    if not isinstance(err, OSError) or err.filename is None:
+        return str(err)
+    names = (reprlib.repr(name) for name in (err.filename, err.filename2)
+             if name is not None)
+    return f"[Errno {err.errno}] {err.strerror}: {' -> '.join(names)}"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_describe(err)}", file=sys.stderr)
         return 2
 
 

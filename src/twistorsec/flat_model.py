@@ -203,11 +203,7 @@ def local_biholo_jacobian(s: FlatSection, x, y=None):
     if y is None:
         y = antipodal(x)
     rx, ry = _eval_rows(x), _eval_rows(y)
-    det2 = rx[0] * ry[1] - rx[1] * ry[0]
-    out = QQi(1)
-    for _ in range(2 * s.d):
-        out = out * det2
-    return out
+    return (rx[0] * ry[1] - rx[1] * ry[0]) ** (2 * s.d)
 
 
 def energy(s: FlatSection):

@@ -26,10 +26,10 @@ from operator import add
 
 from .constants import ENERGY_LIFT_COEFF, OMEGA_HAT_COEFF
 from .scalars import QQi, conj, random_qqi
-from .torus_forms import (FS_ZERO, FourierScalar, MatrixForm, commutator,
-                          conj_transpose, dbar, del_op, integrate_trace, matmul,
+from .torus_forms import (FS_ZERO, FourierScalar, MatrixForm, conj_transpose,
+                          dbar, del_op, integrate_trace, matmul,
                           random_fourier_scalar, trace, wedge, wedge_bracket)
-from .vhs import VhsBlockData, xi_matrix
+from .vhs import VhsBlockData, grades, xi_matrix
 
 
 def _check_coeff(f: MatrixForm, rank: int, bidegree, what: str):
@@ -131,19 +131,6 @@ class TangentSeries:
     def zero(cls, rank: int, order: int) -> "TangentSeries":
         return cls(order, tuple(MatrixForm.zero(rank, (0, 1)) for _ in range(order + 1)),
                    tuple(MatrixForm.zero(rank, (1, 0)) for _ in range(order + 1)))
-
-    def __add__(self, other):
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        return TangentSeries(self.order,
-                             tuple(a + b for a, b in zip(self.psik, other.psik)),
-                             tuple(a + b for a, b in zip(self.phik, other.phik)))
-
-    def __mul__(self, c):
-        return TangentSeries(self.order, tuple(f * c for f in self.psik),
-                             tuple(f * c for f in self.phik))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,8 +283,9 @@ def second_variation(lift: LambdaLift, t: TangentSeries, xi: MatrixForm):
         raise ValueError("tangent must match the lift and reach order 1")
     checks = (
         ("dbar(xi) = 0", dbar(xi).is_zero),
-        ("Phi = [Phi, xi]", lift.phi0 == commutator(lift.phi0, xi)),
-        ("-Psi_1 = [Psi_1, xi]", -lift.b_coeff(1) == commutator(lift.b_coeff(1), xi)),
+        ("Phi = [Phi, xi]", lift.phi0 == wedge_bracket(lift.phi0, xi)),
+        ("-Psi_1 = [Psi_1, xi]",
+         -lift.b_coeff(1) == wedge_bracket(lift.b_coeff(1), xi)),
         ("del(xi) = 0", del_op(xi).is_zero),
     )
     for name, ok in checks:
@@ -305,10 +293,10 @@ def second_variation(lift: LambdaLift, t: TangentSeries, xi: MatrixForm):
             raise ValueError(f"fixed-point relation violated: {name}")
     ps0, ps1 = t.psik[0], t.psik[1]
     ph0, ph1 = t.phik[0], t.phik[1]
-    value = (pair_unsigned(ps0, commutator(ph1, xi))
-             + pair_unsigned(ph1, commutator(ps0, xi))
-             + pair_unsigned(ps1, commutator(ph0, xi))
-             + pair_unsigned(ph0, commutator(ps1, xi))
+    value = (pair_unsigned(ps0, wedge_bracket(ph1, xi))
+             + pair_unsigned(ph1, wedge_bracket(ps0, xi))
+             + pair_unsigned(ps1, wedge_bracket(ph0, xi))
+             + pair_unsigned(ph0, wedge_bracket(ps1, xi))
              + 2 * pair_unsigned(ph0, ps1))
     return value
 
@@ -323,24 +311,36 @@ def second_variation_weighted(t: TangentSeries, m0, m1, n0, n1):
 # -- circle-fixed lifts from graded block data --------------------------------
 
 
-def _grades(v: VhsBlockData):
-    """Rows of the grading weight i - j of the block (i, j) holding each entry."""
-    block = [i for i, rank in enumerate(v.ranks) for _ in range(rank)]
-    return [[bc - br for bc in block] for br in block]
-
-
 def has_pure_grade(f: MatrixForm, v: VhsBlockData, k: int) -> bool:
     """True when every entry outside the grade-k block positions vanishes."""
     if f.size != v.n:
         return False
-    grades = _grades(v)
-    return all(e.is_zero for r, row in enumerate(f.entries)
-               for c, e in enumerate(row) if grades[r][c] != k)
+    return all(e.is_zero for row, grade_row in zip(f.entries, grades(v))
+               for e, grade in zip(row, grade_row) if grade != k)
 
 
 def xi_matrix_form(v: VhsBlockData) -> MatrixForm:
     """The diagonal grading element as a constant (0,0) matrix form."""
     return MatrixForm.from_scalar_matrix(xi_matrix(v), (0, 0))
+
+
+def _checked_slice_data(v: VhsBlockData, higgs: MatrixForm, beta, phi):
+    """The slice data (beta, phi) as dicts, after checking every form: the
+    higgs field is a pure grade -1 (1,0) form, beta_j a pure grade-j (0,1)
+    form with j >= 1, phi_j a pure grade-j (1,0) form with j >= 0."""
+    beta, phi = dict(beta or {}), dict(phi or {})
+    _check_coeff(higgs, v.n, (1, 0), "higgs field")
+    if not has_pure_grade(higgs, v, -1):
+        raise ValueError("higgs field must be pure grade -1")
+    for name, data, bidegree, low in (("beta", beta, (0, 1), 1),
+                                      ("phi", phi, (1, 0), 0)):
+        for j, f in data.items():
+            if j < low:
+                raise ValueError(f"{name} data live in grades >= {low}")
+            _check_coeff(f, v.n, bidegree, f"{name}_{j}")
+            if not has_pure_grade(f, v, j):
+                raise ValueError(f"{name}_{j} must be pure grade {j}")
+    return beta, phi
 
 
 def c_star_fixed_lift(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None,
@@ -353,23 +353,7 @@ def c_star_fixed_lift(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None,
     the t^1 slot).  The dbar-part then has t-degree at most l and the D-part
     at most l + 1.
     """
-    beta = dict(beta or {})
-    phi = dict(phi or {})
-    _check_coeff(higgs, v.n, (1, 0), "higgs field")
-    if not has_pure_grade(higgs, v, -1):
-        raise ValueError("higgs field must be pure grade -1")
-    for j, f in beta.items():
-        if j < 1:
-            raise ValueError("beta data live in grades >= 1")
-        _check_coeff(f, v.n, (0, 1), f"beta_{j}")
-        if not has_pure_grade(f, v, j):
-            raise ValueError(f"beta_{j} must be pure grade {j}")
-    for j, f in phi.items():
-        if j < 0:
-            raise ValueError("phi data live in grades >= 0")
-        _check_coeff(f, v.n, (1, 0), f"phi_{j}")
-        if not has_pure_grade(f, v, j):
-            raise ValueError(f"phi_{j} must be pure grade {j}")
+    beta, phi = _checked_slice_data(v, higgs, beta, phi)
     n = order if order is not None else max(4, v.l + 1)
     if n < v.l + 1 and (beta or phi):
         raise ValueError("truncation order too small for the graded data")
@@ -391,19 +375,11 @@ def bb_slice_residuals(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None):
     del(beta_total) + [Phi* ^ phi_total].  Used as a diagnostic and as the
     constraint generator for exactly solvable test data.
     """
-    beta = dict(beta or {})
-    phi = dict(phi or {})
-    _check_coeff(higgs, v.n, (1, 0), "higgs field")
-    beta_total = MatrixForm.zero(v.n, (0, 1))
-    for j, f in sorted(beta.items()):
-        if not has_pure_grade(f, v, j) or j < 1:
-            raise ValueError(f"beta_{j} violates its grading")
-        beta_total = beta_total + f
-    phi_total = MatrixForm.zero(v.n, (1, 0))
-    for j, f in sorted(phi.items()):
-        if not has_pure_grade(f, v, j) or j < 0:
-            raise ValueError(f"phi_{j} violates its grading")
-        phi_total = phi_total + f
+    beta, phi = _checked_slice_data(v, higgs, beta, phi)
+    beta_total = reduce(add, (f for _, f in sorted(beta.items())),
+                        MatrixForm.zero(v.n, (0, 1)))
+    phi_total = reduce(add, (f for _, f in sorted(phi.items())),
+                       MatrixForm.zero(v.n, (1, 0)))
     r1 = dbar(phi_total)
     if not beta_total.is_zero:
         r1 = r1 + wedge_bracket(higgs + phi_total, beta_total)
@@ -418,7 +394,7 @@ def random_pure_grade_form(rng, v: VhsBlockData, k: int, bidegree,
                            constant: bool = False) -> MatrixForm:
     """Random matrix form supported on the grade-k blocks only."""
     ent = [[FS_ZERO] * v.n for _ in range(v.n)]
-    for r, row in enumerate(_grades(v)):  # row-major: draws in grade_positions order
+    for r, row in enumerate(grades(v)):  # row-major: draws in grade_positions order
         for c, grade in enumerate(row):
             if grade == k:
                 ent[r][c] = (FourierScalar.const(random_qqi(rng)) if constant
@@ -517,7 +493,7 @@ def deligne_glue(lc: LaurentConnection) -> LaurentConnection:
                              remap(lc.dbar_ops), remap(lc.dbar_forms))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DHPoint:
     """A connection pair at a fixed nonzero parameter: operators
     (dbar + B, lam*del + A)."""
@@ -531,10 +507,6 @@ class DHPoint:
             raise ValueError("the parameter must be nonzero")
         if self.dbar_coeff.bidegree != (0, 1) or self.d_coeff.bidegree != (1, 0):
             raise ValueError("coefficient bidegrees must be (0,1) and (1,0)")
-
-    def __eq__(self, other):
-        return (isinstance(other, DHPoint) and self.dbar_coeff == other.dbar_coeff
-                and self.d_coeff == other.d_coeff and self.lam == other.lam)
 
 
 def c_star_on_point(zeta, p: DHPoint) -> DHPoint:

@@ -41,7 +41,7 @@ def _cycle(values, i):
 # -- projline -----------------------------------------------------------------
 
 
-def suite_sl2_jacobi(cfg, rng):
+def suite_sl2_jacobi(cfg, rng, entries):
     out = []
     zero = pl.Sl2Element(QQi(0), QQi(0), QQi(0))
     for nx, x in _BASIS.items():
@@ -62,7 +62,7 @@ def suite_sl2_jacobi(cfg, rng):
     return out
 
 
-def suite_killing_form(cfg, rng):
+def suite_killing_form(cfg, rng, entries):
     out = [
         check("killing-form", "value-hh", QQi(8), pl.killing(pl.H, pl.H),
               "hand value"),
@@ -95,7 +95,7 @@ def _random_degree_one(rng) -> pl.PolySection:
     return pl.PolySection(1, (random_qqi(rng), random_qqi(rng)))
 
 
-def suite_wronskian_pairing(cfg, rng):
+def suite_wronskian_pairing(cfg, rng, entries):
     out = [
         check("wronskian-pairing", "hand-const-lambda", QQi(1),
               pl.wronskian(pl.PolySection(1, (QQi(1), QQi(0))),
@@ -127,7 +127,7 @@ def suite_wronskian_pairing(cfg, rng):
     return out
 
 
-def suite_chart_involution(cfg, rng):
+def suite_chart_involution(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         k = _cycle(range(7), i)
@@ -146,7 +146,7 @@ def _random_flat(cfg, rng, i):
     return fm.random_section(rng, d)
 
 
-def suite_omega0_invariance(cfg, rng):
+def suite_omega0_invariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         s = _random_flat(cfg, rng, i)
@@ -161,7 +161,7 @@ def suite_omega0_invariance(cfg, rng):
     return out
 
 
-def suite_energy_invariance(cfg, rng):
+def suite_energy_invariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         s = _random_flat(cfg, rng, i)
@@ -171,7 +171,7 @@ def suite_energy_invariance(cfg, rng):
     return out
 
 
-def suite_tau_equivariance(cfg, rng):
+def suite_tau_equivariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         s = _random_flat(cfg, rng, i)
@@ -191,7 +191,7 @@ def _zero_rotation_blocks(s: fm.FlatSection) -> fm.FlatSection:
     return fm.FlatSection(blocks)
 
 
-def suite_moment_map(cfg, rng):
+def suite_moment_map(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         s = _random_flat(cfg, rng, i)
@@ -240,7 +240,7 @@ def _vanishing_at(rng, d: int, x) -> fm.FlatSection:
     return fm.FlatSection(tuple(blocks))
 
 
-def suite_evaluation_fiber(cfg, rng):
+def suite_evaluation_fiber(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         s = _random_flat(cfg, rng, i)
@@ -263,7 +263,7 @@ def suite_evaluation_fiber(cfg, rng):
     return out
 
 
-def suite_omega0_reality(cfg, rng):
+def suite_omega0_reality(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         s = _random_flat(cfg, rng, i)
@@ -277,7 +277,7 @@ def suite_omega0_reality(cfg, rng):
     return out
 
 
-def suite_energy_reality(cfg, rng):
+def suite_energy_reality(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         s = _random_flat(cfg, rng, i)
@@ -301,14 +301,14 @@ def _uniformizing_genus(e: vhs.VhsBlockData):
     return int(g)
 
 
-def suite_vhs_energy(cfg, rng):
+def suite_vhs_energy(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         v = vhs.random_vhs(rng)
         out.append(check("vhs-energy", f"closed-vs-recursive-{i:04d}",
                          vhs.energy_closed(v), vhs.energy_recursive(v),
                          "telescoping sum"))
-    for e in load_vhs_dataset(*cfg.datasets):
+    for e in entries:
         g = _uniformizing_genus(e)
         if g is not None:
             out.append(check("vhs-energy", f"dataset-{e.label}", Fraction(1 - g),
@@ -334,7 +334,7 @@ def _random_vhs_with_n(rng, n: int) -> vhs.VhsBlockData:
     return vhs.VhsBlockData(ranks, tuple(head + [-sum(head)]))
 
 
-def suite_hyperhol_degree(cfg, rng):
+def suite_hyperhol_degree(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         v0 = vhs.random_vhs(rng)
@@ -347,12 +347,12 @@ def suite_hyperhol_degree(cfg, rng):
                               Fraction(got).denominator == 1,
                               "integer for integral block degrees",
                               "degree additivity"))
-    entries = {e.label: e for e in load_vhs_dataset(*cfg.datasets)}
-    for v0 in entries.values():
+    by_label = {e.label: e for e in entries}
+    for v0 in entries:
         g = _uniformizing_genus(v0)
         if g is None:
             continue
-        vinf = entries.get(v0.pair)
+        vinf = by_label.get(v0.pair)
         if vinf is None:
             raise ValueError(f"dataset entry {reprlib.repr(v0.label)}: pair "
                              f"{reprlib.repr(v0.pair)} is not in the dataset")
@@ -364,7 +364,7 @@ def suite_hyperhol_degree(cfg, rng):
     return out
 
 
-def suite_det_exponent(cfg, rng):
+def suite_det_exponent(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         v = vhs.random_vhs(rng)
@@ -374,33 +374,36 @@ def suite_det_exponent(cfg, rng):
 
 
 def _random_graded_matrix(rng, v, k):
-    blocks = {}
-    for i, j, rows, cols in vhs.grade_positions(v, k):
-        blocks[(i, j)] = [[random_qqi(rng) for _ in range(cols)]
-                          for _ in range(rows)]
-    return vhs.GradedBlockMatrix(v, blocks)
+    """Rows of a matrix with random grade-k entries and zeros elsewhere.
+
+    Each block row holds exactly one grade-k block, so the row-major draws
+    fall block by block in grade_positions order.
+    """
+    zero = QQi(0)
+    return [[random_qqi(rng) if grade == k else zero for grade in row]
+            for row in vhs.grades(v)]
 
 
-def suite_grade_bracket(cfg, rng):
+def suite_grade_bracket(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         v = vhs.random_vhs(rng)
         k = rng.randint(-(v.l - 1), v.l - 1) if v.l > 1 else 0
         m = _random_graded_matrix(rng, v, k)
-        got = vhs.xi_bracket(m, vhs.xi_element(v)).to_full()
         scale = QQi(k)
-        want = tuple(tuple(x * scale for x in row) for row in m.to_full())
-        out.append(check_true("grade-bracket", f"case-{i:04d}", got == want,
+        scaled = all(y == x * scale for row, got_row in zip(m, vhs.xi_bracket(m, v))
+                     for x, y in zip(row, got_row))
+        out.append(check_true("grade-bracket", f"case-{i:04d}", scaled,
                               f"bracket with the grading element scales grade "
                               f"{k} by {k}", "diagonal weights"))
     return out
 
 
-def suite_xi_weights(cfg, rng):
+def suite_xi_weights(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         v = vhs.random_vhs(rng)
-        w = vhs.xi_element(v).weights
+        w = vhs.xi_weights(v)
         steps = all(w[j + 1] - w[j] == 1 for j in range(len(w) - 1))
         out.append(check_true("xi-weights", f"steps-{i:04d}", steps,
                               "weights increase by exactly 1", "grading"))
@@ -413,7 +416,7 @@ def suite_xi_weights(cfg, rng):
 # -- torus backend ------------------------------------------------------------
 
 
-def suite_stokes(cfg, rng):
+def suite_stokes(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(1, cfg.rank_bound + 1), i)
@@ -426,7 +429,7 @@ def suite_stokes(cfg, rng):
     return out
 
 
-def suite_d_squared(cfg, rng):
+def suite_d_squared(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(1, cfg.rank_bound + 1), i)
@@ -452,7 +455,7 @@ def suite_d_squared(cfg, rng):
     return out
 
 
-def suite_trace_cyclicity(cfg, rng):
+def suite_trace_cyclicity(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(1, cfg.rank_bound + 1), i)
@@ -464,7 +467,7 @@ def suite_trace_cyclicity(cfg, rng):
     return out
 
 
-def suite_backend_exactness(cfg, rng):
+def suite_backend_exactness(cfg, rng, entries):
     out = []
     cases = max(3, cfg.cases // 5)
     for i in range(cases):
@@ -503,7 +506,7 @@ def _strict_upper(rng, size):
     return tf.MatrixForm((0, 0), size, rows)
 
 
-def suite_gauge_covariance(cfg, rng):
+def suite_gauge_covariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
@@ -576,7 +579,7 @@ def _random_gauge(cfg, rng, size):
     return ll.GaugeSeries(cfg.order, tuple(xik))
 
 
-def suite_omega_hat_degeneracy(cfg, rng):
+def suite_omega_hat_degeneracy(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
@@ -602,7 +605,7 @@ def suite_omega_hat_degeneracy(cfg, rng):
     return out
 
 
-def suite_energy_gauge_invariance(cfg, rng):
+def suite_energy_gauge_invariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
@@ -626,7 +629,7 @@ def _random_small_vhs(rng):
             return v
 
 
-def suite_second_variation_weights(cfg, rng):
+def suite_second_variation_weights(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         v = _random_small_vhs(rng)
@@ -650,7 +653,7 @@ def suite_second_variation_weights(cfg, rng):
     return out
 
 
-def suite_dh_involutions(cfg, rng):
+def suite_dh_involutions(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
@@ -677,7 +680,7 @@ def suite_dh_involutions(cfg, rng):
     return out
 
 
-def suite_beta1_independence(cfg, rng):
+def suite_beta1_independence(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         v = _random_small_vhs(rng)
@@ -734,12 +737,17 @@ SUITES = {
 
 
 def run_suites(config):
-    """Execute the named suites; deterministic for a fixed config."""
+    """Execute the named suites; deterministic for a fixed config.
+
+    The dataset is read once, before any suite runs, and every suite gets
+    its entries.
+    """
     unknown = [name for name in config.suites if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite names: {reprlib.repr(unknown)}")
+    entries = load_vhs_dataset(*config.datasets)
     records = []
     for name in config.suites:
         rng = _rng_for(config.seed, name)
-        records.extend(SUITES[name](config, rng))
+        records.extend(SUITES[name](config, rng, entries))
     return sort_records(records)

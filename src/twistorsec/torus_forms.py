@@ -359,11 +359,6 @@ def conj_transpose(f: MatrixForm) -> MatrixForm:
     return -out if (p, q) == (1, 1) else out
 
 
-def commutator(a: MatrixForm, b: MatrixForm) -> MatrixForm:
-    """Plain matrix commutator a b - b a (at least one factor a function)."""
-    return wedge(a, b) - wedge(b, a)
-
-
 def random_fourier_scalar(rng, mode_bound: int = 2, terms: int = 3,
                           span: int = 6) -> FourierScalar:
     modes = {}

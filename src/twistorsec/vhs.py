@@ -20,7 +20,7 @@ or k = 2 interchangeably.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import QQi
@@ -112,29 +112,19 @@ def hyperhol_degree(v0: VhsBlockData, vinf: VhsBlockData):
     return energy_closed(v0) + energy_closed(vinf)
 
 
-@dataclass(frozen=True)
-class XiElement:
-    """The diagonal grading element: weight m + j - l on the j-th block."""
+def xi_weights(v: VhsBlockData) -> tuple:
+    """Weights of the diagonal grading element xi: m + j - l on the j-th block.
 
-    data: VhsBlockData
-    weights: tuple
-
-
-def xi_element(v: VhsBlockData) -> XiElement:
+    They are also the exponents of t on the blocks of g(t).
+    """
     l, n = v.l, v.n
     m = Fraction(sum((l - j) * r for j, r in enumerate(v.ranks, start=1)), n)
-    return XiElement(v, tuple(m + j - l for j in range(1, l + 1)))
-
-
-def g_lambda_exponents(v: VhsBlockData) -> tuple:
-    """Exponent of t on each block of g(t); same numbers as the xi weights."""
-    return xi_element(v).weights
+    return tuple(m + j - l for j in range(1, l + 1))
 
 
 def det_exponent(v: VhsBlockData) -> Fraction:
     """Exponent of t in det g(t): the rank-weighted sum of the exponents."""
-    return sum((r * w for r, w in zip(v.ranks, g_lambda_exponents(v))),
-               start=Fraction(0))
+    return sum((r * w for r, w in zip(v.ranks, xi_weights(v))), start=Fraction(0))
 
 
 def g_lambda_ad_weight(v: VhsBlockData, i: int, j: int):
@@ -142,7 +132,7 @@ def g_lambda_ad_weight(v: VhsBlockData, i: int, j: int):
 
     exponent_i - exponent_j = i - j, the grading weight of the block.
     """
-    w = g_lambda_exponents(v)
+    w = xi_weights(v)
     _check_index(v, i), _check_index(v, j)
     return w[i - 1] - w[j - 1]
 
@@ -152,70 +142,34 @@ def _check_index(v: VhsBlockData, i: int):
         raise IndexError(f"block index {i} out of range 1..{v.l}")
 
 
-def block_offsets(v: VhsBlockData) -> tuple:
-    """Start offset of each block along the n-dimensional total space."""
-    offsets, acc = [], 0
-    for r in v.ranks:
-        offsets.append(acc)
-        acc += r
-    return tuple(offsets)
+def grades(v: VhsBlockData) -> list:
+    """Rows of the grading weight i - j of the block (i, j) holding each entry
+    of an n x n matrix."""
+    block = [i for i, rank in enumerate(v.ranks) for _ in range(rank)]
+    return [[bc - br for bc in block] for br in block]
 
 
-def block_slices(v: VhsBlockData, i: int, j: int):
-    """(row, column) slice of the (source i -> target j) block in an n x n matrix."""
-    _check_index(v, i), _check_index(v, j)
-    off = block_offsets(v)
-    return (slice(off[j - 1], off[j - 1] + v.ranks[j - 1]),
-            slice(off[i - 1], off[i - 1] + v.ranks[i - 1]))
+def _xi_diagonal(v: VhsBlockData) -> list:
+    return [QQi(w) for w, r in zip(xi_weights(v), v.ranks) for _ in range(r)]
 
 
-@dataclass(frozen=True)
-class GradedBlockMatrix:
-    """A block matrix over the grading, blocks keyed by (source i, target j)."""
+def xi_bracket(m, v: VhsBlockData) -> list:
+    """M Xi - Xi M for an n x n scalar matrix M (a list of rows), with Xi the
+    diagonal grading element.
 
-    data: VhsBlockData
-    blocks: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for (i, j), blk in self.blocks.items():
-            _check_index(self.data, i), _check_index(self.data, j)
-            rows, cols = self.data.ranks[j - 1], self.data.ranks[i - 1]
-            if len(blk) != rows or any(len(row) != cols for row in blk):
-                raise ValueError(f"block ({i},{j}) must be {rows}x{cols}")
-
-    def to_full(self):
-        zero = QQi(0)
-        full = [[zero] * self.data.n for _ in range(self.data.n)]
-        for (i, j), blk in self.blocks.items():
-            rows, cols = block_slices(self.data, i, j)
-            for r, row in zip(range(rows.start, rows.stop), blk):
-                full[r][cols] = row
-        return tuple(map(tuple, full))
-
-    def trace(self):
-        return sum((row[r] for (i, j), blk in self.blocks.items() if i == j
-                    for r, row in enumerate(blk)), QQi(0))
-
-
-def xi_bracket(m: GradedBlockMatrix, xi: XiElement) -> GradedBlockMatrix:
-    """The bracket with xi that scales every grade-k block by k.
-
-    Realized as M Xi - Xi M with Xi the diagonal weight matrix: a (source i,
-    target j) block picks up weight_i - weight_j = i - j = k.
+    Entry by entry this is x Xi_c - Xi_r x, so a grade-k entry picks up
+    weight_i - weight_j = i - j = k.  Zero entries are skipped.
     """
-    out = {}
-    for (i, j), blk in m.blocks.items():
-        w = QQi(xi.weights[i - 1] - xi.weights[j - 1])
-        out[(i, j)] = tuple(tuple(x * w for x in row) for row in blk)
-    return GradedBlockMatrix(m.data, out)
+    diag = _xi_diagonal(v)
+    return [[x * diag[c] - diag[r] * x if x else x for c, x in enumerate(row)]
+            for r, row in enumerate(m)]
 
 
 def xi_matrix(v: VhsBlockData):
     """The grading element as an exact diagonal n x n matrix."""
-    diag = [QQi(w) for w, r in zip(xi_element(v).weights, v.ranks) for _ in range(r)]
     zero = QQi(0)
     return tuple(tuple(w if r == c else zero for c in range(v.n))
-                 for r, w in enumerate(diag))
+                 for r, w in enumerate(_xi_diagonal(v)))
 
 
 def grade_positions(v: VhsBlockData, k: int) -> tuple:

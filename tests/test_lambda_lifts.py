@@ -28,15 +28,20 @@ from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LambdaLift,
                                      second_variation,
                                      second_variation_weighted, xi_matrix_form)
 from twistorsec.scalars import QQi, random_qqi
-from twistorsec.torus_forms import (FourierScalar, MatrixForm, commutator,
-                                    dbar, del_op, integrate_trace,
-                                    random_fourier_scalar, random_matrix_form,
-                                    wedge)
+from twistorsec.torus_forms import (FourierScalar, MatrixForm, dbar, del_op,
+                                    integrate_trace, random_fourier_scalar,
+                                    random_matrix_form, wedge)
 from twistorsec.vhs import VhsBlockData
 
 
 def _const_form(rows, bidegree):
     return MatrixForm.from_scalar_matrix(rows, bidegree)
+
+
+def _commutator(a, b):
+    """The matrix commutator a b - b a, written out from wedge, independently
+    of the library's graded bracket."""
+    return wedge(a, b) - wedge(b, a)
 
 
 E21_DZ = _const_form([[0, 0], [QQi(1), 0]], (1, 0))
@@ -193,7 +198,7 @@ def test_linearization_along_gauge_directions_is_conjugation():
         for k in range(3):
             expected = MatrixForm.zero(2, (1, 1))
             for i in range(k + 1):
-                expected = expected + commutator(res[i], xi.xik[k - i])
+                expected = expected + _commutator(res[i], xi.xik[k - i])
             assert lin[k] == expected
 
 
@@ -472,13 +477,13 @@ def _dlambda_relation_holds(lift, xi, c):
     """-i t (d/dt) dbar(t) = dbar(t) . (c xi), order by order: -i k Psi_k is
     c [Psi_k, xi], plus c dbar(xi) at k = 0, where Psi_0 = 0."""
     return dbar(xi * c).is_zero and all(
-        lift.b_coeff(k) * QQi(0, -k) == commutator(lift.b_coeff(k), xi) * c
+        lift.b_coeff(k) * QQi(0, -k) == _commutator(lift.b_coeff(k), xi) * c
         for k in range(lift.order + 1))
 
 
 def _phipsi_relation_holds(lift, xi, c):
     """The order-zero relations with xi_0 = c xi: 0 = dbar(xi_0), Phi = [Phi, xi_0]."""
-    return dbar(xi * c).is_zero and lift.phi0 == commutator(lift.phi0, xi) * c
+    return dbar(xi * c).is_zero and lift.phi0 == _commutator(lift.phi0, xi) * c
 
 
 def test_fixed_relations_single_out_the_frozen_xi_scalars():
@@ -612,14 +617,9 @@ def test_lift_json_round_trip():
 
 def test_tangent_and_gauge_series_validation():
     z = TangentSeries.zero(2, 2)
-    assert z.rank == 2
-    assert (z + z).order == 2
-    with pytest.raises(ValueError):
-        z + TangentSeries.zero(2, 3)
+    assert z.rank == 2 and z.order == 2
     with pytest.raises(ValueError):
         TangentSeries(1, (MatrixForm.zero(2, (0, 1)),), ())
-    scaled = _random_tangent(random.Random(5), 2, 1) * QQi(2)
-    assert scaled.order == 1
     with pytest.raises(ValueError):
         GaugeSeries(0, (_const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0)),))
 

@@ -17,13 +17,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from twistorsec import cli, suites
+from twistorsec import cli, datasets, suites
 from twistorsec.datasets import (load_vhs_dataset, render_table,
                                  vhs_energy_table)
 from twistorsec.report import (RunConfig, ReportRecord, atomic_write, check,
                                check_true, failing_suites, format_value,
-                               render_csv, render_json, render_report,
-                               sort_records, summary)
+                               read_json, render_csv, render_json,
+                               render_report, sort_records, summary)
 from twistorsec.scalars import QQi
 from twistorsec.vhs import VhsBlockData, energy_closed, hyperhol_degree
 
@@ -264,7 +264,7 @@ def test_cli_verify_stdout_and_csv(capsys):
 
 
 def test_cli_verify_failure_exit(monkeypatch, capsys):
-    def always_fail(cfg, rng):
+    def always_fail(cfg, rng, entries):
         return [ReportRecord("always-fail", "c0", "fail", "0", "1", "doomed")]
 
     monkeypatch.setitem(suites.SUITES, "always-fail", always_fail)
@@ -360,12 +360,16 @@ _VERIFY_VHS = "verify --suite vhs-energy --cases 1 --dataset DATA"
     ([_ENTRY], "vhs-energy --dataset DATA --dataset DATA", 2, "--dataset"),
     pytest.param(_DEEP_JSON, _VERIFY_VHS, 2, "data.json: JSON nested too deeply",
                  id="deep-nesting"),
+    ([1], "verify --suite stokes --cases 1 --dataset DATA", 2, "entry 0"),
+    ([_ENTRY], "verify --suite sl2-jacobi --cases 1 --dataset MISSING", 2,
+     "No such file"),
 ])
 def test_cli_dataset_input(tmp_path, capsys, entries, command, code, needle):
     path = tmp_path / "data.json"
     path.write_text(entries if isinstance(entries, str)
                     else json.dumps({"entries": entries}), encoding="utf-8")
-    argv = [str(path) if arg == "DATA" else arg for arg in command.split()]
+    names = {"DATA": str(path), "MISSING": str(tmp_path / "missing.json")}
+    argv = [names.get(arg, arg) for arg in command.split()]
     try:
         got = cli.main(argv)
     except SystemExit as exc:  # argparse usage errors
@@ -373,6 +377,26 @@ def test_cli_dataset_input(tmp_path, capsys, entries, command, code, needle):
     err = capsys.readouterr().err
     assert got == code
     assert needle in err and "Traceback" not in err
+
+
+def test_verify_reads_the_dataset_once(tmp_path, monkeypatch):
+    # The dataset suites vhs-energy and hyperhol-degree share one read.
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"entries": [e.to_json() for e in load_vhs_dataset()]}),
+                    encoding="utf-8")
+    reads = []
+
+    def counting_read_json(name):
+        reads.append(name)
+        return read_json(name)
+
+    monkeypatch.setattr(datasets, "read_json", counting_read_json)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--cases", "0", "--dataset", str(path),
+                     "--out", str(out)]) == 0
+    assert reads == [str(path)]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert {r["suite"] for r in doc["records"]} >= {"vhs-energy", "hyperhol-degree"}
 
 
 _LONG = "x" * 100_000
@@ -401,6 +425,11 @@ _DEGREE_RUN = {"suites": ["hyperhol-degree"], "cases": 1, "datasets": ["DATA"]}
     pytest.param(_DEGREES, None, [dict(_ENTRY, pair=_LONG),
                                   {"ranks": [3], "degrees": [0], "label": _LONG}],
                  "same rank", id="long-paired-label"),
+    pytest.param("verify --config LONG", None, [], "Errno", id="long-config-path"),
+    pytest.param("verify --suite sl2-jacobi --cases 0 --out LONG", None, [], "Errno",
+                 id="long-out-path"),
+    pytest.param("vhs-energy --dataset LONG", None, [], "Errno",
+                 id="long-dataset-path"),
 ])
 def test_cli_error_echoes_a_short_repr(tmp_path, capsys, command, config, entries,
                                        needle):
@@ -410,7 +439,8 @@ def test_cli_error_echoes_a_short_repr(tmp_path, capsys, command, config, entrie
         config = dict(config, datasets=[str(data)])
     cfg.write_text(config if isinstance(config, str) else json.dumps(config),
                    encoding="utf-8")
-    argv = [{"CFG": str(cfg), "DATA": str(data)}.get(arg, arg)
+    long_path = str(tmp_path / ("x" * 5000))  # a file name the system rejects
+    argv = [{"CFG": str(cfg), "DATA": str(data), "LONG": long_path}.get(arg, arg)
             for arg in command.split()]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

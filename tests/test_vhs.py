@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistorsec.scalars import QQi
-from twistorsec.vhs import (GradedBlockMatrix, VhsBlockData, bb_slice_shape,
-                            block_offsets, block_slices,
-                            det_exponent, energy_closed, energy_recursive,
-                            g_lambda_ad_weight, g_lambda_exponents,
-                            grade_positions, grafting_data, hyperhol_degree,
-                            random_vhs, xi_bracket, xi_element, xi_matrix)
+from twistorsec.vhs import (VhsBlockData, bb_slice_shape, det_exponent,
+                            energy_closed, energy_recursive, g_lambda_ad_weight,
+                            grade_positions, grades, grafting_data,
+                            hyperhol_degree, random_vhs, xi_bracket, xi_matrix,
+                            xi_weights)
 
 
 def balanced(degs):
@@ -77,21 +76,20 @@ def test_hyperhol_degree_requires_matching_rank():
 
 @given(vhs_data(lmax=5, rmax=3, dmax=10))
 def test_xi_weights_properties(v):
-    xi = xi_element(v)
-    assert len(xi.weights) == v.l
+    weights = xi_weights(v)
+    assert len(weights) == v.l
     # Consecutive weights differ by one, so brackets scale by the grade.
-    for a, b in zip(xi.weights, xi.weights[1:]):
+    for a, b in zip(weights, weights[1:]):
         assert b - a == 1
     # Rank-weighted sum vanishes: xi is trace-free, det g(t) = t^0.
-    assert sum(r * w for r, w in zip(v.ranks, xi.weights)) == 0
+    assert sum(r * w for r, w in zip(v.ranks, weights)) == 0
     assert det_exponent(v) == 0
-    assert g_lambda_exponents(v) == xi.weights
 
 
 def test_xi_weights_rank_one_pair():
     # For ranks (1, 1): m = 1/2, weights (-1/2, 1/2).
     v = VhsBlockData((1, 1), (1, -1))
-    assert xi_element(v).weights == (Fraction(-1, 2), Fraction(1, 2))
+    assert xi_weights(v) == (Fraction(-1, 2), Fraction(1, 2))
 
 
 @given(vhs_data(lmax=4, rmax=3, dmax=5), st.data())
@@ -103,61 +101,67 @@ def test_ad_weight_equals_grade(v, data):
         g_lambda_ad_weight(v, 0, j)
 
 
-def test_block_layout():
+def test_grade_table_layout():
+    # Ranks (2, 1, 3): the entry (r, c) sits in the block from source block
+    # i (holding column c) to target block j (holding row r), of grade i - j.
     v = VhsBlockData((2, 1, 3), (4, -1, -3))
     assert v.n == 6 and v.l == 3
-    assert block_offsets(v) == (0, 2, 3)
-    rows, cols = block_slices(v, 1, 2)  # source block 1 -> target block 2
-    assert (rows, cols) == (slice(2, 3), slice(0, 2))
-    with pytest.raises(IndexError):
-        block_slices(v, 4, 1)
+    assert grades(v) == [[0, 0, 1, 2, 2, 2],
+                         [0, 0, 1, 2, 2, 2],
+                         [-1, -1, 0, 1, 1, 1],  # source block 1 -> target block 2
+                         [-2, -2, -1, 0, 0, 0],
+                         [-2, -2, -1, 0, 0, 0],
+                         [-2, -2, -1, 0, 0, 0]]
 
 
-def test_graded_matrix_round_trip_and_bracket():
+def test_xi_bracket_scales_entries_by_grade():
     v = VhsBlockData((1, 1), (1, -1))
-    lower = GradedBlockMatrix(v, {(1, 2): [[QQi(3)]]})
-    upper = GradedBlockMatrix(v, {(2, 1): [[QQi(5)]]})
-
-    xi = xi_element(v)
-    # [m, xi] = m xi - xi m scales each grade-k block by k.
-    assert xi_bracket(lower, xi).blocks[(1, 2)][0][0] == QQi(-3)
-    assert xi_bracket(upper, xi).blocks[(2, 1)][0][0] == QQi(5)
+    zero = QQi(0)
+    lower = [[zero, zero], [QQi(3), zero]]  # grade -1
+    upper = [[zero, QQi(5)], [zero, zero]]  # grade 1
+    # [m, xi] = m xi - xi m scales each grade-k entry by k.
+    assert xi_bracket(lower, v) == [[zero, zero], [QQi(-3), zero]]
+    assert xi_bracket(upper, v) == [[zero, QQi(5)], [zero, zero]]
 
     # The same bracket via the materialized diagonal matrix, multiplied as
     # numpy object arrays independently of the library's row matrices.
     xm = np.array(xi_matrix(v), dtype=object)
-    full = (np.array(lower.to_full(), dtype=object)
-            + np.array(upper.to_full(), dtype=object))
-    bracket_full = full @ xm - xm @ full
-    both = GradedBlockMatrix(v, {(1, 2): [[QQi(3)]], (2, 1): [[QQi(5)]]})
-    assert (np.array(both.to_full(), dtype=object) == full).all()
-    assert xi_bracket(both, xi).to_full() == tuple(map(tuple, bracket_full.tolist()))
-    assert lower.trace() == QQi(0)
+    both = np.array(lower, dtype=object) + np.array(upper, dtype=object)
+    assert xi_bracket(both.tolist(), v) == (both @ xm - xm @ both).tolist()
 
 
-def test_graded_matrix_validates_shape():
-    v = VhsBlockData((2, 1), (1, -1))
-    with pytest.raises(ValueError):
-        GradedBlockMatrix(v, {(1, 2): [[0, 0], [0, 0]]})
+@given(vhs_data(lmax=4, rmax=3, dmax=5))
+@settings(max_examples=40)
+def test_grade_table_agrees_with_grade_positions(v):
+    # The blocks of grade_positions(v, k), laid out at the block offsets,
+    # cover exactly the entries whose grade in the table is k.
+    offsets = [sum(v.ranks[:i]) for i in range(v.l)]
+    table = grades(v)
+    for k in range(-v.l, v.l + 1):
+        covered = {(offsets[j - 1] + r, offsets[i - 1] + c)
+                   for i, j, rows, cols in grade_positions(v, k)
+                   for r in range(rows) for c in range(cols)}
+        assert covered == {(r, c) for r in range(v.n) for c in range(v.n)
+                           if table[r][c] == k}
 
 
 @given(vhs_data(lmax=4, rmax=2, dmax=5), st.data())
 @settings(max_examples=40)
 def test_xi_bracket_matches_matrix_commutator(v, data):
     k = data.draw(st.integers(-(v.l - 1), v.l - 1)) if v.l > 1 else 0
-    positions = grade_positions(v, k)
-    if not positions:
+    cells = [(r, c) for r, row in enumerate(grades(v))
+             for c, grade in enumerate(row) if grade == k]
+    if not cells:
         return
-    i, j, r, c = positions[0]
-    blk = [[QQi(0)] * c for _ in range(r)]
-    blk[0][0] = QQi(2)
-    m = GradedBlockMatrix(v, {(i, j): blk})
+    r, c = cells[0]
+    m = [[QQi(0)] * v.n for _ in range(v.n)]
+    m[r][c] = QQi(2)
     xm = np.array(xi_matrix(v), dtype=object)
-    full = np.array(m.to_full(), dtype=object)
+    full = np.array(m, dtype=object)
     direct = full @ xm - xm @ full
-    via_weights = xi_bracket(m, xi_element(v)).to_full()
-    assert direct.tolist() == [list(row) for row in via_weights]
-    assert xi_bracket(m, xi_element(v)).blocks[(i, j)][0][0] == QQi(k) * QQi(2)
+    via_weights = xi_bracket(m, v)
+    assert direct.tolist() == via_weights
+    assert via_weights[r][c] == QQi(k) * QQi(2)
 
 
 def test_grade_positions_and_slice_shape():
