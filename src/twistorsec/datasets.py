@@ -13,7 +13,10 @@ SHIPPED_DATASET = "data/vhs_samples.json"
 
 
 def load_vhs_dataset(path: str = None):
-    """Entries of a dataset file; the shipped sample collection by default."""
+    """Entries of a dataset file; the shipped sample collection by default.
+
+    Labels are unique, and a non-empty pair names an entry of the same rank.
+    """
     if path is None:
         doc = json.loads(resources.files("twistorsec").joinpath(
             SHIPPED_DATASET).read_text(encoding="utf-8"))
@@ -30,6 +33,14 @@ def load_vhs_dataset(path: str = None):
     labels = [e.label for e in entries]
     if len(set(labels)) != len(labels):
         raise ValueError("malformed dataset: duplicate labels")
+    by_label = dict(zip(labels, entries))
+    for e in entries:
+        if e.pair and e.pair not in by_label:
+            raise ValueError(f"dataset entry {reprlib.repr(e.label)}: pair "
+                             f"{reprlib.repr(e.pair)} is not in the dataset")
+        if e.pair and by_label[e.pair].n != e.n:
+            raise ValueError(f"dataset entries {reprlib.repr(e.label)} and "
+                             f"{reprlib.repr(e.pair)} must share the same rank")
     return entries
 
 
@@ -46,11 +57,7 @@ def vhs_energy_table(entries):
                "energy": format_value(energy_closed(e)),
                "pair": e.pair or "", "hyperhol_degree": ""}
         if e.pair:
-            partner = by_label.get(e.pair)
-            if partner is None:
-                raise ValueError(f"entry {reprlib.repr(e.label)} names unknown "
-                                 f"pair {reprlib.repr(e.pair)}")
-            row["hyperhol_degree"] = format_value(hyperhol_degree(e, partner))
+            row["hyperhol_degree"] = format_value(hyperhol_degree(e, by_label[e.pair]))
         rows.append(row)
     return rows
 

@@ -282,7 +282,7 @@ def residue_form_phi(s: FlatSection, t, l, V: FlatSection):
     return energy(s) * l + gamma
 
 
-def random_section(rng, d: int = 1, span: int = 9) -> FlatSection:
+def random_section(rng, d: int = 1) -> FlatSection:
     """Deterministic random section (or tangent) with d blocks."""
-    return FlatSection(tuple(tuple(random_qqi(rng, span) for _ in range(4))
+    return FlatSection(tuple(tuple(random_qqi(rng) for _ in range(4))
                              for _ in range(d)))

@@ -20,6 +20,7 @@ antiholomorphic involution at a fixed nonzero parameter.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -27,15 +28,16 @@ from operator import add
 from .constants import ENERGY_LIFT_COEFF, OMEGA_HAT_COEFF
 from .scalars import QQi, conj, random_qqi
 from .torus_forms import (FS_ZERO, FourierScalar, MatrixForm, conj_transpose,
-                          dbar, del_op, integrate_trace, matmul,
-                          random_fourier_scalar, trace, wedge, wedge_bracket)
+                          dbar, del_op, integrate_trace, random_fourier_scalar,
+                          trace, wedge, wedge_bracket)
 from .vhs import VhsBlockData, grades, xi_matrix
 
 
-def _check_coeff(f: MatrixForm, rank: int, bidegree, what: str):
+def _check_coeff(f: MatrixForm, rank, bidegree, what: str):
+    """f is a MatrixForm of the bidegree, and of size rank unless rank is None."""
     if not isinstance(f, MatrixForm):
         raise TypeError(f"{what} must be a MatrixForm")
-    if f.size != rank:
+    if rank is not None and f.size != rank:
         raise ValueError(f"{what} has size {f.size}, expected {rank}")
     if f.bidegree != bidegree:
         raise ValueError(f"{what} has bidegree {f.bidegree}, expected {bidegree}")
@@ -43,21 +45,24 @@ def _check_coeff(f: MatrixForm, rank: int, bidegree, what: str):
 
 @dataclass(frozen=True, eq=False)
 class LambdaLift:
-    """Coefficients of a truncated lambda-connection family (all trace-free)."""
+    """Coefficients of a truncated lambda-connection family (all trace-free).
 
-    rank: int
-    order: int
+    The rank is the size of Phi and the order N the number of Psi_j.  Both
+    parts are also kept as series indexed by the power of t: ``a`` is
+    (Phi, Phi_1, ..., Phi_N) and ``b`` is (0, Psi_1, ..., Psi_N).
+    """
+
     phi0: MatrixForm  # the t^0 coefficient Phi of the D-part
     psi: tuple  # (Psi_1, ..., Psi_N)
     phi: tuple  # (Phi_1, ..., Phi_N); Phi_1 = 0 for normalized germs
+    a: tuple = field(init=False, repr=False)
+    b: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("truncation order must be >= 1")
         psi, phi = tuple(self.psi), tuple(self.phi)
-        if len(psi) != self.order or len(phi) != self.order:
-            raise ValueError("need exactly N coefficient forms on each side")
-        _check_coeff(self.phi0, self.rank, (1, 0), "Phi")
+        if not psi or len(phi) != len(psi):
+            raise ValueError("need N >= 1 coefficient forms on each side")
+        _check_coeff(self.phi0, None, (1, 0), "Phi")
         for j, f in enumerate(psi, start=1):
             _check_coeff(f, self.rank, (0, 1), f"Psi_{j}")
         for j, f in enumerate(phi, start=1):
@@ -67,18 +72,16 @@ class LambdaLift:
                 raise ValueError("lift coefficients must be trace-free")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "a", (self.phi0,) + phi)
+        object.__setattr__(self, "b", (MatrixForm.zero(self.rank, (0, 1)),) + psi)
 
-    def b_coeff(self, k: int) -> MatrixForm:
-        """t^k coefficient of the dbar-part (zero at k = 0)."""
-        if not 0 <= k <= self.order:
-            raise ValueError(f"order {k} outside truncation 0..{self.order}")
-        return MatrixForm.zero(self.rank, (0, 1)) if k == 0 else self.psi[k - 1]
+    @property
+    def rank(self) -> int:
+        return self.phi0.size
 
-    def a_coeff(self, k: int) -> MatrixForm:
-        """t^k form coefficient of the D-part (the operator t*del is separate)."""
-        if not 0 <= k <= self.order:
-            raise ValueError(f"order {k} outside truncation 0..{self.order}")
-        return self.phi0 if k == 0 else self.phi[k - 1]
+    @property
+    def order(self) -> int:
+        return len(self.psi)
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "order": self.order,
@@ -88,9 +91,16 @@ class LambdaLift:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LambdaLift":
-        return cls(doc["rank"], doc["order"], MatrixForm.from_json(doc["phi0"]),
+        """The lift of a ``to_json`` document, whose ``rank`` and ``order`` must
+        match its forms."""
+        lift = cls(MatrixForm.from_json(doc["phi0"]),
                    tuple(MatrixForm.from_json(f) for f in doc["psi"]),
                    tuple(MatrixForm.from_json(f) for f in doc["phi"]))
+        if (doc["rank"], doc["order"]) != (lift.rank, lift.order):
+            raise ValueError(f"declared rank {reprlib.repr(doc['rank'])} and order "
+                             f"{reprlib.repr(doc['order'])} disagree with the forms "
+                             f"(rank {lift.rank}, order {lift.order})")
+        return lift
 
 
 def make_lift(phi0: MatrixForm, psi=(), phi=(), order: int = 4) -> LambdaLift:
@@ -100,21 +110,20 @@ def make_lift(phi0: MatrixForm, psi=(), phi=(), order: int = 4) -> LambdaLift:
     phi = list(phi) + [MatrixForm.zero(rank, (1, 0))] * (order - len(phi))
     if len(psi) > order or len(phi) > order:
         raise ValueError("more coefficients than the truncation order")
-    return LambdaLift(rank, order, phi0, tuple(psi), tuple(phi))
+    return LambdaLift(phi0, tuple(psi), tuple(phi))
 
 
 @dataclass(frozen=True, eq=False)
 class TangentSeries:
     """A tangent direction to the space of lifts: psi_0..psi_N and phi_0..phi_N."""
 
-    order: int
     psik: tuple  # (0,1) forms, indices 0..N
     phik: tuple  # (1,0) forms, indices 0..N
 
     def __post_init__(self):
         psik, phik = tuple(self.psik), tuple(self.phik)
-        if len(psik) != self.order + 1 or len(phik) != self.order + 1:
-            raise ValueError("need coefficients for orders 0..N")
+        if not psik or len(phik) != len(psik):
+            raise ValueError("need coefficients for orders 0..N on each side")
         rank = psik[0].size
         for k, f in enumerate(psik):
             _check_coeff(f, rank, (0, 1), f"psi_{k}")
@@ -127,9 +136,13 @@ class TangentSeries:
     def rank(self) -> int:
         return self.psik[0].size
 
+    @property
+    def order(self) -> int:
+        return len(self.psik) - 1
+
     @classmethod
     def zero(cls, rank: int, order: int) -> "TangentSeries":
-        return cls(order, tuple(MatrixForm.zero(rank, (0, 1)) for _ in range(order + 1)),
+        return cls(tuple(MatrixForm.zero(rank, (0, 1)) for _ in range(order + 1)),
                    tuple(MatrixForm.zero(rank, (1, 0)) for _ in range(order + 1)))
 
 
@@ -137,12 +150,11 @@ class TangentSeries:
 class GaugeSeries:
     """A series of infinitesimal gauge parameters xi_0..xi_N (trace-free functions)."""
 
-    order: int
     xik: tuple
 
     def __post_init__(self):
         xik = tuple(self.xik)
-        if len(xik) != self.order + 1:
+        if not xik:
             raise ValueError("need gauge coefficients for orders 0..N")
         rank = xik[0].size
         for k, f in enumerate(xik):
@@ -155,12 +167,21 @@ class GaugeSeries:
     def rank(self) -> int:
         return self.xik[0].size
 
+    @property
+    def order(self) -> int:
+        return len(self.xik) - 1
+
 
 def _check_order(lift: LambdaLift, up_to: int):
     if up_to > lift.order:
         raise ValueError(f"requested order {up_to} exceeds truncation {lift.order}")
     if up_to < 0:
         raise ValueError("order must be >= 0")
+
+
+def _check_tangent(lift: LambdaLift, t: TangentSeries, up_to: int):
+    if t.rank != lift.rank or t.order < up_to:
+        raise ValueError(f"tangent must have rank {lift.rank} and reach order {up_to}")
 
 
 def _series_terms(op, xs, ys, k: int) -> list:
@@ -179,8 +200,7 @@ def integrability_residuals(lift: LambdaLift, up_to: int):
     Order 0 is dbar(Phi); order 1 is dbar(Phi_1) + [Phi ^ Psi_1].
     """
     _check_order(lift, up_to)
-    a = [lift.a_coeff(k) for k in range(up_to + 1)]
-    b = [lift.b_coeff(k) for k in range(up_to + 1)]
+    a, b = lift.a, lift.b
     out = []
     for k in range(up_to + 1):
         r = dbar(a[k]) + del_op(b[k - 1]) if k else dbar(a[k])
@@ -191,15 +211,12 @@ def integrability_residuals(lift: LambdaLift, up_to: int):
 def linearized_residuals(lift: LambdaLift, t: TangentSeries, up_to: int):
     """Linearization of the curvature expansion at the lift, order by order."""
     _check_order(lift, up_to)
-    if t.rank != lift.rank or t.order < up_to:
-        raise ValueError("tangent shape does not match the lift")
-    a = [lift.a_coeff(k) for k in range(up_to + 1)]
-    b = [lift.b_coeff(k) for k in range(up_to + 1)]
+    _check_tangent(lift, t, up_to)
     out = []
     for k in range(up_to + 1):
         r = dbar(t.phik[k]) + del_op(t.psik[k - 1]) if k else dbar(t.phik[k])
-        terms = (_series_terms(wedge_bracket, a, t.psik, k)
-                 + _series_terms(wedge_bracket, t.phik, b, k))
+        terms = (_series_terms(wedge_bracket, lift.a, t.psik, k)
+                 + _series_terms(wedge_bracket, t.phik, lift.b, k))
         out.append(reduce(add, terms, r))
     return out
 
@@ -212,30 +229,26 @@ def gauge_tangent(lift: LambdaLift, xi: GaugeSeries) -> TangentSeries:
     """
     if xi.rank != lift.rank:
         raise ValueError("gauge parameter rank mismatch")
-    n = min(lift.order, xi.order)
-    a = [lift.a_coeff(k) for k in range(n + 1)]
-    b = [lift.b_coeff(k) for k in range(n + 1)]
-    xs = xi.xik
+    a, b, xs = lift.a, lift.b, xi.xik
     psik, phik = [], []
-    for k in range(n + 1):
+    for k in range(min(lift.order, xi.order) + 1):
         psik.append(reduce(add, _series_terms(wedge_bracket, b, xs, k), dbar(xs[k])))
         terms = (([del_op(xs[k - 1])] if k else [])
                  + _series_terms(wedge_bracket, a, xs, k))
         phik.append(reduce(add, terms) if terms else MatrixForm.zero(lift.rank, (1, 0)))
-    return TangentSeries(n, tuple(psik), tuple(phik))
+    return TangentSeries(tuple(psik), tuple(phik))
 
 
 def energy_of_lift(lift: LambdaLift):
     """The energy pairing of the lowest-order coefficients: c * integral tr(Phi ^ Psi_1)."""
-    return ENERGY_LIFT_COEFF * integrate_trace(wedge(lift.phi0, lift.b_coeff(1)))
+    return ENERGY_LIFT_COEFF * integrate_trace(wedge(lift.a[0], lift.b[1]))
 
 
 def d_energy_of_lift(lift: LambdaLift, t: TangentSeries):
     """First variation of the energy along a tangent series."""
-    if t.order < 1:
-        raise ValueError("need tangent coefficients up to order 1")
-    return ENERGY_LIFT_COEFF * (integrate_trace(wedge(t.phik[0], lift.b_coeff(1)))
-                                + integrate_trace(wedge(lift.phi0, t.psik[1])))
+    _check_tangent(lift, t, 1)
+    return ENERGY_LIFT_COEFF * (integrate_trace(wedge(t.phik[0], lift.b[1]))
+                                + integrate_trace(wedge(lift.a[0], t.psik[1])))
 
 
 def omega_hat(lift: LambdaLift, t1: TangentSeries, t2: TangentSeries):
@@ -244,29 +257,13 @@ def omega_hat(lift: LambdaLift, t1: TangentSeries, t2: TangentSeries):
     The four-term integrand pairs the order-0 and order-1 coefficients of the
     two tangents; the global prefactor is the frozen convention constant.
     """
-    for t in (t1, t2):
-        if t.rank != lift.rank or t.order < 1:
-            raise ValueError("tangents must match the lift and reach order 1")
+    _check_tangent(lift, t1, 1)
+    _check_tangent(lift, t2, 1)
     value = (-integrate_trace(wedge(t1.phik[0], t2.psik[1]))
              + integrate_trace(wedge(t2.phik[0], t1.psik[1]))
              - integrate_trace(wedge(t1.phik[1], t2.psik[0]))
              + integrate_trace(wedge(t2.phik[1], t1.psik[0])))
     return OMEGA_HAT_COEFF * value
-
-
-def pair_unsigned(a: MatrixForm, b: MatrixForm):
-    """Integral of tr(a b) against the canonical dz^dzbar orientation.
-
-    Both arguments must be 1-forms of complementary types.  Unlike the graded
-    wedge, no reordering sign is applied: the matrix coefficients are
-    multiplied in the given order and integrated in the fixed orientation.
-    This is the pairing in which the second-variation formulas close up.
-    """
-    pair = {a.bidegree, b.bidegree}
-    if pair != {(1, 0), (0, 1)}:
-        raise ValueError("unsigned pairing needs one (1,0) and one (0,1) form")
-    prod = MatrixForm((1, 1), a.size, matmul(a.entries, b.entries))
-    return integrate_trace(prod)
 
 
 def second_variation(lift: LambdaLift, t: TangentSeries, xi: MatrixForm):
@@ -276,16 +273,16 @@ def second_variation(lift: LambdaLift, t: TangentSeries, xi: MatrixForm):
     each is checked and a violation is reported by name.  The value is
     integral tr(psi0 [phi1,xi] + phi1 [psi0,xi] + psi1 [phi0,xi]
                 + phi0 [psi1,xi] + 2 phi0 psi1)
-    in the unsigned orientation pairing.
+    with no orientation sign: matrix entries commute, so each trace is
+    integrate_trace(wedge(x, y)) with the (1,0) factor x first.
     """
     _check_coeff(xi, lift.rank, (0, 0), "xi")
-    if t.order < 1 or t.rank != lift.rank:
-        raise ValueError("tangent must match the lift and reach order 1")
+    _check_tangent(lift, t, 1)
+    psi1 = lift.b[1]
     checks = (
         ("dbar(xi) = 0", dbar(xi).is_zero),
         ("Phi = [Phi, xi]", lift.phi0 == wedge_bracket(lift.phi0, xi)),
-        ("-Psi_1 = [Psi_1, xi]",
-         -lift.b_coeff(1) == wedge_bracket(lift.b_coeff(1), xi)),
+        ("-Psi_1 = [Psi_1, xi]", -psi1 == wedge_bracket(psi1, xi)),
         ("del(xi) = 0", del_op(xi).is_zero),
     )
     for name, ok in checks:
@@ -293,19 +290,19 @@ def second_variation(lift: LambdaLift, t: TangentSeries, xi: MatrixForm):
             raise ValueError(f"fixed-point relation violated: {name}")
     ps0, ps1 = t.psik[0], t.psik[1]
     ph0, ph1 = t.phik[0], t.phik[1]
-    value = (pair_unsigned(ps0, wedge_bracket(ph1, xi))
-             + pair_unsigned(ph1, wedge_bracket(ps0, xi))
-             + pair_unsigned(ps1, wedge_bracket(ph0, xi))
-             + pair_unsigned(ph0, wedge_bracket(ps1, xi))
-             + 2 * pair_unsigned(ph0, ps1))
-    return value
+    return (integrate_trace(wedge(wedge_bracket(ph1, xi), ps0))
+            + integrate_trace(wedge(ph1, wedge_bracket(ps0, xi)))
+            + integrate_trace(wedge(wedge_bracket(ph0, xi), ps1))
+            + integrate_trace(wedge(ph0, wedge_bracket(ps1, xi)))
+            + 2 * integrate_trace(wedge(ph0, ps1)))
 
 
 def second_variation_weighted(t: TangentSeries, m0, m1, n0, n1):
     """The eigenweight form of the second variation for pure-weight tangents:
-    (m1 + n0) tr(psi0 phi1) + (m0 + n1 + 2) tr(psi1 phi0), unsigned pairing."""
-    return ((m1 + n0) * pair_unsigned(t.psik[0], t.phik[1])
-            + (m0 + n1 + 2) * pair_unsigned(t.psik[1], t.phik[0]))
+    (m1 + n0) tr(psi0 phi1) + (m0 + n1 + 2) tr(psi1 phi0), with no
+    orientation sign, as in :func:`second_variation`."""
+    return ((m1 + n0) * integrate_trace(wedge(t.phik[1], t.psik[0]))
+            + (m0 + n1 + 2) * integrate_trace(wedge(t.phik[0], t.psik[1])))
 
 
 # -- circle-fixed lifts from graded block data --------------------------------
@@ -343,20 +340,18 @@ def _checked_slice_data(v: VhsBlockData, higgs: MatrixForm, beta, phi):
     return beta, phi
 
 
-def c_star_fixed_lift(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None,
-                      order: int = None) -> LambdaLift:
+def c_star_fixed_lift(v: VhsBlockData, higgs: MatrixForm, beta=None,
+                      phi=None) -> LambdaLift:
     """Assemble the circle-fixed lift of graded slice data.
 
     higgs is the pure grade-(-1) field; beta maps grade j >= 1 to a (0,1)
     form of that grade; phi maps grade j >= 0 to a (1,0) form of that grade
     (entering the D-part one t-power higher, so its grade-0 member occupies
     the t^1 slot).  The dbar-part then has t-degree at most l and the D-part
-    at most l + 1.
+    at most l + 1, so truncating at order max(4, l + 1) keeps every datum.
     """
     beta, phi = _checked_slice_data(v, higgs, beta, phi)
-    n = order if order is not None else max(4, v.l + 1)
-    if n < v.l + 1 and (beta or phi):
-        raise ValueError("truncation order too small for the graded data")
+    n = max(4, v.l + 1)
     psi_list = [MatrixForm.zero(v.n, (0, 1)) for _ in range(n)]
     phi_list = [MatrixForm.zero(v.n, (1, 0)) for _ in range(n)]
     psi_list[0] = conj_transpose(higgs) + beta.get(1, MatrixForm.zero(v.n, (0, 1)))
@@ -365,7 +360,7 @@ def c_star_fixed_lift(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None,
             psi_list[j - 1] = psi_list[j - 1] + f
     for j, f in phi.items():
         phi_list[j] = phi_list[j] + f  # grade-j datum sits in the t^(j+1) slot
-    return LambdaLift(v.n, n, higgs, tuple(psi_list), tuple(phi_list))
+    return LambdaLift(higgs, tuple(psi_list), tuple(phi_list))
 
 
 def bb_slice_residuals(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None):
@@ -390,18 +385,17 @@ def bb_slice_residuals(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None):
 
 
 def random_pure_grade_form(rng, v: VhsBlockData, k: int, bidegree,
-                           mode_bound: int = 2, terms: int = 2,
-                           constant: bool = False) -> MatrixForm:
+                           mode_bound: int = 2, constant: bool = False) -> MatrixForm:
     """Random matrix form supported on the grade-k blocks only."""
     ent = [[FS_ZERO] * v.n for _ in range(v.n)]
     for r, row in enumerate(grades(v)):  # row-major: draws in grade_positions order
         for c, grade in enumerate(row):
             if grade == k:
                 ent[r][c] = (FourierScalar.const(random_qqi(rng)) if constant
-                             else random_fourier_scalar(rng, mode_bound, terms))
+                             else random_fourier_scalar(rng, mode_bound, 2))
     if k == 0:  # keep sl-valued: zero out the last diagonal entry's trace share
         ent[-1][-1] = -sum((ent[i][i] for i in range(v.n - 1)), FS_ZERO)
-    return MatrixForm(bidegree, v.n, ent)
+    return MatrixForm(bidegree, ent)
 
 
 # -- gauge transformation of a whole lift -------------------------------------
@@ -448,14 +442,12 @@ def gauge_transform_lift(lift: LambdaLift, gs) -> LambdaLift:
         return [reduce(add, _series_terms(wedge, h_tail, inner, k - 1), inner[k])
                 for k in range(n + 1)]
 
-    a = [lift.a_coeff(k) for k in range(n + 1)]
-    b = [lift.b_coeff(k) for k in range(n + 1)]
-    new_b = conjugated(b, [dbar(g) for g in gs])
-    new_a = conjugated(a, [MatrixForm.zero(lift.rank, (1, 0))]
+    new_b = conjugated(lift.b, [dbar(g) for g in gs])
+    new_a = conjugated(lift.a, [MatrixForm.zero(lift.rank, (1, 0))]
                        + [del_op(g) for g in gs[:n]])
     if not new_b[0].is_zero:  # g_0 = identity forces a vanishing order-0 term
         raise ValueError("gauge family produced an order-0 dbar coefficient")
-    return LambdaLift(lift.rank, n, new_a[0], tuple(new_b[1:]), tuple(new_a[1:]))
+    return LambdaLift(new_a[0], tuple(new_b[1:]), tuple(new_a[1:]))
 
 
 # -- Laurent regluing and the antiholomorphic involution ----------------------
@@ -476,10 +468,8 @@ class LaurentConnection:
 
 
 def lift_to_laurent(lift: LambdaLift) -> LaurentConnection:
-    dbar_forms = {k: lift.b_coeff(k) for k in range(1, lift.order + 1)
-                  if not lift.b_coeff(k).is_zero}
-    d_forms = {k: lift.a_coeff(k) for k in range(0, lift.order + 1)
-               if not lift.a_coeff(k).is_zero}
+    dbar_forms = {k: f for k, f in enumerate(lift.b) if not f.is_zero}
+    d_forms = {k: f for k, f in enumerate(lift.a) if not f.is_zero}
     return LaurentConnection({0: "dbar"}, dbar_forms, {1: "del"}, d_forms)
 
 

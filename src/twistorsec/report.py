@@ -103,7 +103,8 @@ def read_json(path: str):
     try:
         return json.loads(text)
     except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        message = f"{reprlib.repr(path)}: JSON nested too deeply to read"
+        raise ValueError(message) from None
 
 
 @dataclass

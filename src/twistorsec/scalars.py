@@ -219,16 +219,16 @@ def scalar_from_json(value):
     return QQi(Fraction(rn, rd), Fraction(im_n, im_d))
 
 
-def random_qqi(rng, span: int = 9, den: int = 4) -> QQi:
+def random_qqi(rng, span: int = 9) -> QQi:
     """Deterministic random Gaussian rational a/b + (c/e)i with a, c in
-    [-span, span] and b, e in [1, den], drawn in that order."""
-    a, b = rng.randint(-span, span), rng.randint(1, den)
-    c, e = rng.randint(-span, span), rng.randint(1, den)
+    [-span, span] and b, e in [1, 4], drawn in that order."""
+    a, b = rng.randint(-span, span), rng.randint(1, 4)
+    c, e = rng.randint(-span, span), rng.randint(1, 4)
     return _make(a * e, c * b, b * e)
 
 
-def random_nonzero_qqi(rng, span: int = 9, den: int = 4) -> QQi:
+def random_nonzero_qqi(rng) -> QQi:
     while True:
-        z = random_qqi(rng, span, den)
+        z = random_qqi(rng)
         if z:
             return z

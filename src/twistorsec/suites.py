@@ -9,6 +9,7 @@ these runs are sized by ``config.cases`` to stay interactive.
 
 from __future__ import annotations
 
+import os
 import random
 import reprlib
 from fractions import Fraction
@@ -20,7 +21,7 @@ from . import torus_forms as tf
 from . import vhs
 from .constants import XI_SCALAR_PHIPSI
 from .datasets import load_vhs_dataset
-from .report import check, check_true, sort_records
+from .report import ReportRecord, check, check_true, sort_records
 from .scalars import QQi, conj, random_nonzero_qqi, random_qqi
 
 _BASIS = {"e": pl.E, "h": pl.H, "f": pl.F}
@@ -320,9 +321,8 @@ def suite_vhs_energy(cfg, rng, entries):
             out.append(check("vhs-energy", f"dataset-{e.label}", Fraction(0),
                              vhs.energy_closed(e), f"dataset:{e.label}"))
     for g in (2, 5, 9):
-        v, notes = vhs.grafting_data(g)
         out.append(check("vhs-energy", f"grafting-g{g}", Fraction(1 - g),
-                         notes["energy"], "grafting family"))
+                         vhs.energy_closed(vhs.grafting_data(g)), "grafting family"))
     return out
 
 
@@ -352,11 +352,7 @@ def suite_hyperhol_degree(cfg, rng, entries):
         g = _uniformizing_genus(v0)
         if g is None:
             continue
-        vinf = by_label.get(v0.pair)
-        if vinf is None:
-            raise ValueError(f"dataset entry {reprlib.repr(v0.label)}: pair "
-                             f"{reprlib.repr(v0.pair)} is not in the dataset")
-        got = vhs.hyperhol_degree(v0, vinf)
+        got = vhs.hyperhol_degree(v0, by_label[v0.pair])
         out.append(check("hyperhol-degree", f"uniformizing-g{g}", Fraction(1 - g),
                          got, f"dataset:uniformizing-g{g}"))
         out.append(check_true("hyperhol-degree", f"nonzero-g{g}", got != 0,
@@ -497,13 +493,13 @@ def _random_lift(cfg, rng, size):
                                  trace_free=True) for _ in range(cfg.order)]
     phi0 = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 2,
                                  trace_free=True)
-    return ll.LambdaLift(size, cfg.order, phi0, tuple(psi), tuple(phi))
+    return ll.LambdaLift(phi0, tuple(psi), tuple(phi))
 
 
 def _strict_upper(rng, size):
     rows = [[tf.random_fourier_scalar(rng, 1, 2) if c > r else tf.FS_ZERO
              for c in range(size)] for r in range(size)]
-    return tf.MatrixForm((0, 0), size, rows)
+    return tf.MatrixForm((0, 0), rows)
 
 
 def suite_gauge_covariance(cfg, rng, entries):
@@ -570,13 +566,13 @@ def _commutant_tangent(cfg, rng, lift, c_matrix):
     psik = list(t.psik)
     phik = list(t.phik)
     psik[1], phik[0] = psi_1, phi_0
-    return ll.TangentSeries(lift.order, tuple(psik), tuple(phik))
+    return ll.TangentSeries(tuple(psik), tuple(phik))
 
 
 def _random_gauge(cfg, rng, size):
     xik = [tf.random_matrix_form(rng, size, (0, 0), cfg.mode_bound, 2,
                                  trace_free=True) for _ in range(cfg.order + 1)]
-    return ll.GaugeSeries(cfg.order, tuple(xik))
+    return ll.GaugeSeries(tuple(xik))
 
 
 def suite_omega_hat_degeneracy(cfg, rng, entries):
@@ -612,8 +608,7 @@ def suite_energy_gauge_invariance(cfg, rng, entries):
         lift = _random_lift(cfg, rng, size)
         const = _trace_free([[random_qqi(rng) for _ in range(size)]
                              for _ in range(size)])
-        lift = ll.LambdaLift(size, lift.order,
-                             tf.MatrixForm.from_scalar_matrix(const, (1, 0)),
+        lift = ll.LambdaLift(tf.MatrixForm.from_scalar_matrix(const, (1, 0)),
                              lift.psi, lift.phi)
         tangent = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
         out.append(check("energy-gauge-invariance", f"case-{i:04d}", QQi(0),
@@ -641,7 +636,6 @@ def suite_second_variation_weights(cfg, rng, entries):
         g0, g1 = rng.choice(span), rng.choice(span)
         h0, h1 = rng.choice(span), rng.choice(span)
         t = ll.TangentSeries(
-            1,
             (ll.random_pure_grade_form(rng, v, h0, (0, 1), cfg.mode_bound),
              ll.random_pure_grade_form(rng, v, h1, (0, 1), cfg.mode_bound)),
             (ll.random_pure_grade_form(rng, v, g0, (1, 0), cfg.mode_bound),
@@ -739,15 +733,32 @@ SUITES = {
 def run_suites(config):
     """Execute the named suites; deterministic for a fixed config.
 
-    The dataset is read once, before any suite runs, and every suite gets
-    its entries.
+    The dataset is read and checked once, before any suite runs, and every
+    suite gets its entries.  So every input error is raised before a suite
+    runs, and an exception raised inside a suite is a defect in the code it
+    checks: it becomes the failing record <suite>/error.
     """
     unknown = [name for name in config.suites if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite names: {reprlib.repr(unknown)}")
     entries = load_vhs_dataset(*config.datasets)
+    for e in entries:
+        if _uniformizing_genus(e) is not None and not e.pair:
+            raise ValueError(f"dataset entry {reprlib.repr(e.label)}: pair "
+                             f"{reprlib.repr(e.pair)} is not in the dataset")
     records = []
     for name in config.suites:
         rng = _rng_for(config.seed, name)
-        records.extend(SUITES[name](config, rng, entries))
+        try:
+            records.extend(SUITES[name](config, rng, entries))
+        except Exception as err:
+            tb = err.__traceback__
+            while tb.tb_next:  # the frame that raised
+                tb = tb.tb_next
+            code = tb.tb_frame.f_code
+            records.append(ReportRecord(
+                name, "error", "fail", "the suite runs to completion",
+                f"{type(err).__name__}: {reprlib.repr(str(err))}",
+                f"raised in {code.co_name} at "
+                f"{os.path.basename(code.co_filename)}:{tb.tb_lineno}"))
     return sort_records(records)

@@ -25,6 +25,7 @@ operations compute residuals and never assume they vanish.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -189,20 +190,19 @@ def _map_rows(rows, fn):
     return tuple(tuple(fn(e) for e in row) for row in rows)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MatrixForm:
     """An r x r matrix of Fourier series tagged with a form bidegree."""
 
     bidegree: tuple
-    size: int
     entries: tuple  # r rows, each a tuple of r FourierScalar
 
     def __post_init__(self):
         if tuple(self.bidegree) not in _BIDEGREES:
             raise ValueError(f"bad bidegree {self.bidegree}")
         rows = tuple(tuple(row) for row in self.entries)
-        if len(rows) != self.size or any(len(row) != self.size for row in rows):
-            raise ValueError(f"entries must be {self.size}x{self.size}")
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("entries must be a square matrix")
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
                 if not isinstance(e, FourierScalar):
@@ -211,11 +211,15 @@ class MatrixForm:
         object.__setattr__(self, "bidegree", tuple(self.bidegree))
         object.__setattr__(self, "entries", rows)
 
+    @property
+    def size(self) -> int:
+        return len(self.entries)
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, size: int, bidegree=(0, 0)) -> "MatrixForm":
-        return cls(bidegree, size, ((FS_ZERO,) * size,) * size)
+        return cls(bidegree, ((FS_ZERO,) * size,) * size)
 
     @classmethod
     def identity(cls, size: int) -> "MatrixForm":
@@ -226,7 +230,7 @@ class MatrixForm:
     def from_scalar_matrix(cls, matrix, bidegree=(0, 0)) -> "MatrixForm":
         """Constant-coefficient form from the rows of a plain scalar matrix."""
         rows = _map_rows(matrix, lambda c: FourierScalar.const(c) if c else FS_ZERO)
-        return cls(bidegree, len(rows), rows)
+        return cls(bidegree, rows)
 
     # -- linear structure -----------------------------------------------------
 
@@ -235,7 +239,7 @@ class MatrixForm:
             return NotImplemented
         if self.bidegree != other.bidegree or self.size != other.size:
             raise ValueError("bidegree/size mismatch")
-        return MatrixForm(self.bidegree, self.size,
+        return MatrixForm(self.bidegree,
                           tuple(tuple(map(op, r, s))
                                 for r, s in zip(self.entries, other.entries)))
 
@@ -246,13 +250,11 @@ class MatrixForm:
         return self._combine(other, sub)
 
     def __neg__(self):
-        return MatrixForm(self.bidegree, self.size,
-                          _map_rows(self.entries, lambda e: -e))
+        return MatrixForm(self.bidegree, _map_rows(self.entries, lambda e: -e))
 
     def __mul__(self, c):
         if isinstance(c, _SCALARS) or isinstance(c, FourierScalar):
-            return MatrixForm(self.bidegree, self.size,
-                              _map_rows(self.entries, lambda e: e * c))
+            return MatrixForm(self.bidegree, _map_rows(self.entries, lambda e: e * c))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -260,15 +262,6 @@ class MatrixForm:
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixForm):
-            return NotImplemented
-        return (self.bidegree == other.bidegree and self.size == other.size
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.bidegree, self.size, self.entries))
 
     # -- serialization --------------------------------------------------------
 
@@ -280,10 +273,15 @@ class MatrixForm:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MatrixForm":
+        """The form of a ``to_json`` document, whose ``size`` must match its rows."""
         ent = [[FourierScalar({(m, n): scalar_from_json(c)
                                for m, n, c in cell["modes"]})
                 for cell in row] for row in doc["entries"]]
-        return cls(tuple(doc["bidegree"]), doc["size"], ent)
+        form = cls(tuple(doc["bidegree"]), ent)
+        if doc["size"] != form.size:
+            raise ValueError(f"declared size {reprlib.repr(doc['size'])} disagrees "
+                             f"with the {form.size} rows of the form")
+        return form
 
 
 def dbar(f: MatrixForm) -> MatrixForm:
@@ -296,8 +294,8 @@ def dbar(f: MatrixForm) -> MatrixForm:
     if q != 0:
         raise ValueError(f"dbar undefined on bidegree {f.bidegree}")
     if p == 0:
-        return MatrixForm((0, 1), f.size, _map_rows(f.entries, FourierScalar.d_zbar))
-    return MatrixForm((1, 1), f.size, _map_rows(f.entries, lambda e: -e.d_zbar()))
+        return MatrixForm((0, 1), _map_rows(f.entries, FourierScalar.d_zbar))
+    return MatrixForm((1, 1), _map_rows(f.entries, lambda e: -e.d_zbar()))
 
 
 def del_op(f: MatrixForm) -> MatrixForm:
@@ -305,7 +303,7 @@ def del_op(f: MatrixForm) -> MatrixForm:
     p, q = f.bidegree
     if p != 0:
         raise ValueError(f"del undefined on bidegree {f.bidegree}")
-    return MatrixForm((1, q), f.size, _map_rows(f.entries, FourierScalar.d_z))
+    return MatrixForm((1, q), _map_rows(f.entries, FourierScalar.d_z))
 
 
 def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
@@ -319,7 +317,7 @@ def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
     p, q = a.bidegree[0] + b.bidegree[0], a.bidegree[1] + b.bidegree[1]
     if p > 1 or q > 1:
         raise ValueError(f"bidegree overflow: {a.bidegree} wedge {b.bidegree}")
-    prod = MatrixForm((p, q), a.size, matmul(a.entries, b.entries))
+    prod = MatrixForm((p, q), matmul(a.entries, b.entries))
     return -prod if (a.bidegree[1] * b.bidegree[0]) % 2 else prod
 
 
@@ -354,17 +352,15 @@ def conj_transpose(f: MatrixForm) -> MatrixForm:
     orientation: conj(dz^dzbar) = -dz^dzbar.
     """
     p, q = f.bidegree
-    out = MatrixForm((q, p), f.size,
-                     _map_rows(zip(*f.entries), FourierScalar.conjugate))
+    out = MatrixForm((q, p), _map_rows(zip(*f.entries), FourierScalar.conjugate))
     return -out if (p, q) == (1, 1) else out
 
 
-def random_fourier_scalar(rng, mode_bound: int = 2, terms: int = 3,
-                          span: int = 6) -> FourierScalar:
+def random_fourier_scalar(rng, mode_bound: int = 2, terms: int = 3) -> FourierScalar:
     modes = {}
     for _ in range(terms):
         key = (rng.randint(-mode_bound, mode_bound), rng.randint(-mode_bound, mode_bound))
-        coeff = random_qqi(rng, span)
+        coeff = random_qqi(rng, 6)
         modes[key] = modes[key] + coeff if key in modes else coeff
     return FourierScalar(modes)
 
@@ -375,4 +371,4 @@ def random_matrix_form(rng, size: int, bidegree=(0, 0), mode_bound: int = 2,
            for _ in range(size)]
     if trace_free and size > 0:
         ent[-1][-1] = -sum((ent[i][i] for i in range(size - 1)), FS_ZERO)
-    return MatrixForm(bidegree, size, ent)
+    return MatrixForm(bidegree, ent)

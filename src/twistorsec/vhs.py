@@ -193,26 +193,21 @@ def bb_slice_shape(v: VhsBlockData) -> dict:
     return {"beta": tuple(sorted(beta)), "phi": tuple(sorted(phi))}
 
 
-def grafting_data(g: int):
-    """The rank-2 uniformizing-type dataset underlying grafting sections."""
+def grafting_data(g: int) -> VhsBlockData:
+    """The rank-2 uniformizing-type dataset underlying grafting sections.
+
+    The grafting family has vanishing (0,1) slice datum, so its energy
+    coincides with the energy of the underlying twistor line.
+    """
     if g < 2:
         raise ValueError("grafting data needs genus g >= 2")
-    v = VhsBlockData((1, 1), (g - 1, 1 - g), label=f"grafting-g{g}")
-    annotations = {
-        "beta_zero": True,
-        "energy_equals_twistor_line": True,
-        "energy": energy_closed(v),
-        "note": ("the grafting family has vanishing (0,1) slice datum, so its "
-                 "energy coincides with the energy of the underlying twistor line"),
-    }
-    return v, annotations
+    return VhsBlockData((1, 1), (g - 1, 1 - g), label=f"grafting-g{g}")
 
 
-def random_vhs(rng, lmax: int = 6, rmax: int = 3, dmax: int = 20,
-               label: str = "") -> VhsBlockData:
+def random_vhs(rng, lmax: int = 6, rmax: int = 3, dmax: int = 20) -> VhsBlockData:
     """Deterministic random valid dataset (degrees summing to zero)."""
     l = rng.randint(1, lmax)
     ranks = tuple(rng.randint(1, rmax) for _ in range(l))
     head = [rng.randint(-dmax, dmax) for _ in range(l - 1)]
     degrees = tuple(head + [-sum(head)])
-    return VhsBlockData(ranks, degrees, label=label)
+    return VhsBlockData(ranks, degrees)

@@ -265,12 +265,12 @@ def test_acceptance_08_stokes_and_gauge_degeneracy(verdict):
                          psi=[_nilpotent_combo(rng, size, (0, 1))], order=4)
         res = integrability_residuals(lift, 1)
         ok = ok and res[0].is_zero and res[1].is_zero
-        xi = GaugeSeries(4, tuple(
+        xi = GaugeSeries(tuple(
             random_matrix_form(rng, size, (0, 0), mode_bound=3,
                                trace_free=True) for _ in range(5)))
         gauge_dir = gauge_tangent(lift, xi)
-        tangent = TangentSeries(4, (MatrixForm.zero(size, (0, 1)),
-                                    _nilpotent_combo(rng, size, (0, 1)))
+        tangent = TangentSeries((MatrixForm.zero(size, (0, 1)),
+                                 _nilpotent_combo(rng, size, (0, 1)))
                                 + tuple(MatrixForm.zero(size, (0, 1))
                                         for _ in range(3)),
                                 (_nilpotent_combo(rng, size, (1, 0)),)
@@ -307,7 +307,6 @@ def test_acceptance_09_second_variation_weights(verdict):
         g0 = rng.randrange(-(v.l - 1), v.l)
         g1 = rng.randrange(-(v.l - 1), v.l)
         t = TangentSeries(
-            1,
             (random_pure_grade_form(rng, v, -g0, (0, 1)),
              random_pure_grade_form(rng, v, -g1, (0, 1))),
             (random_pure_grade_form(rng, v, g1, (1, 0)),
@@ -327,22 +326,21 @@ def _composition_residuals(lift, u, up_to):
     Independent of the closed curvature formula: each operator is applied as
     a series, term by term, to the test section u.
     """
-    n = lift.order
-    v = [wedge(lift.a_coeff(k), u) for k in range(n + 1)]
+    v = [wedge(a, u) for a in lift.a]
     v[1] = v[1] + del_op(u)
     first = []
     for k in range(up_to + 1):
         acc = dbar(v[k])
         for i in range(1, k + 1):
-            acc = acc + wedge(lift.b_coeff(i), v[k - i])
+            acc = acc + wedge(lift.b[i], v[k - i])
         first.append(acc)
-    w = [wedge(lift.b_coeff(k), u) for k in range(n + 1)]
+    w = [wedge(b, u) for b in lift.b]
     w[0] = w[0] + dbar(u)
     second = []
     for k in range(up_to + 1):
         acc = MatrixForm.zero(lift.rank, (1, 1))
         for i in range(k + 1):
-            acc = acc + wedge(lift.a_coeff(i), w[k - i])
+            acc = acc + wedge(lift.a[i], w[k - i])
         if k >= 1:
             acc = acc + del_op(w[k - 1])
         second.append(acc)
@@ -357,7 +355,6 @@ def test_acceptance_10_integrability_oracle(verdict):
     for i in range(200):
         size = 2 + i % 2
         lift = LambdaLift(
-            size, 2,
             random_matrix_form(rng, size, (1, 0), trace_free=True),
             tuple(random_matrix_form(rng, size, (0, 1), trace_free=True)
                   for _ in range(2)),

@@ -22,7 +22,7 @@ from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LambdaLift,
                                      gauge_tangent, gauge_transform_lift,
                                      has_pure_grade, integrability_residuals,
                                      lift_to_laurent, linearized_residuals,
-                                     make_lift, omega_hat, pair_unsigned,
+                                     make_lift, omega_hat,
                                      random_pure_grade_form,
                                      real_involution_chart, real_involution_dh,
                                      second_variation,
@@ -55,7 +55,7 @@ def _random_lift(rng, rank=2, order=3):
                 for _ in range(order))
     phi = tuple(random_matrix_form(rng, rank, (1, 0), trace_free=True)
                 for _ in range(order))
-    return LambdaLift(rank, order, phi0, psi, phi)
+    return LambdaLift(phi0, psi, phi)
 
 
 def _random_tangent(rng, rank, order, zero_psi0=False):
@@ -65,13 +65,12 @@ def _random_tangent(rng, rank, order, zero_psi0=False):
         psik[0] = MatrixForm.zero(rank, (0, 1))
     phik = [random_matrix_form(rng, rank, (1, 0), trace_free=True)
             for _ in range(order + 1)]
-    return TangentSeries(order, tuple(psik), tuple(phik))
+    return TangentSeries(tuple(psik), tuple(phik))
 
 
 def _random_gauge(rng, rank, order):
-    return GaugeSeries(order, tuple(
-        random_matrix_form(rng, rank, (0, 0), trace_free=True)
-        for _ in range(order + 1)))
+    return GaugeSeries(tuple(random_matrix_form(rng, rank, (0, 0), trace_free=True)
+                             for _ in range(order + 1)))
 
 
 IDENT = _const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0))
@@ -80,13 +79,13 @@ IDENT = _const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0))
 def _strict_upper(rng):
     # Families 1 + sum t^k g_k with strictly triangular g_k have determinant
     # one, which the transformed lift's trace-free validation requires.
-    return MatrixForm((0, 0), 2,
+    return MatrixForm((0, 0),
                       [[FourierScalar(), random_fourier_scalar(rng)],
                        [FourierScalar(), FourierScalar()]])
 
 
 def _strict_lower(rng):
-    return MatrixForm((0, 0), 2,
+    return MatrixForm((0, 0),
                       [[FourierScalar(), FourierScalar()],
                        [random_fourier_scalar(rng), FourierScalar()]])
 
@@ -100,26 +99,25 @@ def _composition_residuals(lift, u, up_to):
     The operators are applied literally, term by term, with no reference to
     the closed curvature formula.
     """
-    n = lift.order
     # D(t) u
-    v = [wedge(lift.a_coeff(k), u) for k in range(n + 1)]
+    v = [wedge(a, u) for a in lift.a]
     v[1] = v[1] + del_op(u)
     # dbar(t) (D(t) u)
     first = []
     for k in range(up_to + 1):
         acc = dbar(v[k])
         for i in range(1, k + 1):
-            acc = acc + wedge(lift.b_coeff(i), v[k - i])
+            acc = acc + wedge(lift.b[i], v[k - i])
         first.append(acc)
     # dbar(t) u
-    w = [wedge(lift.b_coeff(k), u) for k in range(n + 1)]
+    w = [wedge(b, u) for b in lift.b]
     w[0] = w[0] + dbar(u)
     # D(t) (dbar(t) u)
     second = []
     for k in range(up_to + 1):
         acc = MatrixForm.zero(lift.rank, (1, 1))
         for i in range(k + 1):
-            acc = acc + wedge(lift.a_coeff(i), w[k - i])
+            acc = acc + wedge(lift.a[i], w[k - i])
         if k >= 1:
             acc = acc + del_op(w[k - 1])
         second.append(acc)
@@ -152,7 +150,7 @@ def test_residual_low_orders_closed_form():
     lift = _random_lift(rng)
     res = integrability_residuals(lift, 1)
     assert res[0] == dbar(lift.phi0)
-    phi1, psi1 = lift.a_coeff(1), lift.b_coeff(1)
+    phi1, psi1 = lift.a[1], lift.b[1]
     assert res[1] == (dbar(phi1) + wedge(lift.phi0, psi1)
                       + wedge(psi1, lift.phi0))
 
@@ -164,7 +162,7 @@ def _shift(lift, t, c):
     """The lift displaced by c * t; needs t.psik[0] = 0 to stay in the space."""
     assert t.psik[0].is_zero
     return LambdaLift(
-        lift.rank, lift.order, lift.phi0 + t.phik[0] * c,
+        lift.phi0 + t.phik[0] * c,
         tuple(p + t.psik[k + 1] * c for k, p in enumerate(lift.psi)),
         tuple(p + t.phik[k + 1] * c for k, p in enumerate(lift.phi)))
 
@@ -208,12 +206,8 @@ def test_order_bound_errors():
         integrability_residuals(lift, 3)
     with pytest.raises(ValueError):
         integrability_residuals(lift, -1)
-    with pytest.raises(ValueError):
-        lift.b_coeff(5)
-    with pytest.raises(ValueError):
-        lift.a_coeff(-1)
     t = _random_tangent(random.Random(1), 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reach order 2"):
         linearized_residuals(lift, t, 2)
 
 
@@ -241,7 +235,7 @@ def _commutant_tangent(a, b, order=3):
     phik = [MatrixForm.zero(2, (1, 0)) for _ in range(order + 1)]
     phik[0] = E21_DZ * a
     psik[1] = _const_form([[0, 0], [b, 0]], (0, 1))
-    return TangentSeries(order, tuple(psik), tuple(phik))
+    return TangentSeries(tuple(psik), tuple(phik))
 
 
 def test_commutant_tangent_solves_linearized_equations():
@@ -277,10 +271,8 @@ def test_omega_hat_hand_value_and_antisymmetry():
     lift = _commuting_lift()
     order = lift.order
     zero = TangentSeries.zero(2, order)
-    t1 = TangentSeries(order, zero.psik,
-                       (E12_DZ,) + zero.phik[1:])
-    t2 = TangentSeries(order, (zero.psik[0], _const_form([[0, 0], [QQi(1), 0]],
-                                                         (0, 1)))
+    t1 = TangentSeries(zero.psik, (E12_DZ,) + zero.phik[1:])
+    t2 = TangentSeries((zero.psik[0], _const_form([[0, 0], [QQi(1), 0]], (0, 1)))
                        + zero.psik[2:], zero.phik)
     # Only the first pairing survives: -tr(E12 E21) integrated, times the
     # prefactor -i/2.
@@ -303,16 +295,6 @@ def test_omega_hat_gauge_degeneracy():
         g_dir = gauge_tangent(lift, xi)
         t = _commutant_tangent(random_qqi(rng), random_qqi(rng))
         assert omega_hat(lift, g_dir, t) == QQi(0)
-
-
-def test_pair_unsigned_orientation():
-    a = E12_DZ
-    b = _const_form([[0, 0], [QQi(1), 0]], (0, 1))
-    # No reordering sign in either order; the trace is cyclic.
-    assert pair_unsigned(a, b) == QQi(1)
-    assert pair_unsigned(b, a) == QQi(1)
-    with pytest.raises(ValueError):
-        pair_unsigned(a, a)
 
 
 def test_energy_gauge_invariance():
@@ -346,15 +328,13 @@ def test_gauge_transform_against_series_arithmetic():
             out.append(acc)
         return out
 
-    b_series = [lift.b_coeff(k) for k in range(n + 1)]
-    a_series = [lift.a_coeff(k) for k in range(n + 1)]
     dbar_g = [dbar(g) for g in gs_full]
     del_g_shifted = [MatrixForm.zero(2, (1, 0))] + [del_op(g)
                                                     for g in gs_full[:-1]]
-    want_b = [x + y for x, y in zip(series_mul(series_mul(hs, b_series, (0, 1)),
+    want_b = [x + y for x, y in zip(series_mul(series_mul(hs, lift.b, (0, 1)),
                                                gs_full, (0, 1)),
                                     series_mul(hs, dbar_g, (0, 1)))]
-    want_a = [x + y for x, y in zip(series_mul(series_mul(hs, a_series, (1, 0)),
+    want_a = [x + y for x, y in zip(series_mul(series_mul(hs, lift.a, (1, 0)),
                                                gs_full, (1, 0)),
                                     series_mul(hs, del_g_shifted, (1, 0)))]
     # Inverse sanity: g * g^-1 = 1 as a series.
@@ -363,9 +343,8 @@ def test_gauge_transform_against_series_arithmetic():
 
     assert want_b[0].is_zero
     moved = gauge_transform_lift(lift, gs)
-    for k in range(n + 1):
-        assert moved.b_coeff(k) == want_b[k]
-        assert moved.a_coeff(k) == want_a[k]
+    assert list(moved.b) == want_b
+    assert list(moved.a) == want_a
 
 
 def test_gauge_series_inverse_pads_a_short_family():
@@ -423,10 +402,10 @@ def test_fixed_lift_layout():
     lift = c_star_fixed_lift(UNI, E21_DZ)
     assert lift.rank == 2 and lift.order == 4
     # dbar-part: the adjoint of the Higgs field sits at t^1.
-    assert lift.b_coeff(1) == E12_DZBAR
-    assert all(lift.b_coeff(k).is_zero for k in range(2, 5))
-    assert all(lift.a_coeff(k).is_zero for k in range(1, 5))
-    assert lift.a_coeff(0) == E21_DZ
+    assert lift.b[1] == E12_DZBAR
+    assert all(f.is_zero for f in lift.b[2:]) and lift.b[0].is_zero
+    assert all(f.is_zero for f in lift.a[1:])
+    assert lift.a[0] == E21_DZ
 
 
 def test_fixed_lift_grade_slots():
@@ -437,12 +416,11 @@ def test_fixed_lift_grade_slots():
     phi = {1: random_pure_grade_form(rng, v, 1, (1, 0), constant=True)}
     lift = c_star_fixed_lift(v, higgs, beta=beta, phi=phi)
     # beta of grade j occupies the t^j slot; phi of grade j the t^(j+1) slot.
-    assert lift.b_coeff(2) == beta[2]
-    assert lift.a_coeff(2) == phi[1]
+    assert lift.b[2] == beta[2]
+    assert lift.a[2] == phi[1]
     # Truncation bounds: dbar-part degree <= l, D-part <= l + 1.
-    assert all(lift.b_coeff(k).is_zero for k in range(v.l + 1, lift.order + 1))
-    assert all(lift.a_coeff(k).is_zero
-               for k in range(v.l + 2, lift.order + 1))
+    assert all(f.is_zero for f in lift.b[v.l + 1:])
+    assert all(f.is_zero for f in lift.a[v.l + 2:])
 
 
 def test_fixed_lift_validation():
@@ -452,11 +430,6 @@ def test_fixed_lift_validation():
         c_star_fixed_lift(UNI, E21_DZ, beta={0: MatrixForm.zero(2, (0, 1))})
     with pytest.raises(ValueError):
         c_star_fixed_lift(UNI, E21_DZ, phi={-1: MatrixForm.zero(2, (1, 0))})
-    with pytest.raises(ValueError):
-        c_star_fixed_lift(UNI, E21_DZ,
-                          beta={1: random_pure_grade_form(
-                              random.Random(0), UNI, 1, (0, 1))},
-                          order=1)
 
 
 def test_has_pure_grade():
@@ -477,8 +450,7 @@ def _dlambda_relation_holds(lift, xi, c):
     """-i t (d/dt) dbar(t) = dbar(t) . (c xi), order by order: -i k Psi_k is
     c [Psi_k, xi], plus c dbar(xi) at k = 0, where Psi_0 = 0."""
     return dbar(xi * c).is_zero and all(
-        lift.b_coeff(k) * QQi(0, -k) == _commutator(lift.b_coeff(k), xi) * c
-        for k in range(lift.order + 1))
+        b * QQi(0, -k) == _commutator(b, xi) * c for k, b in enumerate(lift.b))
 
 
 def _phipsi_relation_holds(lift, xi, c):
@@ -508,7 +480,7 @@ def test_second_variation_hand_value():
     lift = c_star_fixed_lift(UNI, E21_DZ)
     xi = xi_matrix_form(UNI) * QQi(-1)
     zero = TangentSeries.zero(2, 1)
-    t = TangentSeries(1, (zero.psik[0], E12_DZBAR), (E21_DZ, zero.phik[1]))
+    t = TangentSeries((zero.psik[0], E12_DZBAR), (E21_DZ, zero.phik[1]))
     assert second_variation(lift, t, xi) == QQi(2)
     # Weighted form: m = -grade(phi component), n = -grade(psi component).
     assert second_variation_weighted(t, m0=1, m1=0, n0=0, n1=-1) == QQi(2)
@@ -523,8 +495,8 @@ def test_second_variation_matches_weighted_on_graded_tangents():
         xi = xi_matrix_form(v) * QQi(-1)
         g0 = rng.choice([-2, -1, 0, 1, 2])
         g1 = rng.choice([-2, -1, 0, 1, 2])
-        t = TangentSeries(1, (random_pure_grade_form(rng, v, -g0, (0, 1)),
-                              random_pure_grade_form(rng, v, -g1, (0, 1))),
+        t = TangentSeries((random_pure_grade_form(rng, v, -g0, (0, 1)),
+                           random_pure_grade_form(rng, v, -g1, (0, 1))),
                           (random_pure_grade_form(rng, v, g1, (1, 0)),
                            random_pure_grade_form(rng, v, g0, (1, 0))))
         lhs = second_variation(lift, t, xi)
@@ -538,7 +510,7 @@ def test_second_variation_precondition_errors():
     with pytest.raises(ValueError, match="Phi = "):
         second_variation(lift, t, xi_matrix_form(UNI))  # wrong sign of xi
     bad_xi = MatrixForm(
-        (0, 0), 2,
+        (0, 0),
         [[FourierScalar.char(1, 0), FourierScalar()],
          [FourierScalar(), FourierScalar.char(1, 0, QQi(-1))]])
     with pytest.raises(ValueError, match="dbar"):
@@ -578,7 +550,7 @@ def test_energy_ignores_beta_one():
     assert energy_of_lift(with_exact) == energy_of_lift(base)
     char = random_pure_grade_form(rng, UNI, 1, (0, 1))
     # Strip any constant mode so the character test stays sharp.
-    stripped = MatrixForm((0, 1), 2,
+    stripped = MatrixForm((0, 1),
                           [[e - FourierScalar.const(e.constant_mode()) for e in row]
                            for row in char.entries])
     with_char = c_star_fixed_lift(UNI, E21_DZ, beta={1: stripped})
@@ -590,16 +562,20 @@ def test_energy_ignores_beta_one():
 
 def test_make_lift_and_accessors():
     lift = make_lift(E21_DZ, order=2)
-    assert lift.order == 2
-    assert lift.b_coeff(0).is_zero
+    assert lift.rank == 2 and lift.order == 2
+    # Both parts are series in t: a = (Phi, Phi_1, Phi_2), b = (0, Psi_1, Psi_2).
+    assert lift.a == (E21_DZ,) + lift.phi and lift.b[1:] == lift.psi
+    assert lift.b[0] == MatrixForm.zero(2, (0, 1))
     with pytest.raises(ValueError):
         make_lift(E21_DZ, psi=[E12_DZBAR] * 3, order=2)
     with pytest.raises(ValueError):
-        LambdaLift(2, 0, E21_DZ, (), ())
+        LambdaLift(E21_DZ, (), ())
     with pytest.raises(ValueError):
-        LambdaLift(2, 1, E21_DZ, (E12_DZBAR, E12_DZBAR), (E12_DZ,))
+        LambdaLift(E21_DZ, (E12_DZBAR, E12_DZBAR), (E12_DZ,))
     with pytest.raises(ValueError):
-        LambdaLift(2, 1, E21_DZ, (E12_DZ,), (E12_DZ,))  # wrong bidegree
+        LambdaLift(E21_DZ, (E12_DZ,), (E12_DZ,))  # wrong bidegree
+    with pytest.raises(ValueError, match="size 3, expected 2"):
+        LambdaLift(E21_DZ, (MatrixForm.zero(3, (0, 1)),), (MatrixForm.zero(3, (1, 0)),))
     not_trace_free = _const_form([[QQi(1), 0], [0, QQi(1)]], (1, 0))
     with pytest.raises(ValueError):
         make_lift(not_trace_free, order=1)
@@ -610,25 +586,36 @@ def test_lift_json_round_trip():
     lift = _random_lift(rng, order=2)
     back = LambdaLift.from_json(lift.to_json())
     assert back.rank == lift.rank and back.order == lift.order
-    for k in range(lift.order + 1):
-        assert back.a_coeff(k) == lift.a_coeff(k)
-        assert back.b_coeff(k) == lift.b_coeff(k)
+    assert back.a == lift.a and back.b == lift.b
+
+
+def test_lift_json_rejects_a_rank_or_order_that_disagrees_with_the_forms():
+    doc = _random_lift(random.Random(122), order=2).to_json()
+    assert (doc["rank"], doc["order"]) == (2, 2)
+    for key, wrong in (("rank", 3), ("order", 1), ("order", 3), ("rank", "2")):
+        with pytest.raises(ValueError, match="disagree with the forms"):
+            LambdaLift.from_json(dict(doc, **{key: wrong}))
 
 
 def test_tangent_and_gauge_series_validation():
     z = TangentSeries.zero(2, 2)
     assert z.rank == 2 and z.order == 2
+    assert GaugeSeries((MatrixForm.zero(2),)).order == 0
     with pytest.raises(ValueError):
-        TangentSeries(1, (MatrixForm.zero(2, (0, 1)),), ())
+        TangentSeries((MatrixForm.zero(2, (0, 1)),), ())
     with pytest.raises(ValueError):
-        GaugeSeries(0, (_const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0)),))
+        TangentSeries((), ())
+    with pytest.raises(ValueError):
+        GaugeSeries((_const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0)),))
+    with pytest.raises(ValueError):
+        GaugeSeries(())
 
 
 # -- Laurent regluing, parameter involution -----------------------------------
 
 
 def test_lift_to_laurent_and_glue():
-    lift = c_star_fixed_lift(UNI, E21_DZ, order=3)
+    lift = c_star_fixed_lift(UNI, E21_DZ)
     lc = lift_to_laurent(lift)
     assert lc.dbar_ops == {0: "dbar"} and lc.d_ops == {1: "del"}
     assert set(lc.dbar_forms) == {1} and set(lc.d_forms) == {0}

@@ -233,9 +233,16 @@ def test_dataset_errors(tmp_path):
     dup.write_text(json.dumps({"entries": [entry, entry]}), encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate"):
         load_vhs_dataset(str(dup))
-    orphan = VhsBlockData((1, 1), (1, -1), label="a", pair="ghost")
-    with pytest.raises(ValueError, match="unknown pair"):
-        vhs_energy_table([orphan])
+    # A pair must name an entry of the same rank; the file is checked whole.
+    orphan = tmp_path / "orphan.json"
+    entry = VhsBlockData((1, 1), (1, -1), label="a", pair="ghost").to_json()
+    orphan.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    with pytest.raises(ValueError, match="pair 'ghost' is not in the dataset"):
+        load_vhs_dataset(str(orphan))
+    ghost = VhsBlockData((3,), (0,), label="ghost").to_json()
+    orphan.write_text(json.dumps({"entries": [entry, ghost]}), encoding="utf-8")
+    with pytest.raises(ValueError, match="'a' and 'ghost' must share the same rank"):
+        load_vhs_dataset(str(orphan))
     with pytest.raises(ValueError):
         render_table([], "xml")
 
@@ -273,6 +280,31 @@ def test_cli_verify_failure_exit(monkeypatch, capsys):
     assert code == 1
     assert "failing suites: always-fail" in captured.err
     assert json.loads(captured.out)["summary"]["failed"] == 1
+
+
+@pytest.mark.parametrize("error", [ValueError, TypeError])
+def test_cli_suite_crash_is_a_failing_record(tmp_path, monkeypatch, capsys, error):
+    # An exception inside a suite is a defect in the code it checks, not an
+    # input error: the suite gets one failing record, the others still run.
+    def crash(v):
+        raise error("y" * 10_000)
+
+    monkeypatch.setattr(suites.vhs, "det_exponent", crash)
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--suite", "det-exponent", "--suite", "xi-weights",
+                     "--cases", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "failing suites: det-exponent" in captured.err
+    assert "Traceback" not in captured.err
+    records = json.loads(out.read_text(encoding="utf-8"))["records"]
+    crashed = [r for r in records if r["suite"] == "det-exponent"]
+    assert len(crashed) == 1 and crashed[0]["case"] == "error"
+    assert crashed[0]["status"] == "fail"
+    assert crashed[0]["provenance"].startswith("raised in crash at test_report_cli.py:")
+    assert crashed[0]["actual"].startswith(f"{error.__name__}: 'yyy")
+    assert len(crashed[0]["actual"]) < 100
+    assert {r["status"] for r in records if r["suite"] == "xi-weights"} == {"pass"}
 
 
 def test_cli_error_exits(tmp_path, capsys):
@@ -332,6 +364,12 @@ def test_cli_rejects_bad_config(tmp_path, capsys, doc, field):
 
 _ENTRY = {"ranks": [1, 1], "degrees": [1, -1], "label": "a"}
 _VERIFY_VHS = "verify --suite vhs-energy --cases 1 --dataset DATA"
+_STOKES = "verify --suite stokes --cases 1 --dataset DATA"
+_HYPERHOL = "verify --suite hyperhol-degree --cases 1 --dataset DATA"
+_PLAIN_MISSING = dict(_ENTRY, pair="missing")
+_UNIFORMIZING_MISSING = dict(_ENTRY, label="uniformizing-g2", pair="missing")
+_G02 = [dict(_ENTRY, label="uniformizing-g02", pair="a"), _ENTRY]
+_NOT_IN_DATASET = "pair 'missing' is not in the dataset"
 
 
 @pytest.mark.parametrize("entries, command, code, needle", [
@@ -358,11 +396,29 @@ _VERIFY_VHS = "verify --suite vhs-energy --cases 1 --dataset DATA"
      2, "'uniformizing-g2' and 'b'"),
     ([_ENTRY], _VERIFY_VHS + " --dataset DATA", 2, "--dataset"),
     ([_ENTRY], "vhs-energy --dataset DATA --dataset DATA", 2, "--dataset"),
-    pytest.param(_DEEP_JSON, _VERIFY_VHS, 2, "data.json: JSON nested too deeply",
+    pytest.param(_DEEP_JSON, _VERIFY_VHS, 2, "data.json': JSON nested too deeply",
                  id="deep-nesting"),
     ([1], "verify --suite stokes --cases 1 --dataset DATA", 2, "entry 0"),
     ([_ENTRY], "verify --suite sl2-jacobi --cases 1 --dataset MISSING", 2,
      "No such file"),
+    # The dataset is checked whole when it is read, whichever suites run: a
+    # pair must name an entry, and for verify, whose suites read the genus off
+    # a uniformizing-g<genus> label, such a label must be canonical.
+    ([_PLAIN_MISSING], _STOKES, 2, _NOT_IN_DATASET),
+    ([_PLAIN_MISSING], _HYPERHOL, 2, _NOT_IN_DATASET),
+    ([_PLAIN_MISSING], "vhs-energy --dataset DATA", 2, _NOT_IN_DATASET),
+    ([_PLAIN_MISSING], "hyperhol-degree --dataset DATA", 2, _NOT_IN_DATASET),
+    ([_UNIFORMIZING_MISSING], _STOKES, 2, _NOT_IN_DATASET),
+    ([_UNIFORMIZING_MISSING], _HYPERHOL, 2, _NOT_IN_DATASET),
+    ([_UNIFORMIZING_MISSING], "vhs-energy --dataset DATA", 2, _NOT_IN_DATASET),
+    ([_UNIFORMIZING_MISSING], "hyperhol-degree --dataset DATA", 2, _NOT_IN_DATASET),
+    (_G02, _STOKES, 2, "'uniformizing-g02': expected"),
+    (_G02, _HYPERHOL, 2, "'uniformizing-g02': expected"),
+    (_G02, "vhs-energy --dataset DATA", 0, ""),
+    # A pair of another rank is an input error too, not a crash of the suite.
+    ([dict(_ENTRY, label="uniformizing-g2", pair="b"),
+      {"ranks": [3], "degrees": [0], "label": "b"}], _HYPERHOL, 2,
+     "'uniformizing-g2' and 'b' must share the same rank"),
 ])
 def test_cli_dataset_input(tmp_path, capsys, entries, command, code, needle):
     path = tmp_path / "data.json"
@@ -420,7 +476,7 @@ _DEGREE_RUN = {"suites": ["hyperhol-degree"], "cases": 1, "datasets": ["DATA"]}
     pytest.param(_VERIFY, _DEGREE_RUN,
                  [dict(_ENTRY, label="uniformizing-g2", pair=_LONG)],
                  "is not in the dataset", id="long-missing-pair"),
-    pytest.param(_DEGREES, None, [dict(_ENTRY, pair=_LONG)], "names unknown pair",
+    pytest.param(_DEGREES, None, [dict(_ENTRY, pair=_LONG)], "is not in the dataset",
                  id="long-unknown-pair"),
     pytest.param(_DEGREES, None, [dict(_ENTRY, pair=_LONG),
                                   {"ranks": [3], "degrees": [0], "label": _LONG}],
@@ -430,6 +486,8 @@ _DEGREE_RUN = {"suites": ["hyperhol-degree"], "cases": 1, "datasets": ["DATA"]}
                  id="long-out-path"),
     pytest.param("vhs-energy --dataset LONG", None, [], "Errno",
                  id="long-dataset-path"),
+    pytest.param("vhs-energy --dataset DEEP", None, [], "JSON nested too deeply",
+                 id="long-path-to-deep-json"),
 ])
 def test_cli_error_echoes_a_short_repr(tmp_path, capsys, command, config, entries,
                                        needle):
@@ -439,9 +497,15 @@ def test_cli_error_echoes_a_short_repr(tmp_path, capsys, command, config, entrie
         config = dict(config, datasets=[str(data)])
     cfg.write_text(config if isinstance(config, str) else json.dumps(config),
                    encoding="utf-8")
-    long_path = str(tmp_path / ("x" * 5000))  # a file name the system rejects
-    argv = [{"CFG": str(cfg), "DATA": str(data), "LONG": long_path}.get(arg, arg)
-            for arg in command.split()]
+    names = {"CFG": str(cfg), "DATA": str(data),
+             "LONG": str(tmp_path / ("x" * 5000))}  # a file name the system rejects
+    if "DEEP" in command:  # a readable file, too deeply nested to parse, deep down
+        deep = tmp_path.joinpath(*["d" * 200] * 15, "data.json")
+        deep.parent.mkdir(parents=True)
+        deep.write_text(_DEEP_JSON, encoding="utf-8")
+        names["DEEP"] = str(deep)
+        assert len(names["DEEP"]) >= 3000
+    argv = [names.get(arg, arg) for arg in command.split()]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
@@ -516,6 +580,8 @@ def test_cli_exit_contract_on_arbitrary_json(config, dataset):
         with open(out, encoding="utf-8") as fh:
             records = _read_records(fh.read(), config.get("out_format", "json"))
         assert (code == 1) == any(not r.passed for r in records)
+        # Every input is checked before a suite runs, so no suite may crash.
+        assert not any(r.case == "error" for r in records)
 
 
 def test_cli_import_leaves_numpy_unloaded():

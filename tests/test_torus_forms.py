@@ -29,7 +29,7 @@ FS_ONE = FourierScalar.const(QQi(1))
 
 def matrix_forms(size=2, bidegree=(0, 0)):
     return st.builds(
-        lambda rows: MatrixForm(bidegree, size, rows),
+        lambda rows: MatrixForm(bidegree, rows),
         st.lists(st.lists(scalars_st, min_size=size, max_size=size),
                  min_size=size, max_size=size))
 
@@ -132,9 +132,9 @@ def test_bidegree_bookkeeping():
     with pytest.raises(ValueError):
         del_op(del_op(f))
     with pytest.raises(ValueError):
-        MatrixForm((2, 0), 1, [[FS_ZERO]])
-    with pytest.raises(ValueError):
-        MatrixForm((0, 0), 2, [[FS_ZERO]])
+        MatrixForm((2, 0), [[FS_ZERO]])
+    with pytest.raises(ValueError, match="square"):
+        MatrixForm((0, 0), [[FS_ZERO, FS_ZERO]])
 
 
 @given(matrix_forms())
@@ -154,15 +154,15 @@ def test_stokes_exactness():
 
 
 def test_integration_reads_constant_mode():
-    f = MatrixForm((1, 1), 1, [[FourierScalar({(0, 0): QQi(4), (1, 2): QQi(9)})]])
+    f = MatrixForm((1, 1), [[FourierScalar({(0, 0): QQi(4), (1, 2): QQi(9)})]])
     assert integrate_trace(f) == QQi(4)
     with pytest.raises(ValueError):
         integrate_trace(MatrixForm.zero(1, (1, 0)))
 
 
 def test_wedge_frame_sign():
-    f = MatrixForm((1, 0), 1, [[FourierScalar.const(QQi(2))]])
-    g = MatrixForm((0, 1), 1, [[FourierScalar.const(QQi(3))]])
+    f = MatrixForm((1, 0), [[FourierScalar.const(QQi(2))]])
+    g = MatrixForm((0, 1), [[FourierScalar.const(QQi(3))]])
     # dz ^ dzbar is the canonical orientation; dzbar ^ dz flips it.
     assert wedge(f, g).entries[0][0] == FourierScalar.const(QQi(6))
     assert wedge(g, f).entries[0][0] == FourierScalar.const(QQi(-6))
@@ -229,9 +229,9 @@ def test_matrix_form_shape_errors():
 
 def test_matrix_form_rejects_entries_that_are_not_series():
     with pytest.raises(TypeError, match=r"entry \(0, 0\)"):
-        MatrixForm((0, 0), 1, [[1]])
+        MatrixForm((0, 0), [[1]])
     with pytest.raises(TypeError, match=r"entry \(1, 0\) must be a FourierScalar, got QQi"):
-        MatrixForm((0, 0), 2, [[FS_ONE, FS_ZERO], [QQi(1), FS_ONE]])
+        MatrixForm((0, 0), [[FS_ONE, FS_ZERO], [QQi(1), FS_ONE]])
 
 
 def test_json_round_trip():
@@ -239,6 +239,15 @@ def test_json_round_trip():
     for bidegree in [(0, 0), (1, 1)]:
         f = random_matrix_form(rng, 2, bidegree=bidegree)
         assert MatrixForm.from_json(f.to_json()) == f
+
+
+def test_json_rejects_a_size_that_disagrees_with_the_rows():
+    # The size is read off the rows; the document's declared size must match.
+    doc = random_matrix_form(random.Random(24), 2, bidegree=(1, 0)).to_json()
+    assert doc["size"] == 2
+    for wrong in (1, 3, "2"):
+        with pytest.raises(ValueError, match="declared size"):
+            MatrixForm.from_json(dict(doc, size=wrong))
 
 
 def test_trace_free_generator():

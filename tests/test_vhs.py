@@ -177,10 +177,9 @@ def test_grade_positions_and_slice_shape():
 
 
 def test_grafting_data():
-    v, notes = grafting_data(3)
+    v = grafting_data(3)
     assert v.ranks == (1, 1) and v.degrees == (2, -2)
-    assert notes["beta_zero"] is True
-    assert notes["energy"] == -2
+    assert energy_closed(v) == -2
     with pytest.raises(ValueError):
         grafting_data(1)
 
