@@ -14,9 +14,10 @@ import reprlib
 import sys
 
 from . import flat_model as fm
-from .datasets import load_vhs_dataset, render_table, vhs_energy_table
-from .report import (FORMATS, RunConfig, atomic_write, csv_text, failing_suites,
-                     format_value, json_text, render_report)
+from .datasets import TABLE_COLUMNS, load_vhs_dataset, vhs_energy_table
+from .report import (FORMATS, RECORD_COLUMNS, RunConfig, atomic_write, csv_text,
+                     failing_suites, format_value, json_text, render_report,
+                     summary)
 from .scalars import QQi, conj
 from .suites import SUITES, run_suites
 
@@ -108,7 +109,13 @@ def _verify_config(args) -> RunConfig:
 def _cmd_verify(args) -> int:
     config = _verify_config(args)
     records = run_suites(config)
-    _emit(render_report(config, records), config.out_path)
+    block = config.to_json()
+    del block["out_path"]  # where the report lands must not change its bytes
+    block["exact"] = True  # the arithmetic model; report checkers require it
+    head = {"config": block, "summary": summary(records)}
+    rows = [vars(r) for r in records]  # each record's own field dict, not a copy
+    _emit(render_report(config.out_format, RECORD_COLUMNS, rows, "records", head),
+          config.out_path)
     bad = failing_suites(records)
     if bad:
         print("failing suites: " + " ".join(bad), file=sys.stderr)
@@ -118,7 +125,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_vhs_energy(args) -> int:
     rows = vhs_energy_table(load_vhs_dataset(args.dataset))
-    _emit(render_table(rows, args.format or "json"), args.out)
+    _emit(render_report(args.format, TABLE_COLUMNS, rows, "rows"), args.out)
     return 0
 
 
@@ -128,7 +135,7 @@ _DEGREE_COLUMNS = ("label", "pair", "hyperhol_degree")
 def _cmd_hyperhol_degree(args) -> int:
     table = vhs_energy_table(load_vhs_dataset(args.dataset))
     rows = [{c: r[c] for c in _DEGREE_COLUMNS} for r in table if r["pair"]]
-    _emit(render_table(rows, args.format or "json", _DEGREE_COLUMNS), args.out)
+    _emit(render_report(args.format, _DEGREE_COLUMNS, rows, "rows"), args.out)
     return 0
 
 
@@ -151,6 +158,8 @@ def _cmd_flat_demo(args) -> int:
         "moment_map_identity": moment,
         "reality_identity": reality,
     }
+    # A key/value CSV, not render_report: the demo is one nested document,
+    # not a list of rows with fixed columns.
     if args.format == "csv":
         text = csv_text(("key", "value"), ([key, json.dumps(doc[key], sort_keys=True)]
                                            for key in sorted(doc)))

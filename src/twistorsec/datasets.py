@@ -1,4 +1,4 @@
-"""Loading block datasets and rendering the energy/degree table."""
+"""Loading block datasets and building the energy/degree table."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 import reprlib
 from importlib import resources
 
-from .report import csv_text, format_value, json_text, read_json
+from .report import format_value, read_json
 from .vhs import VhsBlockData, energy_closed, hyperhol_degree
 
 SHIPPED_DATASET = "data/vhs_samples.json"
@@ -15,7 +15,8 @@ SHIPPED_DATASET = "data/vhs_samples.json"
 def load_vhs_dataset(path: str = None):
     """Entries of a dataset file; the shipped sample collection by default.
 
-    Labels are unique, and a non-empty pair names an entry of the same rank.
+    Labels are unique, a non-empty pair names an entry of the same rank, and
+    every energy and pair degree has few enough digits for a report to print.
     """
     if path is None:
         doc = json.loads(resources.files("twistorsec").joinpath(
@@ -41,7 +42,21 @@ def load_vhs_dataset(path: str = None):
         if e.pair and by_label[e.pair].n != e.n:
             raise ValueError(f"dataset entries {reprlib.repr(e.label)} and "
                              f"{reprlib.repr(e.pair)} must share the same rank")
+        _check_printable(e, "energy", energy_closed(e))
+        if e.pair:
+            _check_printable(e, "pair degree", hyperhol_degree(e, by_label[e.pair]))
     return entries
+
+
+def _check_printable(e, name: str, value):
+    try:
+        str(value)
+    except ValueError:  # past Python's int-to-str digit limit
+        raise ValueError(f"dataset entry {reprlib.repr(e.label)}: {name} has too "
+                         f"many digits to print") from None
+
+
+TABLE_COLUMNS = ("label", "n", "l", "energy", "pair", "hyperhol_degree")
 
 
 def vhs_energy_table(entries):
@@ -60,15 +75,3 @@ def vhs_energy_table(entries):
             row["hyperhol_degree"] = format_value(hyperhol_degree(e, by_label[e.pair]))
         rows.append(row)
     return rows
-
-
-_TABLE_COLUMNS = ("label", "n", "l", "energy", "pair", "hyperhol_degree")
-
-
-def render_table(rows, out_format: str, columns=_TABLE_COLUMNS) -> str:
-    """Rows as a ``{"rows": [...]}`` JSON document or as CSV with ``columns``."""
-    if out_format == "json":
-        return json_text({"rows": rows})
-    if out_format == "csv":
-        return csv_text(columns, ([row[c] for c in columns] for row in rows))
-    raise ValueError(f"unknown table format: {out_format}")

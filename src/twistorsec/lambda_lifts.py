@@ -324,7 +324,8 @@ def xi_matrix_form(v: VhsBlockData) -> MatrixForm:
 def _checked_slice_data(v: VhsBlockData, higgs: MatrixForm, beta, phi):
     """The slice data (beta, phi) as dicts, after checking every form: the
     higgs field is a pure grade -1 (1,0) form, beta_j a pure grade-j (0,1)
-    form with j >= 1, phi_j a pure grade-j (1,0) form with j >= 0."""
+    form with 1 <= j < l, phi_j a pure grade-j (1,0) form with 0 <= j < l
+    (grades past l - 1 hold no blocks)."""
     beta, phi = dict(beta or {}), dict(phi or {})
     _check_coeff(higgs, v.n, (1, 0), "higgs field")
     if not has_pure_grade(higgs, v, -1):
@@ -332,8 +333,9 @@ def _checked_slice_data(v: VhsBlockData, higgs: MatrixForm, beta, phi):
     for name, data, bidegree, low in (("beta", beta, (0, 1), 1),
                                       ("phi", phi, (1, 0), 0)):
         for j, f in data.items():
-            if j < low:
-                raise ValueError(f"{name} data live in grades >= {low}")
+            if not low <= j < v.l:
+                raise ValueError(f"{name}_{j}: {name} data live in grades "
+                                 f"{low} to {v.l - 1}, not {j}")
             _check_coeff(f, v.n, bidegree, f"{name}_{j}")
             if not has_pure_grade(f, v, j):
                 raise ValueError(f"{name}_{j} must be pure grade {j}")

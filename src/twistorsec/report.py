@@ -1,8 +1,9 @@
 """Run configuration, verification records, and deterministic report output.
 
-Reports are rendered to JSON or CSV with fully sorted, stable content so that
-two runs with the same configuration produce byte-identical files.  Values
-are serialized as exact rational strings.
+Verify reports and the dataset tables are rendered to JSON or CSV by one
+function, from rows in a fixed order and with sorted JSON keys, so that two
+runs with the same configuration produce byte-identical files.  Values are
+serialized as exact rational strings.
 """
 
 from __future__ import annotations
@@ -142,23 +143,23 @@ def format_value(v) -> str:
     return str(v)
 
 
-def check(suite: str, case: str, expected, actual, provenance: str) -> ReportRecord:
-    """Build a record whose status reflects equality of the two sides."""
+def check(case: str, expected, actual, provenance: str) -> ReportRecord:
+    """Build a record whose status reflects equality of the two sides.
+
+    The suite is left empty: ``run_suites`` files the record under the suite
+    that returned it.
+    """
     ok = expected == actual
-    return ReportRecord(suite, case, "pass" if ok else "fail",
+    return ReportRecord("", case, "pass" if ok else "fail",
                         format_value(expected), format_value(actual), provenance)
 
 
-def check_true(suite: str, case: str, condition: bool, detail: str,
+def check_true(case: str, condition: bool, detail: str,
                provenance: str) -> ReportRecord:
     """Record for a boolean property; the detail string names the claim."""
-    return ReportRecord(suite, case, "pass" if condition else "fail",
+    return ReportRecord("", case, "pass" if condition else "fail",
                         detail, detail if condition else f"not ({detail})",
                         provenance)
-
-
-def sort_records(records):
-    return sorted(records, key=lambda r: (r.suite, r.case))
 
 
 def summary(records) -> dict:
@@ -185,34 +186,19 @@ def csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
-def render_json(config: RunConfig, records) -> str:
-    config_doc = config.to_json()
-    del config_doc["out_path"]  # where the report lands must not change its bytes
-    config_doc["exact"] = True  # the arithmetic model; report checkers require it
-    doc = {
-        "config": config_doc,
-        "summary": summary(records),
-        "records": [{"suite": r.suite, "case": r.case, "status": r.status,
-                     "expected": r.expected, "actual": r.actual,
-                     "provenance": r.provenance}
-                    for r in sort_records(records)],
-    }
-    return json_text(doc)
+RECORD_COLUMNS = ("suite", "case", "status", "expected", "actual", "provenance")
 
 
-_CSV_COLUMNS = ("suite", "case", "status", "expected", "actual", "provenance")
+def render_report(out_format: str, columns, rows, key: str, head=None) -> str:
+    """Rows (dicts with at least the ``columns`` as keys), in the order given.
 
-
-def render_csv(config: RunConfig, records) -> str:
-    return csv_text(_CSV_COLUMNS, ([r.suite, r.case, r.status, r.expected, r.actual,
-                                    r.provenance] for r in sort_records(records)))
-
-
-def render_report(config: RunConfig, records) -> str:
-    """The report in the format of the config, which ``RunConfig`` validates."""
-    if config.out_format == "csv":
-        return render_csv(config, records)
-    return render_json(config, records)
+    CSV for ``"csv"``, JSON otherwise: the CLI and ``RunConfig`` accept only
+    the ``FORMATS``.  The CSV holds the columns only; the JSON holds the
+    fields of ``head`` and the whole rows under ``key``.
+    """
+    if out_format == "csv":
+        return csv_text(columns, ([row[c] for c in columns] for row in rows))
+    return json_text({**(head or {}), key: rows})
 
 
 def atomic_write(path: str, text: str):

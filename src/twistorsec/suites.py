@@ -9,6 +9,7 @@ these runs are sized by ``config.cases`` to stay interactive.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import reprlib
@@ -21,10 +22,13 @@ from . import torus_forms as tf
 from . import vhs
 from .constants import XI_SCALAR_PHIPSI
 from .datasets import load_vhs_dataset
-from .report import ReportRecord, check, check_true, sort_records
+from .report import ReportRecord, check, check_true
 from .scalars import QQi, conj, random_nonzero_qqi, random_qqi
 
 _BASIS = {"e": pl.E, "h": pl.H, "f": pl.F}
+#: (name, x, y, z) for every ordered triple of basis elements.
+_TRIPLES = [(nx + ny + nz, x, y, z) for (nx, x), (ny, y), (nz, z)
+            in itertools.product(_BASIS.items(), repeat=3)]
 
 
 def _rng_for(seed: int, suite: str) -> random.Random:
@@ -42,52 +46,42 @@ def _cycle(values, i):
 # -- projline -----------------------------------------------------------------
 
 
+def _jacobi(x, y, z) -> pl.Sl2Element:
+    """[x, [y, z]] + [y, [z, x]] + [z, [x, y]], zero in a Lie algebra."""
+    return (pl.sl2_bracket(x, pl.sl2_bracket(y, z))
+            + pl.sl2_bracket(y, pl.sl2_bracket(z, x))
+            + pl.sl2_bracket(z, pl.sl2_bracket(x, y)))
+
+
+def _ad_invariance(x, y, z) -> QQi:
+    """K([x, y], z) + K(y, [x, z]), zero for an ad-invariant form K."""
+    return pl.killing(pl.sl2_bracket(x, y), z) + pl.killing(y, pl.sl2_bracket(x, z))
+
+
 def suite_sl2_jacobi(cfg, rng, entries):
-    out = []
     zero = pl.Sl2Element(QQi(0), QQi(0), QQi(0))
-    for nx, x in _BASIS.items():
-        for ny, y in _BASIS.items():
-            for nz, z in _BASIS.items():
-                jac = (pl.sl2_bracket(x, pl.sl2_bracket(y, z))
-                       + pl.sl2_bracket(y, pl.sl2_bracket(z, x))
-                       + pl.sl2_bracket(z, pl.sl2_bracket(x, y)))
-                out.append(check("sl2-jacobi", f"basis-{nx}{ny}{nz}", zero, jac,
-                                 "structure constants"))
+    out = [check(f"basis-{name}", zero, _jacobi(x, y, z), "structure constants")
+           for name, x, y, z in _TRIPLES]
     for i in range(cfg.cases):
         x, y, z = (_random_sl2(rng) for _ in range(3))
-        jac = (pl.sl2_bracket(x, pl.sl2_bracket(y, z))
-               + pl.sl2_bracket(y, pl.sl2_bracket(z, x))
-               + pl.sl2_bracket(z, pl.sl2_bracket(x, y)))
-        out.append(check("sl2-jacobi", f"random-{i:04d}", zero, jac,
+        out.append(check(f"random-{i:04d}", zero, _jacobi(x, y, z),
                          "structure constants"))
     return out
 
 
 def suite_killing_form(cfg, rng, entries):
-    out = [
-        check("killing-form", "value-hh", QQi(8), pl.killing(pl.H, pl.H),
-              "hand value"),
-        check("killing-form", "value-ef", QQi(4), pl.killing(pl.E, pl.F),
-              "hand value"),
-        check("killing-form", "value-he", QQi(0), pl.killing(pl.H, pl.E),
-              "hand value"),
-        check("killing-form", "value-hf", QQi(0), pl.killing(pl.H, pl.F),
-              "hand value"),
-    ]
-    for nx, x in _BASIS.items():
-        for ny, y in _BASIS.items():
-            out.append(check("killing-form", f"symmetric-{nx}{ny}",
-                             pl.killing(x, y), pl.killing(y, x), "trace symmetry"))
-            for nz, z in _BASIS.items():
-                lhs = (pl.killing(pl.sl2_bracket(x, y), z)
-                       + pl.killing(y, pl.sl2_bracket(x, z)))
-                out.append(check("killing-form", f"invariant-{nx}{ny}{nz}",
-                                 QQi(0), lhs, "ad-invariance"))
+    out = [check("value-hh", QQi(8), pl.killing(pl.H, pl.H), "hand value"),
+           check("value-ef", QQi(4), pl.killing(pl.E, pl.F), "hand value"),
+           check("value-he", QQi(0), pl.killing(pl.H, pl.E), "hand value"),
+           check("value-hf", QQi(0), pl.killing(pl.H, pl.F), "hand value")]
+    out += [check(f"symmetric-{nx}{ny}", pl.killing(x, y), pl.killing(y, x),
+                  "trace symmetry")
+            for (nx, x), (ny, y) in itertools.product(_BASIS.items(), repeat=2)]
+    out += [check(f"invariant-{name}", QQi(0), _ad_invariance(x, y, z), "ad-invariance")
+            for name, x, y, z in _TRIPLES]
     for i in range(cfg.cases):
         x, y, z = (_random_sl2(rng) for _ in range(3))
-        lhs = (pl.killing(pl.sl2_bracket(x, y), z)
-               + pl.killing(y, pl.sl2_bracket(x, z)))
-        out.append(check("killing-form", f"random-invariant-{i:04d}", QQi(0), lhs,
+        out.append(check(f"random-invariant-{i:04d}", QQi(0), _ad_invariance(x, y, z),
                          "ad-invariance"))
     return out
 
@@ -97,34 +91,30 @@ def _random_degree_one(rng) -> pl.PolySection:
 
 
 def suite_wronskian_pairing(cfg, rng, entries):
-    out = [
-        check("wronskian-pairing", "hand-const-lambda", QQi(1),
-              pl.wronskian(pl.PolySection(1, (QQi(1), QQi(0))),
-                           pl.PolySection(1, (QQi(0), QQi(1)))), "hand value"),
-        check("wronskian-pairing", "hand-mixed", QQi(-5),
-              pl.wronskian(pl.PolySection(1, (QQi(2), QQi(3))),
-                           pl.PolySection(1, (QQi(1), QQi(-1)))), "hand value"),
-    ]
+    out = [check("hand-const-lambda", QQi(1),
+                 pl.wronskian(pl.PolySection(1, (QQi(1), QQi(0))),
+                              pl.PolySection(1, (QQi(0), QQi(1)))), "hand value"),
+           check("hand-mixed", QQi(-5),
+                 pl.wronskian(pl.PolySection(1, (QQi(2), QQi(3))),
+                              pl.PolySection(1, (QQi(1), QQi(-1)))), "hand value")]
     for i in range(cfg.cases):
         p, q, r = (_random_degree_one(rng) for _ in range(3))
         c = random_qqi(rng)
-        out.append(check("wronskian-pairing", f"antisymmetric-{i:04d}",
-                         -pl.wronskian(p, q), pl.wronskian(q, p), "bilinear algebra"))
+        out.append(check(f"antisymmetric-{i:04d}", -pl.wronskian(p, q),
+                         pl.wronskian(q, p), "bilinear algebra"))
         lin = pl.PolySection(1, (p.coeffs[0] + c * r.coeffs[0],
                                  p.coeffs[1] + c * r.coeffs[1]))
-        out.append(check("wronskian-pairing", f"bilinear-{i:04d}",
+        out.append(check(f"bilinear-{i:04d}",
                          pl.wronskian(p, q) + c * pl.wronskian(r, q),
                          pl.wronskian(lin, q), "bilinear algebra"))
-        out.append(check("wronskian-pairing", f"chart-agreement-{i:04d}",
-                         pl.wronskian(p, q), pl.wronskian_infinity_chart(p, q),
-                         "transition cocycle"))
+        out.append(check(f"chart-agreement-{i:04d}", pl.wronskian(p, q),
+                         pl.wronskian_infinity_chart(p, q), "transition cocycle"))
         if bool(p.coeffs[0]) or bool(p.coeffs[1]):
             basis = (pl.PolySection(1, (QQi(1), QQi(0))),
                      pl.PolySection(1, (QQi(0), QQi(1))))
             hit = any(bool(pl.wronskian(p, b)) for b in basis)
-            out.append(check_true("wronskian-pairing", f"nondegenerate-{i:04d}",
-                                  hit, "some basis pairing is nonzero",
-                                  "bilinear algebra"))
+            out.append(check_true(f"nondegenerate-{i:04d}", hit,
+                                  "some basis pairing is nonzero", "bilinear algebra"))
     return out
 
 
@@ -133,41 +123,39 @@ def suite_chart_involution(cfg, rng, entries):
     for i in range(cfg.cases):
         k = _cycle(range(7), i)
         p = pl.PolySection(k, tuple(random_qqi(rng) for _ in range(k + 1)))
-        out.append(check("chart-involution", f"poly-deg{k}-{i:04d}", p,
-                         p.chart_involution().chart_involution(),
-                         "coefficient reversal"))
+        back = p.chart_involution().chart_involution()
+        out.append(check(f"poly-deg{k}-{i:04d}", p, back, "coefficient reversal"))
     return out
 
 
 # -- flat model ---------------------------------------------------------------
 
 
-def _random_flat(cfg, rng, i):
-    d = _cycle((1, 2, 3), i)
-    return fm.random_section(rng, d)
+def _random_flat(rng, i):
+    return fm.random_section(rng, _cycle((1, 2, 3), i))
 
 
 def suite_omega0_invariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
-        s = _random_flat(cfg, rng, i)
+        s = _random_flat(rng, i)
         v = fm.random_section(rng, s.d)
         w = fm.random_section(rng, s.d)
         zeta = random_nonzero_qqi(rng)
         lhs = fm.omega0_killing(fm.group_action(zeta, s),
                                 fm.group_action(zeta, v),
                                 fm.group_action(zeta, w))
-        out.append(check("omega0-invariance", f"case-{i:04d}",
-                         fm.omega0_killing(s, v, w), lhs, "scaling action"))
+        out.append(check(f"case-{i:04d}", fm.omega0_killing(s, v, w), lhs,
+                         "scaling action"))
     return out
 
 
 def suite_energy_invariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
-        s = _random_flat(cfg, rng, i)
+        s = _random_flat(rng, i)
         zeta = random_nonzero_qqi(rng)
-        out.append(check("energy-invariance", f"case-{i:04d}", fm.energy(s),
+        out.append(check(f"case-{i:04d}", fm.energy(s),
                          fm.energy(fm.group_action(zeta, s)), "scaling action"))
     return out
 
@@ -175,13 +163,12 @@ def suite_energy_invariance(cfg, rng, entries):
 def suite_tau_equivariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
-        s = _random_flat(cfg, rng, i)
+        s = _random_flat(rng, i)
         zeta = random_nonzero_qqi(rng)
         lhs = fm.real_involution(fm.group_action(zeta, s))
         rhs = fm.group_action(QQi(1) / conj(zeta), fm.real_involution(s))
-        out.append(check("tau-equivariance", f"case-{i:04d}", rhs, lhs,
-                         "antiholomorphic involution"))
-        out.append(check("tau-equivariance", f"involution-{i:04d}", s,
+        out.append(check(f"case-{i:04d}", rhs, lhs, "antiholomorphic involution"))
+        out.append(check(f"involution-{i:04d}", s,
                          fm.real_involution(fm.real_involution(s)),
                          "antiholomorphic involution"))
     return out
@@ -195,18 +182,16 @@ def _zero_rotation_blocks(s: fm.FlatSection) -> fm.FlatSection:
 def suite_moment_map(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
-        s = _random_flat(cfg, rng, i)
+        s = _random_flat(rng, i)
         v = fm.random_section(rng, s.d)
         lhs = fm.d_energy(s, v)
         rhs = QQi(0, 1) * fm.omega0_killing(s, fm.fundamental_field(s), v)
-        out.append(check("moment-map", f"identity-{i:04d}", rhs, lhs,
-                         "energy differential"))
+        out.append(check(f"identity-{i:04d}", rhs, lhs, "energy differential"))
         fixed = _zero_rotation_blocks(s)
-        out.append(check("moment-map", f"fixed-field-{i:04d}",
-                         fm.zero_tangent(s.d), fm.fundamental_field(fixed),
+        out.append(check(f"fixed-field-{i:04d}", fm.zero_tangent(s.d),
+                         fm.fundamental_field(fixed), "fixed locus"))
+        out.append(check(f"fixed-denergy-{i:04d}", QQi(0), fm.d_energy(fixed, v),
                          "fixed locus"))
-        out.append(check("moment-map", f"fixed-denergy-{i:04d}", QQi(0),
-                         fm.d_energy(fixed, v), "fixed locus"))
         moving = any(bool(a2) or bool(b1) for _, a2, b1, _ in s.blocks)
         if moving:
             probes = []
@@ -220,10 +205,10 @@ def suite_moment_map(cfg, rng, entries):
                     blocks[k] = (QQi(0), QQi(1), QQi(0), QQi(0))
                     probes.append(fm.FlatSection(tuple(blocks)))
             nonzero = any(bool(fm.d_energy(s, p)) for p in probes)
-            out.append(check_true("moment-map", f"moving-denergy-{i:04d}", nonzero,
+            out.append(check_true(f"moving-denergy-{i:04d}", nonzero,
                                   "a probe direction sees a nonzero derivative",
                                   "fixed locus"))
-            out.append(check_true("moment-map", f"moving-field-{i:04d}",
+            out.append(check_true(f"moving-field-{i:04d}",
                                   fm.fundamental_field(s) != fm.zero_tangent(s.d),
                                   "rotation field is nonzero off the fixed locus",
                                   "fixed locus"))
@@ -244,21 +229,21 @@ def _vanishing_at(rng, d: int, x) -> fm.FlatSection:
 def suite_evaluation_fiber(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
-        s = _random_flat(cfg, rng, i)
+        s = _random_flat(rng, i)
         x = (QQi(0), pl.INFINITY, random_qqi(rng))[i % 3]
         v = _vanishing_at(rng, s.d, x)
         w = _vanishing_at(rng, s.d, x)
-        out.append(check("evaluation-fiber", f"metric-{i:04d}", QQi(0),
+        out.append(check(f"metric-{i:04d}", QQi(0),
                          fm.holomorphic_metric(s, v, w), "common zero"))
         if x is pl.INFINITY or not x:
             # the split form carried by the library is centered at 0/infinity
-            out.append(check("evaluation-fiber", f"omega-{i:04d}", QQi(0),
+            out.append(check(f"omega-{i:04d}", QQi(0),
                              fm.omega0_splitting(s, v, w), "common zero"))
-            out.append(check("evaluation-fiber", f"omega-pairing-{i:04d}", QQi(0),
+            out.append(check(f"omega-pairing-{i:04d}", QQi(0),
                              fm.omega0_killing(s, v, w), "common zero"))
         else:
             # at other centers the fiber form reduces to -i g on fiber tangents
-            out.append(check("evaluation-fiber", f"omega-{i:04d}", QQi(0),
+            out.append(check(f"omega-{i:04d}", QQi(0),
                              QQi(0, -1) * fm.holomorphic_metric(s, v, w),
                              "common zero"))
     return out
@@ -267,13 +252,12 @@ def suite_evaluation_fiber(cfg, rng, entries):
 def suite_omega0_reality(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
-        s = _random_flat(cfg, rng, i)
+        s = _random_flat(rng, i)
         v = fm.random_section(rng, s.d)
         w = fm.random_section(rng, s.d)
         lhs = fm.omega0_killing(fm.real_involution(s), fm.real_involution(v),
                                 fm.real_involution(w))
-        out.append(check("omega0-reality", f"case-{i:04d}",
-                         conj(fm.omega0_killing(s, v, w)), lhs,
+        out.append(check(f"case-{i:04d}", conj(fm.omega0_killing(s, v, w)), lhs,
                          "antiholomorphic involution"))
     return out
 
@@ -281,10 +265,9 @@ def suite_omega0_reality(cfg, rng, entries):
 def suite_energy_reality(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
-        s = _random_flat(cfg, rng, i)
+        s = _random_flat(rng, i)
         total = conj(fm.energy(fm.real_involution(s))) + fm.energy(s)
-        out.append(check("energy-reality", f"case-{i:04d}", QQi(0), total,
-                         "antiholomorphic involution"))
+        out.append(check(f"case-{i:04d}", QQi(0), total, "antiholomorphic involution"))
     return out
 
 
@@ -296,7 +279,11 @@ def _uniformizing_genus(e: vhs.VhsBlockData):
     head, sep, g = e.label.partition("uniformizing-g")
     if head or not sep:
         return None
-    if not g.isdecimal() or str(int(g)) != g:  # one label, one case name per genus
+    try:
+        canonical = g.isdecimal() and str(int(g)) == g
+    except ValueError:  # more digits than int() reads
+        canonical = False
+    if not canonical:  # one label, one case name per genus
         raise ValueError(f"dataset entry {reprlib.repr(e.label)}: "
                          f"expected uniformizing-g<genus>")
     return int(g)
@@ -306,22 +293,21 @@ def suite_vhs_energy(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         v = vhs.random_vhs(rng)
-        out.append(check("vhs-energy", f"closed-vs-recursive-{i:04d}",
-                         vhs.energy_closed(v), vhs.energy_recursive(v),
-                         "telescoping sum"))
+        out.append(check(f"closed-vs-recursive-{i:04d}", vhs.energy_closed(v),
+                         vhs.energy_recursive(v), "telescoping sum"))
     for e in entries:
         g = _uniformizing_genus(e)
         if g is not None:
-            out.append(check("vhs-energy", f"dataset-{e.label}", Fraction(1 - g),
+            out.append(check(f"dataset-{e.label}", Fraction(1 - g),
                              vhs.energy_closed(e), f"dataset:{e.label}"))
         if e.label == "three-block-2-0-m2":
-            out.append(check("vhs-energy", f"dataset-{e.label}", Fraction(-4),
+            out.append(check(f"dataset-{e.label}", Fraction(-4),
                              vhs.energy_closed(e), f"dataset:{e.label}"))
         if e.l == 1:
-            out.append(check("vhs-energy", f"dataset-{e.label}", Fraction(0),
+            out.append(check(f"dataset-{e.label}", Fraction(0),
                              vhs.energy_closed(e), f"dataset:{e.label}"))
     for g in (2, 5, 9):
-        out.append(check("vhs-energy", f"grafting-g{g}", Fraction(1 - g),
+        out.append(check(f"grafting-g{g}", Fraction(1 - g),
                          vhs.energy_closed(vhs.grafting_data(g)), "grafting family"))
     return out
 
@@ -340,11 +326,9 @@ def suite_hyperhol_degree(cfg, rng, entries):
         v0 = vhs.random_vhs(rng)
         vinf = _random_vhs_with_n(rng, v0.n)
         got = vhs.hyperhol_degree(v0, vinf)
-        out.append(check("hyperhol-degree", f"sum-{i:04d}",
-                         vhs.energy_closed(v0) + vhs.energy_closed(vinf), got,
-                         "degree additivity"))
-        out.append(check_true("hyperhol-degree", f"integral-{i:04d}",
-                              Fraction(got).denominator == 1,
+        total = vhs.energy_closed(v0) + vhs.energy_closed(vinf)
+        out.append(check(f"sum-{i:04d}", total, got, "degree additivity"))
+        out.append(check_true(f"integral-{i:04d}", Fraction(got).denominator == 1,
                               "integer for integral block degrees",
                               "degree additivity"))
     by_label = {e.label: e for e in entries}
@@ -353,9 +337,9 @@ def suite_hyperhol_degree(cfg, rng, entries):
         if g is None:
             continue
         got = vhs.hyperhol_degree(v0, by_label[v0.pair])
-        out.append(check("hyperhol-degree", f"uniformizing-g{g}", Fraction(1 - g),
-                         got, f"dataset:uniformizing-g{g}"))
-        out.append(check_true("hyperhol-degree", f"nonzero-g{g}", got != 0,
+        out.append(check(f"uniformizing-g{g}", Fraction(1 - g), got,
+                         f"dataset:uniformizing-g{g}"))
+        out.append(check_true(f"nonzero-g{g}", got != 0,
                               "degree is nonzero", f"dataset:uniformizing-g{g}"))
     return out
 
@@ -364,8 +348,8 @@ def suite_det_exponent(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         v = vhs.random_vhs(rng)
-        out.append(check("det-exponent", f"case-{i:04d}", Fraction(0),
-                         vhs.det_exponent(v), "weight balancing"))
+        out.append(check(f"case-{i:04d}", Fraction(0), vhs.det_exponent(v),
+                         "weight balancing"))
     return out
 
 
@@ -389,7 +373,7 @@ def suite_grade_bracket(cfg, rng, entries):
         scale = QQi(k)
         scaled = all(y == x * scale for row, got_row in zip(m, vhs.xi_bracket(m, v))
                      for x, y in zip(row, got_row))
-        out.append(check_true("grade-bracket", f"case-{i:04d}", scaled,
+        out.append(check_true(f"case-{i:04d}", scaled,
                               f"bracket with the grading element scales grade "
                               f"{k} by {k}", "diagonal weights"))
     return out
@@ -401,11 +385,10 @@ def suite_xi_weights(cfg, rng, entries):
         v = vhs.random_vhs(rng)
         w = vhs.xi_weights(v)
         steps = all(w[j + 1] - w[j] == 1 for j in range(len(w) - 1))
-        out.append(check_true("xi-weights", f"steps-{i:04d}", steps,
+        out.append(check_true(f"steps-{i:04d}", steps,
                               "weights increase by exactly 1", "grading"))
         total = sum(r * wj for r, wj in zip(v.ranks, w))
-        out.append(check("xi-weights", f"trace-{i:04d}", Fraction(0), total,
-                         "grading"))
+        out.append(check(f"trace-{i:04d}", Fraction(0), total, "grading"))
     return out
 
 
@@ -418,11 +401,16 @@ def suite_stokes(cfg, rng, entries):
         size = _cycle(range(1, cfg.rank_bound + 1), i)
         a10 = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 3)
         a01 = tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 3)
-        out.append(check("stokes", f"dbar-{i:04d}", QQi(0),
+        out.append(check(f"dbar-{i:04d}", QQi(0),
                          tf.integrate_trace(tf.dbar(a10)), "constant-mode kill"))
-        out.append(check("stokes", f"del-{i:04d}", QQi(0),
+        out.append(check(f"del-{i:04d}", QQi(0),
                          tf.integrate_trace(tf.del_op(a01)), "constant-mode kill"))
     return out
+
+
+def _dbar_del_sum(f):
+    """dbar(del f) + del(dbar f), zero for every function f."""
+    return tf.dbar(tf.del_op(f)) + tf.del_op(tf.dbar(f))
 
 
 def suite_d_squared(cfg, rng, entries):
@@ -430,13 +418,11 @@ def suite_d_squared(cfg, rng, entries):
     for i in range(cfg.cases):
         size = _cycle(range(1, cfg.rank_bound + 1), i)
         f = tf.random_matrix_form(rng, size, (0, 0), cfg.mode_bound, 3)
-        mixed = tf.dbar(tf.del_op(f)) + tf.del_op(tf.dbar(f))
-        out.append(check_true("d-squared", f"mixed-{i:04d}", mixed.is_zero,
+        out.append(check_true(f"mixed-{i:04d}", _dbar_del_sum(f).is_zero,
                               "dbar del + del dbar annihilates functions",
                               "mode symbols"))
     const = tf.MatrixForm.identity(2) * QQi(3)
-    mixed = tf.dbar(tf.del_op(const)) + tf.del_op(tf.dbar(const))
-    out.append(check_true("d-squared", "mixed-constant", mixed.is_zero,
+    out.append(check_true("mixed-constant", _dbar_del_sum(const).is_zero,
                           "dbar del + del dbar annihilates constants",
                           "mode symbols"))
     for name, op, bidegree in (("dbar", tf.dbar, (0, 1)), ("del", tf.del_op, (1, 0))):
@@ -445,7 +431,7 @@ def suite_d_squared(cfg, rng, entries):
             raised = False
         except ValueError:
             raised = True
-        out.append(check_true("d-squared", f"no-second-{name}", raised,
+        out.append(check_true(f"no-second-{name}", raised,
                               f"{name} twice leaves the representable degrees",
                               "degree bookkeeping"))
     return out
@@ -458,8 +444,7 @@ def suite_trace_cyclicity(cfg, rng, entries):
         a = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 3)
         b = tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 3)
         total = tf.integrate_trace(tf.wedge(a, b)) + tf.integrate_trace(tf.wedge(b, a))
-        out.append(check("trace-cyclicity", f"case-{i:04d}", QQi(0), total,
-                         "trace cyclicity"))
+        out.append(check(f"case-{i:04d}", QQi(0), total, "trace cyclicity"))
     return out
 
 
@@ -470,15 +455,13 @@ def suite_backend_exactness(cfg, rng, entries):
         f = tf.random_matrix_form(rng, 4, (0, 0), 5, 4)
         a = tf.random_matrix_form(rng, 4, (1, 0), 5, 4)
         b = tf.random_matrix_form(rng, 4, (0, 1), 5, 4)
-        out.append(check("backend-exactness", f"stokes-{i:04d}", QQi(0),
+        out.append(check(f"stokes-{i:04d}", QQi(0),
                          tf.integrate_trace(tf.dbar(a)) + tf.integrate_trace(tf.del_op(b)),
                          "boundary sizes"))
-        mixed = tf.dbar(tf.del_op(f)) + tf.del_op(tf.dbar(f))
-        out.append(check_true("backend-exactness", f"mixed-{i:04d}", mixed.is_zero,
+        out.append(check_true(f"mixed-{i:04d}", _dbar_del_sum(f).is_zero,
                               "second derivatives cancel at rank 4, modes 5",
                               "boundary sizes"))
-        out.append(check("backend-exactness", f"adjoint-{i:04d}", a,
-                         tf.conj_transpose(tf.conj_transpose(a)),
+        out.append(check(f"adjoint-{i:04d}", a, tf.conj_transpose(tf.conj_transpose(a)),
                          "boundary sizes"))
     return out
 
@@ -524,7 +507,7 @@ def suite_gauge_covariance(cfg, rng, entries):
                     if not want[b].is_zero:
                         acc = acc + tf.wedge(tf.wedge(hs[a], want[b]), gs_full[c])
             agree = agree and acc == got[k]
-        out.append(check_true("gauge-covariance", f"case-{i:04d}", agree,
+        out.append(check_true(f"case-{i:04d}", agree,
                               "transformed residuals are the conjugated ones",
                               "series conjugation"))
     return out
@@ -537,6 +520,11 @@ def _trace_free(m):
                  for r, row in enumerate(m))
 
 
+def _random_trace_free(rng, size):
+    """A random trace-free size x size scalar matrix, drawn row by row."""
+    return _trace_free([[random_qqi(rng) for _ in range(size)] for _ in range(size)])
+
+
 def _trace_adjusted_poly(rng, c_matrix):
     """A trace-free polynomial in the constant matrix (degree <= 2)."""
     c1, c2 = random_qqi(rng), random_qqi(rng)
@@ -546,8 +534,7 @@ def _trace_adjusted_poly(rng, c_matrix):
 
 
 def _commuting_lift(cfg, rng, size):
-    c_matrix = _trace_free([[random_qqi(rng) for _ in range(size)]
-                            for _ in range(size)])
+    c_matrix = _random_trace_free(rng, size)
     phi0 = tf.MatrixForm.from_scalar_matrix(c_matrix, (1, 0))
     f = tf.random_fourier_scalar(rng, cfg.mode_bound, 2)
     psi1 = tf.MatrixForm.from_scalar_matrix(
@@ -581,22 +568,19 @@ def suite_omega_hat_degeneracy(cfg, rng, entries):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
         lift, c_matrix = _commuting_lift(cfg, rng, size)
         res = ll.integrability_residuals(lift, 1)
-        out.append(check_true("omega-hat-degeneracy", f"integrable-{i:04d}",
-                              all(r.is_zero for r in res),
+        out.append(check_true(f"integrable-{i:04d}", all(r.is_zero for r in res),
                               "commuting data is integrable to order 1",
                               "construction"))
         gauge_dir = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
         flat_dir = _commutant_tangent(cfg, rng, lift, c_matrix)
         lin = ll.linearized_residuals(lift, flat_dir, 1)
-        out.append(check_true("omega-hat-degeneracy", f"tangent-flat-{i:04d}",
-                              all(r.is_zero for r in lin),
+        out.append(check_true(f"tangent-flat-{i:04d}", all(r.is_zero for r in lin),
                               "commutant tangent solves the linearized equations",
                               "construction"))
-        out.append(check("omega-hat-degeneracy", f"gauge-vs-flat-{i:04d}", QQi(0),
-                         ll.omega_hat(lift, gauge_dir, flat_dir),
-                         "gauge degeneracy"))
+        out.append(check(f"gauge-vs-flat-{i:04d}", QQi(0),
+                         ll.omega_hat(lift, gauge_dir, flat_dir), "gauge degeneracy"))
         other = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
-        out.append(check("omega-hat-degeneracy", f"gauge-vs-gauge-{i:04d}", QQi(0),
+        out.append(check(f"gauge-vs-gauge-{i:04d}", QQi(0),
                          ll.omega_hat(lift, gauge_dir, other), "gauge degeneracy"))
     return out
 
@@ -606,13 +590,10 @@ def suite_energy_gauge_invariance(cfg, rng, entries):
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
         lift = _random_lift(cfg, rng, size)
-        const = _trace_free([[random_qqi(rng) for _ in range(size)]
-                             for _ in range(size)])
-        lift = ll.LambdaLift(tf.MatrixForm.from_scalar_matrix(const, (1, 0)),
-                             lift.psi, lift.phi)
+        phi0 = tf.MatrixForm.from_scalar_matrix(_random_trace_free(rng, size), (1, 0))
+        lift = ll.LambdaLift(phi0, lift.psi, lift.phi)
         tangent = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
-        out.append(check("energy-gauge-invariance", f"case-{i:04d}", QQi(0),
-                         ll.d_energy_of_lift(lift, tangent),
+        out.append(check(f"case-{i:04d}", QQi(0), ll.d_energy_of_lift(lift, tangent),
                          "first variation along gauge directions"))
     return out
 
@@ -642,8 +623,7 @@ def suite_second_variation_weights(cfg, rng, entries):
              ll.random_pure_grade_form(rng, v, g1, (1, 0), cfg.mode_bound)))
         got = ll.second_variation(lift, t, xi)
         want = ll.second_variation_weighted(t, m0=-g0, m1=-g1, n0=-h0, n1=-h1)
-        out.append(check("second-variation-weights", f"case-{i:04d}", want, got,
-                         "eigenweight reduction"))
+        out.append(check(f"case-{i:04d}", want, got, "eigenweight reduction"))
     return out
 
 
@@ -653,7 +633,7 @@ def suite_dh_involutions(cfg, rng, entries):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
         lift = _random_lift(cfg, rng, size)
         lc = ll.lift_to_laurent(lift)
-        out.append(check_true("dh-involutions", f"glue-{i:04d}",
+        out.append(check_true(f"glue-{i:04d}",
                               ll.deligne_glue(ll.deligne_glue(lc)) == lc,
                               "regluing twice is the identity", "exponent map"))
         b = tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 2,
@@ -661,14 +641,14 @@ def suite_dh_involutions(cfg, rng, entries):
         a = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 2,
                                   trace_free=True)
         p = ll.DHPoint(b, a, random_nonzero_qqi(rng))
-        out.append(check_true("dh-involutions", f"square-{i:04d}",
+        out.append(check_true(f"square-{i:04d}",
                               ll.real_involution_dh(ll.real_involution_dh(p)) == p,
                               "involution squares to the identity",
                               "antiholomorphic involution"))
         zeta = random_nonzero_qqi(rng)
         lhs = ll.real_involution_dh(ll.c_star_on_point(zeta, p))
         rhs = ll.c_star_on_point(QQi(1) / conj(zeta), ll.real_involution_dh(p))
-        out.append(check_true("dh-involutions", f"equivariance-{i:04d}", lhs == rhs,
+        out.append(check_true(f"equivariance-{i:04d}", lhs == rhs,
                               "involution intertwines scaling with reciprocal "
                               "conjugate scaling", "antiholomorphic involution"))
     return out
@@ -685,16 +665,16 @@ def suite_beta1_independence(cfg, rng, entries):
         charpart = ll.random_pure_grade_form(rng, v, 1, (0, 1), constant=True)
         beta1 = tf.dbar(gamma) + charpart * tf.FourierScalar.char(m, n, random_qqi(rng))
         got = ll.energy_of_lift(ll.c_star_fixed_lift(v, higgs, beta={1: beta1}))
-        out.append(check("beta1-independence", f"energy-{i:04d}", base, got,
+        out.append(check(f"energy-{i:04d}", base, got,
                          "exact and mean-free slice data"))
         pairing = tf.integrate_trace(tf.wedge(higgs, beta1))
-        out.append(check("beta1-independence", f"pairing-{i:04d}", QQi(0), pairing,
+        out.append(check(f"pairing-{i:04d}", QQi(0), pairing,
                          "exact and mean-free slice data"))
     v2 = vhs.VhsBlockData((1, 1), (1, -1))
     q = ll.random_pure_grade_form(rng, v2, 1, (1, 0), constant=True)
     higgs2 = ll.random_pure_grade_form(rng, v2, -1, (1, 0), constant=True)
     r1, _ = ll.bb_slice_residuals(v2, higgs2, beta={}, phi={1: q})
-    out.append(check_true("beta1-independence", "grafting-residual", r1.is_zero,
+    out.append(check_true("grafting-residual", r1.is_zero,
                           "constant quadratic-differential slot solves the "
                           "first slice equation", "grafting family"))
     return out
@@ -736,7 +716,9 @@ def run_suites(config):
     The dataset is read and checked once, before any suite runs, and every
     suite gets its entries.  So every input error is raised before a suite
     runs, and an exception raised inside a suite is a defect in the code it
-    checks: it becomes the failing record <suite>/error.
+    checks: it becomes the failing record <suite>/error.  Every record is
+    filed here under the suite that returned it, and the records come back
+    sorted by (suite, case), the order of every report.
     """
     unknown = [name for name in config.suites if name not in SUITES]
     if unknown:
@@ -750,15 +732,19 @@ def run_suites(config):
     for name in config.suites:
         rng = _rng_for(config.seed, name)
         try:
-            records.extend(SUITES[name](config, rng, entries))
+            found = SUITES[name](config, rng, entries)
         except Exception as err:
             tb = err.__traceback__
             while tb.tb_next:  # the frame that raised
                 tb = tb.tb_next
             code = tb.tb_frame.f_code
-            records.append(ReportRecord(
-                name, "error", "fail", "the suite runs to completion",
+            found = [ReportRecord(
+                "", "error", "fail", "the suite runs to completion",
                 f"{type(err).__name__}: {reprlib.repr(str(err))}",
                 f"raised in {code.co_name} at "
-                f"{os.path.basename(code.co_filename)}:{tb.tb_lineno}"))
-    return sort_records(records)
+                f"{os.path.basename(code.co_filename)}:{tb.tb_lineno}")]
+        for r in found:  # suites leave the suite field empty; it is set here
+            r.suite = name
+        records += found
+    records.sort(key=lambda r: (r.suite, r.case))
+    return records

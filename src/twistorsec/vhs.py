@@ -19,6 +19,7 @@ or k = 2 interchangeably.
 
 from __future__ import annotations
 
+import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,10 +27,17 @@ from fractions import Fraction
 from .scalars import QQi
 
 
+#: The text of a degree: a decimal integer p or fraction p/q.  Python's
+#: Fraction also reads exponents, so "1e999999999" would build a
+#: billion-digit integer.
+_DEGREE_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _as_degree(x):
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, str) or (isinstance(x, (list, tuple)) and len(x) == 2):
+    if ((isinstance(x, str) and _DEGREE_TEXT.fullmatch(x))
+            or (isinstance(x, (list, tuple)) and len(x) == 2)):
         try:
             f = Fraction(x) if isinstance(x, str) else Fraction(*x)
         except (TypeError, ValueError, ZeroDivisionError):

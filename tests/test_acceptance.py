@@ -31,9 +31,11 @@ from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, TangentSeries,
                                      second_variation,
                                      second_variation_weighted, xi_matrix_form)
 from twistorsec.scalars import QQi, random_qqi
-from twistorsec.torus_forms import (MatrixForm, dbar, del_op, integrate_trace,
+from twistorsec.torus_forms import (MatrixForm, dbar, integrate_trace,
                                     random_matrix_form, wedge)
 from twistorsec.vhs import VhsBlockData
+
+from curvature_oracle import composition_residuals
 
 
 @pytest.fixture
@@ -320,33 +322,6 @@ def test_acceptance_09_second_variation_weights(verdict):
 # -- 10: curvature coefficients against an independent expansion ---------------
 
 
-def _composition_residuals(lift, u, up_to):
-    """t-coefficients of (dbar(t) D(t) + D(t) dbar(t)) u, composed literally.
-
-    Independent of the closed curvature formula: each operator is applied as
-    a series, term by term, to the test section u.
-    """
-    v = [wedge(a, u) for a in lift.a]
-    v[1] = v[1] + del_op(u)
-    first = []
-    for k in range(up_to + 1):
-        acc = dbar(v[k])
-        for i in range(1, k + 1):
-            acc = acc + wedge(lift.b[i], v[k - i])
-        first.append(acc)
-    w = [wedge(b, u) for b in lift.b]
-    w[0] = w[0] + dbar(u)
-    second = []
-    for k in range(up_to + 1):
-        acc = MatrixForm.zero(lift.rank, (1, 1))
-        for i in range(k + 1):
-            acc = acc + wedge(lift.a[i], w[k - i])
-        if k >= 1:
-            acc = acc + del_op(w[k - 1])
-        second.append(acc)
-    return [a + b for a, b in zip(first, second)]
-
-
 def test_acceptance_10_integrability_oracle(verdict):
     from twistorsec.lambda_lifts import LambdaLift
 
@@ -362,7 +337,7 @@ def test_acceptance_10_integrability_oracle(verdict):
                   for _ in range(2)))
         u = random_matrix_form(rng, size, (0, 0))
         model = integrability_residuals(lift, 1)
-        oracle = _composition_residuals(lift, u, 1)
+        oracle = composition_residuals(lift, u, 1)
         ok = ok and all(wedge(model[k], u) == oracle[k] for k in range(2))
     verdict("10 curvature orders 0-1 match the operator-composition oracle"
             " (200 cases)", ok)

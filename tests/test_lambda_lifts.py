@@ -33,6 +33,8 @@ from twistorsec.torus_forms import (FourierScalar, MatrixForm, dbar, del_op,
                                     random_matrix_form, wedge)
 from twistorsec.vhs import VhsBlockData
 
+from curvature_oracle import composition_residuals
+
 
 def _const_form(rows, bidegree):
     return MatrixForm.from_scalar_matrix(rows, bidegree)
@@ -93,44 +95,13 @@ def _strict_lower(rng):
 # -- oracle 1: curvature coefficients via operator composition ----------------
 
 
-def _composition_residuals(lift, u, up_to):
-    """t-coefficients of (dbar(t) D(t) + D(t) dbar(t)) u for a function u.
-
-    The operators are applied literally, term by term, with no reference to
-    the closed curvature formula.
-    """
-    # D(t) u
-    v = [wedge(a, u) for a in lift.a]
-    v[1] = v[1] + del_op(u)
-    # dbar(t) (D(t) u)
-    first = []
-    for k in range(up_to + 1):
-        acc = dbar(v[k])
-        for i in range(1, k + 1):
-            acc = acc + wedge(lift.b[i], v[k - i])
-        first.append(acc)
-    # dbar(t) u
-    w = [wedge(b, u) for b in lift.b]
-    w[0] = w[0] + dbar(u)
-    # D(t) (dbar(t) u)
-    second = []
-    for k in range(up_to + 1):
-        acc = MatrixForm.zero(lift.rank, (1, 1))
-        for i in range(k + 1):
-            acc = acc + wedge(lift.a[i], w[k - i])
-        if k >= 1:
-            acc = acc + del_op(w[k - 1])
-        second.append(acc)
-    return [a + b for a, b in zip(first, second)]
-
-
 def test_residuals_match_composition_oracle():
     rng = random.Random(100)
     for _ in range(20):
         lift = _random_lift(rng)
         u = random_matrix_form(rng, 2, (0, 0))
         model = integrability_residuals(lift, 2)
-        oracle = _composition_residuals(lift, u, 2)
+        oracle = composition_residuals(lift, u, 2)
         for r, o in zip(model, oracle):
             assert wedge(r, u) == o
 
@@ -140,7 +111,7 @@ def test_residuals_on_identity_section():
     rng = random.Random(101)
     lift = _random_lift(rng)
     ident = _const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0))
-    oracle = _composition_residuals(lift, ident, 2)
+    oracle = composition_residuals(lift, ident, 2)
     for r, o in zip(integrability_residuals(lift, 2), oracle):
         assert r == o
 
@@ -430,6 +401,16 @@ def test_fixed_lift_validation():
         c_star_fixed_lift(UNI, E21_DZ, beta={0: MatrixForm.zero(2, (0, 1))})
     with pytest.raises(ValueError):
         c_star_fixed_lift(UNI, E21_DZ, phi={-1: MatrixForm.zero(2, (1, 0))})
+
+
+@pytest.mark.parametrize("fixed", [c_star_fixed_lift, bb_slice_residuals])
+@pytest.mark.parametrize("name, j, bidegree", [
+    ("beta", 2, (0, 1)), ("beta", 9, (0, 1)), ("phi", 2, (1, 0)), ("phi", 9, (1, 0))])
+def test_slice_data_in_grades_without_blocks(fixed, name, j, bidegree):
+    # UNI has l = 2 blocks, so its grades run from -1 to 1: a datum of grade
+    # 2 or more has no entries to live in.
+    with pytest.raises(ValueError, match=f"{name}_{j}: .* to 1, not {j}"):
+        fixed(UNI, E21_DZ, **{name: {j: MatrixForm.zero(2, bidegree)}})
 
 
 def test_has_pure_grade():

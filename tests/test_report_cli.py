@@ -18,12 +18,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from twistorsec import cli, datasets, suites
-from twistorsec.datasets import (load_vhs_dataset, render_table,
-                                 vhs_energy_table)
-from twistorsec.report import (RunConfig, ReportRecord, atomic_write, check,
-                               check_true, failing_suites, format_value,
-                               read_json, render_csv, render_json,
-                               render_report, sort_records, summary)
+from twistorsec.datasets import load_vhs_dataset, vhs_energy_table
+from twistorsec.report import (RECORD_COLUMNS, RunConfig, ReportRecord,
+                               atomic_write, check, check_true, failing_suites,
+                               format_value, read_json, render_report, summary)
 from twistorsec.scalars import QQi
 from twistorsec.vhs import VhsBlockData, energy_closed, hyperhol_degree
 
@@ -78,13 +76,15 @@ def test_format_value_branches():
 
 
 def test_check_and_check_true():
-    good = check("s", "c", QQi(2), QQi(2), "prov")
+    # A record leaves its suite empty; run_suites files it.
+    good = check("c", QQi(2), QQi(2), "prov")
     assert good.passed and good.expected == good.actual == "2"
-    bad = check("s", "c", QQi(2), QQi(3), "prov")
+    assert (good.suite, good.case, good.provenance) == ("", "c", "prov")
+    bad = check("c", QQi(2), QQi(3), "prov")
     assert not bad.passed and bad.status == "fail"
-    cond = check_true("s", "c", False, "the claim", "prov")
-    assert cond.actual == "not (the claim)"
-    assert check_true("s", "c", True, "the claim", "prov").passed
+    cond = check_true("c", False, "the claim", "prov")
+    assert cond.actual == "not (the claim)" and cond.suite == ""
+    assert check_true("c", True, "the claim", "prov").passed
     with pytest.raises(ValueError):
         ReportRecord("s", "c", "maybe", "", "", "")
 
@@ -93,9 +93,6 @@ def test_record_helpers():
     records = [ReportRecord("b", "2", "pass", "", "", ""),
                ReportRecord("a", "1", "fail", "", "", ""),
                ReportRecord("a", "0", "pass", "", "", "")]
-    ordered = sort_records(records)
-    assert [(r.suite, r.case) for r in ordered] == [("a", "0"), ("a", "1"),
-                                                    ("b", "2")]
     assert summary(records) == {"total": 3, "passed": 2, "failed": 1}
     assert failing_suites(records) == ["a"]
 
@@ -119,38 +116,35 @@ def _read_records(text: str, out_format: str):
             for r in json.loads(text)["records"]]
 
 
-def test_render_json_ignores_out_path():
-    with_path = RunConfig(suites=["stokes"], out_path="/tmp/x.json")
-    without = RunConfig(suites=["stokes"])
-    assert render_json(with_path, SAMPLE) == render_json(without, SAMPLE)
-    text = render_json(without, SAMPLE)
-    assert text.endswith("\n")
-    doc = json.loads(text)
-    assert doc["summary"] == {"total": 2, "passed": 1, "failed": 1}
-    assert [r["suite"] for r in doc["records"]] == ["alpha", "beta"]
-    assert "out_path" not in doc["config"]
-    assert doc["config"]["exact"] is True
+def _render_records(out_format, records):
+    return render_report(out_format, RECORD_COLUMNS, [vars(r) for r in records],
+                         "records")
 
 
 def test_json_record_round_trip():
-    cfg = RunConfig()
-    back = _read_records(render_json(cfg, SAMPLE), "json")
-    assert back == sort_records(SAMPLE)
+    # The renderer keeps the order it is given; run_suites sorts.
+    assert _read_records(_render_records("json", SAMPLE), "json") == SAMPLE
 
 
 def test_csv_record_round_trip():
-    cfg = RunConfig(out_format="csv")
-    text = render_csv(cfg, SAMPLE)
+    text = _render_records("csv", SAMPLE)
     assert text.splitlines()[0] == "suite,case,status,expected,actual,provenance"
-    back = _read_records(text, "csv")
-    assert back == sort_records(SAMPLE)
+    assert _read_records(text, "csv") == SAMPLE
 
 
 def test_render_report_dispatch():
-    cfg = RunConfig()
-    assert render_report(cfg, SAMPLE) == render_json(cfg, SAMPLE)
-    csv_cfg = RunConfig(out_format="csv")
-    assert render_report(csv_cfg, SAMPLE) == render_csv(csv_cfg, SAMPLE)
+    # One renderer for verify reports and dataset tables: CSV holds the
+    # columns, JSON the head fields and every row under the key.
+    rows = [{"label": "a", "pair": "", "hyperhol_degree": "", "extra": 1}]
+    head = {"summary": {"total": 1}}
+    text = render_report("json", ("label", "pair"), rows, "rows", head)
+    assert text.endswith("\n") and json.loads(text) == {"rows": rows, **head}
+    assert json.loads(render_report("json", ("label",), [], "records")) == {
+        "records": []}
+    text = render_report("csv", ("label", "pair"), rows, "rows", head)
+    assert text == "label,pair\na,\n"
+    assert render_report("csv", RECORD_COLUMNS, [], "records") == (
+        ",".join(RECORD_COLUMNS) + "\n")
 
 
 def test_atomic_write(tmp_path):
@@ -178,7 +172,7 @@ def test_run_suites_deterministic():
     first = suites.run_suites(cfg)
     second = suites.run_suites(cfg)
     assert first == second
-    assert first == sort_records(first)
+    assert first == sorted(first, key=lambda r: (r.suite, r.case))
     # A different seed still verifies, over different samples.
     other = suites.run_suites(RunConfig(suites=["moment-map", "stokes"],
                                         seed=6, cases=4))
@@ -243,8 +237,6 @@ def test_dataset_errors(tmp_path):
     orphan.write_text(json.dumps({"entries": [entry, ghost]}), encoding="utf-8")
     with pytest.raises(ValueError, match="'a' and 'ghost' must share the same rank"):
         load_vhs_dataset(str(orphan))
-    with pytest.raises(ValueError):
-        render_table([], "xml")
 
 
 # -- command line --------------------------------------------------------------
@@ -256,10 +248,15 @@ def test_cli_verify_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(args + ["--out", str(out1)]) == 0
     assert cli.main(args + ["--out", str(out2)]) == 0
+    # Where the report lands does not change its bytes.
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text(encoding="utf-8"))
-    assert doc["summary"]["failed"] == 0
+    assert doc["summary"] == {"total": len(doc["records"]),
+                              "passed": len(doc["records"]), "failed": 0}
     assert doc["config"]["seed"] == 3
+    assert "out_path" not in doc["config"] and doc["config"]["exact"] is True
+    keys = [(r["suite"], r["case"]) for r in doc["records"]]
+    assert keys == sorted(keys) and {k[0] for k in keys} == {"sl2-jacobi", "stokes"}
 
 
 def test_cli_verify_stdout_and_csv(capsys):
@@ -272,14 +269,17 @@ def test_cli_verify_stdout_and_csv(capsys):
 
 def test_cli_verify_failure_exit(monkeypatch, capsys):
     def always_fail(cfg, rng, entries):
-        return [ReportRecord("always-fail", "c0", "fail", "0", "1", "doomed")]
+        return [check("c0", 0, 1, "doomed")]
 
     monkeypatch.setitem(suites.SUITES, "always-fail", always_fail)
     code = cli.main(["verify", "--suite", "always-fail"])
     captured = capsys.readouterr()
     assert code == 1
     assert "failing suites: always-fail" in captured.err
-    assert json.loads(captured.out)["summary"]["failed"] == 1
+    doc = json.loads(captured.out)
+    assert doc["summary"]["failed"] == 1
+    # The runner files each record under the suite that returned it.
+    assert [r["suite"] for r in doc["records"]] == ["always-fail"]
 
 
 @pytest.mark.parametrize("error", [ValueError, TypeError])
@@ -370,6 +370,18 @@ _PLAIN_MISSING = dict(_ENTRY, pair="missing")
 _UNIFORMIZING_MISSING = dict(_ENTRY, label="uniformizing-g2", pair="missing")
 _G02 = [dict(_ENTRY, label="uniformizing-g02", pair="a"), _ENTRY]
 _NOT_IN_DATASET = "pair 'missing' is not in the dataset"
+#: Degrees in exponent form: Fraction reads "1e5000" as a 5001-digit integer,
+#: more digits than str() writes.
+_E5000 = [dict(_ENTRY, degrees=["1e5000", "-1e5000"], label="uniformizing-g2",
+               pair="irr"), {"ranks": [2], "degrees": [0], "label": "irr"}]
+#: Degrees of 4,300 digits, the most int() reads, whose energy (-2p) or pair
+#: degree (-2p) has 4,301, one more than str() writes.
+_P = "9" * 4300
+_WIDE_ENERGY = [{"ranks": [1, 1, 1], "degrees": [_P, 0, "-" + _P], "label": "w"}]
+_WIDE_PAIR = [dict(_ENTRY, degrees=[_P, "-" + _P], pair="b"),
+              dict(_ENTRY, degrees=[_P, "-" + _P], label="b")]
+_WIDE_GENUS = [dict(_ENTRY, label="uniformizing-g" + "1" * 5000, pair="b"),
+               {"ranks": [2], "degrees": [0], "label": "b"}]
 
 
 @pytest.mark.parametrize("entries, command, code, needle", [
@@ -419,6 +431,16 @@ _NOT_IN_DATASET = "pair 'missing' is not in the dataset"
     ([dict(_ENTRY, label="uniformizing-g2", pair="b"),
       {"ranks": [3], "degrees": [0], "label": "b"}], _HYPERHOL, 2,
      "'uniformizing-g2' and 'b' must share the same rank"),
+    # A degree is p or p/q in decimal, and every energy and pair degree must
+    # have few enough digits for the report to print.
+    (_E5000, _VERIFY_VHS, 2, "entry 0: not a degree value: '1e5000'"),
+    (_E5000, "vhs-energy --dataset DATA", 2, "entry 0: not a degree value"),
+    ([dict(_ENTRY, degrees=["1.0", "-1"])], _VERIFY_VHS, 2, "not a degree value"),
+    (_WIDE_ENERGY, _STOKES, 2, "entry 'w': energy has too many digits"),
+    (_WIDE_ENERGY, "vhs-energy --dataset DATA", 2, "entry 'w': energy has too many"),
+    (_WIDE_PAIR, _HYPERHOL, 2, "entry 'a': pair degree has too many digits"),
+    (_WIDE_PAIR, "hyperhol-degree --dataset DATA", 2, "'a': pair degree has too"),
+    (_WIDE_GENUS, _VERIFY_VHS, 2, "expected uniformizing-g<genus>"),
 ])
 def test_cli_dataset_input(tmp_path, capsys, entries, command, code, needle):
     path = tmp_path / "data.json"
@@ -547,7 +569,8 @@ _fuzz_config = st.one_of(
     _json.filter(lambda doc: doc != {}))
 _fuzz_entry = _json | st.fixed_dictionaries({}, optional={
     "ranks": st.lists(st.integers(-1, 3), max_size=3) | _json,
-    "degrees": st.lists(st.integers(-2, 2) | st.sampled_from(["1/2", "1/0", "x"]),
+    "degrees": st.lists(st.integers(-2, 2)
+                        | st.sampled_from(["1/2", "1/0", "x", "1e5000", "-1e5000"]),
                         max_size=3) | _json,
     "label": st.sampled_from(["a", "b", "uniformizing-g2", "uniformizing-g3"]) | _json,
     "pair": st.sampled_from(["", "a", "b"]) | _json})
@@ -559,6 +582,8 @@ _fuzz_dataset = _json | st.fixed_dictionaries(
           suppress_health_check=[HealthCheck.too_slow])
 @given(_fuzz_config, _fuzz_dataset)
 @example({"suites": ["gauge-covariance"], "cases": 1, "rank_bound": 1}, {})
+@example({"suites": ["vhs-energy"], "cases": 1, "datasets": ["DATA"]},
+         {"entries": _E5000})
 def test_cli_exit_contract_on_arbitrary_json(config, dataset):
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "data.json")
@@ -622,6 +647,19 @@ def test_cli_hyperhol_degree(tmp_path):
 #: byte-identical.  Acceptance test 13 pins `verify --seed 42 --cases 6` JSON.
 _VERIFY_42 = "verify --seed 42"
 _FLAT_DEMO = "flat-demo --seed 3 --blocks 2"
+#: The suites of the benchmark's `sections` and `lift-deep` workloads, in the
+#: order of `perfbench/workloads.py`; the order is part of the config block.
+_SECTIONS = ("sl2-jacobi", "killing-form", "wronskian-pairing", "chart-involution",
+             "omega0-invariance", "energy-invariance", "tau-equivariance",
+             "moment-map", "evaluation-fiber", "omega0-reality", "energy-reality",
+             "vhs-energy", "hyperhol-degree", "det-exponent", "grade-bracket",
+             "xi-weights")
+_LIFTS = ("gauge-covariance", "omega-hat-degeneracy", "energy-gauge-invariance",
+          "second-variation-weights", "dh-involutions", "beta1-independence")
+
+
+def _suite_flags(names):
+    return "".join(f" --suite {name}" for name in names)
 
 
 @pytest.mark.parametrize("command, sha256", [
@@ -639,6 +677,14 @@ _FLAT_DEMO = "flat-demo --seed 3 --blocks 2"
     (_FLAT_DEMO, "2fb3b0194b67cafa395fbe0165dbc9a6d37ba7a84e9da3feae439ab79189a5d5"),
     (_FLAT_DEMO + " --format csv",
      "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
+    ("verify --seed 7 --cases 10",
+     "8fafb9c0fe30d7ef2bbd4c66ca78a30f2fd568b7eed011d440e04a4a04d22af9"),
+    ("verify --seed 3 --cases 4 --order 6 --modes 3 --rank 4",
+     "9029cd6f74048c0af5771a493d66e1251d2e28459ee956a74b2ef766867842e9"),
+    (_VERIFY_42 + _suite_flags(_SECTIONS) + " --cases 300",
+     "2f1c8cf3e7cda000d27fb2153c4e506fbdeed16a723c7029e5fcc38b71cc7a81"),
+    (_VERIFY_42 + _suite_flags(_LIFTS) + " --order 6 --modes 3 --cases 2",
+     "f3abb3b9cf6a99b97d1733e92c0b61e82aef5c6c89136d3ceef4b9501176dbdf"),
 ])
 def test_cli_golden_outputs(tmp_path, command, sha256):
     out = tmp_path / "out"
