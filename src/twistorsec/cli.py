@@ -106,16 +106,20 @@ def _verify_config(args) -> RunConfig:
     return RunConfig.from_json(doc)
 
 
-def _cmd_verify(args) -> int:
-    config = _verify_config(args)
-    records = run_suites(config)
+def verify_report(config: RunConfig, records) -> str:
+    """The verify report of ``records`` in ``config.out_format``."""
     block = config.to_json()
     del block["out_path"]  # where the report lands must not change its bytes
     block["exact"] = True  # the arithmetic model; report checkers require it
     head = {"config": block, "summary": summary(records)}
     rows = [vars(r) for r in records]  # each record's own field dict, not a copy
-    _emit(render_report(config.out_format, RECORD_COLUMNS, rows, "records", head),
-          config.out_path)
+    return render_report(config.out_format, RECORD_COLUMNS, rows, "records", head)
+
+
+def _cmd_verify(args) -> int:
+    config = _verify_config(args)
+    records = run_suites(config)
+    _emit(verify_report(config, records), config.out_path)
     bad = failing_suites(records)
     if bad:
         print("failing suites: " + " ".join(bad), file=sys.stderr)

@@ -121,6 +121,21 @@ def _render_records(out_format, records):
                          "records")
 
 
+def test_render_json_ignores_out_path():
+    with_path = RunConfig(suites=["stokes"], out_path="/tmp/x.json")
+    without = RunConfig(suites=["stokes"])
+    ordered = sorted(SAMPLE, key=lambda r: (r.suite, r.case))  # as run_suites
+    assert (cli.verify_report(with_path, ordered)
+            == cli.verify_report(without, ordered))
+    text = cli.verify_report(without, ordered)
+    assert text.endswith("\n")
+    doc = json.loads(text)
+    assert doc["summary"] == {"total": 2, "passed": 1, "failed": 1}
+    assert [r["suite"] for r in doc["records"]] == ["alpha", "beta"]
+    assert "out_path" not in doc["config"]
+    assert doc["config"]["exact"] is True
+
+
 def test_json_record_round_trip():
     # The renderer keeps the order it is given; run_suites sorts.
     assert _read_records(_render_records("json", SAMPLE), "json") == SAMPLE
