@@ -43,10 +43,6 @@ class FlatPoint:
             raise ValueError("coordinates are (z, w) pairs")
         object.__setattr__(self, "coords", coords)
 
-    @property
-    def d(self) -> int:
-        return len(self.coords)
-
 
 @dataclass(frozen=True)
 class FlatSection:

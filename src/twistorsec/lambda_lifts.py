@@ -103,14 +103,13 @@ class LambdaLift:
         return lift
 
 
-def make_lift(phi0: MatrixForm, psi=(), phi=(), order: int = 4) -> LambdaLift:
-    """Build a lift, padding the coefficient sequences with zeros up to order."""
+def make_lift(phi0: MatrixForm, psi=(), order: int = 4) -> LambdaLift:
+    """Build a lift with Phi_1..Phi_N zero, padding psi with zeros up to order."""
     rank = phi0.size
     psi = list(psi) + [MatrixForm.zero(rank, (0, 1))] * (order - len(psi))
-    phi = list(phi) + [MatrixForm.zero(rank, (1, 0))] * (order - len(phi))
-    if len(psi) > order or len(phi) > order:
+    if len(psi) > order:
         raise ValueError("more coefficients than the truncation order")
-    return LambdaLift(phi0, tuple(psi), tuple(phi))
+    return LambdaLift(phi0, tuple(psi), (MatrixForm.zero(rank, (1, 0)),) * order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,12 +406,10 @@ def gauge_series_inverse(gs, order: int):
     """Formal inverse of a (0,0)-form series with g_0 = identity.
 
     h_k = -sum_(i>=1) g_i h_(k-i): minus the t^(k-1) coefficient of
-    (g_1 + t g_2 + ...) h.
-    A family shorter than order + 1 is padded with zeros.
+    (g_1 + t g_2 + ...) h.  Terms missing from a short family count as zero.
     """
     rank = gs[0].size
-    tail = list(gs[1:order + 1])
-    tail += [MatrixForm.zero(rank, (0, 0))] * (order - len(tail))
+    tail = gs[1:]
     hs = [gs[0]]  # identity
     for k in range(1, order + 1):
         terms = _series_terms(wedge, tail, hs, k - 1)

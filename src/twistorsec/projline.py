@@ -112,18 +112,6 @@ class Sl2Element:
         return Sl2Element(self.a_e + other.a_e, self.a_h + other.a_h,
                           self.a_f + other.a_f)
 
-    def __sub__(self, other):
-        return Sl2Element(self.a_e - other.a_e, self.a_h - other.a_h,
-                          self.a_f - other.a_f)
-
-    def __neg__(self):
-        return Sl2Element(-self.a_e, -self.a_h, -self.a_f)
-
-    def __mul__(self, scalar):
-        return Sl2Element(self.a_e * scalar, self.a_h * scalar, self.a_f * scalar)
-
-    __rmul__ = __mul__
-
 
 E = Sl2Element(1, 0, 0)
 H = Sl2Element(0, 1, 0)

@@ -15,9 +15,6 @@ import os
 import reprlib
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .scalars import QQi
 
 FORMATS = ("json", "csv")
 
@@ -129,15 +126,8 @@ class ReportRecord:
 
 
 def format_value(v) -> str:
-    """Exact string form of a verification value."""
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (QQi, int, Fraction, str)):
-        return str(v)
-    if isinstance(v, (tuple, list)):
-        return "[" + ", ".join(format_value(x) for x in v) + "]"
+    """Exact string form of a verification value: the ``to_json`` document
+    as compact JSON where the value has one, else ``str``."""
     if hasattr(v, "to_json"):
         return json.dumps(v.to_json(), sort_keys=True, separators=(",", ":"))
     return str(v)

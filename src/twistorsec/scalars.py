@@ -5,14 +5,14 @@ meaning ``(a + b*i)/d``, in the normal form ``d > 0`` and
 ``gcd(a, b, d) == 1`` (zero is ``(0, 0, 1)``).  The normal form is unique, so
 equality compares the ints.  All arithmetic is closed, so identities are
 asserted with ``==`` and no tolerance.  ``QQi`` combines with ``int`` and
-``Fraction`` and stays exact; combining it with ``float`` or ``complex`` raises
-``TypeError``.  Library code relies only on ``+``, ``*`` and ``conjugate()``,
-so it also runs on plain ``int`` and ``Fraction`` inputs.
+``Fraction`` and stays exact (``-`` and ``/`` take the ``QQi`` on the left);
+combining it with ``bool``, ``float`` or ``complex`` raises ``TypeError``.
+Library code relies only on ``+``, ``*`` and ``conjugate()``, so it also runs
+on plain ``int`` and ``Fraction`` inputs.
 """
 
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -39,8 +39,6 @@ def _parts(x):
         return x._a, x._b, x._d
     if type(x) is int:
         return x, 0, 1
-    if isinstance(x, int):
-        return int(x), 0, 1
     if isinstance(x, Fraction):
         return x.numerator, 0, x.denominator
     return None
@@ -60,11 +58,6 @@ class QQi:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
-        if isinstance(re, QQi):
-            re, im = re.re, re.im + Fraction(im)
-        elif isinstance(re, str) and ("i" in re):
-            parsed = QQi.parse(re)
-            re, im = parsed.re, parsed.im
         re, im = Fraction(re), Fraction(im)
         d = lcm(re.denominator, im.denominator)
         self._a = re.numerator * (d // re.denominator)
@@ -78,18 +71,6 @@ class QQi:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def parse(cls, text: str) -> "QQi":
-        """Inverse of ``str``: accepts e.g. ``"-3/2"``, ``"0+3i"``, ``"1/2-3/4i"``."""
-        s = text.strip().replace(" ", "")
-        m = _re.fullmatch(r"([+-]?\d+(?:/\d+)?)(?:([+-]\d+(?:/\d+)?)i)?", s)
-        if not m:
-            raise ValueError(f"not a Gaussian rational literal: {text!r}")
-        re_part, im_part = m.group(1), m.group(2)
-        return cls(Fraction(re_part), Fraction(im_part) if im_part else 0)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -115,10 +96,6 @@ class QQi:
             return _make(self._a - c, self._b - e, d)
         return _make(self._a * f - c * d, self._b * f - e * d, d * f)
 
-    def __rsub__(self, other):
-        res = self.__sub__(other)
-        return NotImplemented if res is NotImplemented else -res
-
     def __mul__(self, other):
         o = _parts(other)
         if o is None:
@@ -140,12 +117,6 @@ class QQi:
         a, b = self._a, self._b
         return _make(f * (a * c + b * e), f * (b * c - a * e), self._d * n2)
 
-    def __rtruediv__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return _make(*o).__truediv__(self)
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
@@ -162,9 +133,6 @@ class QQi:
 
     def __neg__(self):
         return _make(-self._a, -self._b, self._d)
-
-    def __pos__(self):
-        return self
 
     def conjugate(self) -> "QQi":
         return _make(self._a, -self._b, self._d)
@@ -200,8 +168,6 @@ HALF = Fraction(1, 2)
 
 def conj(z):
     """Complex conjugate, generic over QQi / int / Fraction."""
-    if isinstance(z, Fraction):
-        return z
     return z.conjugate()
 
 

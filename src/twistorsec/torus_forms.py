@@ -29,7 +29,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul, sub
+from operator import add, mul
 
 from .constants import VOLUME_CONST
 from .scalars import QQi, conj, random_qqi, scalar_from_json, scalar_to_json
@@ -43,7 +43,9 @@ class FourierScalar:
     ``modes`` maps int pairs to nonzero coefficients.  The constructor casts
     the keys and drops zero coefficients.  Arithmetic builds its results with
     :func:`_fs` and drops a mode where a sum cancels to zero: coefficients lie
-    in a field, so a product of nonzero coefficients is nonzero.
+    in a field, so a product of nonzero coefficients is nonzero.  A series
+    adds to and compares with a series only; ``*`` also takes a scalar on the
+    right.
     """
 
     __slots__ = ("modes",)
@@ -80,11 +82,8 @@ class FourierScalar:
         return bool(self.modes)
 
     def __add__(self, other):
-        if type(other) is not FourierScalar:
-            if isinstance(other, _SCALARS):
-                other = FourierScalar.const(other)
-            elif not isinstance(other, FourierScalar):
-                return NotImplemented
+        if not isinstance(other, FourierScalar):
+            return NotImplemented
         out = dict(self.modes)
         for k, c in other.modes.items():
             if k in out:
@@ -94,14 +93,6 @@ class FourierScalar:
                     continue
             out[k] = c
         return _fs(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, FourierScalar) else -1 * other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return _fs({k: -c for k, c in self.modes.items()})
@@ -127,11 +118,6 @@ class FourierScalar:
                 out[k] = c
         return _fs(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.__mul__(other)
-        return NotImplemented
-
     def conjugate(self) -> "FourierScalar":
         """Complex conjugate: mode (m, n) goes to (-m, -n) with conjugated coefficient."""
         return _fs({(-m, -n): conj(c) for (m, n), c in self.modes.items()})
@@ -147,11 +133,8 @@ class FourierScalar:
                     if m or n})
 
     def __eq__(self, other):
-        if type(other) is not FourierScalar:
-            if isinstance(other, _SCALARS):
-                other = FourierScalar.const(other)
-            elif not isinstance(other, FourierScalar):
-                return NotImplemented
+        if not isinstance(other, FourierScalar):
+            return NotImplemented
         return self.modes == other.modes
 
     def __hash__(self):
@@ -234,20 +217,14 @@ class MatrixForm:
 
     # -- linear structure -----------------------------------------------------
 
-    def _combine(self, other, op):
+    def __add__(self, other):
         if not isinstance(other, MatrixForm):
             return NotImplemented
         if self.bidegree != other.bidegree or self.size != other.size:
             raise ValueError("bidegree/size mismatch")
         return MatrixForm(self.bidegree,
-                          tuple(tuple(map(op, r, s))
+                          tuple(tuple(map(add, r, s))
                                 for r, s in zip(self.entries, other.entries)))
-
-    def __add__(self, other):
-        return self._combine(other, add)
-
-    def __sub__(self, other):
-        return self._combine(other, sub)
 
     def __neg__(self):
         return MatrixForm(self.bidegree, _map_rows(self.entries, lambda e: -e))

@@ -34,10 +34,11 @@ _DEGREE_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _as_degree(x):
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x
     if ((isinstance(x, str) and _DEGREE_TEXT.fullmatch(x))
-            or (isinstance(x, (list, tuple)) and len(x) == 2)):
+            or (isinstance(x, (list, tuple)) and len(x) == 2
+                and bool not in map(type, x))):
         try:
             f = Fraction(x) if isinstance(x, str) else Fraction(*x)
         except (TypeError, ValueError, ZeroDivisionError):

@@ -62,8 +62,8 @@ def verdict(capsys):
 
 def test_acceptance_01_sl2_relations(verdict):
     t0 = time.monotonic()
-    ok = (pl.sl2_bracket(pl.H, pl.E) == pl.E * 2
-          and pl.sl2_bracket(pl.H, pl.F) == pl.F * (-2)
+    ok = (pl.sl2_bracket(pl.H, pl.E) == pl.Sl2Element(2, 0, 0)
+          and pl.sl2_bracket(pl.H, pl.F) == pl.Sl2Element(0, 0, -2)
           and pl.sl2_bracket(pl.E, pl.F) == pl.H
           and pl.killing(pl.H, pl.H) == QQi(8)
           and pl.killing(pl.H, pl.E) == QQi(0)

@@ -43,7 +43,7 @@ def _const_form(rows, bidegree):
 def _commutator(a, b):
     """The matrix commutator a b - b a, written out from wedge, independently
     of the library's graded bracket."""
-    return wedge(a, b) - wedge(b, a)
+    return wedge(a, b) + -wedge(b, a)
 
 
 E21_DZ = _const_form([[0, 0], [QQi(1), 0]], (1, 0))
@@ -150,7 +150,7 @@ def test_linearization_matches_quadratic_extraction():
         twice = integrability_residuals(_shift(lift, t, 2), 2)
         model = linearized_residuals(lift, t, 2)
         for k in range(3):
-            oracle = (once[k] * 4 - twice[k] - base[k] * 3) * Fraction(1, 2)
+            oracle = (once[k] * 4 + -twice[k] + base[k] * -3) * Fraction(1, 2)
             assert model[k] == oracle
 
 
@@ -532,7 +532,7 @@ def test_energy_ignores_beta_one():
     char = random_pure_grade_form(rng, UNI, 1, (0, 1))
     # Strip any constant mode so the character test stays sharp.
     stripped = MatrixForm((0, 1),
-                          [[e - FourierScalar.const(e.constant_mode()) for e in row]
+                          [[e + FourierScalar.const(-e.constant_mode()) for e in row]
                            for row in char.entries])
     with_char = c_star_fixed_lift(UNI, E21_DZ, beta={1: stripped})
     assert energy_of_lift(with_char) == energy_of_lift(base)

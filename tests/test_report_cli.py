@@ -62,14 +62,11 @@ def test_config_from_file(tmp_path):
 
 
 def test_format_value_branches():
-    assert format_value(None) == ""
-    assert format_value(True) == "true" and format_value(False) == "false"
     assert format_value(QQi(1, -2)) == str(QQi(1, -2))
     assert format_value(Fraction(3, 2)) == "3/2"
     assert format_value(-4) == "-4"
     assert format_value("already text") == "already text"
     assert format_value(1.5) == "1.5"
-    assert format_value([1, Fraction(1, 3)]) == "[1, 1/3]"
     v = VhsBlockData((1, 1), (1, -1), label="x")
     doc = json.loads(format_value(v))
     assert doc == v.to_json()
@@ -456,6 +453,12 @@ _WIDE_GENUS = [dict(_ENTRY, label="uniformizing-g" + "1" * 5000, pair="b"),
     (_WIDE_PAIR, _HYPERHOL, 2, "entry 'a': pair degree has too many digits"),
     (_WIDE_PAIR, "hyperhol-degree --dataset DATA", 2, "'a': pair degree has too"),
     (_WIDE_GENUS, _VERIFY_VHS, 2, "expected uniformizing-g<genus>"),
+    # A JSON boolean is not a degree, as it is not a rank.
+    ([dict(_ENTRY, degrees=[True, -1])], _VERIFY_VHS, 2, "not a degree value"),
+    ([dict(_ENTRY, degrees=[True, -1])], "vhs-energy --dataset DATA", 2,
+     "not a degree value"),
+    ([dict(_ENTRY, degrees=[[True, 1], -1])], "vhs-energy --dataset DATA", 2,
+     "not a degree value"),
 ])
 def test_cli_dataset_input(tmp_path, capsys, entries, command, code, needle):
     path = tmp_path / "data.json"
@@ -470,6 +473,24 @@ def test_cli_dataset_input(tmp_path, capsys, entries, command, code, needle):
     err = capsys.readouterr().err
     assert got == code
     assert needle in err and "Traceback" not in err
+
+
+#: A one-block uniformizing entry: both its genus and its single block call
+#: for a vhs-energy record.
+_G1_ONE_BLOCK = [{"ranks": [2], "degrees": [0], "label": "uniformizing-g1",
+                  "pair": "b"}, {"ranks": [2], "degrees": [0], "label": "b"}]
+
+
+@pytest.mark.parametrize("command", [
+    "verify", "verify --suite vhs-energy --cases 0 --dataset DATA",
+], ids=["default", "one-block-uniformizing"])
+def test_report_cases_are_unique(tmp_path, command):
+    out, path = tmp_path / "report.json", tmp_path / "data.json"
+    path.write_text(json.dumps({"entries": _G1_ONE_BLOCK}), encoding="utf-8")
+    argv = [str(path) if arg == "DATA" else arg for arg in command.split()]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    keys = [(r["suite"], r["case"]) for r in json.loads(out.read_text())["records"]]
+    assert len(keys) == len(set(keys))
 
 
 def test_verify_reads_the_dataset_once(tmp_path, monkeypatch):
