@@ -14,6 +14,7 @@ import reprlib
 import sys
 
 from . import flat_model as fm
+from .constants import REALITY_SIGN
 from .datasets import TABLE_COLUMNS, load_vhs_dataset, vhs_energy_table
 from .report import (FORMATS, RECORD_COLUMNS, RunConfig, atomic_write, csv_text,
                      failing_suites, format_value, json_text, render_report,
@@ -144,14 +145,12 @@ def _cmd_hyperhol_degree(args) -> int:
 
 
 def _cmd_flat_demo(args) -> int:
-    if args.blocks < 1:
-        raise ValueError("need at least one block")
     rng = random.Random(args.seed)
     s = fm.random_section(rng, args.blocks)
     v = fm.random_section(rng, args.blocks)
     field = fm.fundamental_field(s)
     moment = fm.d_energy(s, v) == QQi(0, 1) * fm.omega0_killing(s, field, v)
-    reality = conj(fm.energy(fm.real_involution(s))) + fm.energy(s) == QQi(0)
+    reality = conj(fm.energy(fm.real_involution(s))) == REALITY_SIGN * fm.energy(s)
     doc = {
         "seed": args.seed,
         "blocks": args.blocks,

@@ -182,7 +182,7 @@ def omega0_splitting(s: FlatSection, V: FlatSection, W: FlatSection):
                                  - holomorphic_metric(s, Vinf, W0))
 
 
-def _eval_rows(x):
+def evaluation_row(x):
     """Coefficient extraction row for evaluating (c1 + c2*t) at x."""
     if x is INFINITY:
         return (QQi(0), QQi(1))
@@ -198,7 +198,7 @@ def local_biholo_jacobian(s: FlatSection, x, y=None):
     """
     if y is None:
         y = antipodal(x)
-    rx, ry = _eval_rows(x), _eval_rows(y)
+    rx, ry = evaluation_row(x), evaluation_row(y)
     return (rx[0] * ry[1] - rx[1] * ry[0]) ** (2 * s.d)
 
 
@@ -210,13 +210,12 @@ def energy(s: FlatSection):
     fiber moment map there.  The conjugate terms cancel, leaving the closed
     form sum(ENERGY_BLOCK_COEFF * a2 * b1) pinned by the tests.
     """
-    total = QQi(0)
-    for a1, a2, b1, b2 in s.blocks:
-        # deviation of s'(0) from the twistor-line derivative (-conj b1, conj a1)
-        dv = a2 + conj(b1)
-        dxi = b2 - conj(a1)
-        iy_omega = -(I * b1) * dv  # omega(Y, (dv, dxi)) with Y = (0, i*b1)
-        total = total + (-HALF) * iy_omega + MU_COEFF * (b1 * conj(b1))
+    m = evaluate(s, QQi(0))
+    total = moment_map(m)
+    for (_, w), (_, a2, _, _), (_, line_a2, _, _) in zip(
+            m.coords, s.blocks, twistor_line(m).blocks):
+        iy_omega = -(I * w) * (a2 - line_a2)  # omega(Y, deviation) with Y = (0, i*w)
+        total = total + (-HALF) * iy_omega
     return total
 
 

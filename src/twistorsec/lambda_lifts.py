@@ -516,14 +516,13 @@ def real_involution_chart(p: DHPoint):
 
 
 def real_involution_dh(p: DHPoint) -> DHPoint:
-    """The antiholomorphic involution in the same chart.
+    """The antiholomorphic involution in the same chart: the chart-to-chart
+    triple reglued by (B, A, lam) -> (A/lam, B/lam, 1/lam).
 
-    (B, A, lam) -> (CT(A)/conj(lam), -CT(B)/conj(lam), -1/conj(lam)); an
+    So (B, A, lam) -> (CT(A)/conj(lam), -CT(B)/conj(lam), -1/conj(lam)); an
     involution, equivariant against the scaling action with weight
     conj(zeta)^-1, covering the antipodal map on the parameter line.
     """
-    cl = conj(p.lam)
-    inv = QQi(1) / cl
-    return DHPoint(conj_transpose(p.d_coeff) * inv,
-                   conj_transpose(p.dbar_coeff) * (-inv),
-                   -inv)
+    b, a, lam = real_involution_chart(p)
+    inv = QQi(1) / lam
+    return DHPoint(a * inv, b * inv, inv)

@@ -14,6 +14,7 @@ import json
 import os
 import reprlib
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 
 FORMATS = ("json", "csv")
@@ -44,6 +45,9 @@ class RunConfig:
             if (not isinstance(value, (list, tuple))
                     or not all(isinstance(x, str) for x in value)):
                 raise ValueError(f"config field {name!r} must be a list of strings")
+        repeated = [name for name, k in Counter(self.suites).items() if k > 1]
+        if repeated:  # each suite's records would come twice under one case name
+            raise ValueError(f"config field 'suites' repeats {reprlib.repr(repeated[0])}")
         if not isinstance(self.out_path, (str, type(None))):
             raise ValueError("config field 'out_path' must be a string or null")
         if len(self.datasets) > 1:

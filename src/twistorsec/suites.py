@@ -20,7 +20,7 @@ from . import lambda_lifts as ll
 from . import projline as pl
 from . import torus_forms as tf
 from . import vhs
-from .constants import XI_SCALAR_PHIPSI
+from .constants import REALITY_SIGN, XI_SCALAR_PHIPSI
 from .datasets import load_vhs_dataset
 from .report import ReportRecord, check, check_true
 from .scalars import QQi, conj, random_nonzero_qqi, random_qqi
@@ -192,8 +192,7 @@ def suite_moment_map(cfg, rng, entries):
                          fm.fundamental_field(fixed), "fixed locus"))
         out.append(check(f"fixed-denergy-{i:04d}", QQi(0), fm.d_energy(fixed, v),
                          "fixed locus"))
-        moving = any(bool(a2) or bool(b1) for _, a2, b1, _ in s.blocks)
-        if moving:
+        if fm.twist(s) is None:  # off the circle-fixed locus
             probes = []
             for k, (_, a2, b1, _) in enumerate(s.blocks):
                 if a2:
@@ -216,13 +215,12 @@ def suite_moment_map(cfg, rng, entries):
 
 
 def _vanishing_at(rng, d: int, x) -> fm.FlatSection:
+    """A random tangent in the kernel of evaluation at x, block by block."""
+    r0, r1 = fm.evaluation_row(x)
     blocks = []
     for _ in range(d):
         alpha, beta = random_qqi(rng), random_qqi(rng)
-        if x is pl.INFINITY:
-            blocks.append((alpha, QQi(0), beta, QQi(0)))
-        else:
-            blocks.append((-alpha * x, alpha, -beta * x, beta))
+        blocks.append((-alpha * r1, alpha * r0, -beta * r1, beta * r0))
     return fm.FlatSection(tuple(blocks))
 
 
@@ -266,7 +264,7 @@ def suite_energy_reality(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         s = _random_flat(rng, i)
-        total = conj(fm.energy(fm.real_involution(s))) + fm.energy(s)
+        total = conj(fm.energy(fm.real_involution(s))) - REALITY_SIGN * fm.energy(s)
         out.append(check(f"case-{i:04d}", QQi(0), total, "antiholomorphic involution"))
     return out
 
@@ -280,13 +278,13 @@ def _uniformizing_genus(e: vhs.VhsBlockData):
     if head or not sep:
         return None
     try:
-        canonical = g.isdecimal() and str(int(g)) == g
+        genus = int(g) if g.isdecimal() and str(int(g)) == g else 0
     except ValueError:  # more digits than int() reads
-        canonical = False
-    if not canonical:  # one label, one case name per genus
+        genus = 0
+    if genus < 2:  # one case name per genus; the degree 1 - g is nonzero for g >= 2
         raise ValueError(f"dataset entry {reprlib.repr(e.label)}: "
-                         f"expected uniformizing-g<genus>")
-    return int(g)
+                         f"expected uniformizing-g<genus> with genus >= 2")
+    return genus
 
 
 def suite_vhs_energy(cfg, rng, entries):

@@ -28,9 +28,10 @@ from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LambdaLift,
                                      second_variation,
                                      second_variation_weighted, xi_matrix_form)
 from twistorsec.scalars import QQi, random_qqi
-from twistorsec.torus_forms import (FourierScalar, MatrixForm, dbar, del_op,
-                                    integrate_trace, random_fourier_scalar,
-                                    random_matrix_form, wedge)
+from twistorsec.torus_forms import (FourierScalar, MatrixForm, conj_transpose,
+                                    dbar, del_op, integrate_trace,
+                                    random_fourier_scalar, random_matrix_form,
+                                    wedge)
 from twistorsec.vhs import VhsBlockData
 
 from curvature_oracle import composition_residuals
@@ -646,12 +647,14 @@ def test_real_involution_equivariance():
 
 
 def test_chart_involution_composes_to_same_chart():
-    # Flipping the chart triple with the parameter-level regluing
-    # (B, A, lam) -> (A/lam, B/lam, 1/lam) recovers the same-chart form.
+    # The same-chart involution is the chart triple reglued; compare it with
+    # the explicit same-chart formula
+    # (B, A, lam) -> (CT(A)/conj lam, -CT(B)/conj lam, -1/conj lam).
     rng = random.Random(121)
-    p = DHPoint(random_matrix_form(rng, 2, (0, 1)),
-                random_matrix_form(rng, 2, (1, 0)), QQi(3, -2))
-    bt, at, lt = real_involution_chart(p)
-    inv = QQi(1) / lt
-    flipped = DHPoint(at * inv, bt * inv, inv)
-    assert flipped == real_involution_dh(p)
+    b, a = random_matrix_form(rng, 2, (0, 1)), random_matrix_form(rng, 2, (1, 0))
+    lam = QQi(3, -2)
+    assert real_involution_chart(DHPoint(b, a, lam)) == (
+        conj_transpose(b), -conj_transpose(a), -lam.conjugate())
+    inv = QQi(1) / lam.conjugate()
+    explicit = DHPoint(conj_transpose(a) * inv, conj_transpose(b) * (-inv), -inv)
+    assert real_involution_dh(DHPoint(b, a, lam)) == explicit

@@ -364,6 +364,7 @@ _DEEP_JSON = "[" * 100_000 + "]" * 100_000
     ([1, 2], "object"), ({"datasets": ["a", "b"]}, "datasets"),
     ({"rank_bound": 1}, "rank_bound"), ({"order": 0}, "order"),
     ({"mode_bound": -1}, "mode_bound"), ({"cases": -1}, "cases"),
+    ({"suites": ["stokes", "stokes"]}, "suites"),
     pytest.param(_DEEP_JSON, "run.json", id="deep-nesting")])
 def test_cli_rejects_bad_config(tmp_path, capsys, doc, field):
     cfg_path = tmp_path / "run.json"
@@ -374,6 +375,16 @@ def test_cli_rejects_bad_config(tmp_path, capsys, doc, field):
     assert field in captured.err and captured.out == ""
 
 
+def test_cli_rejects_a_repeated_suite(tmp_path, capsys):
+    # A suite named twice would report each of its identities twice, under
+    # one (suite, case) key.
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "stokes", "--suite", "stokes",
+                     "--cases", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'suites' repeats 'stokes'" in err and not out.exists()
+
+
 _ENTRY = {"ranks": [1, 1], "degrees": [1, -1], "label": "a"}
 _VERIFY_VHS = "verify --suite vhs-energy --cases 1 --dataset DATA"
 _STOKES = "verify --suite stokes --cases 1 --dataset DATA"
@@ -381,6 +392,9 @@ _HYPERHOL = "verify --suite hyperhol-degree --cases 1 --dataset DATA"
 _PLAIN_MISSING = dict(_ENTRY, pair="missing")
 _UNIFORMIZING_MISSING = dict(_ENTRY, label="uniformizing-g2", pair="missing")
 _G02 = [dict(_ENTRY, label="uniformizing-g02", pair="a"), _ENTRY]
+_G0, _G1 = ([dict(_ENTRY, label=f"uniformizing-g{g}", pair="b"),
+             {"ranks": [2], "degrees": [0], "label": "b"}] for g in (0, 1))
+_BELOW_GENUS_2 = "expected uniformizing-g<genus> with genus >= 2"
 _NOT_IN_DATASET = "pair 'missing' is not in the dataset"
 #: Degrees in exponent form: Fraction reads "1e5000" as a 5001-digit integer,
 #: more digits than str() writes.
@@ -427,7 +441,8 @@ _WIDE_GENUS = [dict(_ENTRY, label="uniformizing-g" + "1" * 5000, pair="b"),
      "No such file"),
     # The dataset is checked whole when it is read, whichever suites run: a
     # pair must name an entry, and for verify, whose suites read the genus off
-    # a uniformizing-g<genus> label, such a label must be canonical.
+    # a uniformizing-g<genus> label, such a label must be canonical (and name
+    # a genus of at least 2, the last cases below).
     ([_PLAIN_MISSING], _STOKES, 2, _NOT_IN_DATASET),
     ([_PLAIN_MISSING], _HYPERHOL, 2, _NOT_IN_DATASET),
     ([_PLAIN_MISSING], "vhs-energy --dataset DATA", 2, _NOT_IN_DATASET),
@@ -459,6 +474,14 @@ _WIDE_GENUS = [dict(_ENTRY, label="uniformizing-g" + "1" * 5000, pair="b"),
      "not a degree value"),
     ([dict(_ENTRY, degrees=[[True, 1], -1])], "vhs-energy --dataset DATA", 2,
      "not a degree value"),
+    # The paper's degree 1 - g is nonzero only for g >= 2, so verify rejects
+    # a smaller genus; the table commands accept any label.
+    (_G0, _STOKES, 2, "'uniformizing-g0': " + _BELOW_GENUS_2),
+    (_G0, _HYPERHOL, 2, "'uniformizing-g0': " + _BELOW_GENUS_2),
+    (_G1, _VERIFY_VHS, 2, "'uniformizing-g1': " + _BELOW_GENUS_2),
+    (_G1, "verify --suite hyperhol-degree --cases 0 --dataset DATA", 2,
+     "'uniformizing-g1': " + _BELOW_GENUS_2),
+    (_G1, "hyperhol-degree --dataset DATA", 0, ""),
 ])
 def test_cli_dataset_input(tmp_path, capsys, entries, command, code, needle):
     path = tmp_path / "data.json"
@@ -476,19 +499,19 @@ def test_cli_dataset_input(tmp_path, capsys, entries, command, code, needle):
 
 
 #: A one-block uniformizing entry: both its genus and its single block call
-#: for a vhs-energy record.
-_G1_ONE_BLOCK = [{"ranks": [2], "degrees": [0], "label": "uniformizing-g1",
+#: for a vhs-energy record.  Its energy is 0, not 1 - g, so the run fails.
+_G2_ONE_BLOCK = [{"ranks": [2], "degrees": [0], "label": "uniformizing-g2",
                   "pair": "b"}, {"ranks": [2], "degrees": [0], "label": "b"}]
 
 
-@pytest.mark.parametrize("command", [
-    "verify", "verify --suite vhs-energy --cases 0 --dataset DATA",
+@pytest.mark.parametrize("command, code", [
+    ("verify", 0), ("verify --suite vhs-energy --cases 0 --dataset DATA", 1),
 ], ids=["default", "one-block-uniformizing"])
-def test_report_cases_are_unique(tmp_path, command):
+def test_report_cases_are_unique(tmp_path, command, code):
     out, path = tmp_path / "report.json", tmp_path / "data.json"
-    path.write_text(json.dumps({"entries": _G1_ONE_BLOCK}), encoding="utf-8")
+    path.write_text(json.dumps({"entries": _G2_ONE_BLOCK}), encoding="utf-8")
     argv = [str(path) if arg == "DATA" else arg for arg in command.split()]
-    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert cli.main(argv + ["--out", str(out)]) == code
     keys = [(r["suite"], r["case"]) for r in json.loads(out.read_text())["records"]]
     assert len(keys) == len(set(keys))
 
@@ -620,6 +643,7 @@ _fuzz_dataset = _json | st.fixed_dictionaries(
 @example({"suites": ["gauge-covariance"], "cases": 1, "rank_bound": 1}, {})
 @example({"suites": ["vhs-energy"], "cases": 1, "datasets": ["DATA"]},
          {"entries": _E5000})
+@example({"suites": ["stokes", "stokes"], "cases": 1}, {})
 def test_cli_exit_contract_on_arbitrary_json(config, dataset):
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "data.json")
@@ -641,6 +665,8 @@ def test_cli_exit_contract_on_arbitrary_json(config, dataset):
         with open(out, encoding="utf-8") as fh:
             records = _read_records(fh.read(), config.get("out_format", "json"))
         assert (code == 1) == any(not r.passed for r in records)
+        keys = [(r.suite, r.case) for r in records]
+        assert len(keys) == len(set(keys))  # one record per identity
         # Every input is checked before a suite runs, so no suite may crash.
         assert not any(r.case == "error" for r in records)
 

@@ -27,12 +27,10 @@ BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 #: of the paper and a test in ``tests/`` checks it, or because it is a frozen
 #: constant whose derivation lives in ``tests/``.
 PAPER_STATEMENTS = {
-    "flat_model": {"twistor_line", "moment_map", "residue_form_phi",
-                   "local_biholo_jacobian", "twist"},
-    "lambda_lifts": {"real_involution_chart"},
+    "flat_model": {"residue_form_phi", "local_biholo_jacobian"},
     "projline": {"h_pairing", "sigma_value"},
     "vhs": {"bb_slice_shape", "g_lambda_ad_weight"},
-    "constants": {"REALITY_SIGN", "XI_SCALAR_DLAMBDA"},
+    "constants": {"XI_SCALAR_DLAMBDA"},
 }
 
 
@@ -87,11 +85,7 @@ NOT_REACHED = {
     "projline.PolySection.__call__": "Sl2Element.evaluate, behind sigma_value",
     "projline.Sl2Element.coefficient_poly": "Sl2Element.evaluate, behind sigma_value",
     "projline.Sl2Element.evaluate": "sigma_value",
-    "flat_model.FlatPoint.__post_init__": "the point type of twistor_line, "
-                                          "evaluate and moment_map",
-    "flat_model.evaluate": "residue_form_phi",
     "flat_model.relative_symplectic": "residue_form_phi",
-    "flat_model._eval_rows": "local_biholo_jacobian",
     "vhs._check_index": "g_lambda_ad_weight",
     "vhs.grade_positions": "bb_slice_shape",
     "projline._Infinity.__new__": "runs once, at import, to make INFINITY",
