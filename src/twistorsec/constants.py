@@ -44,11 +44,6 @@ ENERGY_LIFT_COEFF = QQi(1)
 #: gauge degeneracy) are prefactor-independent, so the choice is inert.
 OMEGA_HAT_COEFF = QQi(0, Fraction(-1, 2))
 
-#: Scalar c such that the lambda-derivative fixed-point relation
-#: -i*lambda*(d/dlambda) dbar(lambda) = dbar(lambda) . (c*xi) holds on every
-#: circle-fixed lift, with xi the diagonal grading element.
-XI_SCALAR_DLAMBDA = QQi(0, -1)
-
 #: Scalar c such that the order-zero fixed-point relations hold with
 #: xi_0 = c * xi: namely Phi = [Phi, xi_0] and 0 = dbar(xi_0).
 XI_SCALAR_PHIPSI = QQi(-1)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constants import ENERGY_BLOCK_COEFF, MU_COEFF, OMEGA0_SPLIT_COEFF
-from .projline import INFINITY, antipodal
+from .projline import INFINITY
 from .scalars import HALF, I, QQi, conj, random_qqi, scalar_to_json
 
 
@@ -124,8 +124,8 @@ def moment_map(m: FlatPoint):
     return total
 
 
-def relative_symplectic(t, V: FlatPoint, W: FlatPoint):
-    """Fiberwise Darboux pairing sum(dv ^ dxi) on two fiber vectors over t."""
+def relative_symplectic(V: FlatPoint, W: FlatPoint):
+    """Fiberwise Darboux pairing sum(dv ^ dxi) on two fiber vectors over one point."""
     total = QQi(0)
     for (v1, x1), (v2, x2) in zip(V.coords, W.coords):
         total = total + (v1 * x2 - v2 * x1)
@@ -133,7 +133,7 @@ def relative_symplectic(t, V: FlatPoint, W: FlatPoint):
 
 
 def omega0_killing(s: FlatSection, V: FlatSection, W: FlatSection):
-    """The symplectic form at the degenerate point t = 0, via the h-pairing route.
+    """The symplectic form at the degenerate point t = 0 (Killing-pairing construction).
 
     Equals (i/2) * d/dt|_0 of the fiberwise pairing of V(t) and W(t); that
     t-derivative is the closed form coded below.
@@ -187,19 +187,6 @@ def evaluation_row(x):
     if x is INFINITY:
         return (QQi(0), QQi(1))
     return (QQi(1), x)
-
-
-def local_biholo_jacobian(s: FlatSection, x, y=None):
-    """Determinant of evaluation at x and y on the 4d section space.
-
-    y defaults to the antipodal point of x.  Per block the map is two copies
-    of the 2x2 coefficient-evaluation matrix, so the result is the 2d-th
-    power of its determinant; it vanishes only when x = y.
-    """
-    if y is None:
-        y = antipodal(x)
-    rx, ry = evaluation_row(x), evaluation_row(y)
-    return (rx[0] * ry[1] - rx[1] * ry[0]) ** (2 * s.d)
 
 
 def energy(s: FlatSection):
@@ -273,7 +260,7 @@ def residue_form_phi(s: FlatSection, t, l, V: FlatSection):
     if t is INFINITY:
         raise ValueError("residue form expects a finite base point")
     X = fundamental_field(s)
-    gamma = relative_symplectic(t, evaluate(X, t), evaluate(V, t))
+    gamma = relative_symplectic(evaluate(X, t), evaluate(V, t))
     return energy(s) * l + gamma
 
 

@@ -389,7 +389,7 @@ def random_pure_grade_form(rng, v: VhsBlockData, k: int, bidegree,
                            mode_bound: int = 2, constant: bool = False) -> MatrixForm:
     """Random matrix form supported on the grade-k blocks only."""
     ent = [[FS_ZERO] * v.n for _ in range(v.n)]
-    for r, row in enumerate(grades(v)):  # row-major: draws in grade_positions order
+    for r, row in enumerate(grades(v)):  # row-major: block by block, by block row
         for c, grade in enumerate(row):
             if grade == k:
                 ent[r][c] = (FourierScalar.const(random_qqi(rng)) if constant

@@ -3,7 +3,7 @@
 Sections of O(k) are stored 0-chart-first as coefficient sequences
 ``(c_0, ..., c_k)`` for ``c_0 + c_1*t + ... + c_k*t^k``; the infinity-chart
 representative is the reversed sequence, and passing to it twice is the
-identity.  On top of that this module provides the antipodal map, the
+identity.  On top of that this module provides the point at infinity, the
 Wronskian pairing on degree-1 sections, and the Lie algebra sl2 of global
 vector fields ``a(t) d/dt`` in the basis
 
@@ -18,35 +18,16 @@ matrices in this basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .scalars import QQi, conj
 
 
 class _Infinity:
-    """The point at infinity of the projective line (singleton)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The point at infinity of the projective line; INFINITY is its one instance."""
 
     def __repr__(self):
         return "INFINITY"
 
 
 INFINITY = _Infinity()
-
-
-def antipodal(x):
-    """The antipodal map x -> -1/conj(x), exchanging 0 and infinity."""
-    if x is INFINITY:
-        return QQi(0)
-    if not x:
-        return INFINITY
-    return QQi(-1) / conj(x)
 
 
 @dataclass(frozen=True)
@@ -67,12 +48,6 @@ class PolySection:
     def chart_involution(self) -> "PolySection":
         """The infinity-chart representative (reversed coefficients)."""
         return PolySection(self.degree_bound, self.coeffs[::-1])
-
-    def __call__(self, t):
-        value = self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            value = value * t + c
-        return value
 
 
 def wronskian(p: PolySection, q: PolySection):
@@ -100,14 +75,6 @@ class Sl2Element:
     a_h: object = 0
     a_f: object = 0
 
-    def coefficient_poly(self) -> PolySection:
-        """A(t) = A_e - 2*A_h*t - A_f*t^2 as a section of O(2)."""
-        return PolySection(2, (self.a_e, -2 * self.a_h, -self.a_f))
-
-    def evaluate(self, t):
-        """Value of the vector field at t, as the coefficient of d/dt."""
-        return self.coefficient_poly()(t)
-
     def __add__(self, other):
         return Sl2Element(self.a_e + other.a_e, self.a_h + other.a_h,
                           self.a_f + other.a_f)
@@ -116,9 +83,6 @@ class Sl2Element:
 E = Sl2Element(1, 0, 0)
 H = Sl2Element(0, 1, 0)
 F = Sl2Element(0, 0, 1)
-
-#: sigma = i*t*d/dt, the rotation field; h = 2i*sigma.
-SIGMA = Sl2Element(0, QQi(0, Fraction(-1, 2)), 0)
 
 
 def sl2_bracket(A: Sl2Element, B: Sl2Element) -> Sl2Element:
@@ -136,13 +100,3 @@ def sl2_bracket(A: Sl2Element, B: Sl2Element) -> Sl2Element:
 def killing(A: Sl2Element, B: Sl2Element):
     """kappa(A, B) = trace(ad_A o ad_B) = 8 A_h B_h + 4 (A_e B_f + A_f B_e)."""
     return 8 * A.a_h * B.a_h + 4 * (A.a_e * B.a_f + A.a_f * B.a_e)
-
-
-def h_pairing(A: Sl2Element):
-    """(1/8i) * kappa(A, h); equals -i*A_h and (i/2) * A'(0)."""
-    return killing(A, H) * QQi(0, Fraction(-1, 8))
-
-
-def sigma_value(t):
-    """The rotation vector field at the point t: the coefficient i*t of d/dt."""
-    return SIGMA.evaluate(t)

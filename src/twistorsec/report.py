@@ -167,8 +167,15 @@ def failing_suites(records):
 
 
 def json_text(doc) -> str:
-    """The JSON form of every document the program writes."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The JSON form of every document the program writes.
+
+    ``json.dump`` writes each piece as it is made; ``json.dumps`` would hold
+    all of them in one list before joining, several times the text's size.
+    """
+    buf = io.StringIO()
+    json.dump(doc, buf, sort_keys=True, indent=2, ensure_ascii=False)
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def csv_text(columns, rows) -> str:

@@ -117,20 +117,6 @@ class QQi:
         a, b = self._a, self._b
         return _make(f * (a * c + b * e), f * (b * c - a * e), self._d * n2)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return (QQi(1) / self) ** (-n)
-        out = QQi(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __neg__(self):
         return _make(-self._a, -self._b, self._d)
 

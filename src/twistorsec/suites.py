@@ -211,6 +211,17 @@ def suite_moment_map(cfg, rng, entries):
                                   fm.fundamental_field(s) != fm.zero_tangent(s.d),
                                   "rotation field is nonzero off the fixed locus",
                                   "fixed locus"))
+    # The residue form is the moment map: three draws, whatever cfg.cases is.
+    for k in range(3):
+        s = _random_flat(rng, k)
+        t, l = random_qqi(rng), random_nonzero_qqi(rng)
+        out.append(check(f"residue-base-{k}", fm.energy(s) * l,
+                         fm.residue_form_phi(s, t, l, fm.zero_tangent(s.d)),
+                         "residue form"))
+        v = fm.random_section(rng, s.d)
+        out.append(check(f"residue-fixed-{k}", QQi(0),
+                         fm.residue_form_phi(_zero_rotation_blocks(s), t, l, v),
+                         "residue form"))
     return out
 
 
@@ -354,8 +365,8 @@ def suite_det_exponent(cfg, rng, entries):
 def _random_graded_matrix(rng, v, k):
     """Rows of a matrix with random grade-k entries and zeros elsewhere.
 
-    Each block row holds exactly one grade-k block, so the row-major draws
-    fall block by block in grade_positions order.
+    Each block row holds at most one grade-k block, so the row-major draws
+    fall block by block, in the order of the block rows.
     """
     zero = QQi(0)
     return [[random_qqi(rng) if grade == k else zero for grade in row]

@@ -9,8 +9,9 @@ g(t) = t^m diag(t^(1-l), ..., t^0).
 Blocks are 1-indexed.  A block labeled (i, j) maps the i-th summand to the
 j-th (so it is an r_j x r_i matrix), and its grading weight is k = i - j.
 Since m is only a rational, g(t) itself may be multivalued; it is never
-materialized as a matrix, only its exponent vector and its (single-valued)
-adjoint action are exposed.
+materialized as a matrix, only its exponent vector is exposed.  Conjugation
+g^-1 (.) g scales the block (i, j) by t^(i - j), the difference of the i-th
+and j-th exponents.
 
 The degree-weighted energy sum is implemented including the k = 1 term,
 which vanishes identically, so the sum may be read as starting at k = 1
@@ -136,21 +137,6 @@ def det_exponent(v: VhsBlockData) -> Fraction:
     return sum((r * w for r, w in zip(v.ranks, xi_weights(v))), start=Fraction(0))
 
 
-def g_lambda_ad_weight(v: VhsBlockData, i: int, j: int):
-    """Power of t by which conjugation g^-1 (.) g scales the block (i, j).
-
-    exponent_i - exponent_j = i - j, the grading weight of the block.
-    """
-    w = xi_weights(v)
-    _check_index(v, i), _check_index(v, j)
-    return w[i - 1] - w[j - 1]
-
-
-def _check_index(v: VhsBlockData, i: int):
-    if not 1 <= i <= v.l:
-        raise IndexError(f"block index {i} out of range 1..{v.l}")
-
-
 def grades(v: VhsBlockData) -> list:
     """Rows of the grading weight i - j of the block (i, j) holding each entry
     of an n x n matrix."""
@@ -179,27 +165,6 @@ def xi_matrix(v: VhsBlockData):
     zero = QQi(0)
     return tuple(tuple(w if r == c else zero for c in range(v.n))
                  for r, w in enumerate(_xi_diagonal(v)))
-
-
-def grade_positions(v: VhsBlockData, k: int) -> tuple:
-    """All (i, j, rows, cols) block positions of grading weight k."""
-    out = []
-    for i in range(1, v.l + 1):
-        j = i - k
-        if 1 <= j <= v.l:
-            out.append((i, j, v.ranks[j - 1], v.ranks[i - 1]))
-    return tuple(out)
-
-
-def bb_slice_shape(v: VhsBlockData) -> dict:
-    """Block positions open to the affine-slice data: beta in grades k >= 1,
-    phi in grades k >= 0, each with its matrix dimensions."""
-    beta, phi = [], []
-    for k in range(1, v.l):
-        beta.extend(grade_positions(v, k))
-    for k in range(0, v.l):
-        phi.extend(grade_positions(v, k))
-    return {"beta": tuple(sorted(beta)), "phi": tuple(sorted(phi))}
 
 
 def grafting_data(g: int) -> VhsBlockData:

@@ -16,8 +16,7 @@ from twistorsec.constants import MU_COEFF, REALITY_SIGN
 from twistorsec.flat_model import (FlatPoint, FlatSection, d_energy, energy,
                                    energy_infinity, evaluate,
                                    fundamental_field, group_action,
-                                   holomorphic_metric, local_biholo_jacobian,
-                                   moment_map, omega0_killing,
+                                   holomorphic_metric, moment_map, omega0_killing,
                                    omega0_splitting, random_section,
                                    real_involution, relative_symplectic,
                                    residue_form_phi, twist,
@@ -177,9 +176,9 @@ def test_fundamental_field_examples():
 def test_relative_symplectic_darboux_normalization():
     dv = FlatPoint(((QQi(1), QQi(0)),))
     dxi = FlatPoint(((QQi(0), QQi(1)),))
-    assert relative_symplectic(QQi(0), dv, dxi) == QQi(1)
-    assert relative_symplectic(QQi(0), dxi, dv) == QQi(-1)
-    assert relative_symplectic(QQi(0), dv, dv) == QQi(0)
+    assert relative_symplectic(dv, dxi) == QQi(1)
+    assert relative_symplectic(dxi, dv) == QQi(-1)
+    assert relative_symplectic(dv, dv) == QQi(0)
 
 
 def test_omega0_basis_values():
@@ -258,17 +257,6 @@ def test_metric_isotropic_on_common_vanishing(d, x, data):
     assert holomorphic_metric(s, v, w) == QQi(0)
 
 
-def test_local_biholo_jacobian():
-    s = FlatSection(((QQi(1), QQi(2), QQi(3), QQi(4)),
-                     (QQi(0), QQi(1), QQi(0), QQi(1))))
-    assert local_biholo_jacobian(s, QQi(0))
-    assert local_biholo_jacobian(s, QQi(1, 1))
-    # Repeated evaluation point: the combined map degenerates.
-    assert local_biholo_jacobian(s, QQi(1, 1), QQi(1, 1)) == QQi(0)
-    # At x = 0 the partner is infinity and the determinant is a sign power.
-    assert local_biholo_jacobian(s, QQi(0)) == QQi(1)
-
-
 def test_energy_examples():
     z, w = QQi(1, 2), QQi(3, -1)
     line = twistor_line(FlatPoint(((z, w),)))
@@ -343,7 +331,7 @@ def test_residue_form_examples():
     # Pure vertical at 0: omega(Y, V(0)) with Y = (0, i b1).
     v = FlatSection(((QQi(5), QQi(0), QQi(7), QQi(0)),))
     expected = relative_symplectic(
-        QQi(0), FlatPoint(((QQi(0), I * QQi(3)),)), evaluate(v, QQi(0)))
+        FlatPoint(((QQi(0), I * QQi(3)),)), evaluate(v, QQi(0)))
     assert residue_form_phi(s, QQi(0), QQi(0), v) == expected
     # Directions killed by evaluation (zero base part, tangent vanishing at
     # the point) are in the kernel.

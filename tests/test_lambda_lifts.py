@@ -12,8 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistorsec.constants import (ENERGY_LIFT_COEFF, XI_SCALAR_DLAMBDA,
-                                  XI_SCALAR_PHIPSI)
+from twistorsec.constants import ENERGY_LIFT_COEFF, XI_SCALAR_PHIPSI
 from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LambdaLift,
                                      TangentSeries, bb_slice_residuals,
                                      c_star_fixed_lift, c_star_on_point,
@@ -423,8 +422,9 @@ def test_has_pure_grade():
     assert not has_pure_grade(E21_DZ, VhsBlockData((3,), (0,)), 0)
 
 
-#: The scalars tried for the two fixed-point relations; the frozen constants
-#: XI_SCALAR_DLAMBDA and XI_SCALAR_PHIPSI are the ones this search found.
+#: The scalars tried for the two fixed-point relations; the search singles
+#: out -i for the lambda-derivative relation and the frozen XI_SCALAR_PHIPSI
+#: for the order-zero one.
 _XI_CANDIDATES = (QQi(0, -1), QQi(0, 1), QQi(-1), QQi(1))
 
 
@@ -448,7 +448,7 @@ def test_fixed_relations_single_out_the_frozen_xi_scalars():
                              beta={1: random_pure_grade_form(rng, v, 1, (0, 1))})
     xi = xi_matrix_form(v)
     assert [c for c in _XI_CANDIDATES
-            if _dlambda_relation_holds(lift, xi, c)] == [XI_SCALAR_DLAMBDA]
+            if _dlambda_relation_holds(lift, xi, c)] == [QQi(0, -1)]
     assert [c for c in _XI_CANDIDATES
             if _phipsi_relation_holds(lift, xi, c)] == [XI_SCALAR_PHIPSI]
     # A lift whose Psi_1 is not an eigenvector of the bracket with xi.

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from twistorsec import cli, datasets, suites
+from twistorsec import cli, datasets, flat_model, suites
 from twistorsec.datasets import load_vhs_dataset, vhs_energy_table
 from twistorsec.report import (RECORD_COLUMNS, RunConfig, ReportRecord,
                                atomic_write, check, check_true, failing_suites,
@@ -317,6 +317,21 @@ def test_cli_suite_crash_is_a_failing_record(tmp_path, monkeypatch, capsys, erro
     assert crashed[0]["actual"].startswith(f"{error.__name__}: 'yyy")
     assert len(crashed[0]["actual"]) < 100
     assert {r["status"] for r in records if r["suite"] == "xi-weights"} == {"pass"}
+
+
+def test_cli_verify_catches_a_broken_residue_form(monkeypatch, capsys):
+    # The residue form without its base term energy(s) * l: the moment-map
+    # suite checks the residue form on a fixed number of draws, so it fails
+    # even with no random cases.
+    def residue_without_base(s, t, l, V):
+        X = flat_model.fundamental_field(s)
+        return flat_model.relative_symplectic(flat_model.evaluate(X, t),
+                                              flat_model.evaluate(V, t))
+
+    monkeypatch.setattr(flat_model, "residue_form_phi", residue_without_base)
+    code = cli.main(["verify", "--suite", "moment-map", "--cases", "0"])
+    assert code == 1
+    assert "failing suites: moment-map" in capsys.readouterr().err
 
 
 def test_cli_error_exits(tmp_path, capsys):
@@ -726,9 +741,9 @@ def _suite_flags(names):
 
 @pytest.mark.parametrize("command, sha256", [
     (_VERIFY_42 + " --cases 25",
-     "5797bfee08cd8de93a2c2fddadf825b170710f7d9727f49b5512045a03926da6"),
+     "35412b77ad94f3da0072f3abe4aaad60a3e2ecb4e7ee5342f0708c48138532aa"),
     (_VERIFY_42 + " --cases 6 --format csv",
-     "6c567e3fc1deeef98a3286633b0055c01349508c253949d46c806d49c5a6e2ab"),
+     "2f7a28b9aa6ca91bcd6951056070242490e2b40edbaa5d7189ef4dbdcacd5293"),
     ("vhs-energy", "f6f62cabf0e9d8705c63a78eb2a20574cde312b7812a2a870138de638f041fd5"),
     ("vhs-energy --format csv",
      "0c63e9760e17b6f29ca296abc9aaf2d9234ad2c60794388a01182bf1cbffb43a"),
@@ -740,11 +755,11 @@ def _suite_flags(names):
     (_FLAT_DEMO + " --format csv",
      "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
     ("verify --seed 7 --cases 10",
-     "8fafb9c0fe30d7ef2bbd4c66ca78a30f2fd568b7eed011d440e04a4a04d22af9"),
+     "0003546524a68209897bb5cd198c0cd2b896053b1a0d85e3d69b911588663486"),
     ("verify --seed 3 --cases 4 --order 6 --modes 3 --rank 4",
-     "9029cd6f74048c0af5771a493d66e1251d2e28459ee956a74b2ef766867842e9"),
+     "b31d91030b128649e31e31aeb6bc8823296071cd6aeea6065d4da4646411d8c4"),
     (_VERIFY_42 + _suite_flags(_SECTIONS) + " --cases 300",
-     "2f1c8cf3e7cda000d27fb2153c4e506fbdeed16a723c7029e5fcc38b71cc7a81"),
+     "065f327665112da96b313fa12dcc1e403584ab89ffe9db2e42df92d7bf7552af"),
     (_VERIFY_42 + _suite_flags(_LIFTS) + " --order 6 --modes 3 --cases 2",
      "f3abb3b9cf6a99b97d1733e92c0b61e82aef5c6c89136d3ceef4b9501176dbdf"),
 ])

@@ -48,15 +48,6 @@ def test_conjugation(a):
 
 def test_i_squares_to_minus_one():
     assert I * I == QQi(-1)
-    assert I ** 4 == QQi(1)
-
-
-@given(qqis, st.integers(min_value=0, max_value=12))
-def test_powers_match_repeated_product(a, n):
-    expected = QQi(1)
-    for _ in range(n):
-        expected = expected * a
-    assert a ** n == expected
 
 
 @pytest.mark.parametrize("text, value", [

@@ -1,6 +1,6 @@
 """The package surface: every public top-level name of ``src/twistorsec`` is
-used by the program or the benchmark, or is a named paper statement; and
-every function and method of the package is entered by some command.
+used by the program or the benchmark, and every function and method of the
+package is entered by some command.
 
 The name check reads the source files with ``ast`` and imports nothing.  A
 name counts as used when some module of ``src/twistorsec`` or ``perfbench``,
@@ -22,16 +22,6 @@ from twistorsec.report import FORMATS
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM = sorted((ROOT / "src" / "twistorsec").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
-
-#: Public names that no program path reaches, kept because each states part
-#: of the paper and a test in ``tests/`` checks it, or because it is a frozen
-#: constant whose derivation lives in ``tests/``.
-PAPER_STATEMENTS = {
-    "flat_model": {"residue_form_phi", "local_biholo_jacobian"},
-    "projline": {"h_pairing", "sigma_value"},
-    "vhs": {"bb_slice_shape", "g_lambda_ad_weight"},
-    "constants": {"XI_SCALAR_DLAMBDA"},
-}
 
 
 def _public_definitions(tree):
@@ -66,7 +56,7 @@ def test_every_public_name_is_used_or_a_named_paper_statement():
         names = set(_public_definitions(trees[path])) - used
         if names:
             unused[path.stem] = names
-    assert unused == PAPER_STATEMENTS
+    assert unused == {}
 
 
 def test_package_root_holds_only_the_version():
@@ -77,18 +67,8 @@ def test_package_root_holds_only_the_version():
     assert [t.id for t in version.targets] == ["__version__"]
 
 
-#: Functions and methods that no command enters, each with the reason it
-#: stays.  The named paper statements join them below.
+#: Functions and methods that no command enters, each with the reason it stays.
 NOT_REACHED = {
-    "scalars.QQi.__pow__": "local_biholo_jacobian raises a determinant to a power",
-    "projline.antipodal": "local_biholo_jacobian's default second point",
-    "projline.PolySection.__call__": "Sl2Element.evaluate, behind sigma_value",
-    "projline.Sl2Element.coefficient_poly": "Sl2Element.evaluate, behind sigma_value",
-    "projline.Sl2Element.evaluate": "sigma_value",
-    "flat_model.relative_symplectic": "residue_form_phi",
-    "vhs._check_index": "g_lambda_ad_weight",
-    "vhs.grade_positions": "bb_slice_shape",
-    "projline._Infinity.__new__": "runs once, at import, to make INFINITY",
     "scalars.QQi.__hash__": "a value type hashes like its value",
     "torus_forms.FourierScalar.__hash__": "a value type hashes like its value",
     "torus_forms.FourierScalar.__repr__": "assertion messages print it",
@@ -99,8 +79,6 @@ NOT_REACHED = {
     "vhs.VhsBlockData.to_json": "writes the dataset documents the program reads",
     "lambda_lifts.LambdaLift.to_json": "writes the lift documents the program reads",
 }
-NOT_REACHED.update({f"{module}.{name}": "a named paper statement"
-                    for module, names in PAPER_STATEMENTS.items() for name in names})
 
 
 def _functions(module: str, tree):

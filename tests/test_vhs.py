@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistorsec.scalars import QQi
-from twistorsec.vhs import (VhsBlockData, bb_slice_shape, det_exponent,
-                            energy_closed, energy_recursive, g_lambda_ad_weight,
-                            grade_positions, grades, grafting_data,
+from twistorsec.vhs import (VhsBlockData, det_exponent, energy_closed,
+                            energy_recursive, grades, grafting_data,
                             hyperhol_degree, random_vhs, xi_bracket, xi_matrix,
                             xi_weights)
 
@@ -96,9 +95,9 @@ def test_xi_weights_rank_one_pair():
 def test_ad_weight_equals_grade(v, data):
     i = data.draw(st.integers(1, v.l))
     j = data.draw(st.integers(1, v.l))
-    assert g_lambda_ad_weight(v, i, j) == i - j
-    with pytest.raises(IndexError):
-        g_lambda_ad_weight(v, 0, j)
+    # Conjugation by g(t) scales the block (i, j) by t to the power
+    # weight_i - weight_j, which is its grade.
+    assert xi_weights(v)[i - 1] - xi_weights(v)[j - 1] == i - j
 
 
 def test_grade_table_layout():
@@ -128,6 +127,14 @@ def test_xi_bracket_scales_entries_by_grade():
     xm = np.array(xi_matrix(v), dtype=object)
     both = np.array(lower, dtype=object) + np.array(upper, dtype=object)
     assert xi_bracket(both.tolist(), v) == (both @ xm - xm @ both).tolist()
+
+
+def grade_positions(v, k):
+    """All (i, j, rows, cols) block positions of grading weight k: the block
+    (i, j) maps the i-th summand to the j-th, so it has r_j rows and r_i
+    columns."""
+    return [(i, i - k, v.ranks[i - k - 1], v.ranks[i - 1])
+            for i in range(1, v.l + 1) if 1 <= i - k <= v.l]
 
 
 @given(vhs_data(lmax=4, rmax=3, dmax=5))
@@ -162,18 +169,6 @@ def test_xi_bracket_matches_matrix_commutator(v, data):
     via_weights = xi_bracket(m, v)
     assert direct.tolist() == via_weights
     assert via_weights[r][c] == QQi(k) * QQi(2)
-
-
-def test_grade_positions_and_slice_shape():
-    v = VhsBlockData((1, 2, 1), (3, 0, -3))
-    assert grade_positions(v, 1) == ((2, 1, 1, 2), (3, 2, 2, 1))
-    assert grade_positions(v, -2) == ((1, 3, 1, 1),)
-    assert grade_positions(v, 5) == ()
-    shape = bb_slice_shape(v)
-    # beta lives in grades >= 1, phi also includes the diagonal.
-    assert all(i - j >= 1 for i, j, _, _ in shape["beta"])
-    assert all(i - j >= 0 for i, j, _, _ in shape["phi"])
-    assert (1, 1, 1, 1) in shape["phi"] and (1, 1, 1, 1) not in shape["beta"]
 
 
 def test_grafting_data():
