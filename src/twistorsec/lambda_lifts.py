@@ -28,7 +28,7 @@ from operator import add
 from .constants import ENERGY_LIFT_COEFF, OMEGA_HAT_COEFF
 from .scalars import QQi, conj, random_qqi
 from .torus_forms import (FS_ZERO, FourierScalar, MatrixForm, conj_transpose,
-                          dbar, del_op, integrate_trace, random_fourier_scalar,
+                          dbar, del_op, pair_trace, random_fourier_scalar,
                           trace, wedge, wedge_bracket)
 from .vhs import VhsBlockData, grades, xi_matrix
 
@@ -240,14 +240,14 @@ def gauge_tangent(lift: LambdaLift, xi: GaugeSeries) -> TangentSeries:
 
 def energy_of_lift(lift: LambdaLift):
     """The energy pairing of the lowest-order coefficients: c * integral tr(Phi ^ Psi_1)."""
-    return ENERGY_LIFT_COEFF * integrate_trace(wedge(lift.a[0], lift.b[1]))
+    return ENERGY_LIFT_COEFF * pair_trace(lift.a[0], lift.b[1])
 
 
 def d_energy_of_lift(lift: LambdaLift, t: TangentSeries):
     """First variation of the energy along a tangent series."""
     _check_tangent(lift, t, 1)
-    return ENERGY_LIFT_COEFF * (integrate_trace(wedge(t.phik[0], lift.b[1]))
-                                + integrate_trace(wedge(lift.a[0], t.psik[1])))
+    return ENERGY_LIFT_COEFF * (pair_trace(t.phik[0], lift.b[1])
+                                + pair_trace(lift.a[0], t.psik[1]))
 
 
 def omega_hat(lift: LambdaLift, t1: TangentSeries, t2: TangentSeries):
@@ -258,10 +258,10 @@ def omega_hat(lift: LambdaLift, t1: TangentSeries, t2: TangentSeries):
     """
     _check_tangent(lift, t1, 1)
     _check_tangent(lift, t2, 1)
-    value = (-integrate_trace(wedge(t1.phik[0], t2.psik[1]))
-             + integrate_trace(wedge(t2.phik[0], t1.psik[1]))
-             - integrate_trace(wedge(t1.phik[1], t2.psik[0]))
-             + integrate_trace(wedge(t2.phik[1], t1.psik[0])))
+    value = (-pair_trace(t1.phik[0], t2.psik[1])
+             + pair_trace(t2.phik[0], t1.psik[1])
+             - pair_trace(t1.phik[1], t2.psik[0])
+             + pair_trace(t2.phik[1], t1.psik[0]))
     return OMEGA_HAT_COEFF * value
 
 
@@ -273,7 +273,7 @@ def second_variation(lift: LambdaLift, t: TangentSeries, xi: MatrixForm):
     integral tr(psi0 [phi1,xi] + phi1 [psi0,xi] + psi1 [phi0,xi]
                 + phi0 [psi1,xi] + 2 phi0 psi1)
     with no orientation sign: matrix entries commute, so each trace is
-    integrate_trace(wedge(x, y)) with the (1,0) factor x first.
+    pair_trace(x, y) with the (1,0) factor x first.
     """
     _check_coeff(xi, lift.rank, (0, 0), "xi")
     _check_tangent(lift, t, 1)
@@ -289,19 +289,19 @@ def second_variation(lift: LambdaLift, t: TangentSeries, xi: MatrixForm):
             raise ValueError(f"fixed-point relation violated: {name}")
     ps0, ps1 = t.psik[0], t.psik[1]
     ph0, ph1 = t.phik[0], t.phik[1]
-    return (integrate_trace(wedge(wedge_bracket(ph1, xi), ps0))
-            + integrate_trace(wedge(ph1, wedge_bracket(ps0, xi)))
-            + integrate_trace(wedge(wedge_bracket(ph0, xi), ps1))
-            + integrate_trace(wedge(ph0, wedge_bracket(ps1, xi)))
-            + 2 * integrate_trace(wedge(ph0, ps1)))
+    return (pair_trace(wedge_bracket(ph1, xi), ps0)
+            + pair_trace(ph1, wedge_bracket(ps0, xi))
+            + pair_trace(wedge_bracket(ph0, xi), ps1)
+            + pair_trace(ph0, wedge_bracket(ps1, xi))
+            + 2 * pair_trace(ph0, ps1))
 
 
 def second_variation_weighted(t: TangentSeries, m0, m1, n0, n1):
     """The eigenweight form of the second variation for pure-weight tangents:
-    (m1 + n0) tr(psi0 phi1) + (m0 + n1 + 2) tr(psi1 phi0), with no
-    orientation sign, as in :func:`second_variation`."""
-    return ((m1 + n0) * integrate_trace(wedge(t.phik[1], t.psik[0]))
-            + (m0 + n1 + 2) * integrate_trace(wedge(t.phik[0], t.psik[1])))
+    (m1 + n0) tr(psi0 phi1) + (m0 + n1 + 2) tr(psi1 phi0), each trace a
+    pair_trace with the (1,0) factor first, as in :func:`second_variation`."""
+    return ((m1 + n0) * pair_trace(t.phik[1], t.psik[0])
+            + (m0 + n1 + 2) * pair_trace(t.phik[0], t.psik[1]))
 
 
 # -- circle-fixed lifts from graded block data --------------------------------

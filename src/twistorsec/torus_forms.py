@@ -28,8 +28,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
+from operator import add
 
 from .constants import VOLUME_CONST
 from .scalars import QQi, conj, random_qqi, scalar_from_json, scalar_to_json
@@ -105,18 +104,7 @@ class FourierScalar:
                 return _fs({k: c * other for k, c in self.modes.items()})
             if not isinstance(other, FourierScalar):
                 return NotImplemented
-        out = {}
-        for (m1, n1), c1 in self.modes.items():
-            for (m2, n2), c2 in other.modes.items():
-                k = (m1 + m2, n1 + n2)
-                c = c1 * c2
-                if k in out:
-                    c = out[k] + c
-                    if not c:
-                        del out[k]
-                        continue
-                out[k] = c
-        return _fs(out)
+        return _fs(_add_product({}, self.modes, other.modes))
 
     def conjugate(self) -> "FourierScalar":
         """Complex conjugate: mode (m, n) goes to (-m, -n) with conjugated coefficient."""
@@ -157,16 +145,26 @@ def _fs(modes: dict) -> FourierScalar:
     return fs
 
 
+def _add_product(out: dict, x: dict, y: dict) -> dict:
+    """Add the product of the series with modes x and y into the modes out, in
+    place, and return out.  A mode whose sum cancels to zero is dropped; a
+    later term may bring it back."""
+    for (m1, n1), c1 in x.items():
+        for (m2, n2), c2 in y.items():
+            k = (m1 + m2, n1 + n2)
+            c = c1 * c2
+            if k in out:
+                c = out[k] + c
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
+    return out
+
+
 FS_ZERO = FourierScalar()
 
 _BIDEGREES = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-def matmul(a, b):
-    """Product of two row matrices; each entry sums from its first product."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(reduce(add, map(mul, row, col)) for col in cols)
-                 for row in a)
 
 
 def _map_rows(rows, fn):
@@ -294,8 +292,18 @@ def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
     p, q = a.bidegree[0] + b.bidegree[0], a.bidegree[1] + b.bidegree[1]
     if p > 1 or q > 1:
         raise ValueError(f"bidegree overflow: {a.bidegree} wedge {b.bidegree}")
-    prod = MatrixForm((p, q), matmul(a.entries, b.entries))
+    cols = tuple(zip(*b.entries))
+    prod = MatrixForm((p, q), tuple(tuple(_dot(row, col) for col in cols)
+                                    for row in a.entries))
     return -prod if (a.bidegree[1] * b.bidegree[0]) % 2 else prod
+
+
+def _dot(row, col) -> FourierScalar:
+    """The series sum_k row[k] * col[k], accumulated in one dict of modes."""
+    out = {}
+    for x, y in zip(row, col):
+        _add_product(out, x.modes, y.modes)
+    return _fs(out)
 
 
 def wedge_bracket(a: MatrixForm, b: MatrixForm) -> MatrixForm:
@@ -319,6 +327,27 @@ def integrate_trace(f: MatrixForm):
     if f.bidegree != (1, 1):
         raise ValueError(f"can only integrate (1,1)-forms, got {f.bidegree}")
     return VOLUME_CONST * trace(f).constant_mode()
+
+
+def pair_trace(a: MatrixForm, b: MatrixForm):
+    """integrate_trace(wedge(a, b)) for a (1,0)-form a and a (0,1)-form b, read
+    off without forming the product: the volume times
+    sum_ij sum_(m,n) a_ij[(m,n)] * b_ji[(-m,-n)].  In this order the frame
+    sign of the wedge is +1."""
+    if a.bidegree != (1, 0) or b.bidegree != (0, 1):
+        raise ValueError(f"pair_trace pairs a (1,0)-form with a (0,1)-form, "
+                         f"got {a.bidegree} and {b.bidegree}")
+    if a.size != b.size:
+        raise ValueError("size mismatch")
+    total = QQi(0)
+    for row, col in zip(a.entries, zip(*b.entries)):
+        for x, y in zip(row, col):
+            y_modes = y.modes
+            for (m, n), c in x.modes.items():
+                d = y_modes.get((-m, -n))
+                if d is not None:
+                    total = total + c * d
+    return VOLUME_CONST * total
 
 
 def conj_transpose(f: MatrixForm) -> MatrixForm:

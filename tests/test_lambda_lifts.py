@@ -364,6 +364,28 @@ def test_gauge_transform_conjugates_curvature():
         assert moved_res[k] == expected
 
 
+def test_gauge_transform_of_a_truncated_lift_is_the_truncated_transform():
+    # A truncated series product at order k reads only orders <= k of its
+    # factors, so transforming the lift cut to order d gives the first d + 1
+    # terms of the transform of the whole lift.
+    rng = random.Random(114)
+    for rank in (2, 3):
+        for _ in range(2):
+            lift = _random_lift(rng, rank=rank, order=4)
+            uppers = [MatrixForm((0, 0), [[random_fourier_scalar(rng) if c > r
+                                           else FourierScalar()
+                                           for c in range(rank)]
+                                          for r in range(rank)])
+                      for _ in range(3)]
+            gs = [MatrixForm.identity(rank)] + uppers
+            moved = gauge_transform_lift(lift, gs)
+            for d in (1, 2, 3):
+                cut = LambdaLift(lift.phi0, lift.psi[:d], lift.phi[:d])
+                cut_moved = gauge_transform_lift(cut, gs)
+                assert cut_moved.a == moved.a[:d + 1]
+                assert cut_moved.b == moved.b[:d + 1]
+
+
 # -- circle-fixed lifts from graded data --------------------------------------
 
 UNI = VhsBlockData((1, 1), (1, -1), label="uniformizing-like")

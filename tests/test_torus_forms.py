@@ -7,17 +7,20 @@ functions; everything else is checked through algebraic identities
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from twistorsec import torus_forms
 from twistorsec.scalars import QQi
 from twistorsec.torus_forms import (FS_ZERO, FourierScalar, MatrixForm,
                                     conj_transpose, dbar, del_op,
-                                    integrate_trace, random_fourier_scalar,
-                                    random_matrix_form, trace, wedge,
-                                    wedge_bracket)
+                                    integrate_trace, pair_trace,
+                                    random_fourier_scalar, random_matrix_form,
+                                    trace, wedge, wedge_bracket)
 
 rationals = st.builds(Fraction, st.integers(), st.integers(1, 8))
 qqis = st.builds(QQi, rationals, rationals)
@@ -166,6 +169,89 @@ def test_wedge_frame_sign():
     assert wedge(g, f).entries[0][0] == FourierScalar.const(QQi(-6))
     with pytest.raises(ValueError):
         wedge(f, f)
+
+
+def _reference_wedge(a, b):
+    """wedge written entry by entry as reduce(add, map(mul, row, col)), one
+    series product and one series sum at a time, with the frame sign
+    (-1)^(q1*p2)."""
+    cols = tuple(zip(*b.entries))
+    rows = tuple(tuple(reduce(add, map(mul, row, col)) for col in cols)
+                 for row in a.entries)
+    (p1, q1), (p2, q2) = a.bidegree, b.bidegree
+    prod = MatrixForm((p1 + p2, q1 + q2), rows)
+    return -prod if q1 * p2 else prod
+
+
+@pytest.mark.parametrize("bidegrees", [((0, 0), (0, 0)), ((1, 0), (0, 1)),
+                                       ((0, 1), (1, 0)), ((0, 1), (0, 0))])
+def test_fused_wedge_matches_the_entrywise_product_sums(bidegrees):
+    # The four cases: functions, dz before dzbar, dzbar before dz (sign -1),
+    # and a form against a function.
+    rng = random.Random(41)
+    for size in range(1, 5):
+        for _ in range(4):
+            a = random_matrix_form(rng, size, bidegrees[0], mode_bound=1, terms=3)
+            b = random_matrix_form(rng, size, bidegrees[1], mode_bound=1, terms=3)
+            assert wedge(a, b) == _reference_wedge(a, b)
+
+
+def test_fused_wedge_drops_a_cancelled_mode_and_takes_it_back():
+    # Entry (0, 0) sums 1*1, then 1*(-1), which cancels the constant mode,
+    # then 5*1, which brings it back.  Entry (0, 1) cancels for good.
+    one, minus_one, five = (FourierScalar.const(QQi(c)) for c in (1, -1, 5))
+    a = MatrixForm((0, 0), [[one, one, five], [FS_ZERO] * 3, [FS_ZERO] * 3])
+    b = MatrixForm((0, 0), [[one, one, FS_ZERO], [minus_one, minus_one, FS_ZERO],
+                            [one, FS_ZERO, FS_ZERO]])
+    out = wedge(a, b)
+    assert out.entries[0][0] == five
+    assert out.entries[0][1] == FS_ZERO
+    assert out == _reference_wedge(a, b)
+
+
+def test_pair_trace_equals_the_integrated_wedge():
+    rng = random.Random(43)
+    for size in (2, 3):
+        for mode_bound in (2, 3):
+            for _ in range(6):
+                a = random_matrix_form(rng, size, (1, 0), mode_bound, terms=3)
+                b = random_matrix_form(rng, size, (0, 1), mode_bound, terms=3)
+                assert pair_trace(a, b) == integrate_trace(wedge(a, b))
+    # tr(a b) = a_01 b_10 + a_10 b_01 has constant mode 1 - 1 = 0, from two
+    # nonzero products; its other modes survive.
+    a = MatrixForm((1, 0), [[FS_ZERO, FourierScalar.char(1, 0)],
+                            [FourierScalar({(0, 1): QQi(1), (2, 0): QQi(3)}),
+                             FS_ZERO]])
+    b = MatrixForm((0, 1), [[FS_ZERO, FourierScalar.char(0, -1, QQi(-1))],
+                            [FourierScalar.char(-1, 0), FS_ZERO]])
+    assert not trace(wedge(a, b)).is_zero
+    assert pair_trace(a, b) == integrate_trace(wedge(a, b)) == QQi(0)
+
+
+def test_pair_trace_takes_only_a_one_zero_form_then_a_zero_one_form():
+    rng = random.Random(44)
+    a = random_matrix_form(rng, 2, (1, 0))
+    b = random_matrix_form(rng, 2, (0, 1))
+    with pytest.raises(ValueError, match="pairs"):
+        pair_trace(b, a)
+    with pytest.raises(ValueError, match="pairs"):
+        pair_trace(a, a)
+    with pytest.raises(ValueError, match="size mismatch"):
+        pair_trace(a, random_matrix_form(rng, 3, (0, 1)))
+
+
+def test_pair_trace_forms_no_series_product(monkeypatch):
+    rng = random.Random(45)
+    a = random_matrix_form(rng, 3, (1, 0), mode_bound=1, terms=3)
+    b = random_matrix_form(rng, 3, (0, 1), mode_bound=1, terms=3)
+    want = integrate_trace(wedge(a, b))
+    assert want != QQi(0)
+
+    def refuse(*args):
+        raise AssertionError("pair_trace formed a series product")
+    monkeypatch.setattr(FourierScalar, "__mul__", refuse)
+    monkeypatch.setattr(torus_forms, "_add_product", refuse)
+    assert pair_trace(a, b) == want
 
 
 @given(matrix_forms(bidegree=(1, 0)), matrix_forms(bidegree=(0, 1)))
