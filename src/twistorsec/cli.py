@@ -19,7 +19,7 @@ from .datasets import TABLE_COLUMNS, load_vhs_dataset, vhs_energy_table
 from .report import (FORMATS, RECORD_COLUMNS, RunConfig, atomic_write, csv_text,
                      failing_suites, format_value, json_text, render_report,
                      summary)
-from .scalars import QQi, conj
+from .scalars import QQi
 from .suites import SUITES, run_suites
 
 
@@ -150,7 +150,8 @@ def _cmd_flat_demo(args) -> int:
     v = fm.random_section(rng, args.blocks)
     field = fm.fundamental_field(s)
     moment = fm.d_energy(s, v) == QQi(0, 1) * fm.omega0_killing(s, field, v)
-    reality = conj(fm.energy(fm.real_involution(s))) == REALITY_SIGN * fm.energy(s)
+    reality = (fm.energy(fm.real_involution(s)).conjugate()
+               == REALITY_SIGN * fm.energy(s))
     doc = {
         "seed": args.seed,
         "blocks": args.blocks,

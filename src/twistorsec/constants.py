@@ -22,7 +22,7 @@ ENERGY_BLOCK_COEFF = QQi(0, Fraction(1, 2))
 
 #: Empirical sign in the reality relation conj(E(tau(s))) = REALITY_SIGN * E(s)
 #: (+ a locally constant term, which is 0 on the flat model).
-REALITY_SIGN = -1
+REALITY_SIGN = QQi(-1)
 
 #: Prefactor of the splitting construction of the degenerate-point symplectic
 #: form: Omega_0(V, W) = OMEGA0_SPLIT_COEFF * (g(V_0, W_inf) - g(V_inf, W_0)).

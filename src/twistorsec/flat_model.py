@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .constants import ENERGY_BLOCK_COEFF, MU_COEFF, OMEGA0_SPLIT_COEFF
 from .projline import INFINITY
-from .scalars import HALF, I, QQi, conj, random_qqi, scalar_to_json
+from .scalars import HALF, I, QQi, random_qqi, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,8 @@ def zero_tangent(d: int) -> FlatSection:
 
 def twistor_line(m: FlatPoint) -> FlatSection:
     """The constant section through m: per block (z, -conj(w), w, conj(z))."""
-    return FlatSection(tuple((z, -conj(w), w, conj(z)) for z, w in m.coords))
+    return FlatSection(tuple((z, -w.conjugate(), w, z.conjugate())
+                             for z, w in m.coords))
 
 
 def evaluate(s: FlatSection, t) -> FlatPoint:
@@ -98,8 +99,9 @@ def real_involution(s: FlatSection) -> FlatSection:
     fixed sections are exactly the twistor lines.  The same formula is the
     differential acting on tangents (the map is conjugate-linear).
     """
-    return FlatSection(tuple((conj(b2), -conj(b1), -conj(a2), conj(a1))
-                             for a1, a2, b1, b2 in s.blocks))
+    return FlatSection(tuple(
+        (b2.conjugate(), -b1.conjugate(), -a2.conjugate(), a1.conjugate())
+        for a1, a2, b1, b2 in s.blocks))
 
 
 def group_action(zeta, s: FlatSection) -> FlatSection:
@@ -120,7 +122,7 @@ def moment_map(m: FlatPoint):
     """Fiber moment map of the rotation, sum of MU_COEFF * |w|^2 over blocks."""
     total = QQi(0)
     for _, w in m.coords:
-        total = total + MU_COEFF * (w * conj(w))
+        total = total + MU_COEFF * (w * w.conjugate())
     return total
 
 
@@ -141,7 +143,7 @@ def omega0_killing(s: FlatSection, V: FlatSection, W: FlatSection):
     total = QQi(0)
     for (va1, va2, vb1, vb2), (wa1, wa2, wb1, wb2) in zip(V.blocks, W.blocks):
         total = total + (va1 * wb2 + va2 * wb1 - wa1 * vb2 - wa2 * vb1)
-    return QQi(0, HALF) * total
+    return I * HALF * total
 
 
 def vanishing_at_zero_part(V: FlatSection) -> FlatSection:
@@ -232,9 +234,9 @@ def energy_infinity(s: FlatSection):
     total = QQi(0)
     for a1, a2, b1, b2 in s.blocks:
         ta1, tb2 = a2, b1  # tilde-chart constant v-coefficient and linear xi-coefficient
-        dxi = tb2 + conj(ta1)  # xi-deviation from the tilde twistor line
+        dxi = tb2 + ta1.conjugate()  # xi-deviation from the tilde twistor line
         iy_omega = (I * ta1) * dxi  # rotation field (-i*v, 0) into the twisted form -dv^dxi
-        total = total + (-HALF) * iy_omega + (-MU_COEFF) * (ta1 * conj(ta1))
+        total = total + (-HALF) * iy_omega + (-MU_COEFF) * (ta1 * ta1.conjugate())
     return total
 
 

@@ -26,7 +26,7 @@ from functools import reduce
 from operator import add
 
 from .constants import ENERGY_LIFT_COEFF, OMEGA_HAT_COEFF
-from .scalars import QQi, conj, random_qqi
+from .scalars import QQi, random_qqi
 from .torus_forms import (FS_ZERO, FourierScalar, MatrixForm, conj_transpose,
                           dbar, del_op, pair_trace, random_fourier_scalar,
                           trace, wedge, wedge_bracket)
@@ -293,15 +293,15 @@ def second_variation(lift: LambdaLift, t: TangentSeries, xi: MatrixForm):
             + pair_trace(ph1, wedge_bracket(ps0, xi))
             + pair_trace(wedge_bracket(ph0, xi), ps1)
             + pair_trace(ph0, wedge_bracket(ps1, xi))
-            + 2 * pair_trace(ph0, ps1))
+            + QQi(2) * pair_trace(ph0, ps1))
 
 
 def second_variation_weighted(t: TangentSeries, m0, m1, n0, n1):
     """The eigenweight form of the second variation for pure-weight tangents:
     (m1 + n0) tr(psi0 phi1) + (m0 + n1 + 2) tr(psi1 phi0), each trace a
     pair_trace with the (1,0) factor first, as in :func:`second_variation`."""
-    return ((m1 + n0) * pair_trace(t.phik[1], t.psik[0])
-            + (m0 + n1 + 2) * pair_trace(t.phik[0], t.psik[1]))
+    return (QQi(m1 + n0) * pair_trace(t.phik[1], t.psik[0])
+            + QQi(m0 + n1 + 2) * pair_trace(t.phik[0], t.psik[1]))
 
 
 # -- circle-fixed lifts from graded block data --------------------------------
@@ -512,7 +512,8 @@ def real_involution_chart(p: DHPoint):
     slot is the holomorphic-structure coefficient for the conjugate complex
     structure.  Composing with the regluing yields the same-chart form below.
     """
-    return (conj_transpose(p.dbar_coeff), -conj_transpose(p.d_coeff), -conj(p.lam))
+    return (conj_transpose(p.dbar_coeff), -conj_transpose(p.d_coeff),
+            -p.lam.conjugate())
 
 
 def real_involution_dh(p: DHPoint) -> DHPoint:

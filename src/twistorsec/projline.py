@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .scalars import QQi
+
 
 class _Infinity:
     """The point at infinity of the projective line; INFINITY is its one instance."""
@@ -71,18 +73,18 @@ def wronskian_infinity_chart(p: PolySection, q: PolySection):
 class Sl2Element:
     """A global vector field A_e*e + A_h*h + A_f*f on the projective line."""
 
-    a_e: object = 0
-    a_h: object = 0
-    a_f: object = 0
+    a_e: QQi
+    a_h: QQi
+    a_f: QQi
 
     def __add__(self, other):
         return Sl2Element(self.a_e + other.a_e, self.a_h + other.a_h,
                           self.a_f + other.a_f)
 
 
-E = Sl2Element(1, 0, 0)
-H = Sl2Element(0, 1, 0)
-F = Sl2Element(0, 0, 1)
+E = Sl2Element(QQi(1), QQi(0), QQi(0))
+H = Sl2Element(QQi(0), QQi(1), QQi(0))
+F = Sl2Element(QQi(0), QQi(0), QQi(1))
 
 
 def sl2_bracket(A: Sl2Element, B: Sl2Element) -> Sl2Element:
@@ -91,12 +93,12 @@ def sl2_bracket(A: Sl2Element, B: Sl2Element) -> Sl2Element:
     Structure constants come from [a d/dt, b d/dt] = (a b' - a' b) d/dt; the
     test suite re-derives them symbolically.
     """
-    c_e = -2 * (A.a_e * B.a_h - A.a_h * B.a_e)
+    c_e = QQi(-2) * (A.a_e * B.a_h - A.a_h * B.a_e)
     c_h = A.a_e * B.a_f - A.a_f * B.a_e
-    c_f = 2 * (A.a_f * B.a_h - A.a_h * B.a_f)
+    c_f = QQi(2) * (A.a_f * B.a_h - A.a_h * B.a_f)
     return Sl2Element(c_e, c_h, c_f)
 
 
 def killing(A: Sl2Element, B: Sl2Element):
     """kappa(A, B) = trace(ad_A o ad_B) = 8 A_h B_h + 4 (A_e B_f + A_f B_e)."""
-    return 8 * A.a_h * B.a_h + 4 * (A.a_e * B.a_f + A.a_f * B.a_e)
+    return QQi(8) * A.a_h * B.a_h + QQi(4) * (A.a_e * B.a_f + A.a_f * B.a_e)

@@ -25,7 +25,7 @@ from . import vhs
 from .constants import REALITY_SIGN, XI_SCALAR_PHIPSI
 from .datasets import load_vhs_dataset
 from .report import ReportRecord, check, check_true
-from .scalars import QQi, conj, random_nonzero_qqi, random_qqi
+from .scalars import QQi, random_nonzero_qqi, random_qqi
 
 _BASIS = {"e": pl.E, "h": pl.H, "f": pl.F}
 #: (name, x, y, z) for every ordered triple of basis elements.
@@ -168,7 +168,7 @@ def suite_tau_equivariance(cfg, rng, entries):
         s = _random_flat(rng, i)
         zeta = random_nonzero_qqi(rng)
         lhs = fm.real_involution(fm.group_action(zeta, s))
-        rhs = fm.group_action(QQi(1) / conj(zeta), fm.real_involution(s))
+        rhs = fm.group_action(QQi(1) / zeta.conjugate(), fm.real_involution(s))
         out.append(check(f"case-{i:04d}", rhs, lhs, "antiholomorphic involution"))
         out.append(check(f"involution-{i:04d}", s,
                          fm.real_involution(fm.real_involution(s)),
@@ -268,7 +268,7 @@ def suite_omega0_reality(cfg, rng, entries):
         w = fm.random_section(rng, s.d)
         lhs = fm.omega0_killing(fm.real_involution(s), fm.real_involution(v),
                                 fm.real_involution(w))
-        out.append(check(f"case-{i:04d}", conj(fm.omega0_killing(s, v, w)), lhs,
+        out.append(check(f"case-{i:04d}", fm.omega0_killing(s, v, w).conjugate(), lhs,
                          "antiholomorphic involution"))
     return out
 
@@ -277,7 +277,8 @@ def suite_energy_reality(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         s = _random_flat(rng, i)
-        total = conj(fm.energy(fm.real_involution(s))) - REALITY_SIGN * fm.energy(s)
+        total = (fm.energy(fm.real_involution(s)).conjugate()
+                 - REALITY_SIGN * fm.energy(s))
         out.append(check(f"case-{i:04d}", QQi(0), total, "antiholomorphic involution"))
     return out
 
@@ -436,6 +437,14 @@ def suite_d_squared(cfg, rng, entries):
     out.append(check_true("mixed-constant", _dbar_del_sum(const).is_zero,
                           "dbar del + del dbar annihilates constants",
                           "mode symbols"))
+    # Each symbol on one character: D chi_(1,2) = (2+i) chi_(1,2) and
+    # Dbar chi_(1,2) = (-2+i) chi_(1,2).  The sums above cannot tell a wrong
+    # symbol from a right one.
+    char = tf.MatrixForm((0, 0), ((tf.FourierScalar.char(1, 2),),))
+    for name, op, bidegree, symbol in (("del", tf.del_op, (1, 0), QQi(2, 1)),
+                                       ("dbar", tf.dbar, (0, 1), QQi(-2, 1))):
+        want = tf.MatrixForm(bidegree, ((tf.FourierScalar.char(1, 2, symbol),),))
+        out.append(check(f"symbol-{name}", want, op(char), "mode symbols"))
     for name, op, bidegree in (("dbar", tf.dbar, (0, 1)), ("del", tf.del_op, (1, 0))):
         try:
             op(tf.MatrixForm.zero(2, bidegree))
@@ -474,6 +483,16 @@ def suite_backend_exactness(cfg, rng, entries):
                               "boundary sizes"))
         out.append(check(f"adjoint-{i:04d}", a, tf.conj_transpose(tf.conj_transpose(a)),
                          "boundary sizes"))
+    # One adjoint by hand, which the involution above cannot pin: the
+    # coefficient is conjugated, its mode negated, its entry transposed, and
+    # a (1,1) form changes sign.
+    zero = tf.FS_ZERO
+    f11 = tf.MatrixForm((1, 1), ((zero, tf.FourierScalar.char(1, 2, QQi(3, 4))),
+                                 (zero, zero)))
+    want = tf.MatrixForm((1, 1), ((zero, zero),
+                                  (tf.FourierScalar.char(-1, -2, QQi(-3, 4)), zero)))
+    out.append(check("adjoint-volume-form", want, tf.conj_transpose(f11),
+                     "conjugate transpose"))
     return out
 
 
@@ -529,7 +548,7 @@ def suite_gauge_covariance(cfg, rng, entries):
 
 def _trace_free(m):
     """The scalar matrix m (rows) minus its trace share on the diagonal."""
-    share = sum(m[r][r] for r in range(len(m))) / len(m)
+    share = reduce(add, (m[r][r] for r in range(len(m)))) / QQi(len(m))
     return tuple(tuple(x - share if r == c else x for c, x in enumerate(row))
                  for r, row in enumerate(m))
 
@@ -671,7 +690,7 @@ def suite_dh_involutions(cfg, rng, entries):
                               "antiholomorphic involution"))
         zeta = random_nonzero_qqi(rng)
         lhs = ll.real_involution_dh(ll.c_star_on_point(zeta, p))
-        rhs = ll.c_star_on_point(QQi(1) / conj(zeta), ll.real_involution_dh(p))
+        rhs = ll.c_star_on_point(QQi(1) / zeta.conjugate(), ll.real_involution_dh(p))
         out.append(check_true(f"equivariance-{i:04d}", lhs == rhs,
                               "involution intertwines scaling with reciprocal "
                               "conjugate scaling", "antiholomorphic involution"))

@@ -27,13 +27,10 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from .constants import VOLUME_CONST
-from .scalars import QQi, conj, random_qqi, scalar_from_json, scalar_to_json
-
-_SCALARS = (QQi, int, Fraction)
+from .scalars import QQi, random_qqi, scalar_from_json, scalar_to_json
 
 
 class FourierScalar:
@@ -43,8 +40,8 @@ class FourierScalar:
     the keys and drops zero coefficients.  Arithmetic builds its results with
     :func:`_fs` and drops a mode where a sum cancels to zero: coefficients lie
     in a field, so a product of nonzero coefficients is nonzero.  A series
-    adds to and compares with a series only; ``*`` also takes a scalar on the
-    right.
+    adds to and compares with a series only; ``*`` also takes a ``QQi`` on
+    the right.
     """
 
     __slots__ = ("modes",)
@@ -97,18 +94,17 @@ class FourierScalar:
         return _fs({k: -c for k, c in self.modes.items()})
 
     def __mul__(self, other):
-        if type(other) is not FourierScalar:
-            if isinstance(other, _SCALARS):
-                if not other:
-                    return _fs({})
-                return _fs({k: c * other for k, c in self.modes.items()})
-            if not isinstance(other, FourierScalar):
-                return NotImplemented
-        return _fs(_add_product({}, self.modes, other.modes))
+        if type(other) is FourierScalar:
+            return _fs(_add_product({}, self.modes, other.modes))
+        if type(other) is not QQi:
+            return NotImplemented
+        if not other:
+            return _fs({})
+        return _fs({k: c * other for k, c in self.modes.items()})
 
     def conjugate(self) -> "FourierScalar":
         """Complex conjugate: mode (m, n) goes to (-m, -n) with conjugated coefficient."""
-        return _fs({(-m, -n): conj(c) for (m, n), c in self.modes.items()})
+        return _fs({(-m, -n): c.conjugate() for (m, n), c in self.modes.items()})
 
     def d_z(self) -> "FourierScalar":
         """Apply D: multiply mode (m, n) by n + i*m."""
@@ -228,7 +224,7 @@ class MatrixForm:
         return MatrixForm(self.bidegree, _map_rows(self.entries, lambda e: -e))
 
     def __mul__(self, c):
-        if isinstance(c, _SCALARS) or isinstance(c, FourierScalar):
+        if type(c) is QQi or type(c) is FourierScalar:
             return MatrixForm(self.bidegree, _map_rows(self.entries, lambda e: e * c))
         return NotImplemented
 

@@ -146,11 +146,12 @@ def test_linearization_matches_quadratic_extraction():
         lift = _random_lift(rng)
         t = _random_tangent(rng, 2, lift.order, zero_psi0=True)
         base = integrability_residuals(lift, 2)
-        once = integrability_residuals(_shift(lift, t, 1), 2)
-        twice = integrability_residuals(_shift(lift, t, 2), 2)
+        once = integrability_residuals(_shift(lift, t, QQi(1)), 2)
+        twice = integrability_residuals(_shift(lift, t, QQi(2)), 2)
         model = linearized_residuals(lift, t, 2)
         for k in range(3):
-            oracle = (once[k] * 4 + -twice[k] + base[k] * -3) * Fraction(1, 2)
+            oracle = ((once[k] * QQi(4) + -twice[k] + base[k] * QQi(-3))
+                      * QQi(Fraction(1, 2)))
             assert model[k] == oracle
 
 
@@ -230,7 +231,7 @@ def test_d_energy_is_the_exact_differential():
     for _ in range(10):
         lift = _random_lift(rng)
         t = _random_tangent(rng, 2, lift.order, zero_psi0=True)
-        quad = (energy_of_lift(_shift(lift, t, 1)) - energy_of_lift(lift)
+        quad = (energy_of_lift(_shift(lift, t, QQi(1))) - energy_of_lift(lift)
                 - d_energy_of_lift(lift, t))
         # The remainder is the pure second-order term tr(phi_0 ^ psi_1).
         second = ENERGY_LIFT_COEFF * integrate_trace(

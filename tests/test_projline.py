@@ -39,9 +39,9 @@ def test_bracket_matches_vector_field_oracle():
 
 
 def test_basis_brackets_are_standard():
-    assert sl2_bracket(H, E) == Sl2Element(2, 0, 0)
-    assert sl2_bracket(H, F) == Sl2Element(0, 0, -2)
-    assert sl2_bracket(E, F) == Sl2Element(0, 1, 0)
+    assert sl2_bracket(H, E) == Sl2Element(QQi(2), QQi(0), QQi(0))
+    assert sl2_bracket(H, F) == Sl2Element(QQi(0), QQi(0), QQi(-2))
+    assert sl2_bracket(E, F) == Sl2Element(QQi(0), QQi(1), QQi(0))
 
 
 @given(sl2s, sl2s, sl2s)
@@ -58,13 +58,13 @@ def test_bracket_antisymmetry(a, b):
 
 
 def test_killing_values_from_adjoint():
-    assert killing(H, H) == 8
-    assert killing(E, F) == 4
-    assert killing(F, E) == 4
-    assert killing(E, E) == 0
-    assert killing(F, F) == 0
-    assert killing(H, E) == 0
-    assert killing(H, F) == 0
+    assert killing(H, H) == QQi(8)
+    assert killing(E, F) == QQi(4)
+    assert killing(F, E) == QQi(4)
+    assert killing(E, E) == QQi(0)
+    assert killing(F, F) == QQi(0)
+    assert killing(H, E) == QQi(0)
+    assert killing(H, F) == QQi(0)
 
 
 def test_killing_matches_symbolic_trace():

@@ -527,8 +527,13 @@ def test_report_cases_are_unique(tmp_path, command, code):
     path.write_text(json.dumps({"entries": _G2_ONE_BLOCK}), encoding="utf-8")
     argv = [str(path) if arg == "DATA" else arg for arg in command.split()]
     assert cli.main(argv + ["--out", str(out)]) == code
-    keys = [(r["suite"], r["case"]) for r in json.loads(out.read_text())["records"]]
+    records = json.loads(out.read_text())["records"]
+    keys = [(r["suite"], r["case"]) for r in records]
     assert len(keys) == len(set(keys))
+    # Every exact value renders one way, so a pass shows two equal strings.
+    mismatched = [r for r in records
+                  if r["status"] == "pass" and r["expected"] != r["actual"]]
+    assert mismatched == []
 
 
 def test_verify_reads_the_dataset_once(tmp_path, monkeypatch):
@@ -741,9 +746,9 @@ def _suite_flags(names):
 
 @pytest.mark.parametrize("command, sha256", [
     (_VERIFY_42 + " --cases 25",
-     "35412b77ad94f3da0072f3abe4aaad60a3e2ecb4e7ee5342f0708c48138532aa"),
+     "ac01c070d9e12e0d8ada672554005701d3474a894ac534c00be9b429eb0143af"),
     (_VERIFY_42 + " --cases 6 --format csv",
-     "2f7a28b9aa6ca91bcd6951056070242490e2b40edbaa5d7189ef4dbdcacd5293"),
+     "dac84bf2440a517a6a791a6239aab53784d98822edc98f11bd232737dbbb379f"),
     ("vhs-energy", "f6f62cabf0e9d8705c63a78eb2a20574cde312b7812a2a870138de638f041fd5"),
     ("vhs-energy --format csv",
      "0c63e9760e17b6f29ca296abc9aaf2d9234ad2c60794388a01182bf1cbffb43a"),
@@ -755,11 +760,11 @@ def _suite_flags(names):
     (_FLAT_DEMO + " --format csv",
      "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
     ("verify --seed 7 --cases 10",
-     "0003546524a68209897bb5cd198c0cd2b896053b1a0d85e3d69b911588663486"),
+     "fd1f9977cc7c0b1f27eb0984f7d28e2e59c0af8832fe2d55866dc2d0029e5a82"),
     ("verify --seed 3 --cases 4 --order 6 --modes 3 --rank 4",
-     "b31d91030b128649e31e31aeb6bc8823296071cd6aeea6065d4da4646411d8c4"),
+     "a11242edad0a858215dcbf23caec7393eb1b3e8fe881f829d8ad20fedde76c8c"),
     (_VERIFY_42 + _suite_flags(_SECTIONS) + " --cases 300",
-     "065f327665112da96b313fa12dcc1e403584ab89ffe9db2e42df92d7bf7552af"),
+     "b7608095a41806ab9b363ab16670e4666630736e33370b4d386fc1e1787757b4"),
     (_VERIFY_42 + _suite_flags(_LIFTS) + " --order 6 --modes 3 --cases 2",
      "f3abb3b9cf6a99b97d1733e92c0b61e82aef5c6c89136d3ceef4b9501176dbdf"),
 ])
