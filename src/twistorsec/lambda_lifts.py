@@ -402,21 +402,6 @@ def random_pure_grade_form(rng, v: VhsBlockData, k: int, bidegree,
 # -- gauge transformation of a whole lift -------------------------------------
 
 
-def gauge_series_inverse(gs, order: int):
-    """Formal inverse of a (0,0)-form series with g_0 = identity.
-
-    h_k = -sum_(i>=1) g_i h_(k-i): minus the t^(k-1) coefficient of
-    (g_1 + t g_2 + ...) h.  Terms missing from a short family count as zero.
-    """
-    rank = gs[0].size
-    tail = gs[1:]
-    hs = [gs[0]]  # identity
-    for k in range(1, order + 1):
-        terms = _series_terms(wedge, tail, hs, k - 1)
-        hs.append(-reduce(add, terms) if terms else MatrixForm.zero(rank, (0, 0)))
-    return hs
-
-
 def gauge_transform_lift(lift: LambdaLift, gs) -> LambdaLift:
     """Conjugate the lift by the polynomial gauge family g(t) = 1 + sum t^k g_k.
 
@@ -427,23 +412,24 @@ def gauge_transform_lift(lift: LambdaLift, gs) -> LambdaLift:
     if gs[0] != MatrixForm.identity(lift.rank):
         raise ValueError("gauge family must start at the identity")
     n = lift.order
-    gs = gs[:n + 1] + [MatrixForm.zero(lift.rank, (0, 0))] * (n + 1 - len(gs))
-    hs = gauge_series_inverse(gs, n)
-
-    g_tail, h_tail = gs[1:], hs[1:]
+    # g_1, ..., g_n; terms missing from a short family count as zero.
+    g_tail = gs[1:n + 1] + [MatrixForm.zero(lift.rank, (0, 0))] * (n + 1 - len(gs))
 
     def conjugated(xs, dgs):
-        # Two series products, h (x g + dg).  As g_0 = h_0 = 1, the t^k
-        # coefficient of y g is y_k plus the t^(k-1) coefficient of
-        # y (g_1 + t g_2 + ...), and likewise for h y.
-        inner = [reduce(add, _series_terms(wedge, xs, g_tail, k - 1), xs[k] + dgs[k])
-                 for k in range(n + 1)]
-        return [reduce(add, _series_terms(wedge, h_tail, inner, k - 1), inner[k])
-                for k in range(n + 1)]
+        # y = x g + dg, then z = g^-1 y as the solution of g z = y.  As
+        # g_0 = 1, y_k is x_k + dg_k plus the t^(k-1) coefficient of
+        # x (g_1 + t g_2 + ...), and z_k = y_k - sum_(i>=1) g_i z_(k-i).
+        zs = []
+        for k in range(n + 1):
+            y = reduce(add, _series_terms(wedge, xs, g_tail, k - 1), xs[k] + dgs[k])
+            terms = _series_terms(wedge, g_tail, zs, k - 1)
+            zs.append(y + -reduce(add, terms) if terms else y)
+        return zs
 
-    new_b = conjugated(lift.b, [dbar(g) for g in gs])
-    new_a = conjugated(lift.a, [MatrixForm.zero(lift.rank, (1, 0))]
-                       + [del_op(g) for g in gs[:n]])
+    zero_a = MatrixForm.zero(lift.rank, (1, 0))
+    new_b = conjugated(lift.b, [MatrixForm.zero(lift.rank, (0, 1))]
+                       + [dbar(g) for g in g_tail])
+    new_a = conjugated(lift.a, [zero_a, zero_a] + [del_op(g) for g in g_tail[:n - 1]])
     if not new_b[0].is_zero:  # g_0 = identity forces a vanishing order-0 term
         raise ValueError("gauge family produced an order-0 dbar coefficient")
     return LambdaLift(new_a[0], tuple(new_b[1:]), tuple(new_a[1:]))

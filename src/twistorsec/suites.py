@@ -529,17 +529,15 @@ def suite_gauge_covariance(cfg, rng, entries):
             ll.LambdaLift(lift.phi0, lift.psi[:depth], lift.phi[:depth]), gs)
         want = ll.integrability_residuals(lift, depth)
         got = ll.integrability_residuals(moved, depth)
-        gs_full = gs + [tf.MatrixForm.zero(size, (0, 0))] * (depth + 1 - len(gs))
-        hs = ll.gauge_series_inverse(gs_full, depth)
+        # got = g^-1 want g, checked as g got = want g order by order; the
+        # g_0 = 1 term starts each sum.
         agree = True
         for k in range(depth + 1):
-            acc = tf.MatrixForm.zero(size, (1, 1))
-            for a in range(k + 1):
-                for b in range(k - a + 1):
-                    c = k - a - b
-                    if not want[b].is_zero:
-                        acc = acc + tf.wedge(tf.wedge(hs[a], want[b]), gs_full[c])
-            agree = agree and acc == got[k]
+            lhs, rhs = got[k], want[k]
+            for j in range(1, k + 1):
+                lhs = lhs + tf.wedge(gs[j], got[k - j])
+                rhs = rhs + tf.wedge(want[k - j], gs[j])
+            agree = agree and lhs == rhs
         out.append(check_true(f"case-{i:04d}", agree,
                               "transformed residuals are the conjugated ones",
                               "series conjugation"))

@@ -17,9 +17,9 @@ from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LambdaLift,
                                      TangentSeries, bb_slice_residuals,
                                      c_star_fixed_lift, c_star_on_point,
                                      d_energy_of_lift, deligne_glue,
-                                     energy_of_lift, gauge_series_inverse,
-                                     gauge_tangent, gauge_transform_lift,
-                                     has_pure_grade, integrability_residuals,
+                                     energy_of_lift, gauge_tangent,
+                                     gauge_transform_lift, has_pure_grade,
+                                     integrability_residuals,
                                      lift_to_laurent, linearized_residuals,
                                      make_lift, omega_hat,
                                      random_pure_grade_form,
@@ -281,14 +281,14 @@ def test_energy_gauge_invariance():
 
 
 def test_gauge_transform_against_series_arithmetic():
-    # Recompute g^-1 B g + g^-1 dbar(g) and g^-1 A g + g^-1 t del(g) with
-    # plain series convolutions and compare coefficient by coefficient.
+    # The moved lift z = g^-1 (x g + dg) solves g z = x g + dg: check
+    # g B' = B g + dbar(g) and g A' = A g + t del(g) with plain series
+    # convolutions, coefficient by coefficient.
     rng = random.Random(109)
     lift = _random_lift(rng, order=3)
     gs = [IDENT, _strict_upper(rng), _strict_upper(rng)]
     n = lift.order
     gs_full = gs + [MatrixForm.zero(2, (0, 0))] * (n + 1 - len(gs))
-    hs = gauge_series_inverse(gs_full, n)
 
     def series_mul(xs, ys, bidegree):
         out = []
@@ -303,36 +303,11 @@ def test_gauge_transform_against_series_arithmetic():
     dbar_g = [dbar(g) for g in gs_full]
     del_g_shifted = [MatrixForm.zero(2, (1, 0))] + [del_op(g)
                                                     for g in gs_full[:-1]]
-    want_b = [x + y for x, y in zip(series_mul(series_mul(hs, lift.b, (0, 1)),
-                                               gs_full, (0, 1)),
-                                    series_mul(hs, dbar_g, (0, 1)))]
-    want_a = [x + y for x, y in zip(series_mul(series_mul(hs, lift.a, (1, 0)),
-                                               gs_full, (1, 0)),
-                                    series_mul(hs, del_g_shifted, (1, 0)))]
-    # Inverse sanity: g * g^-1 = 1 as a series.
-    check = series_mul(gs_full, hs, (0, 0))
-    assert check[0] == IDENT and all(c.is_zero for c in check[1:])
-
-    assert want_b[0].is_zero
     moved = gauge_transform_lift(lift, gs)
-    assert list(moved.b) == want_b
-    assert list(moved.a) == want_a
-
-
-def test_gauge_series_inverse_pads_a_short_family():
-    # A family shorter than order + 1 is read as zero-padded; g h = 1 holds
-    # through the order, checked with a plain convolution.
-    u = random_matrix_form(random.Random(112), 2, (0, 0), trace_free=True)
-    zero = MatrixForm.zero(2, (0, 0))
-    padded = [IDENT, u, zero, zero]
-    hs = gauge_series_inverse([IDENT, u], 3)
-    assert hs == gauge_series_inverse(padded, 3)
-    assert not hs[3].is_zero  # h_k = (-u)^k
-    for k in range(4):
-        product = zero
-        for i in range(k + 1):
-            product = product + wedge(padded[i], hs[k - i])
-        assert product == (IDENT if k == 0 else zero)
+    assert series_mul(gs_full, moved.b, (0, 1)) == [
+        x + y for x, y in zip(series_mul(lift.b, gs_full, (0, 1)), dbar_g)]
+    assert series_mul(gs_full, moved.a, (1, 0)) == [
+        x + y for x, y in zip(series_mul(lift.a, gs_full, (1, 0)), del_g_shifted)]
 
 
 def test_gauge_transform_requires_identity_start():
@@ -344,25 +319,21 @@ def test_gauge_transform_requires_identity_start():
 
 def test_gauge_transform_conjugates_curvature():
     # Finite form of the conjugation identity: residuals of the moved lift
-    # are g^-1 R g order by order.
+    # are R' = g^-1 R g, checked as g R' = R g order by order.
     rng = random.Random(110)
     lift = _random_lift(rng, order=2)
     gs = [IDENT, _strict_lower(rng)]
     moved = gauge_transform_lift(lift, gs)
     n = lift.order
     gs_full = gs + [MatrixForm.zero(2, (0, 0))] * (n + 1 - len(gs))
-    hs = gauge_series_inverse(gs_full, n)
     res = integrability_residuals(lift, n)
     moved_res = integrability_residuals(moved, n)
     for k in range(n + 1):
-        expected = MatrixForm.zero(2, (1, 1))
+        lhs = rhs = MatrixForm.zero(2, (1, 1))
         for i in range(k + 1):
-            for j in range(k - i + 1):
-                m = k - i - j
-                if res[j].is_zero:
-                    continue
-                expected = expected + wedge(wedge(hs[i], res[j]), gs_full[m])
-        assert moved_res[k] == expected
+            lhs = lhs + wedge(gs_full[i], moved_res[k - i])
+            rhs = rhs + wedge(res[k - i], gs_full[i])
+        assert lhs == rhs
 
 
 def test_gauge_transform_of_a_truncated_lift_is_the_truncated_transform():
