@@ -623,6 +623,16 @@ def suite_omega_hat_degeneracy(cfg, rng, entries):
         other = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
         out.append(check(f"gauge-vs-gauge-{i:04d}", QQi(0),
                          ll.omega_hat(lift, gauge_dir, other), "gauge degeneracy"))
+    # The lift is integrable to order 1, so the linearization along a gauge
+    # direction xi is [R, xi] = 0: three draws, whatever cfg.cases is.
+    for k in range(3):
+        size = _cycle(range(2, cfg.rank_bound + 1), k)
+        lift, _ = _commuting_lift(cfg, rng, size)
+        gauge_dir = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
+        lin = ll.linearized_residuals(lift, gauge_dir, 1)
+        out.append(check_true(f"tangent-gauge-{k}", all(r.is_zero for r in lin),
+                              "gauge tangent solves the linearized equations",
+                              "gauge action"))
     return out
 
 
@@ -653,7 +663,7 @@ def suite_second_variation_weights(cfg, rng, entries):
         higgs = ll.random_pure_grade_form(rng, v, -1, (1, 0), constant=True)
         beta = {1: ll.random_pure_grade_form(rng, v, 1, (0, 1), cfg.mode_bound)}
         lift = ll.c_star_fixed_lift(v, higgs, beta=beta)
-        xi = XI_SCALAR_PHIPSI * ll.xi_matrix_form(v)
+        xi = ll.xi_matrix_form(v) * XI_SCALAR_PHIPSI
         span = range(-(v.l - 1), v.l)
         g0, g1 = rng.choice(span), rng.choice(span)
         h0, h1 = rng.choice(span), rng.choice(span)

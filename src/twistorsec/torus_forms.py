@@ -228,8 +228,6 @@ class MatrixForm:
             return MatrixForm(self.bidegree, _map_rows(self.entries, lambda e: e * c))
         return NotImplemented
 
-    __rmul__ = __mul__
-
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)

@@ -746,9 +746,9 @@ def _suite_flags(names):
 
 @pytest.mark.parametrize("command, sha256", [
     (_VERIFY_42 + " --cases 25",
-     "ac01c070d9e12e0d8ada672554005701d3474a894ac534c00be9b429eb0143af"),
+     "bb0641e98e201c38771699aef15b4a388366d90dc4403e0eea0d7966054e9b2f"),
     (_VERIFY_42 + " --cases 6 --format csv",
-     "dac84bf2440a517a6a791a6239aab53784d98822edc98f11bd232737dbbb379f"),
+     "c8ce45cff3576d93831d256b061a865ea86fed16f136f30702b8c17ac026870f"),
     ("vhs-energy", "f6f62cabf0e9d8705c63a78eb2a20574cde312b7812a2a870138de638f041fd5"),
     ("vhs-energy --format csv",
      "0c63e9760e17b6f29ca296abc9aaf2d9234ad2c60794388a01182bf1cbffb43a"),
@@ -760,13 +760,13 @@ def _suite_flags(names):
     (_FLAT_DEMO + " --format csv",
      "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
     ("verify --seed 7 --cases 10",
-     "fd1f9977cc7c0b1f27eb0984f7d28e2e59c0af8832fe2d55866dc2d0029e5a82"),
+     "459bc0b2c8119041b1c9e0bef3d7637fa9723ff5baee576877298f16b9956c87"),
     ("verify --seed 3 --cases 4 --order 6 --modes 3 --rank 4",
-     "a11242edad0a858215dcbf23caec7393eb1b3e8fe881f829d8ad20fedde76c8c"),
+     "50c68b16a4c5a1b120a45b35e37995d5fa5cff719bd48075f7940b6a0756a651"),
     (_VERIFY_42 + _suite_flags(_SECTIONS) + " --cases 300",
      "b7608095a41806ab9b363ab16670e4666630736e33370b4d386fc1e1787757b4"),
     (_VERIFY_42 + _suite_flags(_LIFTS) + " --order 6 --modes 3 --cases 2",
-     "f3abb3b9cf6a99b97d1733e92c0b61e82aef5c6c89136d3ceef4b9501176dbdf"),
+     "ce6fddfdae124e726b35caed78de54ddb5e1b570f624fb9b3e46b1c3cbcee549"),
 ])
 def test_cli_golden_outputs(tmp_path, command, sha256):
     out = tmp_path / "out"
