@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 from .constants import ENERGY_LIFT_COEFF, OMEGA_HAT_COEFF
 from .scalars import QQi, random_qqi
-from .torus_forms import (FS_ZERO, FourierScalar, MatrixForm, conj_transpose,
-                          dbar, del_op, pair_trace, random_fourier_scalar,
-                          trace, wedge, wedge_bracket)
+from .torus_forms import (FS_ZERO, FourierScalar, MatrixForm, bracket_terms,
+                          conj_transpose, dbar, del_op, pair_trace,
+                          random_fourier_scalar, trace, wedge_bracket, wedge_sum)
 from .vhs import VhsBlockData, grades, xi_matrix
 
 
@@ -183,11 +181,10 @@ def _check_tangent(lift: LambdaLift, t: TangentSeries, up_to: int):
         raise ValueError(f"tangent must have rank {lift.rank} and reach order {up_to}")
 
 
-def _series_terms(op, xs, ys, k: int) -> list:
-    """The terms op(x_i, y_(k-i)), i = 0..k, of the t^k coefficient of the
-    product of the series xs and ys; a term with a zero factor is skipped."""
-    return [op(x, y) for x, y in zip(xs[:k + 1], ys[k::-1])
-            if not (x.is_zero or y.is_zero)]
+def _bracket_terms(xs, ys, k: int) -> list:
+    """The :func:`wedge_sum` terms of sum_i [x_i ^ y_(k-i)], i = 0..k, the t^k
+    coefficient of the graded bracket of the series xs and ys."""
+    return [term for x, y in zip(xs[:k + 1], ys[k::-1]) for term in bracket_terms(x, y)]
 
 
 def integrability_residuals(lift: LambdaLift, up_to: int):
@@ -203,7 +200,7 @@ def integrability_residuals(lift: LambdaLift, up_to: int):
     out = []
     for k in range(up_to + 1):
         r = dbar(a[k]) + del_op(b[k - 1]) if k else dbar(a[k])
-        out.append(reduce(add, _series_terms(wedge_bracket, a, b, k), r))
+        out.append(wedge_sum(r, _bracket_terms(a, b, k)))
     return out
 
 
@@ -214,9 +211,8 @@ def linearized_residuals(lift: LambdaLift, t: TangentSeries, up_to: int):
     out = []
     for k in range(up_to + 1):
         r = dbar(t.phik[k]) + del_op(t.psik[k - 1]) if k else dbar(t.phik[k])
-        terms = (_series_terms(wedge_bracket, lift.a, t.psik, k)
-                 + _series_terms(wedge_bracket, t.phik, lift.b, k))
-        out.append(reduce(add, terms, r))
+        out.append(wedge_sum(r, _bracket_terms(lift.a, t.psik, k)
+                             + _bracket_terms(t.phik, lift.b, k)))
     return out
 
 
@@ -231,10 +227,9 @@ def gauge_tangent(lift: LambdaLift, xi: GaugeSeries) -> TangentSeries:
     a, b, xs = lift.a, lift.b, xi.xik
     psik, phik = [], []
     for k in range(min(lift.order, xi.order) + 1):
-        psik.append(reduce(add, _series_terms(wedge_bracket, b, xs, k), dbar(xs[k])))
-        terms = (([del_op(xs[k - 1])] if k else [])
-                 + _series_terms(wedge_bracket, a, xs, k))
-        phik.append(reduce(add, terms) if terms else MatrixForm.zero(lift.rank, (1, 0)))
+        psik.append(wedge_sum(dbar(xs[k]), _bracket_terms(b, xs, k)))
+        r = del_op(xs[k - 1]) if k else MatrixForm.zero(lift.rank, (1, 0))
+        phik.append(wedge_sum(r, _bracket_terms(a, xs, k)))
     return TangentSeries(tuple(psik), tuple(phik))
 
 
@@ -372,10 +367,8 @@ def bb_slice_residuals(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None):
     constraint generator for exactly solvable test data.
     """
     beta, phi = _checked_slice_data(v, higgs, beta, phi)
-    beta_total = reduce(add, (f for _, f in sorted(beta.items())),
-                        MatrixForm.zero(v.n, (0, 1)))
-    phi_total = reduce(add, (f for _, f in sorted(phi.items())),
-                       MatrixForm.zero(v.n, (1, 0)))
+    beta_total = sum((f for _, f in sorted(beta.items())), MatrixForm.zero(v.n, (0, 1)))
+    phi_total = sum((f for _, f in sorted(phi.items())), MatrixForm.zero(v.n, (1, 0)))
     r1 = dbar(phi_total)
     if not beta_total.is_zero:
         r1 = r1 + wedge_bracket(higgs + phi_total, beta_total)
@@ -418,12 +411,13 @@ def gauge_transform_lift(lift: LambdaLift, gs) -> LambdaLift:
     def conjugated(xs, dgs):
         # y = x g + dg, then z = g^-1 y as the solution of g z = y.  As
         # g_0 = 1, y_k is x_k + dg_k plus the t^(k-1) coefficient of
-        # x (g_1 + t g_2 + ...), and z_k = y_k - sum_(i>=1) g_i z_(k-i).
+        # x (g_1 + t g_2 + ...), and z_k = y_k - sum_(i>=1) g_i z_(k-i);
+        # both sums go into one wedge_sum.
         zs = []
         for k in range(n + 1):
-            y = reduce(add, _series_terms(wedge, xs, g_tail, k - 1), xs[k] + dgs[k])
-            terms = _series_terms(wedge, g_tail, zs, k - 1)
-            zs.append(y + -reduce(add, terms) if terms else y)
+            zs.append(wedge_sum(xs[k] + dgs[k],
+                                [(1, x, g) for x, g in zip(xs[:k], g_tail[k - 1::-1])]
+                                + [(-1, g, z) for g, z in zip(g_tail, zs[::-1])]))
         return zs
 
     zero_a = MatrixForm.zero(lift.rank, (1, 0))

@@ -8,7 +8,9 @@ asserted with ``==`` and no tolerance.  ``QQi`` is the only scalar that meets
 ``QQi`` arithmetic: ``+ - * /`` with any other operand raise ``TypeError``,
 and ``QQi(1) == 1`` is ``False``.  So every exact value the library computes
 is a ``QQi``, and renders one way.  The constructor takes an ``int`` (not a
-``bool``) or a ``Fraction`` for each part.
+``bool``) or a ``Fraction`` for each part.  Only this module reads the ints:
+:func:`_add_product`, the mode loop of every Fourier-series product, works on
+them.  :func:`draw` is the one way the random generators draw an int.
 """
 
 from __future__ import annotations
@@ -32,6 +34,32 @@ def _make(a: int, b: int, d: int) -> "QQi":
     q._b = b
     q._d = d
     return q
+
+
+def _add_product(out: dict, x: dict, y: dict, negate: bool = False) -> dict:
+    """Add (with ``negate``, subtract) the product of the series with modes x
+    and y into the modes out, in place, and return out.  The multiply and the
+    add run on the ints of the coefficients, so each stored coefficient costs
+    one :func:`_make`.  A mode whose sum cancels is dropped; a later term may
+    bring it back."""
+    for (m1, n1), c1 in x.items():
+        a, b, d = (-c1._a, -c1._b, c1._d) if negate else (c1._a, c1._b, c1._d)
+        for (m2, n2), c2 in y.items():
+            c, e = c2._a, c2._b
+            re, im, den = a * c - b * e, a * e + b * c, d * c2._d
+            k = (m1 + m2, n1 + n2)
+            old = out.get(k)
+            if old is not None:
+                f = old._d
+                if f == den:
+                    re, im = re + old._a, im + old._b
+                else:
+                    re, im, den = re * f + old._a * den, im * f + old._b * den, den * f
+                if not (re or im):
+                    del out[k]
+                    continue
+            out[k] = _make(re, im, den)
+    return out
 
 
 class QQi:
@@ -156,11 +184,25 @@ def scalar_from_json(value):
     return QQi(Fraction(rn, rd), Fraction(im_n, im_d))
 
 
+def draw(rng, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``: the same value and the same state after.  Like
+    CPython 3.11 it reads k = n.bit_length() bits for the n = hi - lo + 1
+    values until they read less than n, but skips randint's argument checks."""
+    n = hi - lo + 1
+    if n < 1:
+        raise ValueError(f"empty range for draw ({lo}, {hi})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def random_qqi(rng, span: int = 9) -> QQi:
     """Deterministic random Gaussian rational a/b + (c/e)i with a, c in
     [-span, span] and b, e in [1, 4], drawn in that order."""
-    a, b = rng.randint(-span, span), rng.randint(1, 4)
-    c, e = rng.randint(-span, span), rng.randint(1, 4)
+    a, b = draw(rng, -span, span), draw(rng, 1, 4)
+    c, e = draw(rng, -span, span), draw(rng, 1, 4)
     return _make(a * e, c * b, b * e)
 
 

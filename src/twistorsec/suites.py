@@ -25,7 +25,7 @@ from . import vhs
 from .constants import REALITY_SIGN, XI_SCALAR_PHIPSI
 from .datasets import load_vhs_dataset
 from .report import ReportRecord, check, check_true
-from .scalars import QQi, random_nonzero_qqi, random_qqi
+from .scalars import QQi, draw, random_nonzero_qqi, random_qqi
 
 _BASIS = {"e": pl.E, "h": pl.H, "f": pl.F}
 #: (name, x, y, z) for every ordered triple of basis elements.
@@ -325,10 +325,10 @@ def suite_vhs_energy(cfg, rng, entries):
 
 
 def _random_vhs_with_n(rng, n: int) -> vhs.VhsBlockData:
-    parts = rng.randint(1, n)
+    parts = draw(rng, 1, n)
     cuts = sorted(rng.sample(range(1, n), parts - 1))
     ranks = tuple(b - a for a, b in zip((0,) + tuple(cuts), tuple(cuts) + (n,)))
-    head = [rng.randint(-9, 9) for _ in range(parts - 1)]
+    head = [draw(rng, -9, 9) for _ in range(parts - 1)]
     return vhs.VhsBlockData(ranks, tuple(head + [-sum(head)]))
 
 
@@ -380,7 +380,7 @@ def suite_grade_bracket(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         v = vhs.random_vhs(rng)
-        k = rng.randint(-(v.l - 1), v.l - 1) if v.l > 1 else 0
+        k = draw(rng, -(v.l - 1), v.l - 1) if v.l > 1 else 0
         m = _random_graded_matrix(rng, v, k)
         scale = QQi(k)
         scaled = all(y == x * scale for row, got_row in zip(m, vhs.xi_bracket(m, v))
@@ -531,13 +531,10 @@ def suite_gauge_covariance(cfg, rng, entries):
         got = ll.integrability_residuals(moved, depth)
         # got = g^-1 want g, checked as g got = want g order by order; the
         # g_0 = 1 term starts each sum.
-        agree = True
-        for k in range(depth + 1):
-            lhs, rhs = got[k], want[k]
-            for j in range(1, k + 1):
-                lhs = lhs + tf.wedge(gs[j], got[k - j])
-                rhs = rhs + tf.wedge(want[k - j], gs[j])
-            agree = agree and lhs == rhs
+        agree = all(
+            tf.wedge_sum(got[k], [(1, gs[j], got[k - j]) for j in range(1, k + 1)])
+            == tf.wedge_sum(want[k], [(1, want[k - j], gs[j]) for j in range(1, k + 1)])
+            for k in range(depth + 1))
         out.append(check_true(f"case-{i:04d}", agree,
                               "transformed residuals are the conjugated ones",
                               "series conjugation"))
@@ -712,7 +709,7 @@ def suite_beta1_independence(cfg, rng, entries):
         higgs = ll.random_pure_grade_form(rng, v, -1, (1, 0), constant=True)
         base = ll.energy_of_lift(ll.c_star_fixed_lift(v, higgs))
         gamma = ll.random_pure_grade_form(rng, v, 1, (0, 0), cfg.mode_bound)
-        m, n = rng.randint(1, cfg.mode_bound or 1), rng.randint(-cfg.mode_bound, cfg.mode_bound)
+        m, n = draw(rng, 1, cfg.mode_bound or 1), draw(rng, -cfg.mode_bound, cfg.mode_bound)
         charpart = ll.random_pure_grade_form(rng, v, 1, (0, 1), constant=True)
         beta1 = tf.dbar(gamma) + charpart * tf.FourierScalar.char(m, n, random_qqi(rng))
         got = ll.energy_of_lift(ll.c_star_fixed_lift(v, higgs, beta={1: beta1}))

@@ -13,7 +13,10 @@ arithmetic.  All verified statements are homogeneous in this rescaling.
 Forms carry a bidegree in {(0,0), (1,0), (0,1), (1,1)} with the frames dz,
 dzbar, and dz^dzbar; a (1,1) coefficient always refers to the dz^dzbar
 orientation.  Wedging multiplies matrices and reorders frames with the sign
-(-1)^(q1*p2).  Integration over the torus extracts the constant Fourier mode
+(-1)^(q1*p2).  Every wedge, graded bracket and series coefficient sum is one
+:func:`wedge_sum`, which fills each output entry in one pass; its Gaussian
+multiply-add on ints is ``scalars._add_product``, next to ``QQi``, so that no
+other module reads the ints of a ``QQi``.  Integration over the torus extracts the constant Fourier mode
 of the trace (times the frozen volume constant), which kills every derivative
 mode: Stokes holds exactly, with no tolerance.
 
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 from operator import add
 
 from .constants import VOLUME_CONST
-from .scalars import QQi, random_qqi, scalar_from_json, scalar_to_json
+from .scalars import (QQi, _add_product, draw, random_qqi, scalar_from_json,
+                      scalar_to_json)
 
 
 class FourierScalar:
@@ -39,7 +43,8 @@ class FourierScalar:
     ``modes`` maps int pairs to nonzero coefficients.  The constructor casts
     the keys and drops zero coefficients.  Arithmetic builds its results with
     :func:`_fs` and drops a mode where a sum cancels to zero: coefficients lie
-    in a field, so a product of nonzero coefficients is nonzero.  A series
+    in a field, so a product of nonzero coefficients is nonzero.  A product
+    of series runs the one mode loop, ``scalars._add_product``.  A series
     adds to and compares with a series only; ``*`` also takes a ``QQi`` on
     the right.
     """
@@ -139,23 +144,6 @@ def _fs(modes: dict) -> FourierScalar:
     fs = object.__new__(FourierScalar)
     _set_modes(fs, modes)
     return fs
-
-
-def _add_product(out: dict, x: dict, y: dict) -> dict:
-    """Add the product of the series with modes x and y into the modes out, in
-    place, and return out.  A mode whose sum cancels to zero is dropped; a
-    later term may bring it back."""
-    for (m1, n1), c1 in x.items():
-        for (m2, n2), c2 in y.items():
-            k = (m1 + m2, n1 + n2)
-            c = c1 * c2
-            if k in out:
-                c = out[k] + c
-                if not c:
-                    del out[k]
-                    continue
-            out[k] = c
-    return out
 
 
 FS_ZERO = FourierScalar()
@@ -275,40 +263,59 @@ def del_op(f: MatrixForm) -> MatrixForm:
     return MatrixForm((1, q), _map_rows(f.entries, FourierScalar.d_z))
 
 
-def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
-    """Matrix product combined with the frame wedge; bidegrees add.
-
-    Reordering dzbar-factors of a past dz-factors of b contributes
-    (-1)^(q1*p2) relative to the canonical dz-before-dzbar frame.
-    """
+def _wedge_bidegree(a: MatrixForm, b: MatrixForm) -> tuple:
+    """The bidegree of wedge(a, b), after checking that a and b wedge."""
     if a.size != b.size:
         raise ValueError("size mismatch")
     p, q = a.bidegree[0] + b.bidegree[0], a.bidegree[1] + b.bidegree[1]
     if p > 1 or q > 1:
         raise ValueError(f"bidegree overflow: {a.bidegree} wedge {b.bidegree}")
-    cols = tuple(zip(*b.entries))
-    prod = MatrixForm((p, q), tuple(tuple(_dot(row, col) for col in cols)
-                                    for row in a.entries))
-    return -prod if (a.bidegree[1] * b.bidegree[0]) % 2 else prod
+    return p, q
 
 
-def _dot(row, col) -> FourierScalar:
-    """The series sum_k row[k] * col[k], accumulated in one dict of modes."""
-    out = {}
-    for x, y in zip(row, col):
-        _add_product(out, x.modes, y.modes)
-    return _fs(out)
+def wedge_sum(start: MatrixForm, terms) -> MatrixForm:
+    """start + sum s * wedge(a, b) over the (s, a, b) in terms, with s = 1 or -1.
+
+    wedge(a, b) is the matrix product combined with the frame wedge; each term
+    must land in the size and bidegree of start.  Moving the dzbar-factors of
+    a past the dz-factors of b gives the frame sign (-1)^(q1*p2) relative to
+    the canonical dz-before-dzbar frame, and it is folded into s.  Each output
+    entry is one dict of modes, filled by one pass over every term.
+    """
+    shape, fused = (start.size, start.bidegree), []
+    for s, a, b in terms:
+        if s not in (1, -1) or (a.size, _wedge_bidegree(a, b)) != shape:
+            raise ValueError(f"term {s!r} * {a.bidegree} wedge {b.bidegree} does not "
+                             f"land in size {start.size} and bidegree {start.bidegree}")
+        if not (a.is_zero or b.is_zero):
+            negate = (s < 0) != (a.bidegree[1] * b.bidegree[0] == 1)
+            fused.append((negate, [[x.modes for x in row] for row in a.entries],
+                          [[y.modes for y in col] for col in zip(*b.entries)]))
+    rows = [[dict(e.modes) for e in row] for row in start.entries]
+    for negate, a_rows, b_cols in fused:
+        for a_row, out_row in zip(a_rows, rows):
+            for b_col, out in zip(b_cols, out_row):
+                for x, y in zip(a_row, b_col):
+                    if x and y:
+                        _add_product(out, x, y, negate)
+    return MatrixForm(start.bidegree, _map_rows(rows, _fs))
+
+
+def bracket_terms(a: MatrixForm, b: MatrixForm) -> tuple:
+    """The :func:`wedge_sum` terms of the graded bracket
+    [a ^ b] = a^b - (-1)^(|a||b|) b^a."""
+    return ((1, a, b), (1 if sum(a.bidegree) * sum(b.bidegree) % 2 else -1, b, a))
+
+
+def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
+    """Matrix product combined with the frame wedge; bidegrees add."""
+    return wedge_sum(MatrixForm.zero(a.size, _wedge_bidegree(a, b)), ((1, a, b),))
 
 
 def wedge_bracket(a: MatrixForm, b: MatrixForm) -> MatrixForm:
-    """The graded bracket [a ^ b] = a^b - (-1)^(|a||b|) b^a.
-
-    For two 1-forms this is a^b + b^a; against a function it is the plain
-    commutator.
-    """
-    sign = (sum(a.bidegree) * sum(b.bidegree)) % 2
-    ba = wedge(b, a)
-    return wedge(a, b) + (ba if sign else -ba)
+    """The graded bracket [a ^ b]: for two 1-forms a^b + b^a, against a
+    function the plain commutator."""
+    return wedge_sum(MatrixForm.zero(a.size, _wedge_bidegree(a, b)), bracket_terms(a, b))
 
 
 def trace(f: MatrixForm) -> FourierScalar:
@@ -359,7 +366,7 @@ def conj_transpose(f: MatrixForm) -> MatrixForm:
 def random_fourier_scalar(rng, mode_bound: int = 2, terms: int = 3) -> FourierScalar:
     modes = {}
     for _ in range(terms):
-        key = (rng.randint(-mode_bound, mode_bound), rng.randint(-mode_bound, mode_bound))
+        key = (draw(rng, -mode_bound, mode_bound), draw(rng, -mode_bound, mode_bound))
         coeff = random_qqi(rng, 6)
         modes[key] = modes[key] + coeff if key in modes else coeff
     return FourierScalar(modes)

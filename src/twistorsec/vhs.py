@@ -25,7 +25,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import QQi
+from .scalars import QQi, draw
 
 
 #: The text of a degree: a decimal integer p or fraction p/q.  Python's
@@ -180,8 +180,8 @@ def grafting_data(g: int) -> VhsBlockData:
 
 def random_vhs(rng, lmax: int = 6, rmax: int = 3, dmax: int = 20) -> VhsBlockData:
     """Deterministic random valid dataset (degrees summing to zero)."""
-    l = rng.randint(1, lmax)
-    ranks = tuple(rng.randint(1, rmax) for _ in range(l))
-    head = [rng.randint(-dmax, dmax) for _ in range(l - 1)]
+    l = draw(rng, 1, lmax)
+    ranks = tuple(draw(rng, 1, rmax) for _ in range(l))
+    head = [draw(rng, -dmax, dmax) for _ in range(l - 1)]
     degrees = tuple(head + [-sum(head)])
     return VhsBlockData(ranks, degrees)

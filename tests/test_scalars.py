@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from twistorsec.scalars import (I, QQi, random_nonzero_qqi, random_qqi,
+from twistorsec.scalars import (I, QQi, draw, random_nonzero_qqi, random_qqi,
                                 scalar_from_json, scalar_to_json)
 from twistorsec.torus_forms import FourierScalar
 
@@ -209,6 +209,31 @@ def test_random_qqi_matches_its_fraction_form():
             _assert_matches(z, (Fraction(a, b), Fraction(c, e)))
             assert z == QQi(Fraction(a, b), Fraction(c, e))
     assert rng.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (3, 3), (-2, -2),            # one value: n = 1
+    (1, 4), (0, 7), (-8, 7),     # n = 2^k
+    (1, 5), (0, 16), (-2, 2),    # n = 2^k + 1
+    (-9, 9), (-6, 6), (-20, 20), (1, 3),
+])
+def test_draw_is_randint(lo, hi):
+    # The same values and the same generator state as randint, draw by draw.
+    import random
+
+    ours, theirs = random.Random(lo * 1000 + hi), random.Random(lo * 1000 + hi)
+    for i in range(3000):
+        assert draw(ours, lo, hi) == theirs.randint(lo, hi)
+        if i % 500 == 0:
+            assert ours.getstate() == theirs.getstate()
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_draw_rejects_an_empty_range():
+    import random
+
+    with pytest.raises(ValueError, match="empty range"):
+        draw(random.Random(0), 2, 1)
 
 
 @given(st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 9, 10 ** 9))

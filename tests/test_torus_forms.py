@@ -20,7 +20,7 @@ from twistorsec.torus_forms import (FS_ZERO, FourierScalar, MatrixForm,
                                     conj_transpose, dbar, del_op,
                                     integrate_trace, pair_trace,
                                     random_fourier_scalar, random_matrix_form,
-                                    trace, wedge, wedge_bracket)
+                                    trace, wedge, wedge_bracket, wedge_sum)
 
 rationals = st.builds(Fraction, st.integers(), st.integers(1, 8))
 qqis = st.builds(QQi, rationals, rationals)
@@ -207,6 +207,114 @@ def test_fused_wedge_drops_a_cancelled_mode_and_takes_it_back():
     assert out.entries[0][0] == five
     assert out.entries[0][1] == FS_ZERO
     assert out == _reference_wedge(a, b)
+
+
+# -- wedge_sum against a plain Fraction convolution ---------------------------
+
+_BIDEGREES = ((0, 0), (1, 0), (0, 1), (1, 1))
+#: Every pair of bidegrees whose wedge does not overflow.
+_WEDGE_PAIRS = [(x, y) for x in _BIDEGREES for y in _BIDEGREES
+                if x[0] + y[0] <= 1 and x[1] + y[1] <= 1]
+
+
+def _fraction_form(rng, size, bidegree):
+    """A random form with 0-3 modes per entry in [-1, 1]^2 and coefficients
+    whose parts have denominators 1 to 7."""
+    def part():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+
+    def entry():
+        return FourierScalar({(rng.randint(-1, 1), rng.randint(-1, 1)):
+                              QQi(part(), part()) for _ in range(rng.randint(0, 3))})
+    return MatrixForm(bidegree, [[entry() for _ in range(size)] for _ in range(size)])
+
+
+def _fractions(e):
+    """A series as a dict from mode to its (re, im) Fractions."""
+    return {k: (c.re, c.im) for k, c in e.modes.items()}
+
+
+def _oracle_wedge_sum(start, terms):
+    """start + sum s * wedge(a, b) entry by entry as Fraction pairs: a plain
+    convolution of the modes, with the frame sign (-1)^(q1*p2) of each
+    term, and the zero sums dropped at the end."""
+    size = start.size
+    out = [[_fractions(e) for e in row] for row in start.entries]
+    for s, a, b in terms:
+        sign = s * (-1) ** (a.bidegree[1] * b.bidegree[0])
+        for i in range(size):
+            for j in range(size):
+                acc = out[i][j]
+                for k in range(size):
+                    for (m1, n1), (xr, xi) in _fractions(a.entries[i][k]).items():
+                        for (m2, n2), (yr, yi) in _fractions(b.entries[k][j]).items():
+                            mode = (m1 + m2, n1 + n2)
+                            re, im = acc.get(mode, (0, 0))
+                            acc[mode] = (re + sign * (xr * yr - xi * yi),
+                                         im + sign * (xr * yi + xi * yr))
+    return [[{k: v for k, v in e.items() if v != (0, 0)} for e in row] for row in out]
+
+
+def _assert_matches_oracle(got, start, terms):
+    assert got.bidegree == start.bidegree
+    assert [[_fractions(e) for e in row] for row in got.entries] == \
+        _oracle_wedge_sum(start, terms)
+    assert all(c for row in got.entries for e in row for c in e.modes.values())
+
+
+@pytest.mark.parametrize("target", _BIDEGREES)
+def test_wedge_sum_matches_a_fraction_convolution(target):
+    # Every bidegree pair that lands in the target, each twice with a random
+    # sign, over a random start, at ranks 1 to 4.
+    rng = random.Random(sum(target) * 10 + target[0])
+    pairs = [(x, y) for x, y in _WEDGE_PAIRS
+             if (x[0] + y[0], x[1] + y[1]) == target]
+    for size in range(1, 5):
+        for _ in range(3):
+            start = _fraction_form(rng, size, target)
+            terms = [(rng.choice((1, -1)), _fraction_form(rng, size, x),
+                      _fraction_form(rng, size, y)) for x, y in pairs * 2]
+            _assert_matches_oracle(wedge_sum(start, terms), start, terms)
+            for s, a, b in terms:
+                _assert_matches_oracle(wedge(a, b), MatrixForm.zero(size, target),
+                                       [(1, a, b)])
+
+
+def test_wedge_sum_drops_a_mode_of_start_that_a_term_cancels():
+    # 6 at mode (0, 0) minus 2 * 3 cancels; a later +2 * 3 brings it back.
+    start = MatrixForm((0, 0), [[FourierScalar({(0, 0): QQi(6), (1, 0): QQi(1)})]])
+    a = MatrixForm.from_scalar_matrix([[QQi(2)]])
+    b = MatrixForm.from_scalar_matrix([[QQi(3)]])
+    got = wedge_sum(start, [(-1, a, b)])
+    assert got.entries[0][0].modes == {(1, 0): QQi(1)}
+    _assert_matches_oracle(got, start, [(-1, a, b)])
+    assert wedge_sum(start, [(-1, a, b), (1, a, b)]) == start
+
+
+@pytest.mark.parametrize("bidegrees", _WEDGE_PAIRS)
+def test_wedge_bracket_graded_sign_against_the_oracle(bidegrees):
+    # [a ^ b] = a^b - (-1)^(|a||b|) b^a, with the degrees summed here.
+    x, y = bidegrees
+    rng = random.Random(x[0] * 8 + x[1] * 4 + y[0] * 2 + y[1])
+    target = (x[0] + y[0], x[1] + y[1])
+    graded = -(-1) ** (sum(x) * sum(y))
+    for size in (1, 2, 3):
+        a, b = _fraction_form(rng, size, x), _fraction_form(rng, size, y)
+        _assert_matches_oracle(wedge_bracket(a, b), MatrixForm.zero(size, target),
+                               [(1, a, b), (graded, b, a)])
+
+
+def test_wedge_sum_rejects_a_bad_sign_bidegree_or_size():
+    f = MatrixForm.from_scalar_matrix([[QQi(1)]])
+    g = MatrixForm.from_scalar_matrix([[QQi(1)]], (0, 1))
+    with pytest.raises(ValueError, match="term 2 "):
+        wedge_sum(f, [(2, f, f)])
+    with pytest.raises(ValueError, match="does not land"):
+        wedge_sum(f, [(1, f, g)])
+    with pytest.raises(ValueError, match="does not land"):
+        wedge_sum(MatrixForm.zero(2), [(1, f, f)])
+    with pytest.raises(ValueError, match="overflow"):
+        wedge_sum(MatrixForm.zero(1, (0, 1)), [(1, g, g)])
 
 
 def test_pair_trace_equals_the_integrated_wedge():
