@@ -129,11 +129,14 @@ class ReportRecord:
         return self.status == "pass"
 
 
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def format_value(v) -> str:
     """Exact string form of a verification value: the ``to_json`` document
     as compact JSON where the value has one, else ``str``."""
     if hasattr(v, "to_json"):
-        return json.dumps(v.to_json(), sort_keys=True, separators=(",", ":"))
+        return _COMPACT.encode(v.to_json())
     return str(v)
 
 
@@ -189,17 +192,43 @@ def csv_text(columns, rows) -> str:
 
 RECORD_COLUMNS = ("suite", "case", "status", "expected", "actual", "provenance")
 
+# One row of a JSON report as ``json_text`` lays it out at depth two, less its
+# braces: the C encoder writes it, the item separator carrying the indent.
+# Only a row with a value outside the _FLAT types is searched for a list or
+# a dict.
+_ROW = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                        separators=(",\n      ", ": "))
+_FLAT = {str, int, float, bool, type(None)}
+
 
 def render_report(out_format: str, columns, rows, key: str, head=None) -> str:
     """Rows (dicts with at least the ``columns`` as keys), in the order given.
 
     CSV for ``"csv"``, JSON otherwise: the CLI and ``RunConfig`` accept only
     the ``FORMATS``.  The CSV holds the columns only; the JSON holds the
-    fields of ``head`` and the whole rows under ``key``.
+    fields of ``head`` and the whole rows under ``key``, the same text as
+    ``json_text`` of that document.  A JSON row value may not be a list or a
+    dict (``TypeError``): the one-line row layout would render it otherwise.
     """
     if out_format == "csv":
         return csv_text(columns, ([row[c] for c in columns] for row in rows))
-    return json_text({**(head or {}), key: rows})
+    text = json_text({**(head or {}), key: []})
+    if not rows:
+        return text
+    # The head's text with the rows' list empty: cut it at that list, which
+    # is the only item at depth one whose line reads so.
+    name = json.dumps(key, ensure_ascii=False)
+    before, _, after = text.partition(f"\n  {name}: []")
+    pieces = [before, f"\n  {name}: [\n    {{\n      "]
+    for row in rows:
+        if not _FLAT.issuperset(map(type, row.values())):
+            nested = [k for k, v in row.items() if isinstance(v, (list, tuple, dict))]
+            if nested:
+                raise TypeError(f"report row value {nested[0]!r} is a list or a dict")
+        pieces += (_ROW.encode(row)[1:-1], "\n    },\n    {\n      ")
+    pieces[-1] = "\n    }\n  ]"
+    pieces.append(after)
+    return "".join(pieces)
 
 
 def atomic_write(path: str, text: str):

@@ -10,7 +10,8 @@ and ``QQi(1) == 1`` is ``False``.  So every exact value the library computes
 is a ``QQi``, and renders one way.  The constructor takes an ``int`` (not a
 ``bool``) or a ``Fraction`` for each part.  Only this module reads the ints:
 :func:`_add_product`, the mode loop of every Fourier-series product, works on
-them.  :func:`draw` is the one way the random generators draw an int.
+them, and the text and JSON forms are written from them.  :func:`draw` is the
+one way the random generators draw an int.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ def _add_product(out: dict, x: dict, y: dict, negate: bool = False) -> dict:
 class QQi:
     """A Gaussian rational ``(a + b*i)/d`` over one positive denominator.
 
-    ``re`` and ``im`` read the parts back as ``Fraction``.  The three slots
-    are private and never assigned after construction, so a ``QQi`` is
-    immutable and hashable.
+    The three slots are private and never assigned after construction, so a
+    ``QQi`` is immutable and hashable.  ``str`` writes each part as
+    ``str(Fraction)`` would.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -84,14 +85,6 @@ class QQi:
         self._a = re.numerator * (d // re.denominator)
         self._b = im.numerator * (d // im.denominator)
         self._d = d
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -156,11 +149,12 @@ class QQi:
         return self._a != 0 or self._b != 0
 
     def __str__(self):
-        if self._b == 0:
-            return str(self.re)
-        im = self.im
-        sign = "+" if im >= 0 else "-"
-        return f"{self.re}{sign}{abs(im)}i"
+        b, d = self._b, self._d
+        if b == 0:
+            return _ratio_text(self._a, d)
+        if b < 0:
+            return f"{_ratio_text(self._a, d)}-{_ratio_text(-b, d)}i"
+        return f"{_ratio_text(self._a, d)}+{_ratio_text(b, d)}i"
 
     def __repr__(self):
         return f"QQi('{self}')"
@@ -170,10 +164,22 @@ I = QQi(0, 1)
 HALF = QQi(Fraction(1, 2))
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``, without building the Fraction.
+    A part past Python's int-to-str digit limit raises ``ValueError`` as
+    there."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def scalar_to_json(z: QQi):
-    """``[re_num, re_den, im_num, im_den]``."""
-    re, im = z.re, z.im
-    return [re.numerator, re.denominator, im.numerator, im.denominator]
+    """``[re_num, re_den, im_num, im_den]``, each part in lowest terms."""
+    a, b, d = z._a, z._b, z._d
+    g, h = gcd(a, d), gcd(b, d)
+    return [a // g, d // g, b // h, d // h]
 
 
 def scalar_from_json(value):

@@ -10,4 +10,12 @@ from sympy.core.sympify import converter
 
 from twistorsec.scalars import QQi
 
-converter[QQi] = lambda q: sympy.Rational(q.re) + sympy.Rational(q.im) * sympy.I
+from qqi_parts import fraction_parts
+
+
+def _to_sympy(q):
+    re, im = fraction_parts(q)
+    return sympy.Rational(re) + sympy.Rational(im) * sympy.I
+
+
+converter[QQi] = _to_sympy

@@ -15,7 +15,8 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, seed, settings,
+                        strategies as st)
 
 from twistorsec import cli, datasets, flat_model, suites
 from twistorsec.datasets import load_vhs_dataset, vhs_energy_table
@@ -157,6 +158,54 @@ def test_render_report_dispatch():
     assert text == "label,pair\na,\n"
     assert render_report("csv", RECORD_COLUMNS, [], "records") == (
         ",".join(RECORD_COLUMNS) + "\n")
+
+
+# Characters that a JSON string escapes, or that it keeps as they are only
+# without ensure_ascii: quotes, backslashes, control characters, the two line
+# separators that JSON allows raw, and non-ASCII ones inside and past the BMP.
+_AWKWARD = '"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\u2029\xe9\u20ac\U0001f600'
+_texts = st.text(st.one_of(st.sampled_from(_AWKWARD), st.characters()), max_size=8)
+_keys = st.text(st.sampled_from(_AWKWARD + "acz"), max_size=3)
+_row_values = st.one_of(_texts, st.integers(), st.integers(-10 ** 40, 10 ** 40),
+                        st.floats(), st.booleans(), st.none())
+_head_values = st.recursive(
+    _row_values, lambda inner: (st.lists(inner, max_size=3)
+                                | st.dictionaries(_keys, inner, max_size=3)),
+    max_leaves=4)
+
+
+@st.composite
+def _json_reports(draw):
+    """(columns, rows, key, head): rows hold the columns and maybe more keys."""
+    columns = draw(st.lists(_keys, min_size=1, max_size=4, unique=True))
+    row = st.builds(lambda extra, own: {**extra, **own},
+                    st.dictionaries(_keys, _row_values, max_size=3),
+                    st.fixed_dictionaries({c: _row_values for c in columns}))
+    rows = draw(st.lists(row, max_size=4))
+    key = draw(st.one_of(st.sampled_from(["records", "rows"]), _keys))
+    head = draw(st.none() | st.dictionaries(_keys, _head_values, max_size=4))
+    return columns, rows, key, head
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None)
+@given(_json_reports())
+@example((("label",), [], "rows", None))
+@example((RECORD_COLUMNS, [vars(r) for r in SAMPLE], "records",
+          {"summary": {"total": 2}, "records": [1], "zeta": []}))
+def test_json_rows_match_the_stdlib_encoder(report):
+    columns, rows, key, head = report
+    expected = json.dumps({**(head or {}), key: rows}, sort_keys=True, indent=2,
+                          ensure_ascii=False) + "\n"
+    assert render_report("json", columns, rows, key, head) == expected
+
+
+@pytest.mark.parametrize("value", [[], [1], {"a": 1}, {}, ("x",)])
+def test_json_rows_reject_a_nested_value(value):
+    rows = [{"label": "a", "pair": ""}, {"label": "b", "pair": value}]
+    with pytest.raises(TypeError, match="'pair'"):
+        render_report("json", ("label",), rows, "rows")
+    assert render_report("csv", ("label",), rows, "rows") == "label\na\nb\n"
 
 
 def test_atomic_write(tmp_path):

@@ -1,14 +1,17 @@
 """Gaussian-rational scalar layer: field axioms, string form, serialization."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from twistorsec.scalars import (I, QQi, draw, random_nonzero_qqi, random_qqi,
                                 scalar_from_json, scalar_to_json)
 from twistorsec.torus_forms import FourierScalar
+
+from qqi_parts import fraction_parts
 
 rationals = st.builds(Fraction, st.integers(), st.integers(1, 50))
 qqis = st.builds(QQi, rationals, rationals)
@@ -43,8 +46,9 @@ def test_multiplicative_inverse(a):
 @given(qqis)
 def test_conjugation(a):
     assert a.conjugate().conjugate() == a
-    assert a * a.conjugate() == QQi(a.re * a.re + a.im * a.im)
-    assert a.conjugate() == QQi(a.re, -a.im)
+    re, im = fraction_parts(a)
+    assert a * a.conjugate() == QQi(re * re + im * im)
+    assert a.conjugate() == QQi(re, -im)
 
 
 def test_i_squares_to_minus_one():
@@ -61,6 +65,52 @@ def test_i_squares_to_minus_one():
 ])
 def test_str_known_forms(text, value):
     assert str(value) == text
+
+
+# The text and JSON forms, against str(Fraction) and the Fraction ints.
+numerators = st.one_of(st.just(0), st.integers(-60, 60), st.integers(),
+                       st.integers(-10 ** 80, 10 ** 80))
+denominators = st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 10 ** 40))
+
+
+def _fraction_text(re, im):
+    """The text of re + im*i from str(Fraction): the real part, then, unless
+    it is zero, the imaginary part with its sign and an i."""
+    if im == 0:
+        return str(re)
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+@seed(17)
+@settings(max_examples=300)
+@given(numerators, numerators, denominators)
+@example(0, 3, 1)                     # zero real part
+@example(5, 0, 3)                     # zero imaginary part
+@example(1, -3, 4)                    # negative imaginary part
+@example(2, 1, 4)                     # the real part reduces, the whole does not
+@example(6, -4, 2)                    # denominator 1 after reducing
+@example(10 ** 50 + 1, -10 ** 50, 10 ** 49)
+def test_text_and_json_match_fraction(a, b, d):
+    re, im = Fraction(a, d), Fraction(b, d)
+    z = QQi(re, im)
+    assert str(z) == _fraction_text(re, im)
+    assert repr(z) == f"QQi('{_fraction_text(re, im)}')"
+    assert scalar_to_json(z) == [re.numerator, re.denominator,
+                                 im.numerator, im.denominator]
+
+
+def test_text_past_the_digit_limit_raises_as_fraction():
+    # A dataset's energy is rejected on this ValueError (datasets._check_printable).
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    big = 10 ** limit
+    for re, im in [(Fraction(big), Fraction(0)), (Fraction(1), Fraction(-big, 3)),
+                   (Fraction(1, big), Fraction(1))]:
+        with pytest.raises(ValueError):
+            _fraction_text(re, im)
+        with pytest.raises(ValueError):
+            str(QQi(re, im))
 
 
 @given(qqis)
@@ -157,8 +207,6 @@ def _assert_matches(z, pair):
     if not (a or b):
         assert (a, b, d) == (0, 0, 1)
     assert (Fraction(a, d), Fraction(b, d)) == pair
-    assert type(z.re) is Fraction and type(z.im) is Fraction
-    assert (z.re, z.im) == pair
 
 
 @given(pairs, pairs, st.sampled_from(sorted(_OPS)))

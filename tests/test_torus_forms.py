@@ -22,6 +22,8 @@ from twistorsec.torus_forms import (FS_ZERO, FourierScalar, MatrixForm,
                                     random_fourier_scalar, random_matrix_form,
                                     trace, wedge, wedge_bracket, wedge_sum)
 
+from qqi_parts import fraction_parts
+
 rationals = st.builds(Fraction, st.integers(), st.integers(1, 8))
 qqis = st.builds(QQi, rationals, rationals)
 mode_keys = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -231,7 +233,7 @@ def _fraction_form(rng, size, bidegree):
 
 def _fractions(e):
     """A series as a dict from mode to its (re, im) Fractions."""
-    return {k: (c.re, c.im) for k, c in e.modes.items()}
+    return {k: fraction_parts(c) for k, c in e.modes.items()}
 
 
 def _oracle_wedge_sum(start, terms):
