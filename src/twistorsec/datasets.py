@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
+import os
 import reprlib
-from importlib import resources
 
 from .report import format_value, read_json
 from .vhs import VhsBlockData, energy_closed, hyperhol_degree
 
-SHIPPED_DATASET = "data/vhs_samples.json"
+SHIPPED_DATASET = os.path.join(os.path.dirname(__file__), "data", "vhs_samples.json")
 
 
 def load_vhs_dataset(path: str = None):
@@ -18,11 +17,7 @@ def load_vhs_dataset(path: str = None):
     Labels are unique, a non-empty pair names an entry of the same rank, and
     every energy and pair degree has few enough digits for a report to print.
     """
-    if path is None:
-        doc = json.loads(resources.files("twistorsec").joinpath(
-            SHIPPED_DATASET).read_text(encoding="utf-8"))
-    else:
-        doc = read_json(path)
+    doc = read_json(SHIPPED_DATASET if path is None else path)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError("malformed dataset: expected an object with an 'entries' list")
     entries = []

@@ -22,21 +22,19 @@ reversal with the O(1) twist), never numerical limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .constants import ENERGY_BLOCK_COEFF, MU_COEFF, OMEGA0_SPLIT_COEFF
 from .projline import INFINITY
+from .records import Record
 from .scalars import HALF, I, QQi, random_qqi, scalar_to_json
 
 
-@dataclass(frozen=True)
-class FlatPoint:
+class FlatPoint(Record):
     """A point of H^d: d Darboux pairs (z, w).  Also used for fiber vectors."""
 
-    coords: tuple
+    __slots__ = _fields = ("coords",)
 
-    def __post_init__(self):
-        coords = tuple(tuple(pair) for pair in self.coords)
+    def __init__(self, coords):
+        coords = tuple(tuple(pair) for pair in coords)
         if len(coords) < 1:
             raise ValueError("need at least one quaternionic block")
         if any(len(pair) != 2 for pair in coords):
@@ -44,17 +42,16 @@ class FlatPoint:
         object.__setattr__(self, "coords", coords)
 
 
-@dataclass(frozen=True)
-class FlatSection:
+class FlatSection(Record):
     """A twistor section: per block the quadruple (a1, a2, b1, b2).
 
     Tangent vectors to the (linear) section space have the same shape.
     """
 
-    blocks: tuple
+    __slots__ = _fields = ("blocks",)
 
-    def __post_init__(self):
-        blocks = tuple(tuple(q) for q in self.blocks)
+    def __init__(self, blocks):
+        blocks = tuple(tuple(q) for q in blocks)
         if len(blocks) < 1:
             raise ValueError("need at least one quaternionic block")
         if any(len(q) != 4 for q in blocks):

@@ -21,9 +21,9 @@ antiholomorphic involution at a fixed nonzero parameter.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass, field
 
 from .constants import ENERGY_LIFT_COEFF, OMEGA_HAT_COEFF
+from .records import Record
 from .scalars import QQi, random_qqi
 from .torus_forms import (FS_ZERO, FourierScalar, MatrixForm, bracket_terms,
                           conj_transpose, dbar, del_op, pair_trace,
@@ -41,37 +41,39 @@ def _check_coeff(f: MatrixForm, rank, bidegree, what: str):
         raise ValueError(f"{what} has bidegree {f.bidegree}, expected {bidegree}")
 
 
-@dataclass(frozen=True, eq=False)
-class LambdaLift:
+class LambdaLift(Record):
     """Coefficients of a truncated lambda-connection family (all trace-free).
 
-    The rank is the size of Phi and the order N the number of Psi_j.  Both
-    parts are also kept as series indexed by the power of t: ``a`` is
-    (Phi, Phi_1, ..., Phi_N) and ``b`` is (0, Psi_1, ..., Psi_N).
+    ``phi0`` is the t^0 coefficient Phi of the D-part, ``psi`` is
+    (Psi_1, ..., Psi_N) and ``phi`` is (Phi_1, ..., Phi_N), with Phi_1 = 0
+    for normalized germs.  The rank is the size of Phi and the order N the
+    number of Psi_j.  Both parts are also kept as series indexed by the power
+    of t: ``a`` is (Phi, Phi_1, ..., Phi_N) and ``b`` is (0, Psi_1, ..., Psi_N).
+    Two lifts are equal only when they are the same object.
     """
 
-    phi0: MatrixForm  # the t^0 coefficient Phi of the D-part
-    psi: tuple  # (Psi_1, ..., Psi_N)
-    phi: tuple  # (Phi_1, ..., Phi_N); Phi_1 = 0 for normalized germs
-    a: tuple = field(init=False, repr=False)
-    b: tuple = field(init=False, repr=False)
+    _fields = ("phi0", "psi", "phi")
+    __slots__ = _fields + ("a", "b")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        psi, phi = tuple(self.psi), tuple(self.phi)
+    def __init__(self, phi0: MatrixForm, psi, phi):
+        psi, phi = tuple(psi), tuple(phi)
         if not psi or len(phi) != len(psi):
             raise ValueError("need N >= 1 coefficient forms on each side")
-        _check_coeff(self.phi0, None, (1, 0), "Phi")
+        _check_coeff(phi0, None, (1, 0), "Phi")
+        rank = phi0.size
         for j, f in enumerate(psi, start=1):
-            _check_coeff(f, self.rank, (0, 1), f"Psi_{j}")
+            _check_coeff(f, rank, (0, 1), f"Psi_{j}")
         for j, f in enumerate(phi, start=1):
-            _check_coeff(f, self.rank, (1, 0), f"Phi_{j}")
-        for f in (self.phi0,) + psi + phi:
+            _check_coeff(f, rank, (1, 0), f"Phi_{j}")
+        for f in (phi0,) + psi + phi:
             if not trace(f).is_zero:
                 raise ValueError("lift coefficients must be trace-free")
+        object.__setattr__(self, "phi0", phi0)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "a", (self.phi0,) + phi)
-        object.__setattr__(self, "b", (MatrixForm.zero(self.rank, (0, 1)),) + psi)
+        object.__setattr__(self, "a", (phi0,) + phi)
+        object.__setattr__(self, "b", (MatrixForm.zero(rank, (0, 1)),) + psi)
 
     @property
     def rank(self) -> int:
@@ -110,15 +112,15 @@ def make_lift(phi0: MatrixForm, psi=(), order: int = 4) -> LambdaLift:
     return LambdaLift(phi0, tuple(psi), (MatrixForm.zero(rank, (1, 0)),) * order)
 
 
-@dataclass(frozen=True, eq=False)
-class TangentSeries:
-    """A tangent direction to the space of lifts: psi_0..psi_N and phi_0..phi_N."""
+class TangentSeries(Record):
+    """A tangent direction to the space of lifts: the (0,1) forms psi_0..psi_N
+    and the (1,0) forms phi_0..phi_N.  Equal only to itself."""
 
-    psik: tuple  # (0,1) forms, indices 0..N
-    phik: tuple  # (1,0) forms, indices 0..N
+    __slots__ = _fields = ("psik", "phik")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        psik, phik = tuple(self.psik), tuple(self.phik)
+    def __init__(self, psik, phik):
+        psik, phik = tuple(psik), tuple(phik)
         if not psik or len(phik) != len(psik):
             raise ValueError("need coefficients for orders 0..N on each side")
         rank = psik[0].size
@@ -143,14 +145,15 @@ class TangentSeries:
                    tuple(MatrixForm.zero(rank, (1, 0)) for _ in range(order + 1)))
 
 
-@dataclass(frozen=True, eq=False)
-class GaugeSeries:
-    """A series of infinitesimal gauge parameters xi_0..xi_N (trace-free functions)."""
+class GaugeSeries(Record):
+    """A series of infinitesimal gauge parameters xi_0..xi_N (trace-free
+    functions).  Equal only to itself."""
 
-    xik: tuple
+    __slots__ = _fields = ("xik",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        xik = tuple(self.xik)
+    def __init__(self, xik):
+        xik = tuple(xik)
         if not xik:
             raise ValueError("need gauge coefficients for orders 0..N")
         rank = xik[0].size
@@ -432,18 +435,20 @@ def gauge_transform_lift(lift: LambdaLift, gs) -> LambdaLift:
 # -- Laurent regluing and the antiholomorphic involution ----------------------
 
 
-@dataclass(frozen=True)
-class LaurentConnection:
+class LaurentConnection(Record):
     """Laurent data of a connection pair in one coordinate.
 
     Operator symbols ("dbar", "del") and form coefficients are kept per
-    exponent.
+    exponent, each part in a dict of its own (a fresh one when omitted).
     """
 
-    dbar_ops: dict = field(default_factory=dict)
-    dbar_forms: dict = field(default_factory=dict)
-    d_ops: dict = field(default_factory=dict)
-    d_forms: dict = field(default_factory=dict)
+    __slots__ = _fields = ("dbar_ops", "dbar_forms", "d_ops", "d_forms")
+
+    def __init__(self, dbar_ops=None, dbar_forms=None, d_ops=None, d_forms=None):
+        object.__setattr__(self, "dbar_ops", {} if dbar_ops is None else dbar_ops)
+        object.__setattr__(self, "dbar_forms", {} if dbar_forms is None else dbar_forms)
+        object.__setattr__(self, "d_ops", {} if d_ops is None else d_ops)
+        object.__setattr__(self, "d_forms", {} if d_forms is None else d_forms)
 
 
 def lift_to_laurent(lift: LambdaLift) -> LaurentConnection:
@@ -462,20 +467,21 @@ def deligne_glue(lc: LaurentConnection) -> LaurentConnection:
                              remap(lc.dbar_ops), remap(lc.dbar_forms))
 
 
-@dataclass(frozen=True)
-class DHPoint:
+class DHPoint(Record):
     """A connection pair at a fixed nonzero parameter: operators
-    (dbar + B, lam*del + A)."""
+    (dbar + B, lam*del + A), with B = ``dbar_coeff`` of bidegree (0,1) and
+    A = ``d_coeff`` of bidegree (1,0)."""
 
-    dbar_coeff: MatrixForm  # B, bidegree (0,1)
-    d_coeff: MatrixForm  # A, bidegree (1,0)
-    lam: object
+    __slots__ = _fields = ("dbar_coeff", "d_coeff", "lam")
 
-    def __post_init__(self):
-        if not self.lam:
+    def __init__(self, dbar_coeff: MatrixForm, d_coeff: MatrixForm, lam):
+        if not lam:
             raise ValueError("the parameter must be nonzero")
-        if self.dbar_coeff.bidegree != (0, 1) or self.d_coeff.bidegree != (1, 0):
+        if dbar_coeff.bidegree != (0, 1) or d_coeff.bidegree != (1, 0):
             raise ValueError("coefficient bidegrees must be (0,1) and (1,0)")
+        object.__setattr__(self, "dbar_coeff", dbar_coeff)
+        object.__setattr__(self, "d_coeff", d_coeff)
+        object.__setattr__(self, "lam", lam)
 
 
 def c_star_on_point(zeta, p: DHPoint) -> DHPoint:

@@ -17,8 +17,7 @@ matrices in this basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .records import Record
 from .scalars import QQi
 
 
@@ -32,20 +31,19 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-@dataclass(frozen=True)
-class PolySection:
+class PolySection(Record):
     """A section of O(k): polynomial of degree <= k in the 0-chart coordinate."""
 
-    degree_bound: int
-    coeffs: tuple
+    __slots__ = _fields = ("degree_bound", "coeffs")
 
-    def __post_init__(self):
-        if self.degree_bound < 0:
+    def __init__(self, degree_bound: int, coeffs):
+        if degree_bound < 0:
             raise ValueError("degree bound must be >= 0")
-        if len(self.coeffs) != self.degree_bound + 1:
+        if len(coeffs) != degree_bound + 1:
             raise ValueError(
-                f"need {self.degree_bound + 1} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+                f"need {degree_bound + 1} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "degree_bound", degree_bound)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def chart_involution(self) -> "PolySection":
         """The infinity-chart representative (reversed coefficients)."""
@@ -69,13 +67,15 @@ def wronskian_infinity_chart(p: PolySection, q: PolySection):
     return -wronskian(p.chart_involution(), q.chart_involution())
 
 
-@dataclass(frozen=True)
-class Sl2Element:
+class Sl2Element(Record):
     """A global vector field A_e*e + A_h*h + A_f*f on the projective line."""
 
-    a_e: QQi
-    a_h: QQi
-    a_f: QQi
+    __slots__ = _fields = ("a_e", "a_h", "a_f")
+
+    def __init__(self, a_e: QQi, a_h: QQi, a_f: QQi):
+        object.__setattr__(self, "a_e", a_e)
+        object.__setattr__(self, "a_h", a_h)
+        object.__setattr__(self, "a_f", a_f)
 
     def __add__(self, other):
         return Sl2Element(self.a_e + other.a_e, self.a_h + other.a_h,

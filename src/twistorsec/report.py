@@ -15,57 +15,53 @@ import os
 import reprlib
 import tempfile
 from collections import Counter
-from dataclasses import dataclass
+
+from .records import Record
 
 FORMATS = ("json", "csv")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Everything a verification run depends on.  Seed fixed => output fixed."""
 
-    suites: tuple = ()
-    seed: int = 0
-    order: int = 4
-    mode_bound: int = 2
-    rank_bound: int = 3
-    datasets: tuple = ()
-    out_format: str = "json"
-    out_path: str = None
-    cases: int = 25
+    __slots__ = _fields = ("suites", "seed", "order", "mode_bound", "rank_bound",
+                           "datasets", "out_format", "out_path", "cases")
 
-    def __post_init__(self):
-        for name in ("seed", "order", "mode_bound", "rank_bound", "cases"):
-            value = getattr(self, name)
+    def __init__(self, suites=(), seed: int = 0, order: int = 4, mode_bound: int = 2,
+                 rank_bound: int = 3, datasets=(), out_format: str = "json",
+                 out_path: str = None, cases: int = 25):
+        for name, value in (("seed", seed), ("order", order), ("mode_bound", mode_bound),
+                            ("rank_bound", rank_bound), ("cases", cases)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"config field {name!r} must be an integer, "
                                  f"got {reprlib.repr(value)}")
-        for name in ("suites", "datasets"):
-            value = getattr(self, name)
+        for name, value in (("suites", suites), ("datasets", datasets)):
             if (not isinstance(value, (list, tuple))
                     or not all(isinstance(x, str) for x in value)):
                 raise ValueError(f"config field {name!r} must be a list of strings")
-        repeated = [name for name, k in Counter(self.suites).items() if k > 1]
+        repeated = [name for name, k in Counter(suites).items() if k > 1]
         if repeated:  # each suite's records would come twice under one case name
             raise ValueError(f"config field 'suites' repeats {reprlib.repr(repeated[0])}")
-        if not isinstance(self.out_path, (str, type(None))):
+        if not isinstance(out_path, (str, type(None))):
             raise ValueError("config field 'out_path' must be a string or null")
-        if len(self.datasets) > 1:
+        if len(datasets) > 1:
             raise ValueError("config field 'datasets' holds at most one path")
-        object.__setattr__(self, "suites", tuple(self.suites))
-        object.__setattr__(self, "datasets", tuple(self.datasets))
-        if not 0 <= self.seed < 2 ** 64:
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.out_format not in FORMATS:
+        if out_format not in FORMATS:
             raise ValueError(f"config field 'out_format' must be one of {FORMATS}")
-        if self.order < 1:
+        if order < 1:
             raise ValueError("config field 'order' must be >= 1")
-        if self.mode_bound < 0:
+        if mode_bound < 0:
             raise ValueError("config field 'mode_bound' must be >= 0")
-        if self.rank_bound < 2:  # the lift suites draw ranks 2..rank_bound
+        if rank_bound < 2:  # the lift suites draw ranks 2..rank_bound
             raise ValueError("config field 'rank_bound' must be >= 2")
-        if self.cases < 0:
+        if cases < 0:
             raise ValueError("config field 'cases' must be >= 0")
+        for name, value in zip(self._fields, (
+                tuple(suites), seed, order, mode_bound, rank_bound, tuple(datasets),
+                out_format, out_path, cases)):
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
         return {"suites": list(self.suites), "seed": self.seed,
@@ -88,7 +84,7 @@ class RunConfig:
         if doc.pop("exact", True) is not True:
             raise ValueError("config field 'exact' only accepts true: "
                              "arithmetic is always exact")
-        extra = set(doc) - set(cls.__dataclass_fields__)
+        extra = set(doc) - set(cls._fields)
         if extra:
             raise ValueError(f"unknown config fields: {reprlib.repr(sorted(extra))}")
         return cls(**doc)
@@ -109,20 +105,22 @@ def read_json(path: str):
         raise ValueError(message) from None
 
 
-@dataclass
-class ReportRecord:
-    """One verified identity: both sides as strings plus the outcome."""
+class ReportRecord(Record):
+    """One verified identity: both sides as strings plus the outcome.
 
-    suite: str
-    case: str
-    status: str
-    expected: str
-    actual: str
-    provenance: str
+    A record can be changed, so it has no hash.  Its fields live in its
+    instance dict, which a report writes as the record's row.
+    """
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail"):
+    _fields = ("suite", "case", "status", "expected", "actual", "provenance")
+    __setattr__, __hash__ = object.__setattr__, None
+
+    def __init__(self, suite: str, case: str, status: str, expected: str, actual: str,
+                 provenance: str):
+        if status not in ("pass", "fail"):
             raise ValueError("status must be pass or fail")
+        self.suite, self.case, self.status = suite, case, status
+        self.expected, self.actual, self.provenance = expected, actual, provenance
 
     @property
     def passed(self) -> bool:
@@ -190,7 +188,7 @@ def csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
-RECORD_COLUMNS = ("suite", "case", "status", "expected", "actual", "provenance")
+RECORD_COLUMNS = ReportRecord._fields
 
 # One row of a JSON report as ``json_text`` lays it out at depth two, less its
 # braces: the C encoder writes it, the item separator carrying the indent.

@@ -29,10 +29,10 @@ operations compute residuals and never assume they vanish.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from operator import add
 
 from .constants import VOLUME_CONST
+from .records import Record
 from .scalars import (QQi, _add_product, draw, random_qqi, scalar_from_json,
                       scalar_to_json)
 
@@ -155,17 +155,18 @@ def _map_rows(rows, fn):
     return tuple(tuple(fn(e) for e in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class MatrixForm:
-    """An r x r matrix of Fourier series tagged with a form bidegree."""
+class MatrixForm(Record):
+    """An r x r matrix of Fourier series tagged with a form bidegree.
 
-    bidegree: tuple
-    entries: tuple  # r rows, each a tuple of r FourierScalar
+    ``entries`` holds r rows, each a tuple of r ``FourierScalar``.
+    """
 
-    def __post_init__(self):
-        if tuple(self.bidegree) not in _BIDEGREES:
-            raise ValueError(f"bad bidegree {self.bidegree}")
-        rows = tuple(tuple(row) for row in self.entries)
+    __slots__ = _fields = ("bidegree", "entries")
+
+    def __init__(self, bidegree, entries):
+        if tuple(bidegree) not in _BIDEGREES:
+            raise ValueError(f"bad bidegree {bidegree}")
+        rows = tuple(tuple(row) for row in entries)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("entries must be a square matrix")
         for i, row in enumerate(rows):
@@ -173,7 +174,7 @@ class MatrixForm:
                 if not isinstance(e, FourierScalar):
                     raise TypeError(f"entry ({i}, {j}) must be a FourierScalar, "
                                     f"got {type(e).__name__}")
-        object.__setattr__(self, "bidegree", tuple(self.bidegree))
+        object.__setattr__(self, "bidegree", tuple(bidegree))
         object.__setattr__(self, "entries", rows)
 
     @property

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import re
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .records import Record
 from .scalars import QQi, draw
 
 
@@ -49,18 +49,17 @@ def _as_degree(x):
     raise ValueError(f"not a degree value: {reprlib.repr(x)}")
 
 
-@dataclass(frozen=True)
-class VhsBlockData:
-    """Ranks and degrees of the graded pieces of a circle-fixed Higgs bundle."""
+class VhsBlockData(Record):
+    """Ranks and degrees of the graded pieces of a circle-fixed Higgs bundle.
 
-    ranks: tuple
-    degrees: tuple
-    label: str = ""
-    pair: str = ""  # label of an associated infinity-side dataset, if any
+    ``pair`` is the label of an associated infinity-side dataset, if any.
+    """
 
-    def __post_init__(self):
-        ranks = tuple(self.ranks)
-        degrees = tuple(_as_degree(d) for d in self.degrees)
+    __slots__ = _fields = ("ranks", "degrees", "label", "pair")
+
+    def __init__(self, ranks, degrees, label: str = "", pair: str = ""):
+        ranks = tuple(ranks)
+        degrees = tuple(_as_degree(d) for d in degrees)
         if len(ranks) < 1:
             raise ValueError("need at least one block")
         if any(not isinstance(r, int) or isinstance(r, bool) or r < 1 for r in ranks):
@@ -71,6 +70,8 @@ class VhsBlockData:
             raise ValueError("degrees must sum to zero (trivial determinant)")
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "pair", pair)
 
     @property
     def l(self) -> int:

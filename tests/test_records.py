@@ -1,0 +1,136 @@
+"""The record types: text, equality, hashing and mutability.
+
+Each record type lists its fields once and inherits the rest from
+``records.Record``.  These tests pin what callers rely on: the repr text that
+reports print, equality within one type over the fields, a hash that agrees
+with equality, and which types can be changed after they are built.
+"""
+
+import pytest
+
+from twistorsec.flat_model import FlatPoint, FlatSection
+from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LaurentConnection,
+                                     TangentSeries, make_lift)
+from twistorsec.projline import PolySection, Sl2Element
+from twistorsec.report import RunConfig, ReportRecord
+from twistorsec.scalars import QQi
+from twistorsec.torus_forms import MatrixForm
+from twistorsec.vhs import VhsBlockData
+
+
+def _zero(bidegree):
+    return MatrixForm.zero(2, bidegree)
+
+
+#: For each type with field equality: a builder of one value, and a builder
+#: of a value that differs from it in one field.
+VALUE_TYPES = {
+    "PolySection": (lambda: PolySection(1, [QQi(1), QQi(2)]),
+                    lambda: PolySection(1, [QQi(1), QQi(3)])),
+    "Sl2Element": (lambda: Sl2Element(QQi(1), QQi(0, 1), QQi(-1)),
+                   lambda: Sl2Element(QQi(1), QQi(0, 1), QQi(1))),
+    "FlatPoint": (lambda: FlatPoint([[QQi(1), QQi(2)]]),
+                  lambda: FlatPoint([[QQi(1), QQi(0)]])),
+    "FlatSection": (lambda: FlatSection([[QQi(1), QQi(2), QQi(3), QQi(4)]]),
+                    lambda: FlatSection([[QQi(1), QQi(2), QQi(3), QQi(5)]])),
+    "VhsBlockData": (lambda: VhsBlockData([1, 1], ["1/2", "-1/2"], "a"),
+                     lambda: VhsBlockData([1, 1], ["1/2", "-1/2"], "a", "b")),
+    "MatrixForm": (lambda: MatrixForm.identity(2), lambda: _zero((0, 0))),
+    "LaurentConnection": (lambda: LaurentConnection({0: "dbar"}),
+                          lambda: LaurentConnection({1: "dbar"})),
+    "DHPoint": (lambda: DHPoint(_zero((0, 1)), _zero((1, 0)), QQi(2)),
+                lambda: DHPoint(_zero((0, 1)), _zero((1, 0)), QQi(3))),
+    "RunConfig": (lambda: RunConfig(suites=["stokes"], seed=3),
+                  lambda: RunConfig(suites=["stokes"], seed=4)),
+    "ReportRecord": (lambda: ReportRecord("s", "c", "pass", "1", "1", "p"),
+                     lambda: ReportRecord("s", "c", "fail", "1", "2", "p")),
+}
+
+#: Types whose values are equal only to themselves.
+IDENTITY_TYPES = {
+    "LambdaLift": lambda: make_lift(_zero((1, 0)), order=1),
+    "TangentSeries": lambda: TangentSeries.zero(2, 1),
+    "GaugeSeries": lambda: GaugeSeries([_zero((0, 0))]),
+}
+
+BUILD = {**{name: build for name, (build, _) in VALUE_TYPES.items()}, **IDENTITY_TYPES}
+
+
+def test_reprs_are_the_report_text():
+    assert repr(PolySection(0, (QQi(8, -4),))) == (
+        "PolySection(degree_bound=0, coeffs=(QQi('8-4i'),))")
+    assert repr(Sl2Element(QQi(1), QQi(0, 1), QQi(-1))) == (
+        "Sl2Element(a_e=QQi('1'), a_h=QQi('0+1i'), a_f=QQi('-1'))")
+    assert repr(RunConfig(seed=3)) == (
+        "RunConfig(suites=(), seed=3, order=4, mode_bound=2, rank_bound=3, "
+        "datasets=(), out_format='json', out_path=None, cases=25)")
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_equality_is_over_the_fields_of_one_type(name):
+    build, changed = VALUE_TYPES[name]
+    value = build()
+    assert value == build() and not value != build()
+    assert value != changed()
+    assert value != tuple(getattr(value, f) for f in value._fields)
+
+    class Derived(type(value)):
+        __slots__ = ()
+
+    derived = object.__new__(Derived)
+    for field in value._fields:
+        object.__setattr__(derived, field, getattr(value, field))
+    assert derived != value and value != derived
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_equal_values_hash_alike_where_hashable(name):
+    value, again = VALUE_TYPES[name][0](), VALUE_TYPES[name][0]()
+    if name == "ReportRecord":  # it can change, so it has no hash
+        with pytest.raises(TypeError):
+            hash(value)
+    elif name == "LaurentConnection":  # its fields are dicts
+        with pytest.raises(TypeError, match="dict"):
+            hash(value)
+    else:
+        fields = tuple(getattr(value, f) for f in value._fields)
+        assert hash(value) == hash(again) == hash(fields)
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_TYPES))
+def test_series_and_lifts_are_equal_only_to_themselves(name):
+    value = IDENTITY_TYPES[name]()
+    assert value == value and hash(value) == hash(value)
+    assert value != IDENTITY_TYPES[name]()
+
+
+@pytest.mark.parametrize("name", sorted(set(BUILD) - {"ReportRecord"}))
+def test_frozen_fields_cannot_be_assigned(name):
+    value = BUILD[name]()
+    for field in value._fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = None
+
+
+def test_a_report_record_can_be_relabelled():
+    record = ReportRecord("", "c", "pass", "1", "1", "p")
+    record.suite = "stokes"
+    assert record.suite == "stokes"
+    assert vars(record) == {"suite": "stokes", "case": "c", "status": "pass",
+                            "expected": "1", "actual": "1", "provenance": "p"}
+
+
+def test_laurent_connections_do_not_share_their_dicts():
+    first, second = LaurentConnection(), LaurentConnection()
+    for field in first._fields:
+        assert getattr(first, field) == {}
+        assert getattr(first, field) is not getattr(second, field)
+
+
+def test_run_config_keywords_and_unknown_fields():
+    assert RunConfig(seed=3).seed == 3 and RunConfig(seed=3).cases == 25
+    assert RunConfig(seed=3) == RunConfig.from_json({"seed": 3})
+    with pytest.raises(ValueError, match=r"^unknown config fields: \['bogus', 'zz'\]$"):
+        RunConfig.from_json({"seed": 1, "zz": 2, "bogus": 3})

@@ -76,6 +76,8 @@ NOT_REACHED = {
     "torus_forms.FourierScalar.__bool__": "without it every series is truthy",
     "torus_forms.FourierScalar.__setattr__": "the guard that keeps a series "
                                              "immutable",
+    "records.Record.__hash__": "a value type hashes like its value",
+    "records.Record.__setattr__": "the guard that keeps a record immutable",
     "vhs.VhsBlockData.to_json": "writes the dataset documents the program reads",
     "lambda_lifts.LambdaLift.to_json": "writes the lift documents the program reads",
 }
