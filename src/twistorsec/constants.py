@@ -33,15 +33,16 @@ OMEGA0_SPLIT_COEFF = QQi(0, Fraction(-1, 2))
 #: VOLUME_CONST times the constant Fourier mode of its coefficient.
 VOLUME_CONST = QQi(1)
 
-#: Prefactor of the energy of a truncated lambda-connection lift,
+#: Prefactor c of the energy of a truncated lambda-connection lift,
 #: E = ENERGY_LIFT_COEFF * integral(tr(Phi ^ Psi_1)).  The transcendental
-#: normalization of the underlying surface integral is absorbed here; every
-#: invariance statement is homogeneous in this constant.
+#: normalization of the underlying surface integral is absorbed here.  With
+#: c = 1 and the prefactor -i/2 of the two-form below, the Hessian at a
+#: circle-fixed lift is Hess E(t, t) = 2 * Omega_hat(t, A t), A the circle
+#: field on tangents; that identity ties the two constants together.
 ENERGY_LIFT_COEFF = QQi(1)
 
-#: Global prefactor of the holomorphic two-form on lift tangents.  The two
-#: natural conventions differ by sign; all verified properties (antisymmetry,
-#: gauge degeneracy) are prefactor-independent, so the choice is inert.
+#: Global prefactor of the holomorphic two-form on lift tangents, fixed with
+#: ENERGY_LIFT_COEFF by Hess E(t, t) = 2 * Omega_hat(t, A t) (see above).
 OMEGA_HAT_COEFF = QQi(0, Fraction(-1, 2))
 
 #: Scalar c such that the order-zero fixed-point relations hold with

@@ -12,10 +12,10 @@ lifts built from graded slice data place their grade-0 datum there.
 
 On top of the lifts this module provides the curvature-type integrability
 expansion and its linearization, infinitesimal gauge directions, the energy
-and its first variation, the two-form on tangent series, the second
-variation at circle-fixed lifts, the fixed-lift constructor from graded
-block data, Laurent regluing to the infinity coordinate, and the
-antiholomorphic involution at a fixed nonzero parameter.
+and its first variation, the two-form on tangent series, the circle field
+on tangents, the second variation at circle-fixed lifts, the fixed-lift
+constructor from graded block data, Laurent regluing to the infinity
+coordinate, and the antiholomorphic involution at a fixed nonzero parameter.
 """
 
 from __future__ import annotations
@@ -263,15 +263,19 @@ def omega_hat(lift: LambdaLift, t1: TangentSeries, t2: TangentSeries):
     return OMEGA_HAT_COEFF * value
 
 
+def circle_field(t: TangentSeries) -> TangentSeries:
+    """The circle action t -> zeta t on a tangent, differentiated at zeta = 1:
+    psi_k -> -i k psi_k and phi_k -> i (1 - k) phi_k."""
+    return TangentSeries(tuple(f * QQi(0, -k) for k, f in enumerate(t.psik)),
+                         tuple(f * QQi(0, 1 - k) for k, f in enumerate(t.phik)))
+
+
 def second_variation(lift: LambdaLift, t: TangentSeries, xi: MatrixForm):
-    """Second variation of the energy at a circle-fixed lift.
+    """Second variation of the energy at a circle-fixed lift, the Hessian of
+    :func:`energy_of_lift`: 2c * integral tr(phi_0 ^ psi_1).
 
     Requires the fixed-point relations for the supplied grading parameter xi;
-    each is checked and a violation is reported by name.  The value is
-    integral tr(psi0 [phi1,xi] + phi1 [psi0,xi] + psi1 [phi0,xi]
-                + phi0 [psi1,xi] + 2 phi0 psi1)
-    with no orientation sign: matrix entries commute, so each trace is
-    pair_trace(x, y) with the (1,0) factor x first.
+    each is checked and a violation is reported by name.
     """
     _check_coeff(xi, lift.rank, (0, 0), "xi")
     _check_tangent(lift, t, 1)
@@ -285,21 +289,7 @@ def second_variation(lift: LambdaLift, t: TangentSeries, xi: MatrixForm):
     for name, ok in checks:
         if not ok:
             raise ValueError(f"fixed-point relation violated: {name}")
-    ps0, ps1 = t.psik[0], t.psik[1]
-    ph0, ph1 = t.phik[0], t.phik[1]
-    return (pair_trace(wedge_bracket(ph1, xi), ps0)
-            + pair_trace(ph1, wedge_bracket(ps0, xi))
-            + pair_trace(wedge_bracket(ph0, xi), ps1)
-            + pair_trace(ph0, wedge_bracket(ps1, xi))
-            + QQi(2) * pair_trace(ph0, ps1))
-
-
-def second_variation_weighted(t: TangentSeries, m0, m1, n0, n1):
-    """The eigenweight form of the second variation for pure-weight tangents:
-    (m1 + n0) tr(psi0 phi1) + (m0 + n1 + 2) tr(psi1 phi0), each trace a
-    pair_trace with the (1,0) factor first, as in :func:`second_variation`."""
-    return (QQi(m1 + n0) * pair_trace(t.phik[1], t.psik[0])
-            + QQi(m0 + n1 + 2) * pair_trace(t.phik[0], t.psik[1]))
+    return QQi(2) * ENERGY_LIFT_COEFF * pair_trace(t.phik[0], t.psik[1])
 
 
 # -- circle-fixed lifts from graded block data --------------------------------
@@ -362,12 +352,10 @@ def c_star_fixed_lift(v: VhsBlockData, higgs: MatrixForm, beta=None,
     return LambdaLift(higgs, tuple(psi_list), tuple(phi_list))
 
 
-def bb_slice_residuals(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None):
-    """The two affine-slice residual forms (not required to vanish here).
-
-    First: dbar(phi_total) + [(Phi + phi_total) ^ beta_total].  Second:
-    del(beta_total) + [Phi* ^ phi_total].  Used as a diagnostic and as the
-    constraint generator for exactly solvable test data.
+def bb_slice_residual(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None):
+    """The first affine-slice residual form (not required to vanish here),
+    dbar(phi_total) + [(Phi + phi_total) ^ beta_total].  Used as a diagnostic
+    and as the constraint generator for exactly solvable test data.
     """
     beta, phi = _checked_slice_data(v, higgs, beta, phi)
     beta_total = sum((f for _, f in sorted(beta.items())), MatrixForm.zero(v.n, (0, 1)))
@@ -375,10 +363,7 @@ def bb_slice_residuals(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None):
     r1 = dbar(phi_total)
     if not beta_total.is_zero:
         r1 = r1 + wedge_bracket(higgs + phi_total, beta_total)
-    r2 = del_op(beta_total)
-    if not phi_total.is_zero:
-        r2 = r2 + wedge_bracket(conj_transpose(higgs), phi_total)
-    return r1, r2
+    return r1
 
 
 def random_pure_grade_form(rng, v: VhsBlockData, k: int, bidegree,

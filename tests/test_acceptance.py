@@ -23,13 +23,13 @@ from twistorsec import projline as pl
 from twistorsec import vhs
 from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, TangentSeries,
                                      c_star_fixed_lift, c_star_on_point,
+                                     circle_field,
                                      deligne_glue, gauge_tangent,
                                      integrability_residuals, lift_to_laurent,
                                      linearized_residuals, make_lift,
                                      omega_hat, random_pure_grade_form,
                                      real_involution_dh,
-                                     second_variation,
-                                     second_variation_weighted, xi_matrix_form)
+                                     second_variation, xi_matrix_form)
 from twistorsec.scalars import QQi, random_qqi
 from twistorsec.torus_forms import (MatrixForm, dbar, integrate_trace,
                                     random_matrix_form, wedge)
@@ -314,9 +314,9 @@ def test_acceptance_09_second_variation_weights(verdict):
             (random_pure_grade_form(rng, v, g1, (1, 0)),
              random_pure_grade_form(rng, v, g0, (1, 0))))
         lhs = second_variation(lift, t, xi)
-        rhs = second_variation_weighted(t, m0=-g1, m1=-g0, n0=g0, n1=g1)
-        ok = ok and lhs == rhs
-    verdict("09 second variation equals its eigenweight form (200 cases)", ok)
+        ok = ok and lhs == QQi(2) * omega_hat(lift, t, circle_field(t))
+    verdict("09 second variation equals 2 Omega_hat(t, A t), A the circle "
+            "field (200 cases)", ok)
 
 
 # -- 10: curvature coefficients against an independent expansion ---------------

@@ -14,8 +14,9 @@ import pytest
 
 from twistorsec.constants import ENERGY_LIFT_COEFF, XI_SCALAR_PHIPSI
 from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LambdaLift,
-                                     TangentSeries, bb_slice_residuals,
+                                     TangentSeries, bb_slice_residual,
                                      c_star_fixed_lift, c_star_on_point,
+                                     circle_field,
                                      d_energy_of_lift, deligne_glue,
                                      energy_of_lift, gauge_tangent,
                                      gauge_transform_lift, has_pure_grade,
@@ -24,8 +25,7 @@ from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LambdaLift,
                                      make_lift, omega_hat,
                                      random_pure_grade_form,
                                      real_involution_chart, real_involution_dh,
-                                     second_variation,
-                                     second_variation_weighted, xi_matrix_form)
+                                     second_variation, xi_matrix_form)
 from twistorsec.scalars import QQi, random_qqi
 from twistorsec.torus_forms import (FourierScalar, MatrixForm, conj_transpose,
                                     dbar, del_op, integrate_trace,
@@ -397,7 +397,7 @@ def test_fixed_lift_validation():
         c_star_fixed_lift(UNI, E21_DZ, phi={-1: MatrixForm.zero(2, (1, 0))})
 
 
-@pytest.mark.parametrize("fixed", [c_star_fixed_lift, bb_slice_residuals])
+@pytest.mark.parametrize("fixed", [c_star_fixed_lift, bb_slice_residual])
 @pytest.mark.parametrize("name, j, bidegree", [
     ("beta", 2, (0, 1)), ("beta", 9, (0, 1)), ("phi", 2, (1, 0)), ("phi", 9, (1, 0))])
 def test_slice_data_in_grades_without_blocks(fixed, name, j, bidegree):
@@ -458,11 +458,29 @@ def test_second_variation_hand_value():
     zero = TangentSeries.zero(2, 1)
     t = TangentSeries((zero.psik[0], E12_DZBAR), (E21_DZ, zero.phik[1]))
     assert second_variation(lift, t, xi) == QQi(2)
-    # Weighted form: m = -grade(phi component), n = -grade(psi component).
-    assert second_variation_weighted(t, m0=1, m1=0, n0=0, n1=-1) == QQi(2)
+    assert QQi(2) * omega_hat(lift, t, circle_field(t)) == QQi(2)
 
 
-def test_second_variation_matches_weighted_on_graded_tangents():
+def test_circle_field_hand_value():
+    rng = random.Random(117)
+    t = TangentSeries(
+        tuple(random_matrix_form(rng, 2, (0, 1), trace_free=True) for _ in range(3)),
+        tuple(random_matrix_form(rng, 2, (1, 0), trace_free=True) for _ in range(3)))
+    field = circle_field(t)
+    # psi_k -> -i k psi_k and phi_k -> i (1 - k) phi_k, entry by entry.
+    for k, weight in enumerate((QQi(0), QQi(0, -1), QQi(0, -2))):
+        assert field.psik[k].entries == tuple(tuple(e * weight for e in row)
+                                              for row in t.psik[k].entries)
+    for k, weight in enumerate((QQi(0, 1), QQi(0), QQi(0, -1))):
+        assert field.phik[k].entries == tuple(tuple(e * weight for e in row)
+                                              for row in t.phik[k].entries)
+    assert field.psik[0].is_zero and field.phik[1].is_zero
+    assert not any(f.is_zero for f in field.psik[1:] + field.phik[:1] + field.phik[2:])
+
+
+def test_second_variation_is_twice_omega_hat_on_the_circle_field():
+    # The Hessian of the energy at a fixed lift is 2 Omega_hat(t, A t), A the
+    # circle field, on graded tangents of every grade combination.
     rng = random.Random(113)
     v = VhsBlockData((1, 1, 1), (1, 0, -1))
     for _ in range(10):
@@ -476,8 +494,26 @@ def test_second_variation_matches_weighted_on_graded_tangents():
                           (random_pure_grade_form(rng, v, g1, (1, 0)),
                            random_pure_grade_form(rng, v, g0, (1, 0))))
         lhs = second_variation(lift, t, xi)
-        rhs = second_variation_weighted(t, m0=-g1, m1=-g0, n0=g0, n1=g1)
-        assert lhs == rhs
+        assert lhs == QQi(2) * omega_hat(lift, t, circle_field(t))
+
+
+def test_energy_differential_is_omega_hat_against_the_lift_field():
+    # dE = -2 Omega_hat(X, .), X = circle_field of the lift read as a tangent:
+    # the first-order relation whose derivative second_variation checks.
+    rng = random.Random(118)
+    nonzero = 0
+    for i in range(30):
+        lift = _random_lift(rng, rank=2 + i % 2, order=4)
+        field = circle_field(TangentSeries(lift.b, lift.a))
+        t = TangentSeries(
+            tuple(random_matrix_form(rng, lift.rank, (0, 1), trace_free=True)
+                  for _ in range(5)),
+            tuple(random_matrix_form(rng, lift.rank, (1, 0), trace_free=True)
+                  for _ in range(5)))
+        de = d_energy_of_lift(lift, t)
+        assert de == QQi(-2) * omega_hat(lift, field, t)
+        nonzero += bool(de)
+    assert nonzero >= 20
 
 
 def test_second_variation_precondition_errors():
@@ -497,11 +533,10 @@ def test_second_variation_precondition_errors():
 
 
 def test_bb_residuals_grafting_shape():
-    # Constant grade-1 datum with no beta: both residuals vanish identically.
+    # Constant grade-1 datum with no beta: the residual vanishes identically.
     rng = random.Random(114)
     phi1 = random_pure_grade_form(rng, UNI, 1, (1, 0), constant=True)
-    r1, r2 = bb_slice_residuals(UNI, E21_DZ, phi={1: phi1})
-    assert r1.is_zero and r2.is_zero
+    assert bb_slice_residual(UNI, E21_DZ, phi={1: phi1}).is_zero
 
 
 def test_bb_residuals_report_nonzero_defect():
@@ -509,10 +544,9 @@ def test_bb_residuals_report_nonzero_defect():
     phi1 = random_pure_grade_form(rng, UNI, 1, (1, 0))
     while dbar(phi1).is_zero:
         phi1 = random_pure_grade_form(rng, UNI, 1, (1, 0))
-    r1, r2 = bb_slice_residuals(UNI, E21_DZ, phi={1: phi1})
-    assert r1 == dbar(phi1)
+    assert bb_slice_residual(UNI, E21_DZ, phi={1: phi1}) == dbar(phi1)
     with pytest.raises(ValueError):
-        bb_slice_residuals(UNI, E21_DZ, beta={1: E21_DZ * QQi(1)})
+        bb_slice_residual(UNI, E21_DZ, beta={1: E21_DZ * QQi(1)})
 
 
 def test_energy_ignores_beta_one():
