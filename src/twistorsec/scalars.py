@@ -9,9 +9,11 @@ asserted with ``==`` and no tolerance.  ``QQi`` is the only scalar that meets
 and ``QQi(1) == 1`` is ``False``.  So every exact value the library computes
 is a ``QQi``, and renders one way.  The constructor takes an ``int`` (not a
 ``bool``) or a ``Fraction`` for each part.  Only this module reads the ints:
-:func:`_add_product`, the mode loop of every Fourier-series product, works on
-them, and the text and JSON forms are written from them.  :func:`draw` is the
-one way the random generators draw an int.
+:func:`_sum_products`, the mode loop of every Fourier-series product, sums on
+them and normalizes once per stored coefficient, and the text and JSON forms
+are written from them.  Every random int is drawn as ``rng.randint`` draws it,
+by the rule of :func:`draw`; :func:`random_qqi` and :func:`random_term`, which
+draw most of them, replay that rule inline.
 """
 
 from __future__ import annotations
@@ -37,30 +39,31 @@ def _make(a: int, b: int, d: int) -> "QQi":
     return q
 
 
-def _add_product(out: dict, x: dict, y: dict, negate: bool = False) -> dict:
-    """Add (with ``negate``, subtract) the product of the series with modes x
-    and y into the modes out, in place, and return out.  The multiply and the
-    add run on the ints of the coefficients, so each stored coefficient costs
-    one :func:`_make`.  A mode whose sum cancels is dropped; a later term may
-    bring it back."""
-    for (m1, n1), c1 in x.items():
-        a, b, d = (-c1._a, -c1._b, c1._d) if negate else (c1._a, c1._b, c1._d)
-        for (m2, n2), c2 in y.items():
-            c, e = c2._a, c2._b
-            re, im, den = a * c - b * e, a * e + b * c, d * c2._d
-            k = (m1 + m2, n1 + n2)
-            old = out.get(k)
-            if old is not None:
-                f = old._d
-                if f == den:
-                    re, im = re + old._a, im + old._b
-                else:
-                    re, im, den = re * f + old._a * den, im * f + old._b * den, den * f
-                if not (re or im):
-                    del out[k]
-                    continue
-            out[k] = _make(re, im, den)
-    return out
+def _sum_products(start: dict, products) -> dict:
+    """The modes of start + sum of x * y (with ``negate``, minus x * y) over the
+    (negate, x, y) in products, where start, x and y map modes to QQi.  Each
+    mode's sum runs on ints ``(re, im, den)``: a product joins it over the lcm
+    of the two denominators.  Only a sum that does not cancel is stored, and
+    each stored coefficient costs one :func:`_make`."""
+    acc = {k: (c._a, c._b, c._d) for k, c in start.items()}
+    for negate, x, y in products:
+        for (m1, n1), c1 in x.items():
+            a, b, d = (-c1._a, -c1._b, c1._d) if negate else (c1._a, c1._b, c1._d)
+            for (m2, n2), c2 in y.items():
+                c, e = c2._a, c2._b
+                re, im, den = a * c - b * e, a * e + b * c, d * c2._d
+                k = (m1 + m2, n1 + n2)
+                old = acc.get(k)
+                if old is not None:
+                    p, q, f = old
+                    if f == den:
+                        re, im = re + p, im + q
+                    else:  # over lcm(f, den) = f * s = den * t
+                        g = gcd(f, den)
+                        s, t = den // g, f // g
+                        re, im, den = re * t + p * s, im * t + q * s, f * s
+                acc[k] = (re, im, den)
+    return {k: _make(re, im, den) for k, (re, im, den) in acc.items() if re or im}
 
 
 class QQi:
@@ -193,7 +196,8 @@ def scalar_from_json(value):
 def draw(rng, lo: int, hi: int) -> int:
     """``rng.randint(lo, hi)``: the same value and the same state after.  Like
     CPython 3.11 it reads k = n.bit_length() bits for the n = hi - lo + 1
-    values until they read less than n, but skips randint's argument checks."""
+    values until they read less than n, but skips randint's argument checks.
+    :func:`random_qqi` and :func:`random_term` replay this rule inline."""
     n = hi - lo + 1
     if n < 1:
         raise ValueError(f"empty range for draw ({lo}, {hi})")
@@ -206,10 +210,42 @@ def draw(rng, lo: int, hi: int) -> int:
 
 def random_qqi(rng, span: int = 9) -> QQi:
     """Deterministic random Gaussian rational a/b + (c/e)i with a, c in
-    [-span, span] and b, e in [1, 4], drawn in that order."""
-    a, b = draw(rng, -span, span), draw(rng, 1, 4)
-    c, e = draw(rng, -span, span), draw(rng, 1, 4)
-    return _make(a * e, c * b, b * e)
+    [-span, span] and b, e in [1, 4], drawn in that order, each as
+    :func:`draw` draws it (one ``getrandbits(3)`` for 4 values)."""
+    n = 2 * span + 1
+    if n < 1:
+        raise ValueError(f"empty range for draw ({-span}, {span})")
+    k, bits = n.bit_length(), rng.getrandbits
+    a = bits(k)
+    while a >= n:
+        a = bits(k)
+    b = bits(3)
+    while b >= 4:
+        b = bits(3)
+    c = bits(k)
+    while c >= n:
+        c = bits(k)
+    e = bits(3)
+    while e >= 4:
+        e = bits(3)
+    return _make((a - span) * (e + 1), (c - span) * (b + 1), (b + 1) * (e + 1))
+
+
+def random_term(rng, mode_bound: int, span: int):
+    """One term of a random Fourier series: the mode (m, n) with m, n in
+    [-mode_bound, mode_bound], drawn as :func:`draw` draws them, then the
+    coefficient ``random_qqi(rng, span)``."""
+    n = 2 * mode_bound + 1
+    if n < 1:
+        raise ValueError(f"empty range for draw ({-mode_bound}, {mode_bound})")
+    k, bits = n.bit_length(), rng.getrandbits
+    m = bits(k)
+    while m >= n:
+        m = bits(k)
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return (m - mode_bound, r - mode_bound), random_qqi(rng, span)
 
 
 def random_nonzero_qqi(rng) -> QQi:

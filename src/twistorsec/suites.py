@@ -499,14 +499,16 @@ def suite_backend_exactness(cfg, rng, entries):
 # -- lambda-connection lifts --------------------------------------------------
 
 
-def _random_lift(cfg, rng, size):
-    psi = [tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 2,
-                                 trace_free=True) for _ in range(cfg.order)]
-    phi = [tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 2,
-                                 trace_free=True) for _ in range(cfg.order)]
-    phi0 = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 2,
-                                 trace_free=True)
-    return ll.LambdaLift(phi0, tuple(psi), tuple(phi))
+def _random_coeffs(cfg, rng, size, bidegree, count):
+    return tuple(tf.random_matrix_form(rng, size, bidegree, cfg.mode_bound, 2,
+                                       trace_free=True) for _ in range(count))
+
+
+def _random_lift(cfg, rng, size, order):
+    """A random lift of the order: Psi_1..Psi_N, then Phi_1..Phi_N, then Phi."""
+    psi = _random_coeffs(cfg, rng, size, (0, 1), order)
+    phi = _random_coeffs(cfg, rng, size, (1, 0), order)
+    return ll.LambdaLift(_random_coeffs(cfg, rng, size, (1, 0), 1)[0], psi, phi)
 
 
 def _strict_upper(rng, size):
@@ -519,14 +521,13 @@ def suite_gauge_covariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
-        lift = _random_lift(cfg, rng, size)
+        # Only orders <= depth of the moved lift are checked, and they depend
+        # only on orders <= depth of the lift, so the lift is drawn to there.
+        depth = min(2, cfg.order)
+        lift = _random_lift(cfg, rng, size, depth)
         gs = [tf.MatrixForm.identity(size), _strict_upper(rng, size),
               _strict_upper(rng, size)]
-        depth = min(2, lift.order)
-        # Only orders <= depth of the moved lift are checked, and they depend
-        # only on orders <= depth of the lift, so the lift is cut there.
-        moved = ll.gauge_transform_lift(
-            ll.LambdaLift(lift.phi0, lift.psi[:depth], lift.phi[:depth]), gs)
+        moved = ll.gauge_transform_lift(lift, gs)
         want = ll.integrability_residuals(lift, depth)
         got = ll.integrability_residuals(moved, depth)
         # got = g^-1 want g, checked as g got = want g order by order; the
@@ -637,9 +638,12 @@ def suite_energy_gauge_invariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
-        lift = _random_lift(cfg, rng, size)
+        # The first variation reads the lift at orders <= 1: Psi_1 and Phi_1,
+        # then a constant Phi.
+        psi = _random_coeffs(cfg, rng, size, (0, 1), 1)
+        phi = _random_coeffs(cfg, rng, size, (1, 0), 1)
         phi0 = tf.MatrixForm.from_scalar_matrix(_random_trace_free(rng, size), (1, 0))
-        lift = ll.LambdaLift(phi0, lift.psi, lift.phi)
+        lift = ll.LambdaLift(phi0, psi, phi)
         tangent = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
         out.append(check(f"case-{i:04d}", QQi(0), ll.d_energy_of_lift(lift, tangent),
                          "first variation along gauge directions"))
@@ -679,7 +683,7 @@ def suite_dh_involutions(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
-        lift = _random_lift(cfg, rng, size)
+        lift = _random_lift(cfg, rng, size, cfg.order)  # the glue walks every order
         lc = ll.lift_to_laurent(lift)
         out.append(check_true(f"glue-{i:04d}",
                               ll.deligne_glue(ll.deligne_glue(lc)) == lc,

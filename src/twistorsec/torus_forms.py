@@ -15,10 +15,15 @@ dzbar, and dz^dzbar; a (1,1) coefficient always refers to the dz^dzbar
 orientation.  Wedging multiplies matrices and reorders frames with the sign
 (-1)^(q1*p2).  Every wedge, graded bracket and series coefficient sum is one
 :func:`wedge_sum`, which fills each output entry in one pass; its Gaussian
-multiply-add on ints is ``scalars._add_product``, next to ``QQi``, so that no
-other module reads the ints of a ``QQi``.  Integration over the torus extracts the constant Fourier mode
-of the trace (times the frozen volume constant), which kills every derivative
-mode: Stokes holds exactly, with no tolerance.
+multiply-add is ``scalars._sum_products``, next to ``QQi`` so that no other
+module reads the ints of a ``QQi``.  It sums each mode on ints and normalizes
+once per stored coefficient.  The operations build their results with
+:func:`_fs` and :func:`_mf`, which skip the constructors' checks; those hold
+for what the operations build from valid forms, and every form built from
+outside input goes through the checked ``MatrixForm(...)``.  Integration over
+the torus extracts the constant Fourier mode of the trace (times the frozen
+volume constant), which kills every derivative mode: Stokes holds exactly,
+with no tolerance.
 
 This backend is a genus-1 stand-in used only for pointwise/integral algebra
 that does not depend on the metric or the genus; degree bookkeeping lives in
@@ -33,7 +38,7 @@ from operator import add
 
 from .constants import VOLUME_CONST
 from .records import Record
-from .scalars import (QQi, _add_product, draw, random_qqi, scalar_from_json,
+from .scalars import (QQi, _sum_products, random_term, scalar_from_json,
                       scalar_to_json)
 
 
@@ -44,9 +49,9 @@ class FourierScalar:
     the keys and drops zero coefficients.  Arithmetic builds its results with
     :func:`_fs` and drops a mode where a sum cancels to zero: coefficients lie
     in a field, so a product of nonzero coefficients is nonzero.  A product
-    of series runs the one mode loop, ``scalars._add_product``.  A series
-    adds to and compares with a series only; ``*`` also takes a ``QQi`` on
-    the right.
+    of series runs the one mode loop, ``scalars._sum_products``, which
+    normalizes each stored coefficient once.  A series adds to and compares
+    with a series only; ``*`` also takes a ``QQi`` on the right.
     """
 
     __slots__ = ("modes",)
@@ -100,7 +105,7 @@ class FourierScalar:
 
     def __mul__(self, other):
         if type(other) is FourierScalar:
-            return _fs(_add_product({}, self.modes, other.modes))
+            return _fs(_sum_products({}, ((False, self.modes, other.modes),)))
         if type(other) is not QQi:
             return NotImplemented
         if not other:
@@ -205,16 +210,15 @@ class MatrixForm(Record):
             return NotImplemented
         if self.bidegree != other.bidegree or self.size != other.size:
             raise ValueError("bidegree/size mismatch")
-        return MatrixForm(self.bidegree,
-                          tuple(tuple(map(add, r, s))
-                                for r, s in zip(self.entries, other.entries)))
+        return _mf(self.bidegree, tuple(tuple(map(add, r, s))
+                                        for r, s in zip(self.entries, other.entries)))
 
     def __neg__(self):
-        return MatrixForm(self.bidegree, _map_rows(self.entries, lambda e: -e))
+        return _mf(self.bidegree, _map_rows(self.entries, lambda e: -e))
 
     def __mul__(self, c):
         if type(c) is QQi or type(c) is FourierScalar:
-            return MatrixForm(self.bidegree, _map_rows(self.entries, lambda e: e * c))
+            return _mf(self.bidegree, _map_rows(self.entries, lambda e: e * c))
         return NotImplemented
 
     @property
@@ -242,6 +246,19 @@ class MatrixForm(Record):
         return form
 
 
+_set_bidegree, _set_entries = MatrixForm.bidegree.__set__, MatrixForm.entries.__set__
+
+
+def _mf(bidegree: tuple, rows: tuple) -> MatrixForm:
+    """The form of a bidegree among the four and a square tuple of tuple rows
+    of series, without the checks of ``MatrixForm(...)``: only for rows that
+    an operation built from valid forms."""
+    f = object.__new__(MatrixForm)
+    _set_bidegree(f, bidegree)
+    _set_entries(f, rows)
+    return f
+
+
 def dbar(f: MatrixForm) -> MatrixForm:
     """The (0,1)-raising derivative.
 
@@ -252,8 +269,8 @@ def dbar(f: MatrixForm) -> MatrixForm:
     if q != 0:
         raise ValueError(f"dbar undefined on bidegree {f.bidegree}")
     if p == 0:
-        return MatrixForm((0, 1), _map_rows(f.entries, FourierScalar.d_zbar))
-    return MatrixForm((1, 1), _map_rows(f.entries, lambda e: -e.d_zbar()))
+        return _mf((0, 1), _map_rows(f.entries, FourierScalar.d_zbar))
+    return _mf((1, 1), _map_rows(f.entries, lambda e: -e.d_zbar()))
 
 
 def del_op(f: MatrixForm) -> MatrixForm:
@@ -261,7 +278,7 @@ def del_op(f: MatrixForm) -> MatrixForm:
     p, q = f.bidegree
     if p != 0:
         raise ValueError(f"del undefined on bidegree {f.bidegree}")
-    return MatrixForm((1, q), _map_rows(f.entries, FourierScalar.d_z))
+    return _mf((1, q), _map_rows(f.entries, FourierScalar.d_z))
 
 
 def _wedge_bidegree(a: MatrixForm, b: MatrixForm) -> tuple:
@@ -281,7 +298,8 @@ def wedge_sum(start: MatrixForm, terms) -> MatrixForm:
     must land in the size and bidegree of start.  Moving the dzbar-factors of
     a past the dz-factors of b gives the frame sign (-1)^(q1*p2) relative to
     the canonical dz-before-dzbar frame, and it is folded into s.  Each output
-    entry is one dict of modes, filled by one pass over every term.
+    entry is one dict of modes, filled by one pass over its products in every
+    term; an entry that no product reaches is the entry of start.
     """
     shape, fused = (start.size, start.bidegree), []
     for s, a, b in terms:
@@ -292,14 +310,15 @@ def wedge_sum(start: MatrixForm, terms) -> MatrixForm:
             negate = (s < 0) != (a.bidegree[1] * b.bidegree[0] == 1)
             fused.append((negate, [[x.modes for x in row] for row in a.entries],
                           [[y.modes for y in col] for col in zip(*b.entries)]))
-    rows = [[dict(e.modes) for e in row] for row in start.entries]
-    for negate, a_rows, b_cols in fused:
-        for a_row, out_row in zip(a_rows, rows):
-            for b_col, out in zip(b_cols, out_row):
-                for x, y in zip(a_row, b_col):
-                    if x and y:
-                        _add_product(out, x, y, negate)
-    return MatrixForm(start.bidegree, _map_rows(rows, _fs))
+    rows = []
+    for i, start_row in enumerate(start.entries):
+        row = []
+        for j, e in enumerate(start_row):
+            products = [(negate, x, y) for negate, a_rows, b_cols in fused
+                        for x, y in zip(a_rows[i], b_cols[j]) if x and y]
+            row.append(_fs(_sum_products(e.modes, products)) if products else e)
+        rows.append(tuple(row))
+    return _mf(start.bidegree, tuple(rows))
 
 
 def bracket_terms(a: MatrixForm, b: MatrixForm) -> tuple:
@@ -360,23 +379,29 @@ def conj_transpose(f: MatrixForm) -> MatrixForm:
     orientation: conj(dz^dzbar) = -dz^dzbar.
     """
     p, q = f.bidegree
-    out = MatrixForm((q, p), _map_rows(zip(*f.entries), FourierScalar.conjugate))
+    out = _mf((q, p), _map_rows(zip(*f.entries), FourierScalar.conjugate))
     return -out if (p, q) == (1, 1) else out
 
 
 def random_fourier_scalar(rng, mode_bound: int = 2, terms: int = 3) -> FourierScalar:
+    """The sum of ``terms`` terms ``scalars.random_term(rng, mode_bound, 6)``;
+    a mode whose terms cancel is dropped."""
     modes = {}
     for _ in range(terms):
-        key = (draw(rng, -mode_bound, mode_bound), draw(rng, -mode_bound, mode_bound))
-        coeff = random_qqi(rng, 6)
+        key, coeff = random_term(rng, mode_bound, 6)
         modes[key] = modes[key] + coeff if key in modes else coeff
-    return FourierScalar(modes)
+    return _fs({k: c for k, c in modes.items() if c})
 
 
 def random_matrix_form(rng, size: int, bidegree=(0, 0), mode_bound: int = 2,
                        terms: int = 2, trace_free: bool = False) -> MatrixForm:
+    """A form of random series entries, drawn row by row; with ``trace_free``
+    the last diagonal entry, drawn too, is replaced by minus the others."""
+    bidegree = tuple(bidegree)
+    if bidegree not in _BIDEGREES:
+        raise ValueError(f"bad bidegree {bidegree}")
     ent = [[random_fourier_scalar(rng, mode_bound, terms) for _ in range(size)]
            for _ in range(size)]
     if trace_free and size > 0:
         ent[-1][-1] = -sum((ent[i][i] for i in range(size - 1)), FS_ZERO)
-    return MatrixForm(bidegree, ent)
+    return _mf(bidegree, tuple(map(tuple, ent)))

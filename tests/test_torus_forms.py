@@ -360,7 +360,7 @@ def test_pair_trace_forms_no_series_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("pair_trace formed a series product")
     monkeypatch.setattr(FourierScalar, "__mul__", refuse)
-    monkeypatch.setattr(torus_forms, "_add_product", refuse)
+    monkeypatch.setattr(torus_forms, "_sum_products", refuse)
     assert pair_trace(a, b) == want
 
 
@@ -450,6 +450,84 @@ def test_trace_free_generator():
     assert trace(f).is_zero
     g = random_fourier_scalar(random.Random(8))
     assert g == random_fourier_scalar(random.Random(8))
+
+
+def _oracle_series(oracle, mode_bound, terms):
+    """random_fourier_scalar replayed with randint and Fraction, as a dict from
+    mode to (re, im): per term the mode, then a/b + (c/e)i, drawn in that
+    order, with a mode whose terms cancel dropped."""
+    modes = {}
+    for _ in range(terms):
+        key = (oracle.randint(-mode_bound, mode_bound),
+               oracle.randint(-mode_bound, mode_bound))
+        a, b = oracle.randint(-6, 6), oracle.randint(1, 4)
+        c, e = oracle.randint(-6, 6), oracle.randint(1, 4)
+        re, im = modes.get(key, (0, 0))
+        modes[key] = (re + Fraction(a, b), im + Fraction(c, e))
+    return {k: v for k, v in modes.items() if v != (0, 0)}
+
+
+@pytest.mark.parametrize("terms", range(1, 5))
+@pytest.mark.parametrize("mode_bound", range(4))
+def test_series_draws_replay_randint(mode_bound, terms):
+    # The same modes and coefficients, and the same generator state, as the
+    # randint oracle: series one by one, then trace-free forms, whose last
+    # diagonal entry is drawn and then replaced by minus the others.
+    seed = 10 * mode_bound + terms
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for _ in range(300):
+        got = random_fourier_scalar(rng, mode_bound, terms)
+        assert _fractions(got) == _oracle_series(oracle, mode_bound, terms)
+    assert rng.getstate() == oracle.getstate()
+    for size in (1, 2, 3):
+        form = random_matrix_form(rng, size, (0, 1), mode_bound, terms, trace_free=True)
+        want = [[_oracle_series(oracle, mode_bound, terms) for _ in range(size)]
+                for _ in range(size)]
+        last = {}
+        for i in range(size - 1):
+            for k, (re, im) in want[i][i].items():
+                r0, i0 = last.get(k, (0, 0))
+                last[k] = (r0 - re, i0 - im)
+        want[-1][-1] = {k: v for k, v in last.items() if v != (0, 0)}
+        assert form.bidegree == (0, 1)
+        assert [[_fractions(e) for e in row] for row in form.entries] == want
+        assert rng.getstate() == oracle.getstate()
+
+
+def test_series_draws_reject_an_empty_range():
+    rng = random.Random(3)
+    with pytest.raises(ValueError, match="empty range"):
+        random_fourier_scalar(rng, -1)
+    with pytest.raises(ValueError, match="bad bidegree"):
+        random_matrix_form(rng, 2, (2, 0))
+
+
+def _assert_well_built(f):
+    """f is what the checked constructor builds from its own fields: a tuple
+    bidegree among the four and square tuple rows of series."""
+    assert f == MatrixForm(f.bidegree, f.entries)
+    assert type(f.bidegree) is tuple and f.bidegree in _BIDEGREES
+    assert type(f.entries) is tuple
+    for row in f.entries:
+        assert type(row) is tuple and len(row) == len(f.entries)
+        assert all(type(e) is FourierScalar for e in row)
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_operations_build_forms_the_checked_constructor_accepts(data):
+    # The operations build their results without the constructor's checks.
+    size = data.draw(st.integers(1, 3))
+    f00, f10, f01, f11 = (data.draw(matrix_forms(size, b)) for b in _BIDEGREES)
+    c, s = data.draw(qqis), data.draw(scalars_st)
+    results = [dbar(f00), dbar(f10), del_op(f00), del_op(f01),
+               wedge_sum(f11, [(1, f10, f01), (-1, f01, f10)]),
+               wedge_sum(f10, [(1, f00, f10), (-1, f10, f00)]),
+               wedge_bracket(f10, f01), wedge_bracket(f00, f01)]
+    for f in (f00, f10, f01, f11):
+        results += [conj_transpose(f), f + f, -f, f * c, f * s]
+    for f in results:
+        _assert_well_built(f)
 
 
 def test_exactness_of_coefficients():
