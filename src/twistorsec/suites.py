@@ -666,16 +666,18 @@ def suite_second_variation_weights(cfg, rng, entries):
         lift = ll.c_star_fixed_lift(v, higgs, beta=beta)
         xi = ll.xi_matrix_form(v) * XI_SCALAR_PHIPSI
         span = range(-(v.l - 1), v.l)
-        g0, g1 = rng.choice(span), rng.choice(span)
-        h0, h1 = rng.choice(span), rng.choice(span)
-        t = ll.TangentSeries(
-            (ll.random_pure_grade_form(rng, v, h0, (0, 1), cfg.mode_bound),
-             ll.random_pure_grade_form(rng, v, h1, (0, 1), cfg.mode_bound)),
-            (ll.random_pure_grade_form(rng, v, g0, (1, 0), cfg.mode_bound),
-             ll.random_pure_grade_form(rng, v, g1, (1, 0), cfg.mode_bound)))
+        g0, g1, h0 = rng.choice(span), rng.choice(span), rng.choice(span)
+        phi_0 = ll.random_pure_grade_form(rng, v, g0, (1, 0), cfg.mode_bound)
+        phi_1 = ll.random_pure_grade_form(rng, v, g1, (1, 0), cfg.mode_bound)
+        psi_0 = ll.random_pure_grade_form(rng, v, h0, (0, 1), cfg.mode_bound)
+        # tr(phi_0 psi_1) vanishes unless the grades sum to zero, and its
+        # conj_transpose(phi_0) part pairs phi_0 with itself: so it is nonzero.
+        psi_1 = tf.conj_transpose(phi_0) + ll.random_pure_grade_form(
+            rng, v, -g0, (0, 1), cfg.mode_bound)
+        t = ll.TangentSeries((psi_0, psi_1), (phi_0, phi_1))
         got = ll.second_variation(lift, t, xi)
         want = QQi(2) * ll.omega_hat(lift, t, ll.circle_field(t))
-        out.append(check(f"case-{i:04d}", want, got, "eigenweight reduction"))
+        out.append(check(f"case-{i:04d}", want, got, "two-form against the circle field"))
     return out
 
 

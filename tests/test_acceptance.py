@@ -285,7 +285,7 @@ def test_acceptance_08_stokes_and_gauge_degeneracy(verdict):
             " (200 cases)", ok, time.monotonic() - t0, 60.0)
 
 
-# -- 9: second variation through eigenweights ----------------------------------
+# -- 9: second variation against the circle field -----------------------------
 
 _GRADED_SHAPES = (
     ((1, 1), (1, -1)),
@@ -405,7 +405,7 @@ def test_acceptance_12_scaling_exponents(verdict):
 #: arithmetic or the suites that alters any record or the config block shows
 #: up here.
 GOLDEN_REPORT_SHA256 = (
-    "11a1af60ebfc6e512b60c21eb65444281dacabfb1f10b113d6e7cc478f3cafb1")
+    "e65514e5281d6301b56205ea018a571c32481e552a32c1f60be6c67374342b2a")
 
 
 def test_acceptance_13_cli_determinism(verdict, tmp_path):

@@ -795,9 +795,9 @@ def _suite_flags(names):
 
 @pytest.mark.parametrize("command, sha256", [
     (_VERIFY_42 + " --cases 25",
-     "bb0641e98e201c38771699aef15b4a388366d90dc4403e0eea0d7966054e9b2f"),
+     "962eb2c645b585b8b5ad0924b2117ee9fd288fb85a0b0ac6e09db08e6c4b700b"),
     (_VERIFY_42 + " --cases 6 --format csv",
-     "c8ce45cff3576d93831d256b061a865ea86fed16f136f30702b8c17ac026870f"),
+     "63bdfddc205cfcd439f116d32ede57ddc1a455b3c7b35344a46814a5c58ba86f"),
     ("vhs-energy", "f6f62cabf0e9d8705c63a78eb2a20574cde312b7812a2a870138de638f041fd5"),
     ("vhs-energy --format csv",
      "0c63e9760e17b6f29ca296abc9aaf2d9234ad2c60794388a01182bf1cbffb43a"),
@@ -809,13 +809,13 @@ def _suite_flags(names):
     (_FLAT_DEMO + " --format csv",
      "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
     ("verify --seed 7 --cases 10",
-     "459bc0b2c8119041b1c9e0bef3d7637fa9723ff5baee576877298f16b9956c87"),
+     "5d1c66661703f389367e6c8905e9f4c9dd3ffa44cdcfdb0eef474b5f884d8f43"),
     ("verify --seed 3 --cases 4 --order 6 --modes 3 --rank 4",
-     "50c68b16a4c5a1b120a45b35e37995d5fa5cff719bd48075f7940b6a0756a651"),
+     "c6321109569137389355b485ba7bbf33a66df1f2c54c92c37d6fc0b378644b10"),
     (_VERIFY_42 + _suite_flags(_SECTIONS) + " --cases 300",
      "b7608095a41806ab9b363ab16670e4666630736e33370b4d386fc1e1787757b4"),
     (_VERIFY_42 + _suite_flags(_LIFTS) + " --order 6 --modes 3 --cases 2",
-     "ce6fddfdae124e726b35caed78de54ddb5e1b570f624fb9b3e46b1c3cbcee549"),
+     "aeb9e997510356c5d100285145930a1dc7fa10fdcdb5e0dc5314990a8cd9aa79"),
 ])
 def test_cli_golden_outputs(tmp_path, command, sha256):
     out = tmp_path / "out"
