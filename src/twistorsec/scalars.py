@@ -11,9 +11,9 @@ is a ``QQi``, and renders one way.  The constructor takes an ``int`` (not a
 ``bool``) or a ``Fraction`` for each part.  Only this module reads the ints:
 :func:`_sum_products`, the mode loop of every Fourier-series product, sums on
 them and normalizes once per stored coefficient, and the text and JSON forms
-are written from them.  Every random int is drawn as ``rng.randint`` draws it,
-by the rule of :func:`draw`; :func:`random_qqi` and :func:`random_term`, which
-draw most of them, replay that rule inline.
+are written from them.  :func:`draw` draws an int as ``rng.randint`` does;
+:func:`random_qqi` and :func:`random_term`, which draw most of the ints of a
+run, replay its rule inline.
 """
 
 from __future__ import annotations

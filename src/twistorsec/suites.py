@@ -638,8 +638,8 @@ def suite_energy_gauge_invariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
-        # The first variation reads the lift at orders <= 1: Psi_1 and Phi_1,
-        # then a constant Phi.
+        # The first variation reads orders <= 1 of the lift, so it is drawn
+        # to order 1: Psi_1 and Phi_1, then a constant Phi.
         psi = _random_coeffs(cfg, rng, size, (0, 1), 1)
         phi = _random_coeffs(cfg, rng, size, (1, 0), 1)
         phi0 = tf.MatrixForm.from_scalar_matrix(_random_trace_free(rng, size), (1, 0))
@@ -670,8 +670,8 @@ def suite_second_variation_weights(cfg, rng, entries):
         phi_0 = ll.random_pure_grade_form(rng, v, g0, (1, 0), cfg.mode_bound)
         phi_1 = ll.random_pure_grade_form(rng, v, g1, (1, 0), cfg.mode_bound)
         psi_0 = ll.random_pure_grade_form(rng, v, h0, (0, 1), cfg.mode_bound)
-        # tr(phi_0 psi_1) vanishes unless the grades sum to zero, and its
-        # conj_transpose(phi_0) part pairs phi_0 with itself: so it is nonzero.
+        # tr(phi_0 psi_1) vanishes unless the grades sum to zero; the
+        # conj_transpose(phi_0) part adds the squared norm of phi_0 to it.
         psi_1 = tf.conj_transpose(phi_0) + ll.random_pure_grade_form(
             rng, v, -g0, (0, 1), cfg.mode_bound)
         t = ll.TangentSeries((psi_0, psi_1), (phi_0, phi_1))
