@@ -2,13 +2,16 @@
 
 A lift stores the coefficients of the pair of operators
 
-    dbar(t) = dbar + sum_{j>=1} t^j Psi_j            (Psi_j of bidegree (0,1))
-    D(t)    = Phi + t*del + sum_{j>=1} t^j Phi_j     (Phi, Phi_j of bidegree (1,0))
+    dbar(t) = dbar + sum_{k>=1} t^k b_k          (b_k of bidegree (0,1))
+    D(t)    = t*del + sum_{k>=0} t^k a_k         (a_k of bidegree (1,0))
 
-truncated at a fixed order N.  Every series operation is exact through order
-N and raises if a higher order is requested; nothing wraps silently.  The
-slot Phi_1 is kept (normalized germs have Phi_1 = 0) because circle-fixed
-lifts built from graded slice data place their grade-0 datum there.
+truncated at a fixed order N, as the series pair (b, a) with b_0 = 0; a_0 is
+the Higgs-type field Phi.  A tangent to the space of lifts is the same kind
+of pair, without the condition on b_0, so one type holds both.  Every series
+operation is exact through order N and raises if a higher order is
+requested; nothing wraps silently.  The slot a_1 is kept (normalized germs
+have a_1 = 0) because circle-fixed lifts built from graded slice data place
+their grade-0 datum there.
 
 On top of the lifts this module provides the curvature-type integrability
 expansion and its linearization, infinitesimal gauge directions, the energy
@@ -41,61 +44,83 @@ def _check_coeff(f: MatrixForm, rank, bidegree, what: str):
         raise ValueError(f"{what} has bidegree {f.bidegree}, expected {bidegree}")
 
 
-class LambdaLift(Record):
-    """Coefficients of a truncated lambda-connection family (all trace-free).
+def _check_series(fs, bidegree, name: str, rank=None) -> int:
+    """Check the coefficients name_0, name_1, ... of the series fs, all of one
+    size (rank, or that of the first when rank is None); return the size."""
+    for k, f in enumerate(fs):
+        _check_coeff(f, rank, bidegree, f"{name}_{k}")
+        rank = f.size
+    return rank
 
-    ``phi0`` is the t^0 coefficient Phi of the D-part, ``psi`` is
-    (Psi_1, ..., Psi_N) and ``phi`` is (Phi_1, ..., Phi_N), with Phi_1 = 0
-    for normalized germs.  The rank is the size of Phi and the order N the
-    number of Psi_j.  Both parts are also kept as series indexed by the power
-    of t: ``a`` is (Phi, Phi_1, ..., Phi_N) and ``b`` is (0, Psi_1, ..., Psi_N).
-    Two lifts are equal only when they are the same object.
-    """
 
-    _fields = ("phi0", "psi", "phi")
-    __slots__ = _fields + ("a", "b")
+class TangentSeries(Record):
+    """A pair of truncated series: ``b`` holds the (0,1) forms b_0..b_N and
+    ``a`` the (1,0) forms a_0..a_N, all of one size.  As a tangent to the
+    space of lifts, b_k and a_k are the t^k coefficients of the variations of
+    the dbar-part and of the D-part.  Equal only to itself."""
+
+    __slots__ = _fields = ("b", "a")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, phi0: MatrixForm, psi, phi):
-        psi, phi = tuple(psi), tuple(phi)
-        if not psi or len(phi) != len(psi):
-            raise ValueError("need N >= 1 coefficient forms on each side")
-        _check_coeff(phi0, None, (1, 0), "Phi")
-        rank = phi0.size
-        for j, f in enumerate(psi, start=1):
-            _check_coeff(f, rank, (0, 1), f"Psi_{j}")
-        for j, f in enumerate(phi, start=1):
-            _check_coeff(f, rank, (1, 0), f"Phi_{j}")
-        for f in (phi0,) + psi + phi:
-            if not trace(f).is_zero:
-                raise ValueError("lift coefficients must be trace-free")
-        object.__setattr__(self, "phi0", phi0)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "a", (phi0,) + phi)
-        object.__setattr__(self, "b", (MatrixForm.zero(rank, (0, 1)),) + psi)
+    def __init__(self, b, a):
+        b, a = tuple(b), tuple(a)
+        if not b or len(a) != len(b):
+            raise ValueError("need coefficients for orders 0..N on each side")
+        _check_series(a, (1, 0), "a", _check_series(b, (0, 1), "b"))
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", a)
 
     @property
     def rank(self) -> int:
-        return self.phi0.size
+        return self.b[0].size
 
     @property
     def order(self) -> int:
-        return len(self.psi)
+        return len(self.b) - 1
+
+    @classmethod
+    def zero(cls, rank: int, order: int) -> "TangentSeries":
+        return cls(tuple(MatrixForm.zero(rank, (0, 1)) for _ in range(order + 1)),
+                   tuple(MatrixForm.zero(rank, (1, 0)) for _ in range(order + 1)))
+
+
+class LambdaLift(TangentSeries):
+    """A truncated lambda-connection family: the series pair (b, a) of order
+    N >= 1 with b_0 = 0 and every coefficient trace-free.
+
+    ``a`` is (Phi, Phi_1, ..., Phi_N), the D-part with Phi_1 = 0 for
+    normalized germs, and ``b`` is (0, Psi_1, ..., Psi_N), the dbar-part.  The
+    rank is the size of the forms.  A lift is read as a tangent wherever one
+    is expected.  Equal only to itself.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, b, a):
+        super().__init__(b, a)
+        if self.order < 1:
+            raise ValueError("a lift needs order N >= 1")
+        if not self.b[0].is_zero:
+            raise ValueError("a lift needs b_0 = 0")
+        for name, fs in (("b", self.b), ("a", self.a)):
+            for k, f in enumerate(fs):
+                if not trace(f).is_zero:
+                    raise ValueError(f"lift coefficient {name}_{k} must be trace-free")
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "order": self.order,
-                "phi0": self.phi0.to_json(),
-                "psi": [f.to_json() for f in self.psi],
-                "phi": [f.to_json() for f in self.phi]}
+                "phi0": self.a[0].to_json(),
+                "psi": [f.to_json() for f in self.b[1:]],
+                "phi": [f.to_json() for f in self.a[1:]]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "LambdaLift":
         """The lift of a ``to_json`` document, whose ``rank`` and ``order`` must
         match its forms."""
-        lift = cls(MatrixForm.from_json(doc["phi0"]),
-                   tuple(MatrixForm.from_json(f) for f in doc["psi"]),
-                   tuple(MatrixForm.from_json(f) for f in doc["phi"]))
+        phi0 = MatrixForm.from_json(doc["phi0"])
+        lift = cls((MatrixForm.zero(phi0.size, (0, 1)),)
+                   + tuple(MatrixForm.from_json(f) for f in doc["psi"]),
+                   (phi0,) + tuple(MatrixForm.from_json(f) for f in doc["phi"]))
         if (doc["rank"], doc["order"]) != (lift.rank, lift.order):
             raise ValueError(f"declared rank {reprlib.repr(doc['rank'])} and order "
                              f"{reprlib.repr(doc['order'])} disagree with the forms "
@@ -104,45 +129,14 @@ class LambdaLift(Record):
 
 
 def make_lift(phi0: MatrixForm, psi=(), order: int = 4) -> LambdaLift:
-    """Build a lift with Phi_1..Phi_N zero, padding psi with zeros up to order."""
+    """Build the lift with a_0 = Phi, b_1.. = psi padded with zeros up to
+    order, and a_1..a_N zero."""
     rank = phi0.size
-    psi = list(psi) + [MatrixForm.zero(rank, (0, 1))] * (order - len(psi))
     if len(psi) > order:
         raise ValueError("more coefficients than the truncation order")
-    return LambdaLift(phi0, tuple(psi), (MatrixForm.zero(rank, (1, 0)),) * order)
-
-
-class TangentSeries(Record):
-    """A tangent direction to the space of lifts: the (0,1) forms psi_0..psi_N
-    and the (1,0) forms phi_0..phi_N.  Equal only to itself."""
-
-    __slots__ = _fields = ("psik", "phik")
-    __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, psik, phik):
-        psik, phik = tuple(psik), tuple(phik)
-        if not psik or len(phik) != len(psik):
-            raise ValueError("need coefficients for orders 0..N on each side")
-        rank = psik[0].size
-        for k, f in enumerate(psik):
-            _check_coeff(f, rank, (0, 1), f"psi_{k}")
-        for k, f in enumerate(phik):
-            _check_coeff(f, rank, (1, 0), f"phi_{k}")
-        object.__setattr__(self, "psik", psik)
-        object.__setattr__(self, "phik", phik)
-
-    @property
-    def rank(self) -> int:
-        return self.psik[0].size
-
-    @property
-    def order(self) -> int:
-        return len(self.psik) - 1
-
-    @classmethod
-    def zero(cls, rank: int, order: int) -> "TangentSeries":
-        return cls(tuple(MatrixForm.zero(rank, (0, 1)) for _ in range(order + 1)),
-                   tuple(MatrixForm.zero(rank, (1, 0)) for _ in range(order + 1)))
+    zero_b = MatrixForm.zero(rank, (0, 1))
+    return LambdaLift((zero_b, *psi) + (zero_b,) * (order - len(psi)),
+                      (phi0,) + (MatrixForm.zero(rank, (1, 0)),) * order)
 
 
 class GaugeSeries(Record):
@@ -156,9 +150,8 @@ class GaugeSeries(Record):
         xik = tuple(xik)
         if not xik:
             raise ValueError("need gauge coefficients for orders 0..N")
-        rank = xik[0].size
+        _check_series(xik, (0, 0), "xi")
         for k, f in enumerate(xik):
-            _check_coeff(f, rank, (0, 0), f"xi_{k}")
             if not trace(f).is_zero:
                 raise ValueError(f"xi_{k} must be trace-free")
         object.__setattr__(self, "xik", xik)
@@ -190,50 +183,52 @@ def _bracket_terms(xs, ys, k: int) -> list:
     return [term for x, y in zip(xs[:k + 1], ys[k::-1]) for term in bracket_terms(x, y)]
 
 
+def _curvature_terms(t: TangentSeries, pairs, up_to: int) -> list:
+    """t^k coefficients, k = 0..up_to, of dbar(t.a) + t*del(t.b) plus the
+    graded bracket [x ^ y] of every series pair (x, y) in pairs."""
+    out = []
+    for k in range(up_to + 1):
+        r = dbar(t.a[k]) + del_op(t.b[k - 1]) if k else dbar(t.a[k])
+        out.append(wedge_sum(r, [term for x, y in pairs
+                                 for term in _bracket_terms(x, y, k)]))
+    return out
+
+
 def integrability_residuals(lift: LambdaLift, up_to: int):
     """t^k coefficients, k = 0..up_to, of the curvature of the lift.
 
-    The full curvature is dbar(A(t)) + t*del(B(t)) + [A(t) ^ B(t)] with A the
-    D-part form coefficients and B the dbar-part ones; the trivial background
-    contributes nothing (del and dbar commute exactly on the mode model).
-    Order 0 is dbar(Phi); order 1 is dbar(Phi_1) + [Phi ^ Psi_1].
+    The full curvature is dbar(a(t)) + t*del(b(t)) + [a(t) ^ b(t)]; the
+    trivial background contributes nothing (del and dbar commute exactly on
+    the mode model).  Order 0 is dbar(a_0); order 1 is
+    dbar(a_1) + del(b_0) + [a_0 ^ b_1], with b_0 = 0.
     """
     _check_order(lift, up_to)
-    a, b = lift.a, lift.b
-    out = []
-    for k in range(up_to + 1):
-        r = dbar(a[k]) + del_op(b[k - 1]) if k else dbar(a[k])
-        out.append(wedge_sum(r, _bracket_terms(a, b, k)))
-    return out
+    return _curvature_terms(lift, [(lift.a, lift.b)], up_to)
 
 
 def linearized_residuals(lift: LambdaLift, t: TangentSeries, up_to: int):
-    """Linearization of the curvature expansion at the lift, order by order."""
+    """Linearization of the curvature expansion at the lift, order by order:
+    dbar(t.a) + t*del(t.b) + [lift.a ^ t.b] + [t.a ^ lift.b]."""
     _check_order(lift, up_to)
     _check_tangent(lift, t, up_to)
-    out = []
-    for k in range(up_to + 1):
-        r = dbar(t.phik[k]) + del_op(t.psik[k - 1]) if k else dbar(t.phik[k])
-        out.append(wedge_sum(r, _bracket_terms(lift.a, t.psik, k)
-                             + _bracket_terms(t.phik, lift.b, k)))
-    return out
+    return _curvature_terms(t, [(lift.a, t.b), (t.a, lift.b)], up_to)
 
 
 def gauge_tangent(lift: LambdaLift, xi: GaugeSeries) -> TangentSeries:
     """The tangent series of the infinitesimal gauge action by xi(t).
 
-    psi_k = dbar(xi_k) + sum_i [Psi_i, xi_(k-i)] and
-    phi_k = del(xi_(k-1)) + sum_i [Phi_i, xi_(k-i)] (with Phi_0 = Phi).
+    b_k = dbar(xi_k) + sum_i [b_i, xi_(k-i)] and
+    a_k = del(xi_(k-1)) + sum_i [a_i, xi_(k-i)], with the lift's b and a.
     """
     if xi.rank != lift.rank:
         raise ValueError("gauge parameter rank mismatch")
     a, b, xs = lift.a, lift.b, xi.xik
-    psik, phik = [], []
+    tb, ta = [], []
     for k in range(min(lift.order, xi.order) + 1):
-        psik.append(wedge_sum(dbar(xs[k]), _bracket_terms(b, xs, k)))
+        tb.append(wedge_sum(dbar(xs[k]), _bracket_terms(b, xs, k)))
         r = del_op(xs[k - 1]) if k else MatrixForm.zero(lift.rank, (1, 0))
-        phik.append(wedge_sum(r, _bracket_terms(a, xs, k)))
-    return TangentSeries(tuple(psik), tuple(phik))
+        ta.append(wedge_sum(r, _bracket_terms(a, xs, k)))
+    return TangentSeries(tb, ta)
 
 
 def energy_of_lift(lift: LambdaLift):
@@ -244,8 +239,8 @@ def energy_of_lift(lift: LambdaLift):
 def d_energy_of_lift(lift: LambdaLift, t: TangentSeries):
     """First variation of the energy along a tangent series."""
     _check_tangent(lift, t, 1)
-    return ENERGY_LIFT_COEFF * (pair_trace(t.phik[0], lift.b[1])
-                                + pair_trace(lift.a[0], t.psik[1]))
+    return ENERGY_LIFT_COEFF * (pair_trace(t.a[0], lift.b[1])
+                                + pair_trace(lift.a[0], t.b[1]))
 
 
 def omega_hat(lift: LambdaLift, t1: TangentSeries, t2: TangentSeries):
@@ -256,40 +251,40 @@ def omega_hat(lift: LambdaLift, t1: TangentSeries, t2: TangentSeries):
     """
     _check_tangent(lift, t1, 1)
     _check_tangent(lift, t2, 1)
-    value = (-pair_trace(t1.phik[0], t2.psik[1])
-             + pair_trace(t2.phik[0], t1.psik[1])
-             - pair_trace(t1.phik[1], t2.psik[0])
-             + pair_trace(t2.phik[1], t1.psik[0]))
+    value = (-pair_trace(t1.a[0], t2.b[1])
+             + pair_trace(t2.a[0], t1.b[1])
+             - pair_trace(t1.a[1], t2.b[0])
+             + pair_trace(t2.a[1], t1.b[0]))
     return OMEGA_HAT_COEFF * value
 
 
 def circle_field(t: TangentSeries) -> TangentSeries:
-    """The circle action t -> zeta t on a tangent, differentiated at zeta = 1:
-    psi_k -> -i k psi_k and phi_k -> i (1 - k) phi_k."""
-    return TangentSeries(tuple(f * QQi(0, -k) for k, f in enumerate(t.psik)),
-                         tuple(f * QQi(0, 1 - k) for k, f in enumerate(t.phik)))
+    """The circle action t -> zeta t on a series pair (a tangent, or a lift),
+    differentiated at zeta = 1: b_k -> -i k b_k and a_k -> i (1 - k) a_k."""
+    return TangentSeries(tuple(f * QQi(0, -k) for k, f in enumerate(t.b)),
+                         tuple(f * QQi(0, 1 - k) for k, f in enumerate(t.a)))
 
 
 def second_variation(lift: LambdaLift, t: TangentSeries, xi: MatrixForm):
     """Second variation of the energy at a circle-fixed lift, the Hessian of
-    :func:`energy_of_lift`: 2c * integral tr(phi_0 ^ psi_1).
+    :func:`energy_of_lift`: 2c * integral tr(a_0 ^ b_1) of the tangent.
 
     Requires the fixed-point relations for the supplied grading parameter xi;
     each is checked and a violation is reported by name.
     """
     _check_coeff(xi, lift.rank, (0, 0), "xi")
     _check_tangent(lift, t, 1)
-    psi1 = lift.b[1]
+    phi, psi1 = lift.a[0], lift.b[1]
     checks = (
         ("dbar(xi) = 0", dbar(xi).is_zero),
-        ("Phi = [Phi, xi]", lift.phi0 == wedge_bracket(lift.phi0, xi)),
+        ("Phi = [Phi, xi]", phi == wedge_bracket(phi, xi)),
         ("-Psi_1 = [Psi_1, xi]", -psi1 == wedge_bracket(psi1, xi)),
         ("del(xi) = 0", del_op(xi).is_zero),
     )
     for name, ok in checks:
         if not ok:
             raise ValueError(f"fixed-point relation violated: {name}")
-    return QQi(2) * ENERGY_LIFT_COEFF * pair_trace(t.phik[0], t.psik[1])
+    return QQi(2) * ENERGY_LIFT_COEFF * pair_trace(t.a[0], t.b[1])
 
 
 # -- circle-fixed lifts from graded block data --------------------------------
@@ -341,15 +336,14 @@ def c_star_fixed_lift(v: VhsBlockData, higgs: MatrixForm, beta=None,
     """
     beta, phi = _checked_slice_data(v, higgs, beta, phi)
     n = max(4, v.l + 1)
-    psi_list = [MatrixForm.zero(v.n, (0, 1)) for _ in range(n)]
-    phi_list = [MatrixForm.zero(v.n, (1, 0)) for _ in range(n)]
-    psi_list[0] = conj_transpose(higgs) + beta.get(1, MatrixForm.zero(v.n, (0, 1)))
+    b = [MatrixForm.zero(v.n, (0, 1)) for _ in range(n + 1)]
+    a = [higgs] + [MatrixForm.zero(v.n, (1, 0)) for _ in range(n)]
+    b[1] = conj_transpose(higgs)
     for j, f in beta.items():
-        if j >= 2:
-            psi_list[j - 1] = psi_list[j - 1] + f
+        b[j] = b[j] + f
     for j, f in phi.items():
-        phi_list[j] = phi_list[j] + f  # grade-j datum sits in the t^(j+1) slot
-    return LambdaLift(higgs, tuple(psi_list), tuple(phi_list))
+        a[j + 1] = a[j + 1] + f  # grade-j datum sits in the t^(j+1) slot
+    return LambdaLift(b, a)
 
 
 def bb_slice_residual(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None):
@@ -412,9 +406,7 @@ def gauge_transform_lift(lift: LambdaLift, gs) -> LambdaLift:
     new_b = conjugated(lift.b, [MatrixForm.zero(lift.rank, (0, 1))]
                        + [dbar(g) for g in g_tail])
     new_a = conjugated(lift.a, [zero_a, zero_a] + [del_op(g) for g in g_tail[:n - 1]])
-    if not new_b[0].is_zero:  # g_0 = identity forces a vanishing order-0 term
-        raise ValueError("gauge family produced an order-0 dbar coefficient")
-    return LambdaLift(new_a[0], tuple(new_b[1:]), tuple(new_a[1:]))
+    return LambdaLift(new_b, new_a)
 
 
 # -- Laurent regluing and the antiholomorphic involution ----------------------

@@ -505,10 +505,11 @@ def _random_coeffs(cfg, rng, size, bidegree, count):
 
 
 def _random_lift(cfg, rng, size, order):
-    """A random lift of the order: Psi_1..Psi_N, then Phi_1..Phi_N, then Phi."""
-    psi = _random_coeffs(cfg, rng, size, (0, 1), order)
-    phi = _random_coeffs(cfg, rng, size, (1, 0), order)
-    return ll.LambdaLift(_random_coeffs(cfg, rng, size, (1, 0), 1)[0], psi, phi)
+    """A random lift of the order: b_1..b_N, then a_1..a_N, then a_0."""
+    b = _random_coeffs(cfg, rng, size, (0, 1), order)
+    a = _random_coeffs(cfg, rng, size, (1, 0), order)
+    return ll.LambdaLift((tf.MatrixForm.zero(size, (0, 1)),) + b,
+                         _random_coeffs(cfg, rng, size, (1, 0), 1) + a)
 
 
 def _strict_upper(rng, size):
@@ -587,10 +588,9 @@ def _commutant_tangent(cfg, rng, lift, c_matrix):
     psi_1 = tf.MatrixForm.from_scalar_matrix(
         _trace_adjusted_poly(rng, c_matrix), (0, 1)) * h
     t = ll.TangentSeries.zero(size, lift.order)
-    psik = list(t.psik)
-    phik = list(t.phik)
-    psik[1], phik[0] = psi_1, phi_0
-    return ll.TangentSeries(tuple(psik), tuple(phik))
+    b, a = list(t.b), list(t.a)
+    b[1], a[0] = psi_1, phi_0
+    return ll.TangentSeries(b, a)
 
 
 def _random_gauge(cfg, rng, size):
@@ -639,11 +639,11 @@ def suite_energy_gauge_invariance(cfg, rng, entries):
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
         # The first variation reads orders <= 1 of the lift, so it is drawn
-        # to order 1: Psi_1 and Phi_1, then a constant Phi.
-        psi = _random_coeffs(cfg, rng, size, (0, 1), 1)
-        phi = _random_coeffs(cfg, rng, size, (1, 0), 1)
-        phi0 = tf.MatrixForm.from_scalar_matrix(_random_trace_free(rng, size), (1, 0))
-        lift = ll.LambdaLift(phi0, psi, phi)
+        # to order 1: b_1 and a_1, then a constant a_0.
+        b1 = _random_coeffs(cfg, rng, size, (0, 1), 1)
+        a1 = _random_coeffs(cfg, rng, size, (1, 0), 1)
+        a0 = tf.MatrixForm.from_scalar_matrix(_random_trace_free(rng, size), (1, 0))
+        lift = ll.LambdaLift((tf.MatrixForm.zero(size, (0, 1)),) + b1, (a0,) + a1)
         tangent = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
         out.append(check(f"case-{i:04d}", QQi(0), ll.d_energy_of_lift(lift, tangent),
                          "first variation along gauge directions"))

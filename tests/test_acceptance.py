@@ -329,12 +329,12 @@ def test_acceptance_10_integrability_oracle(verdict):
     ok = True
     for i in range(200):
         size = 2 + i % 2
-        lift = LambdaLift(
-            random_matrix_form(rng, size, (1, 0), trace_free=True),
-            tuple(random_matrix_form(rng, size, (0, 1), trace_free=True)
-                  for _ in range(2)),
-            tuple(random_matrix_form(rng, size, (1, 0), trace_free=True)
-                  for _ in range(2)))
+        a0 = random_matrix_form(rng, size, (1, 0), trace_free=True)
+        b = tuple(random_matrix_form(rng, size, (0, 1), trace_free=True)
+                  for _ in range(2))
+        a = tuple(random_matrix_form(rng, size, (1, 0), trace_free=True)
+                  for _ in range(2))
+        lift = LambdaLift((MatrixForm.zero(size, (0, 1)),) + b, (a0,) + a)
         u = random_matrix_form(rng, size, (0, 0))
         model = integrability_residuals(lift, 1)
         oracle = composition_residuals(lift, u, 1)

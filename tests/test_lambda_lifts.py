@@ -52,22 +52,23 @@ E12_DZ = _const_form([[0, QQi(1)], [0, 0]], (1, 0))
 
 
 def _random_lift(rng, rank=2, order=3):
-    phi0 = random_matrix_form(rng, rank, (1, 0), trace_free=True)
-    psi = tuple(random_matrix_form(rng, rank, (0, 1), trace_free=True)
-                for _ in range(order))
-    phi = tuple(random_matrix_form(rng, rank, (1, 0), trace_free=True)
-                for _ in range(order))
-    return LambdaLift(phi0, psi, phi)
+    """a_0, then b_1..b_N, then a_1..a_N."""
+    a0 = random_matrix_form(rng, rank, (1, 0), trace_free=True)
+    b = tuple(random_matrix_form(rng, rank, (0, 1), trace_free=True)
+              for _ in range(order))
+    a = tuple(random_matrix_form(rng, rank, (1, 0), trace_free=True)
+              for _ in range(order))
+    return LambdaLift((MatrixForm.zero(rank, (0, 1)),) + b, (a0,) + a)
 
 
-def _random_tangent(rng, rank, order, zero_psi0=False):
-    psik = [random_matrix_form(rng, rank, (0, 1), trace_free=True)
-            for _ in range(order + 1)]
-    if zero_psi0:
-        psik[0] = MatrixForm.zero(rank, (0, 1))
-    phik = [random_matrix_form(rng, rank, (1, 0), trace_free=True)
-            for _ in range(order + 1)]
-    return TangentSeries(tuple(psik), tuple(phik))
+def _random_tangent(rng, rank, order, zero_b0=False):
+    b = [random_matrix_form(rng, rank, (0, 1), trace_free=True)
+         for _ in range(order + 1)]
+    if zero_b0:
+        b[0] = MatrixForm.zero(rank, (0, 1))
+    a = [random_matrix_form(rng, rank, (1, 0), trace_free=True)
+         for _ in range(order + 1)]
+    return TangentSeries(b, a)
 
 
 def _random_gauge(rng, rank, order):
@@ -120,22 +121,19 @@ def test_residual_low_orders_closed_form():
     rng = random.Random(102)
     lift = _random_lift(rng)
     res = integrability_residuals(lift, 1)
-    assert res[0] == dbar(lift.phi0)
-    phi1, psi1 = lift.a[1], lift.b[1]
-    assert res[1] == (dbar(phi1) + wedge(lift.phi0, psi1)
-                      + wedge(psi1, lift.phi0))
+    a0, a1, b1 = lift.a[0], lift.a[1], lift.b[1]
+    assert res[0] == dbar(a0)
+    assert res[1] == dbar(a1) + wedge(a0, b1) + wedge(b1, a0)
 
 
 # -- oracle 2: linearization via exact quadratic extraction -------------------
 
 
 def _shift(lift, t, c):
-    """The lift displaced by c * t; needs t.psik[0] = 0 to stay in the space."""
-    assert t.psik[0].is_zero
-    return LambdaLift(
-        lift.phi0 + t.phik[0] * c,
-        tuple(p + t.psik[k + 1] * c for k, p in enumerate(lift.psi)),
-        tuple(p + t.phik[k + 1] * c for k, p in enumerate(lift.phi)))
+    """The lift displaced by c * t; needs t.b[0] = 0 to stay in the space."""
+    assert t.b[0].is_zero
+    return LambdaLift([x + y * c for x, y in zip(lift.b, t.b)],
+                      [x + y * c for x, y in zip(lift.a, t.a)])
 
 
 def test_linearization_matches_quadratic_extraction():
@@ -144,7 +142,7 @@ def test_linearization_matches_quadratic_extraction():
     rng = random.Random(103)
     for _ in range(15):
         lift = _random_lift(rng)
-        t = _random_tangent(rng, 2, lift.order, zero_psi0=True)
+        t = _random_tangent(rng, 2, lift.order, zero_b0=True)
         base = integrability_residuals(lift, 2)
         once = integrability_residuals(_shift(lift, t, QQi(1)), 2)
         twice = integrability_residuals(_shift(lift, t, QQi(2)), 2)
@@ -203,11 +201,9 @@ def test_commuting_lift_is_integrable_to_order_one():
 def _commutant_tangent(a, b, order=3):
     """phi_0 and psi_1 proportional to E21: linearized-integrable through
     order 1 at the commuting lift."""
-    psik = [MatrixForm.zero(2, (0, 1)) for _ in range(order + 1)]
-    phik = [MatrixForm.zero(2, (1, 0)) for _ in range(order + 1)]
-    phik[0] = E21_DZ * a
-    psik[1] = _const_form([[0, 0], [b, 0]], (0, 1))
-    return TangentSeries(tuple(psik), tuple(phik))
+    t = TangentSeries.zero(2, order)
+    return TangentSeries(t.b[:1] + (_const_form([[0, 0], [b, 0]], (0, 1)),) + t.b[2:],
+                         (E21_DZ * a,) + t.a[1:])
 
 
 def test_commutant_tangent_solves_linearized_equations():
@@ -230,12 +226,12 @@ def test_d_energy_is_the_exact_differential():
     rng = random.Random(105)
     for _ in range(10):
         lift = _random_lift(rng)
-        t = _random_tangent(rng, 2, lift.order, zero_psi0=True)
+        t = _random_tangent(rng, 2, lift.order, zero_b0=True)
         quad = (energy_of_lift(_shift(lift, t, QQi(1))) - energy_of_lift(lift)
                 - d_energy_of_lift(lift, t))
         # The remainder is the pure second-order term tr(phi_0 ^ psi_1).
         second = ENERGY_LIFT_COEFF * integrate_trace(
-            wedge(t.phik[0], t.psik[1]))
+            wedge(t.a[0], t.b[1]))
         assert quad == second
 
 
@@ -243,9 +239,9 @@ def test_omega_hat_hand_value_and_antisymmetry():
     lift = _commuting_lift()
     order = lift.order
     zero = TangentSeries.zero(2, order)
-    t1 = TangentSeries(zero.psik, (E12_DZ,) + zero.phik[1:])
-    t2 = TangentSeries((zero.psik[0], _const_form([[0, 0], [QQi(1), 0]], (0, 1)))
-                       + zero.psik[2:], zero.phik)
+    t1 = TangentSeries(zero.b, (E12_DZ,) + zero.a[1:])
+    t2 = TangentSeries((zero.b[0], _const_form([[0, 0], [QQi(1), 0]], (0, 1)))
+                       + zero.b[2:], zero.a)
     # Only the first pairing survives: -tr(E12 E21) integrated, times the
     # prefactor -i/2.
     assert omega_hat(lift, t1, t2) == QQi(0, Fraction(1, 2))
@@ -352,7 +348,7 @@ def test_gauge_transform_of_a_truncated_lift_is_the_truncated_transform():
             gs = [MatrixForm.identity(rank)] + uppers
             moved = gauge_transform_lift(lift, gs)
             for d in (1, 2, 3):
-                cut = LambdaLift(lift.phi0, lift.psi[:d], lift.phi[:d])
+                cut = LambdaLift(lift.b[:d + 1], lift.a[:d + 1])
                 cut_moved = gauge_transform_lift(cut, gs)
                 assert cut_moved.a == moved.a[:d + 1]
                 assert cut_moved.b == moved.b[:d + 1]
@@ -431,7 +427,7 @@ def _dlambda_relation_holds(lift, xi, c):
 
 def _phipsi_relation_holds(lift, xi, c):
     """The order-zero relations with xi_0 = c xi: 0 = dbar(xi_0), Phi = [Phi, xi_0]."""
-    return dbar(xi * c).is_zero and lift.phi0 == _commutator(lift.phi0, xi) * c
+    return dbar(xi * c).is_zero and lift.a[0] == _commutator(lift.a[0], xi) * c
 
 
 def test_fixed_relations_single_out_the_frozen_xi_scalars():
@@ -456,7 +452,7 @@ def test_second_variation_hand_value():
     lift = c_star_fixed_lift(UNI, E21_DZ)
     xi = xi_matrix_form(UNI) * QQi(-1)
     zero = TangentSeries.zero(2, 1)
-    t = TangentSeries((zero.psik[0], E12_DZBAR), (E21_DZ, zero.phik[1]))
+    t = TangentSeries((zero.b[0], E12_DZBAR), (E21_DZ, zero.a[1]))
     assert second_variation(lift, t, xi) == QQi(2)
     assert QQi(2) * omega_hat(lift, t, circle_field(t)) == QQi(2)
 
@@ -467,15 +463,15 @@ def test_circle_field_hand_value():
         tuple(random_matrix_form(rng, 2, (0, 1), trace_free=True) for _ in range(3)),
         tuple(random_matrix_form(rng, 2, (1, 0), trace_free=True) for _ in range(3)))
     field = circle_field(t)
-    # psi_k -> -i k psi_k and phi_k -> i (1 - k) phi_k, entry by entry.
+    # b_k -> -i k b_k and a_k -> i (1 - k) a_k, entry by entry.
     for k, weight in enumerate((QQi(0), QQi(0, -1), QQi(0, -2))):
-        assert field.psik[k].entries == tuple(tuple(e * weight for e in row)
-                                              for row in t.psik[k].entries)
+        assert field.b[k].entries == tuple(tuple(e * weight for e in row)
+                                           for row in t.b[k].entries)
     for k, weight in enumerate((QQi(0, 1), QQi(0), QQi(0, -1))):
-        assert field.phik[k].entries == tuple(tuple(e * weight for e in row)
-                                              for row in t.phik[k].entries)
-    assert field.psik[0].is_zero and field.phik[1].is_zero
-    assert not any(f.is_zero for f in field.psik[1:] + field.phik[:1] + field.phik[2:])
+        assert field.a[k].entries == tuple(tuple(e * weight for e in row)
+                                           for row in t.a[k].entries)
+    assert field.b[0].is_zero and field.a[1].is_zero
+    assert not any(f.is_zero for f in field.b[1:] + field.a[:1] + field.a[2:])
 
 
 def test_second_variation_is_twice_omega_hat_on_the_circle_field():
@@ -498,13 +494,13 @@ def test_second_variation_is_twice_omega_hat_on_the_circle_field():
 
 
 def test_energy_differential_is_omega_hat_against_the_lift_field():
-    # dE = -2 Omega_hat(X, .), X = circle_field of the lift read as a tangent:
-    # the first-order relation whose derivative second_variation checks.
+    # dE = -2 Omega_hat(X, .), X = circle_field of the lift itself: the
+    # first-order relation whose derivative second_variation checks.
     rng = random.Random(118)
     nonzero = 0
     for i in range(30):
         lift = _random_lift(rng, rank=2 + i % 2, order=4)
-        field = circle_field(TangentSeries(lift.b, lift.a))
+        field = circle_field(lift)
         t = TangentSeries(
             tuple(random_matrix_form(rng, lift.rank, (0, 1), trace_free=True)
                   for _ in range(5)),
@@ -514,6 +510,27 @@ def test_energy_differential_is_omega_hat_against_the_lift_field():
         assert de == QQi(-2) * omega_hat(lift, field, t)
         nonzero += bool(de)
     assert nonzero >= 20
+
+
+def test_a_lift_read_as_its_own_tangent():
+    # Euler: the energy is a quadratic form in (b, a) and the curvature a
+    # quadratic one plus the linear part dbar(a_k) + del(b_(k-1)), so along
+    # the lift itself dE(L, L) = 2 E(L) and dR(L, L)_k + linear_k = 2 R_k.
+    rng = random.Random(123)
+    nonzero = 0
+    for i in range(20):
+        lift = _random_lift(rng, rank=2 + i % 2, order=3)
+        energy = energy_of_lift(lift)
+        assert d_energy_of_lift(lift, lift) == QQi(2) * energy
+        nonzero += bool(energy)
+        res = integrability_residuals(lift, 3)
+        lin = linearized_residuals(lift, lift, 3)
+        for k in range(4):
+            linear = dbar(lift.a[k])
+            if k:
+                linear = linear + del_op(lift.b[k - 1])
+            assert lin[k] + linear == res[k] * QQi(2)
+    assert nonzero >= 10
 
 
 def test_second_variation_precondition_errors():
@@ -571,23 +588,27 @@ def test_energy_ignores_beta_one():
 
 
 def test_make_lift_and_accessors():
-    lift = make_lift(E21_DZ, order=2)
+    lift = make_lift(E21_DZ, psi=[E12_DZBAR], order=2)
     assert lift.rank == 2 and lift.order == 2
-    # Both parts are series in t: a = (Phi, Phi_1, Phi_2), b = (0, Psi_1, Psi_2).
-    assert lift.a == (E21_DZ,) + lift.phi and lift.b[1:] == lift.psi
-    assert lift.b[0] == MatrixForm.zero(2, (0, 1))
+    # Both parts are series in t: a = (Phi, 0, 0) and b = (0, Psi_1, 0).
+    zero_b, zero_a = MatrixForm.zero(2, (0, 1)), MatrixForm.zero(2, (1, 0))
+    assert lift.a == (E21_DZ, zero_a, zero_a) and lift.b == (zero_b, E12_DZBAR, zero_b)
+    # A lift is a series pair that stores (b, a) and nothing else.
+    assert isinstance(lift, TangentSeries) and lift._fields == ("b", "a")
     with pytest.raises(ValueError):
         make_lift(E21_DZ, psi=[E12_DZBAR] * 3, order=2)
-    with pytest.raises(ValueError):
-        LambdaLift(E21_DZ, (), ())
-    with pytest.raises(ValueError):
-        LambdaLift(E21_DZ, (E12_DZBAR, E12_DZBAR), (E12_DZ,))
-    with pytest.raises(ValueError):
-        LambdaLift(E21_DZ, (E12_DZ,), (E12_DZ,))  # wrong bidegree
-    with pytest.raises(ValueError, match="size 3, expected 2"):
-        LambdaLift(E21_DZ, (MatrixForm.zero(3, (0, 1)),), (MatrixForm.zero(3, (1, 0)),))
+    with pytest.raises(ValueError, match="order N >= 1"):
+        LambdaLift((zero_b,), (E21_DZ,))
+    with pytest.raises(ValueError, match="orders 0..N"):
+        LambdaLift((zero_b, E12_DZBAR, E12_DZBAR), (E21_DZ, E12_DZ))
+    with pytest.raises(ValueError, match="b_1 has bidegree"):
+        LambdaLift((zero_b, E12_DZ), (E21_DZ, E12_DZ))
+    with pytest.raises(ValueError, match="b_0 = 0"):
+        LambdaLift((E12_DZBAR, E12_DZBAR), (E21_DZ, E12_DZ))
+    with pytest.raises(ValueError, match="b_1 has size 3, expected 2"):
+        LambdaLift((zero_b, MatrixForm.zero(3, (0, 1))), (E21_DZ, zero_a))
     not_trace_free = _const_form([[QQi(1), 0], [0, QQi(1)]], (1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a_0 must be trace-free"):
         make_lift(not_trace_free, order=1)
 
 
@@ -619,6 +640,20 @@ def test_tangent_and_gauge_series_validation():
         GaugeSeries((_const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0)),))
     with pytest.raises(ValueError):
         GaugeSeries(())
+
+
+@pytest.mark.parametrize("build, slot", [
+    (lambda: TangentSeries((1,), (1,)), "b_0"),
+    (lambda: TangentSeries((E12_DZBAR, "x"), (E21_DZ, E12_DZ)), "b_1"),
+    (lambda: TangentSeries((E12_DZBAR, E12_DZBAR), (E21_DZ, None)), "a_1"),
+    (lambda: LambdaLift((1,), (1,)), "b_0"),
+    (lambda: GaugeSeries((1,)), "xi_0"),
+    (lambda: GaugeSeries((MatrixForm.zero(2), 1)), "xi_1"),
+])
+def test_series_constructors_name_the_slot_that_is_not_a_form(build, slot):
+    # The type is checked before the size is read, at every order.
+    with pytest.raises(TypeError, match=f"^{slot} must be a MatrixForm$"):
+        build()
 
 
 # -- Laurent regluing, parameter involution -----------------------------------
