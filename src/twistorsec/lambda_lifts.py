@@ -5,13 +5,11 @@ A lift stores the coefficients of the pair of operators
     dbar(t) = dbar + sum_{k>=1} t^k b_k          (b_k of bidegree (0,1))
     D(t)    = t*del + sum_{k>=0} t^k a_k         (a_k of bidegree (1,0))
 
-truncated at a fixed order N, as the series pair (b, a) with b_0 = 0; a_0 is
-the Higgs-type field Phi.  A tangent to the space of lifts is the same kind
-of pair, without the condition on b_0, so one type holds both.  Every series
-operation is exact through order N and raises if a higher order is
-requested; nothing wraps silently.  The slot a_1 is kept (normalized germs
-have a_1 = 0) because circle-fixed lifts built from graded slice data place
-their grade-0 datum there.
+truncated at a fixed order N: the series pair (b, a) with b_0 = 0.  A tangent
+is the same kind of pair without that condition, so one type holds both.
+Every series operation is exact through order N and raises if a higher order
+is requested.  The slot a_1 is kept (normalized germs have a_1 = 0) because
+circle-fixed lifts built from graded slice data place their grade-0 datum there.
 
 On top of the lifts this module provides the curvature-type integrability
 expansion and its linearization, infinitesimal gauge directions, the energy
@@ -44,15 +42,6 @@ def _check_coeff(f: MatrixForm, rank, bidegree, what: str):
         raise ValueError(f"{what} has bidegree {f.bidegree}, expected {bidegree}")
 
 
-def _check_series(fs, bidegree, name: str, rank=None) -> int:
-    """Check the coefficients name_0, name_1, ... of the series fs, all of one
-    size (rank, or that of the first when rank is None); return the size."""
-    for k, f in enumerate(fs):
-        _check_coeff(f, rank, bidegree, f"{name}_{k}")
-        rank = f.size
-    return rank
-
-
 class TangentSeries(Record):
     """A pair of truncated series: ``b`` holds the (0,1) forms b_0..b_N and
     ``a`` the (1,0) forms a_0..a_N, all of one size.  As a tangent to the
@@ -66,7 +55,11 @@ class TangentSeries(Record):
         b, a = tuple(b), tuple(a)
         if not b or len(a) != len(b):
             raise ValueError("need coefficients for orders 0..N on each side")
-        _check_series(a, (1, 0), "a", _check_series(b, (0, 1), "b"))
+        _check_coeff(b[0], None, (0, 1), "b_0")  # the type, before its size is read
+        rank = b[0].size
+        for name, fs, bidegree in (("b", b, (0, 1)), ("a", a, (1, 0))):
+            for k, f in enumerate(fs):
+                _check_coeff(f, rank, bidegree, f"{name}_{k}")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
 
@@ -98,12 +91,10 @@ class LambdaLift(TangentSeries):
 
     def __init__(self, b, a):
         super().__init__(b, a)
-        if self.order < 1:
-            raise ValueError("a lift needs order N >= 1")
-        if not self.b[0].is_zero:
-            raise ValueError("a lift needs b_0 = 0")
-        for name, fs in (("b", self.b), ("a", self.a)):
-            for k, f in enumerate(fs):
+        if self.order < 1 or not self.b[0].is_zero:
+            raise ValueError("a lift needs order N >= 1 and b_0 = 0")
+        for name, fs, start in (("b", self.b[1:], 1), ("a", self.a, 0)):
+            for k, f in enumerate(fs, start):
                 if not trace(f).is_zero:
                     raise ValueError(f"lift coefficient {name}_{k} must be trace-free")
 
@@ -129,8 +120,7 @@ class LambdaLift(TangentSeries):
 
 
 def make_lift(phi0: MatrixForm, psi=(), order: int = 4) -> LambdaLift:
-    """Build the lift with a_0 = Phi, b_1.. = psi padded with zeros up to
-    order, and a_1..a_N zero."""
+    """The lift of the order with a = (Phi, 0, ..., 0) and b = (0, *psi, 0, ...)."""
     rank = phi0.size
     if len(psi) > order:
         raise ValueError("more coefficients than the truncation order")
@@ -150,8 +140,10 @@ class GaugeSeries(Record):
         xik = tuple(xik)
         if not xik:
             raise ValueError("need gauge coefficients for orders 0..N")
-        _check_series(xik, (0, 0), "xi")
+        _check_coeff(xik[0], None, (0, 0), "xi_0")  # the type, before its size is read
+        rank = xik[0].size
         for k, f in enumerate(xik):
+            _check_coeff(f, rank, (0, 0), f"xi_{k}")
             if not trace(f).is_zero:
                 raise ValueError(f"xi_{k} must be trace-free")
         object.__setattr__(self, "xik", xik)
@@ -165,16 +157,14 @@ class GaugeSeries(Record):
         return len(self.xik) - 1
 
 
-def _check_order(lift: LambdaLift, up_to: int):
-    if up_to > lift.order:
-        raise ValueError(f"requested order {up_to} exceeds truncation {lift.order}")
+def _check_reach(up_to: int, lift: LambdaLift, *ts: TangentSeries):
+    """The lift and each tangent in ts have the lift's rank and reach order up_to >= 0."""
     if up_to < 0:
         raise ValueError("order must be >= 0")
-
-
-def _check_tangent(lift: LambdaLift, t: TangentSeries, up_to: int):
-    if t.rank != lift.rank or t.order < up_to:
-        raise ValueError(f"tangent must have rank {lift.rank} and reach order {up_to}")
+    for t in (lift,) + ts:
+        if t.rank != lift.rank or t.order < up_to:
+            raise ValueError(f"series must have rank {lift.rank} and reach "
+                             f"order {up_to}")
 
 
 def _bracket_terms(xs, ys, k: int) -> list:
@@ -202,15 +192,14 @@ def integrability_residuals(lift: LambdaLift, up_to: int):
     the mode model).  Order 0 is dbar(a_0); order 1 is
     dbar(a_1) + del(b_0) + [a_0 ^ b_1], with b_0 = 0.
     """
-    _check_order(lift, up_to)
+    _check_reach(up_to, lift)
     return _curvature_terms(lift, [(lift.a, lift.b)], up_to)
 
 
 def linearized_residuals(lift: LambdaLift, t: TangentSeries, up_to: int):
     """Linearization of the curvature expansion at the lift, order by order:
     dbar(t.a) + t*del(t.b) + [lift.a ^ t.b] + [t.a ^ lift.b]."""
-    _check_order(lift, up_to)
-    _check_tangent(lift, t, up_to)
+    _check_reach(up_to, lift, t)
     return _curvature_terms(t, [(lift.a, t.b), (t.a, lift.b)], up_to)
 
 
@@ -238,7 +227,7 @@ def energy_of_lift(lift: LambdaLift):
 
 def d_energy_of_lift(lift: LambdaLift, t: TangentSeries):
     """First variation of the energy along a tangent series."""
-    _check_tangent(lift, t, 1)
+    _check_reach(1, lift, t)
     return ENERGY_LIFT_COEFF * (pair_trace(t.a[0], lift.b[1])
                                 + pair_trace(lift.a[0], t.b[1]))
 
@@ -249,8 +238,7 @@ def omega_hat(lift: LambdaLift, t1: TangentSeries, t2: TangentSeries):
     The four-term integrand pairs the order-0 and order-1 coefficients of the
     two tangents; the global prefactor is the frozen convention constant.
     """
-    _check_tangent(lift, t1, 1)
-    _check_tangent(lift, t2, 1)
+    _check_reach(1, lift, t1, t2)
     value = (-pair_trace(t1.a[0], t2.b[1])
              + pair_trace(t2.a[0], t1.b[1])
              - pair_trace(t1.a[1], t2.b[0])
@@ -273,7 +261,7 @@ def second_variation(lift: LambdaLift, t: TangentSeries, xi: MatrixForm):
     each is checked and a violation is reported by name.
     """
     _check_coeff(xi, lift.rank, (0, 0), "xi")
-    _check_tangent(lift, t, 1)
+    _check_reach(1, lift, t)
     phi, psi1 = lift.a[0], lift.b[1]
     checks = (
         ("dbar(xi) = 0", dbar(xi).is_zero),

@@ -588,9 +588,7 @@ def _commutant_tangent(cfg, rng, lift, c_matrix):
     psi_1 = tf.MatrixForm.from_scalar_matrix(
         _trace_adjusted_poly(rng, c_matrix), (0, 1)) * h
     t = ll.TangentSeries.zero(size, lift.order)
-    b, a = list(t.b), list(t.a)
-    b[1], a[0] = psi_1, phi_0
-    return ll.TangentSeries(b, a)
+    return ll.TangentSeries(t.b[:1] + (psi_1,) + t.b[2:], (phi_0,) + t.a[1:])
 
 
 def _random_gauge(cfg, rng, size):

@@ -199,7 +199,7 @@ def test_commuting_lift_is_integrable_to_order_one():
 
 
 def _commutant_tangent(a, b, order=3):
-    """phi_0 and psi_1 proportional to E21: linearized-integrable through
+    """a_0 and b_1 proportional to E21: linearized-integrable through
     order 1 at the commuting lift."""
     t = TangentSeries.zero(2, order)
     return TangentSeries(t.b[:1] + (_const_form([[0, 0], [b, 0]], (0, 1)),) + t.b[2:],
@@ -229,7 +229,7 @@ def test_d_energy_is_the_exact_differential():
         t = _random_tangent(rng, 2, lift.order, zero_b0=True)
         quad = (energy_of_lift(_shift(lift, t, QQi(1))) - energy_of_lift(lift)
                 - d_energy_of_lift(lift, t))
-        # The remainder is the pure second-order term tr(phi_0 ^ psi_1).
+        # The remainder is the pure second-order term tr(a_0 ^ b_1).
         second = ENERGY_LIFT_COEFF * integrate_trace(
             wedge(t.a[0], t.b[1]))
         assert quad == second
