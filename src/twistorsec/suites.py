@@ -257,6 +257,13 @@ def suite_evaluation_fiber(cfg, rng, entries):
             out.append(check(f"omega-{i:04d}", QQi(0),
                              QQi(0, -1) * fm.holomorphic_metric(s, v, w),
                              "common zero"))
+    # A tangent vanishing at x evaluates to zero there: three draws, whatever
+    # cfg.cases is, at 0, at infinity and at a nonzero finite point.
+    for k in range(3):
+        s = _random_flat(rng, k)
+        x = (QQi(0), pl.INFINITY, random_nonzero_qqi(rng))[k]
+        out.append(check(f"fiber-zero-{k}", fm.FlatPoint(((QQi(0), QQi(0)),) * s.d),
+                         fm.evaluate(_vanishing_at(rng, s.d, x), x), "common zero"))
     return out
 
 
@@ -703,6 +710,14 @@ def suite_dh_involutions(cfg, rng, entries):
         out.append(check_true(f"equivariance-{i:04d}", lhs == rhs,
                               "involution intertwines scaling with reciprocal "
                               "conjugate scaling", "antiholomorphic involution"))
+    # One order-2 lift reglued by hand: the parts swap, t^j goes to t^(1-j).
+    lift = _random_lift(cfg, rng, 2, 2)
+    a, b = lift.a, lift.b
+    want = ll.LaurentConnection({0: "del"}, {1: a[0], 0: a[1], -1: a[2]},
+                                {1: "dbar"}, {0: b[1], -1: b[2]})
+    out.append(check_true("glue-exponents",
+                          ll.deligne_glue(ll.lift_to_laurent(lift)) == want,
+                          "regluing maps the exponent j to 1 - j", "exponent map"))
     return out
 
 

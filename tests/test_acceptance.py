@@ -405,7 +405,7 @@ def test_acceptance_12_scaling_exponents(verdict):
 #: arithmetic or the suites that alters any record or the config block shows
 #: up here.
 GOLDEN_REPORT_SHA256 = (
-    "e65514e5281d6301b56205ea018a571c32481e552a32c1f60be6c67374342b2a")
+    "8df98ee64e7149f40c8b7c980e3bfe90b9a90edf25aa4e532cda7d734064c87d")
 
 
 def test_acceptance_13_cli_determinism(verdict, tmp_path):

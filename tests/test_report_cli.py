@@ -795,9 +795,9 @@ def _suite_flags(names):
 
 @pytest.mark.parametrize("command, sha256", [
     (_VERIFY_42 + " --cases 25",
-     "962eb2c645b585b8b5ad0924b2117ee9fd288fb85a0b0ac6e09db08e6c4b700b"),
+     "1fa271c8c5a63f5610bca09419fa1f177456c9ba42a3a4a7dd5b5195bf8876aa"),
     (_VERIFY_42 + " --cases 6 --format csv",
-     "63bdfddc205cfcd439f116d32ede57ddc1a455b3c7b35344a46814a5c58ba86f"),
+     "2aaf6f7c7895c337610c1447e4cca05746b922dfbced4ff449470529507fcc17"),
     ("vhs-energy", "f6f62cabf0e9d8705c63a78eb2a20574cde312b7812a2a870138de638f041fd5"),
     ("vhs-energy --format csv",
      "0c63e9760e17b6f29ca296abc9aaf2d9234ad2c60794388a01182bf1cbffb43a"),
@@ -809,13 +809,13 @@ def _suite_flags(names):
     (_FLAT_DEMO + " --format csv",
      "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
     ("verify --seed 7 --cases 10",
-     "5d1c66661703f389367e6c8905e9f4c9dd3ffa44cdcfdb0eef474b5f884d8f43"),
+     "7ea0c43544c80883e831de021cf266881f9efbc7f256cac124a9c87abc62ac66"),
     ("verify --seed 3 --cases 4 --order 6 --modes 3 --rank 4",
-     "c6321109569137389355b485ba7bbf33a66df1f2c54c92c37d6fc0b378644b10"),
+     "77d822b24199dd4be10d7ff1324eaf00a5d535b543306b485d05dfab1a758d6a"),
     (_VERIFY_42 + _suite_flags(_SECTIONS) + " --cases 300",
-     "b7608095a41806ab9b363ab16670e4666630736e33370b4d386fc1e1787757b4"),
+     "ffb63b1c91619aeb9bb22f8fa4608663ba6ee0264a3262cada3a28606db0e849"),
     (_VERIFY_42 + _suite_flags(_LIFTS) + " --order 6 --modes 3 --cases 2",
-     "aeb9e997510356c5d100285145930a1dc7fa10fdcdb5e0dc5314990a8cd9aa79"),
+     "07e273eba6e6e50801ac8f62b71e8ce8208960d1d8801233804d5ccff29e3255"),
 ])
 def test_cli_golden_outputs(tmp_path, command, sha256):
     out = tmp_path / "out"
