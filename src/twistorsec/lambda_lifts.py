@@ -7,6 +7,9 @@ A lift stores the coefficients of the pair of operators
 
 truncated at a fixed order N: the series pair (b, a) with b_0 = 0.  A tangent
 is the same kind of pair without that condition, so one type holds both.
+Every series input is a plain sequence of forms: the two sides of a pair, a
+gauge direction (xi_0, xi_1, ...) and a gauge family (g_1, g_2, ...), whose
+g_0 = 1 is implied.  One helper checks each term of each, and names it.
 Every series operation is exact through order N and raises if a higher order
 is requested.  The slot a_1 is kept (normalized germs have a_1 = 0) because
 circle-fixed lifts built from graded slice data place their grade-0 datum there.
@@ -42,6 +45,20 @@ def _check_coeff(f: MatrixForm, rank, bidegree, what: str):
         raise ValueError(f"{what} has bidegree {f.bidegree}, expected {bidegree}")
 
 
+def _check_series(fs, name: str, bidegree, rank=None, trace_free=False,
+                  start=0) -> tuple:
+    """fs as a tuple, each term name_k (k from start) checked in turn: a
+    MatrixForm, of size rank (the first term's when rank is None), of the
+    bidegree, and trace-free when trace_free is set."""
+    fs = tuple(fs)
+    for k, f in enumerate(fs, start):
+        _check_coeff(f, rank, bidegree, f"{name}_{k}")
+        rank = f.size
+        if trace_free and not trace(f).is_zero:
+            raise ValueError(f"{name}_{k} must be trace-free")
+    return fs
+
+
 class TangentSeries(Record):
     """A pair of truncated series: ``b`` holds the (0,1) forms b_0..b_N and
     ``a`` the (1,0) forms a_0..a_N, all of one size.  As a tangent to the
@@ -50,16 +67,14 @@ class TangentSeries(Record):
 
     __slots__ = _fields = ("b", "a")
     __eq__, __hash__ = object.__eq__, object.__hash__
+    _trace_free = False
 
     def __init__(self, b, a):
         b, a = tuple(b), tuple(a)
         if not b or len(a) != len(b):
             raise ValueError("need coefficients for orders 0..N on each side")
-        _check_coeff(b[0], None, (0, 1), "b_0")  # the type, before its size is read
-        rank = b[0].size
-        for name, fs, bidegree in (("b", b, (0, 1)), ("a", a, (1, 0))):
-            for k, f in enumerate(fs):
-                _check_coeff(f, rank, bidegree, f"{name}_{k}")
+        _check_series(b, "b", (0, 1), trace_free=self._trace_free)
+        _check_series(a, "a", (1, 0), b[0].size, self._trace_free)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
 
@@ -70,11 +85,6 @@ class TangentSeries(Record):
     @property
     def order(self) -> int:
         return len(self.b) - 1
-
-    @classmethod
-    def zero(cls, rank: int, order: int) -> "TangentSeries":
-        return cls(tuple(MatrixForm.zero(rank, (0, 1)) for _ in range(order + 1)),
-                   tuple(MatrixForm.zero(rank, (1, 0)) for _ in range(order + 1)))
 
 
 class LambdaLift(TangentSeries):
@@ -88,15 +98,12 @@ class LambdaLift(TangentSeries):
     """
 
     __slots__ = ()
+    _trace_free = True
 
     def __init__(self, b, a):
         super().__init__(b, a)
         if self.order < 1 or not self.b[0].is_zero:
             raise ValueError("a lift needs order N >= 1 and b_0 = 0")
-        for name, fs, start in (("b", self.b[1:], 1), ("a", self.a, 0)):
-            for k, f in enumerate(fs, start):
-                if not trace(f).is_zero:
-                    raise ValueError(f"lift coefficient {name}_{k} must be trace-free")
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "order": self.order,
@@ -117,44 +124,6 @@ class LambdaLift(TangentSeries):
                              f"{reprlib.repr(doc['order'])} disagree with the forms "
                              f"(rank {lift.rank}, order {lift.order})")
         return lift
-
-
-def make_lift(phi0: MatrixForm, psi=(), order: int = 4) -> LambdaLift:
-    """The lift of the order with a = (Phi, 0, ..., 0) and b = (0, *psi, 0, ...)."""
-    rank = phi0.size
-    if len(psi) > order:
-        raise ValueError("more coefficients than the truncation order")
-    zero_b = MatrixForm.zero(rank, (0, 1))
-    return LambdaLift((zero_b, *psi) + (zero_b,) * (order - len(psi)),
-                      (phi0,) + (MatrixForm.zero(rank, (1, 0)),) * order)
-
-
-class GaugeSeries(Record):
-    """A series of infinitesimal gauge parameters xi_0..xi_N (trace-free
-    functions).  Equal only to itself."""
-
-    __slots__ = _fields = ("xik",)
-    __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, xik):
-        xik = tuple(xik)
-        if not xik:
-            raise ValueError("need gauge coefficients for orders 0..N")
-        _check_coeff(xik[0], None, (0, 0), "xi_0")  # the type, before its size is read
-        rank = xik[0].size
-        for k, f in enumerate(xik):
-            _check_coeff(f, rank, (0, 0), f"xi_{k}")
-            if not trace(f).is_zero:
-                raise ValueError(f"xi_{k} must be trace-free")
-        object.__setattr__(self, "xik", xik)
-
-    @property
-    def rank(self) -> int:
-        return self.xik[0].size
-
-    @property
-    def order(self) -> int:
-        return len(self.xik) - 1
 
 
 def _check_reach(up_to: int, lift: LambdaLift, *ts: TangentSeries):
@@ -203,17 +172,20 @@ def linearized_residuals(lift: LambdaLift, t: TangentSeries, up_to: int):
     return _curvature_terms(t, [(lift.a, t.b), (t.a, lift.b)], up_to)
 
 
-def gauge_tangent(lift: LambdaLift, xi: GaugeSeries) -> TangentSeries:
-    """The tangent series of the infinitesimal gauge action by xi(t).
+def gauge_tangent(lift: LambdaLift, xis) -> TangentSeries:
+    """The tangent series of the infinitesimal gauge action by
+    xi(t) = sum t^k xi_k, given as the trace-free functions (xi_0, xi_1, ...).
 
     b_k = dbar(xi_k) + sum_i [b_i, xi_(k-i)] and
-    a_k = del(xi_(k-1)) + sum_i [a_i, xi_(k-i)], with the lift's b and a.
+    a_k = del(xi_(k-1)) + sum_i [a_i, xi_(k-i)], with the lift's b and a,
+    up to the lower of the two orders.
     """
-    if xi.rank != lift.rank:
-        raise ValueError("gauge parameter rank mismatch")
-    a, b, xs = lift.a, lift.b, xi.xik
+    xs = _check_series(xis, "xi", (0, 0), lift.rank, trace_free=True)
+    if not xs:
+        raise ValueError("need gauge coefficients for orders 0..N")
+    a, b = lift.a, lift.b
     tb, ta = [], []
-    for k in range(min(lift.order, xi.order) + 1):
+    for k in range(min(lift.order + 1, len(xs))):
         tb.append(wedge_sum(dbar(xs[k]), _bracket_terms(b, xs, k)))
         r = del_op(xs[k - 1]) if k else MatrixForm.zero(lift.rank, (1, 0))
         ta.append(wedge_sum(r, _bracket_terms(a, xs, k)))
@@ -366,17 +338,16 @@ def random_pure_grade_form(rng, v: VhsBlockData, k: int, bidegree,
 
 
 def gauge_transform_lift(lift: LambdaLift, gs) -> LambdaLift:
-    """Conjugate the lift by the polynomial gauge family g(t) = 1 + sum t^k g_k.
+    """Conjugate the lift by the polynomial gauge family g(t) = 1 + sum t^k g_k,
+    given as (g_1, g_2, ...); the empty family is the identity.
 
     New dbar-part coefficients: (g^-1 B g + g^-1 dbar g)_k; new D-part:
-    (g^-1 A g + g^-1 t del g)_k.  The family must start at the identity.
+    (g^-1 A g + g^-1 t del g)_k.
     """
-    gs = list(gs)
-    if gs[0] != MatrixForm.identity(lift.rank):
-        raise ValueError("gauge family must start at the identity")
+    gs = _check_series(gs, "g", (0, 0), lift.rank, start=1)
     n = lift.order
     # g_1, ..., g_n; terms missing from a short family count as zero.
-    g_tail = gs[1:n + 1] + [MatrixForm.zero(lift.rank, (0, 0))] * (n + 1 - len(gs))
+    g_tail = gs[:n] + (MatrixForm.zero(lift.rank, (0, 0)),) * (n - len(gs))
 
     def conjugated(xs, dgs):
         # y = x g + dg, then z = g^-1 y as the solution of g z = y.  As

@@ -533,16 +533,15 @@ def suite_gauge_covariance(cfg, rng, entries):
         # only on orders <= depth of the lift, so the lift is drawn to there.
         depth = min(2, cfg.order)
         lift = _random_lift(cfg, rng, size, depth)
-        gs = [tf.MatrixForm.identity(size), _strict_upper(rng, size),
-              _strict_upper(rng, size)]
+        gs = (_strict_upper(rng, size), _strict_upper(rng, size))  # g_1, g_2
         moved = ll.gauge_transform_lift(lift, gs)
         want = ll.integrability_residuals(lift, depth)
         got = ll.integrability_residuals(moved, depth)
         # got = g^-1 want g, checked as g got = want g order by order; the
         # g_0 = 1 term starts each sum.
         agree = all(
-            tf.wedge_sum(got[k], [(1, gs[j], got[k - j]) for j in range(1, k + 1)])
-            == tf.wedge_sum(want[k], [(1, want[k - j], gs[j]) for j in range(1, k + 1)])
+            tf.wedge_sum(got[k], [(1, g, got[k - j]) for j, g in enumerate(gs[:k], 1)])
+            == tf.wedge_sum(want[k], [(1, want[k - j], g) for j, g in enumerate(gs[:k], 1)])
             for k in range(depth + 1))
         out.append(check_true(f"case-{i:04d}", agree,
                               "transformed residuals are the conjugated ones",
@@ -579,12 +578,14 @@ def _trace_adjusted_poly(rng, c_matrix):
 
 
 def _commuting_lift(cfg, rng, size):
+    """An order-1 lift: omega-hat-degeneracy reads orders 0 and 1 only."""
     c_matrix = _random_trace_free(rng, size)
     phi0 = tf.MatrixForm.from_scalar_matrix(c_matrix, (1, 0))
     f = tf.random_fourier_scalar(rng, cfg.mode_bound, 2)
     psi1 = tf.MatrixForm.from_scalar_matrix(
         _trace_adjusted_poly(rng, c_matrix), (0, 1)) * f
-    return ll.make_lift(phi0, psi=[psi1], order=cfg.order), c_matrix
+    return ll.LambdaLift((tf.MatrixForm.zero(size, (0, 1)), psi1),
+                         (phi0, tf.MatrixForm.zero(size, (1, 0)))), c_matrix
 
 
 def _commutant_tangent(cfg, rng, lift, c_matrix):
@@ -594,16 +595,15 @@ def _commutant_tangent(cfg, rng, lift, c_matrix):
     h = tf.random_fourier_scalar(rng, cfg.mode_bound, 2)
     psi_1 = tf.MatrixForm.from_scalar_matrix(
         _trace_adjusted_poly(rng, c_matrix), (0, 1)) * h
-    t = ll.TangentSeries.zero(size, lift.order)
-    return ll.TangentSeries(t.b[:1] + (psi_1,) + t.b[2:], (phi_0,) + t.a[1:])
+    return ll.TangentSeries((tf.MatrixForm.zero(size, (0, 1)), psi_1),
+                            (phi_0, tf.MatrixForm.zero(size, (1, 0))))
 
 
 def _random_gauge(cfg, rng, size):
     """xi_0 and xi_1: omega_hat and d_energy_of_lift read the gauge tangent at
     orders 0 and 1 only, and gauge_tangent stops at the order of xi."""
-    xik = [tf.random_matrix_form(rng, size, (0, 0), cfg.mode_bound, 2,
-                                 trace_free=True) for _ in range(2)]
-    return ll.GaugeSeries(tuple(xik))
+    return [tf.random_matrix_form(rng, size, (0, 0), cfg.mode_bound, 2,
+                                  trace_free=True) for _ in range(2)]
 
 
 def suite_omega_hat_degeneracy(cfg, rng, entries):

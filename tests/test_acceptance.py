@@ -21,12 +21,12 @@ from twistorsec import cli
 from twistorsec import flat_model as fm
 from twistorsec import projline as pl
 from twistorsec import vhs
-from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, TangentSeries,
+from twistorsec.lambda_lifts import (DHPoint, LambdaLift, TangentSeries,
                                      c_star_fixed_lift, c_star_on_point,
                                      circle_field,
                                      deligne_glue, gauge_tangent,
                                      integrability_residuals, lift_to_laurent,
-                                     linearized_residuals, make_lift,
+                                     linearized_residuals,
                                      omega_hat, random_pure_grade_form,
                                      real_involution_dh,
                                      second_variation, xi_matrix_form)
@@ -263,14 +263,15 @@ def test_acceptance_08_stokes_and_gauge_degeneracy(verdict):
         alpha = random_matrix_form(rng, size, (1, 0), mode_bound=3)
         ok = ok and integrate_trace(dbar(alpha)) == QQi(0)
         # An order-one integrable lift from commuting constant coefficients.
-        lift = make_lift(_nilpotent_combo(rng, size, (1, 0)),
-                         psi=[_nilpotent_combo(rng, size, (0, 1))], order=4)
+        phi0 = _nilpotent_combo(rng, size, (1, 0))
+        psi1 = _nilpotent_combo(rng, size, (0, 1))
+        zero_b, zero_a = MatrixForm.zero(size, (0, 1)), MatrixForm.zero(size, (1, 0))
+        lift = LambdaLift((zero_b, psi1) + (zero_b,) * 3, (phi0,) + (zero_a,) * 4)
         res = integrability_residuals(lift, 1)
         ok = ok and res[0].is_zero and res[1].is_zero
-        xi = GaugeSeries(tuple(
-            random_matrix_form(rng, size, (0, 0), mode_bound=3,
-                               trace_free=True) for _ in range(5)))
-        gauge_dir = gauge_tangent(lift, xi)
+        xis = [random_matrix_form(rng, size, (0, 0), mode_bound=3, trace_free=True)
+               for _ in range(5)]
+        gauge_dir = gauge_tangent(lift, xis)
         tangent = TangentSeries((MatrixForm.zero(size, (0, 1)),
                                  _nilpotent_combo(rng, size, (0, 1)))
                                 + tuple(MatrixForm.zero(size, (0, 1))
@@ -323,8 +324,6 @@ def test_acceptance_09_second_variation_weights(verdict):
 
 
 def test_acceptance_10_integrability_oracle(verdict):
-    from twistorsec.lambda_lifts import LambdaLift
-
     rng = random.Random(0xAA)
     ok = True
     for i in range(200):
@@ -371,10 +370,10 @@ def test_acceptance_11_involutions(verdict):
         rhs = c_star_on_point(QQi(1) / zeta.conjugate(), real_involution_dh(p))
         ok = ok and lhs == rhs
     for _ in range(20):
-        lift = make_lift(random_matrix_form(rng, 2, (1, 0), trace_free=True),
-                         psi=[random_matrix_form(rng, 2, (0, 1),
-                                                 trace_free=True)],
-                         order=3)
+        phi0 = random_matrix_form(rng, 2, (1, 0), trace_free=True)
+        psi1 = random_matrix_form(rng, 2, (0, 1), trace_free=True)
+        zero_b, zero_a = MatrixForm.zero(2, (0, 1)), MatrixForm.zero(2, (1, 0))
+        lift = LambdaLift((zero_b, psi1, zero_b, zero_b), (phi0, zero_a, zero_a, zero_a))
         lc = lift_to_laurent(lift)
         ok = ok and deligne_glue(deligne_glue(lc)) == lc
     verdict("11 involutions square to one and intertwine the scaling action",

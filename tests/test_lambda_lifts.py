@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from twistorsec.constants import ENERGY_LIFT_COEFF, XI_SCALAR_PHIPSI
-from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LambdaLift,
+from twistorsec.lambda_lifts import (DHPoint, LambdaLift,
                                      TangentSeries, bb_slice_residual,
                                      c_star_fixed_lift, c_star_on_point,
                                      circle_field,
@@ -22,7 +22,7 @@ from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LambdaLift,
                                      gauge_transform_lift, has_pure_grade,
                                      integrability_residuals,
                                      lift_to_laurent, linearized_residuals,
-                                     make_lift, omega_hat,
+                                     omega_hat,
                                      random_pure_grade_form,
                                      real_involution_chart, real_involution_dh,
                                      second_variation, xi_matrix_form)
@@ -49,6 +49,13 @@ def _commutator(a, b):
 E21_DZ = _const_form([[0, 0], [QQi(1), 0]], (1, 0))
 E12_DZBAR = _const_form([[0, QQi(1)], [0, 0]], (0, 1))
 E12_DZ = _const_form([[0, QQi(1)], [0, 0]], (1, 0))
+ZERO_B, ZERO_A = MatrixForm.zero(2, (0, 1)), MatrixForm.zero(2, (1, 0))
+
+
+def _low_pair(cls, a0=ZERO_A, b1=ZERO_B, order=1):
+    """The rank-2 pair of the order with a = (a0, 0, ..., 0) and
+    b = (0, b1, 0, ..., 0), as a LambdaLift or a TangentSeries."""
+    return cls((ZERO_B, b1) + (ZERO_B,) * (order - 1), (a0,) + (ZERO_A,) * order)
 
 
 def _random_lift(rng, rank=2, order=3):
@@ -72,8 +79,9 @@ def _random_tangent(rng, rank, order, zero_b0=False):
 
 
 def _random_gauge(rng, rank, order):
-    return GaugeSeries(tuple(random_matrix_form(rng, rank, (0, 0), trace_free=True)
-                             for _ in range(order + 1)))
+    """xi_0, ..., xi_order."""
+    return [random_matrix_form(rng, rank, (0, 0), trace_free=True)
+            for _ in range(order + 1)]
 
 
 IDENT = _const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0))
@@ -166,7 +174,7 @@ def test_linearization_along_gauge_directions_is_conjugation():
         for k in range(3):
             expected = MatrixForm.zero(2, (1, 1))
             for i in range(k + 1):
-                expected = expected + _commutator(res[i], xi.xik[k - i])
+                expected = expected + _commutator(res[i], xi[k - i])
             assert lin[k] == expected
 
 
@@ -187,9 +195,8 @@ def test_order_bound_errors():
 def _commuting_lift(c=QQi(1), order=3):
     """Constant Phi = c E21 dz with Psi_1 = c E12-free choice commuting at
     order 1: take Psi_1 proportional to E21 dzbar so [Phi ^ Psi_1] = 0."""
-    phi0 = E21_DZ * c
-    psi1 = _const_form([[0, 0], [c, 0]], (0, 1))
-    return make_lift(phi0, psi=[psi1], order=order)
+    return _low_pair(LambdaLift, E21_DZ * c, _const_form([[0, 0], [c, 0]], (0, 1)),
+                     order)
 
 
 def test_commuting_lift_is_integrable_to_order_one():
@@ -201,9 +208,8 @@ def test_commuting_lift_is_integrable_to_order_one():
 def _commutant_tangent(a, b, order=3):
     """a_0 and b_1 proportional to E21: linearized-integrable through
     order 1 at the commuting lift."""
-    t = TangentSeries.zero(2, order)
-    return TangentSeries(t.b[:1] + (_const_form([[0, 0], [b, 0]], (0, 1)),) + t.b[2:],
-                         (E21_DZ * a,) + t.a[1:])
+    return _low_pair(TangentSeries, E21_DZ * a, _const_form([[0, 0], [b, 0]], (0, 1)),
+                     order)
 
 
 def test_commutant_tangent_solves_linearized_equations():
@@ -217,7 +223,7 @@ def test_commutant_tangent_solves_linearized_equations():
 
 
 def test_energy_of_lift_hand_value():
-    lift = make_lift(E21_DZ, psi=[E12_DZBAR], order=2)
+    lift = _low_pair(LambdaLift, E21_DZ, E12_DZBAR, order=2)
     # tr(E21 E12) = tr(E22) = 1 in the canonical orientation.
     assert energy_of_lift(lift) == QQi(1)
 
@@ -238,10 +244,9 @@ def test_d_energy_is_the_exact_differential():
 def test_omega_hat_hand_value_and_antisymmetry():
     lift = _commuting_lift()
     order = lift.order
-    zero = TangentSeries.zero(2, order)
-    t1 = TangentSeries(zero.b, (E12_DZ,) + zero.a[1:])
-    t2 = TangentSeries((zero.b[0], _const_form([[0, 0], [QQi(1), 0]], (0, 1)))
-                       + zero.b[2:], zero.a)
+    t1 = _low_pair(TangentSeries, a0=E12_DZ, order=order)
+    t2 = _low_pair(TangentSeries, b1=_const_form([[0, 0], [QQi(1), 0]], (0, 1)),
+                   order=order)
     # Only the first pairing survives: -tr(E12 E21) integrated, times the
     # prefactor -i/2.
     assert omega_hat(lift, t1, t2) == QQi(0, Fraction(1, 2))
@@ -272,7 +277,7 @@ def test_energy_gauge_invariance():
     for _ in range(6):
         lift = _commuting_lift(random_qqi(rng))
         uppers = [_strict_upper(rng) for _ in range(lift.order)]
-        moved = gauge_transform_lift(lift, [IDENT] + uppers)
+        moved = gauge_transform_lift(lift, uppers)
         assert energy_of_lift(moved) == energy_of_lift(lift)
 
 
@@ -282,9 +287,9 @@ def test_gauge_transform_against_series_arithmetic():
     # convolutions, coefficient by coefficient.
     rng = random.Random(109)
     lift = _random_lift(rng, order=3)
-    gs = [IDENT, _strict_upper(rng), _strict_upper(rng)]
+    gs = [_strict_upper(rng), _strict_upper(rng)]
     n = lift.order
-    gs_full = gs + [MatrixForm.zero(2, (0, 0))] * (n + 1 - len(gs))
+    gs_full = [IDENT] + gs + [MatrixForm.zero(2, (0, 0))] * (n - len(gs))
 
     def series_mul(xs, ys, bidegree):
         out = []
@@ -306,11 +311,12 @@ def test_gauge_transform_against_series_arithmetic():
         x + y for x, y in zip(series_mul(lift.a, gs_full, (1, 0)), del_g_shifted)]
 
 
-def test_gauge_transform_requires_identity_start():
+def test_gauge_transform_by_the_empty_family_is_the_identity():
+    # g_0 = 1 is implied, so the empty family (g_1, g_2, ...) is g(t) = 1.
     lift = _random_lift(random.Random(3))
-    bad = [random_matrix_form(random.Random(4), 2, (0, 0), trace_free=True)]
-    with pytest.raises(ValueError):
-        gauge_transform_lift(lift, bad)
+    for empty in ([], ()):
+        moved = gauge_transform_lift(lift, empty)
+        assert moved.b == lift.b and moved.a == lift.a
 
 
 def test_gauge_transform_conjugates_curvature():
@@ -318,10 +324,10 @@ def test_gauge_transform_conjugates_curvature():
     # are R' = g^-1 R g, checked as g R' = R g order by order.
     rng = random.Random(110)
     lift = _random_lift(rng, order=2)
-    gs = [IDENT, _strict_lower(rng)]
+    gs = [_strict_lower(rng)]
     moved = gauge_transform_lift(lift, gs)
     n = lift.order
-    gs_full = gs + [MatrixForm.zero(2, (0, 0))] * (n + 1 - len(gs))
+    gs_full = [IDENT] + gs + [MatrixForm.zero(2, (0, 0))] * (n - len(gs))
     res = integrability_residuals(lift, n)
     moved_res = integrability_residuals(moved, n)
     for k in range(n + 1):
@@ -340,12 +346,11 @@ def test_gauge_transform_of_a_truncated_lift_is_the_truncated_transform():
     for rank in (2, 3):
         for _ in range(2):
             lift = _random_lift(rng, rank=rank, order=4)
-            uppers = [MatrixForm((0, 0), [[random_fourier_scalar(rng) if c > r
-                                           else FourierScalar()
-                                           for c in range(rank)]
-                                          for r in range(rank)])
-                      for _ in range(3)]
-            gs = [MatrixForm.identity(rank)] + uppers
+            gs = [MatrixForm((0, 0), [[random_fourier_scalar(rng) if c > r
+                                       else FourierScalar()
+                                       for c in range(rank)]
+                                      for r in range(rank)])
+                  for _ in range(3)]
             moved = gauge_transform_lift(lift, gs)
             for d in (1, 2, 3):
                 cut = LambdaLift(lift.b[:d + 1], lift.a[:d + 1])
@@ -443,7 +448,7 @@ def test_fixed_relations_single_out_the_frozen_xi_scalars():
             if _phipsi_relation_holds(lift, xi, c)] == [XI_SCALAR_PHIPSI]
     # A lift whose Psi_1 is not an eigenvector of the bracket with xi.
     e21_dzbar = _const_form([[0, 0], [QQi(1), 0]], (0, 1))
-    bad = make_lift(E21_DZ, psi=[E12_DZBAR + e21_dzbar], order=3)
+    bad = _low_pair(LambdaLift, E21_DZ, E12_DZBAR + e21_dzbar, order=3)
     assert not any(_dlambda_relation_holds(bad, xi_matrix_form(UNI), c)
                    for c in _XI_CANDIDATES)
 
@@ -451,8 +456,7 @@ def test_fixed_relations_single_out_the_frozen_xi_scalars():
 def test_second_variation_hand_value():
     lift = c_star_fixed_lift(UNI, E21_DZ)
     xi = xi_matrix_form(UNI) * QQi(-1)
-    zero = TangentSeries.zero(2, 1)
-    t = TangentSeries((zero.b[0], E12_DZBAR), (E21_DZ, zero.a[1]))
+    t = _low_pair(TangentSeries, E21_DZ, E12_DZBAR)
     assert second_variation(lift, t, xi) == QQi(2)
     assert QQi(2) * omega_hat(lift, t, circle_field(t)) == QQi(2)
 
@@ -535,7 +539,7 @@ def test_a_lift_read_as_its_own_tangent():
 
 def test_second_variation_precondition_errors():
     lift = c_star_fixed_lift(UNI, E21_DZ)
-    t = TangentSeries.zero(2, 1)
+    t = _low_pair(TangentSeries)
     with pytest.raises(ValueError, match="Phi = "):
         second_variation(lift, t, xi_matrix_form(UNI))  # wrong sign of xi
     bad_xi = MatrixForm(
@@ -587,16 +591,15 @@ def test_energy_ignores_beta_one():
 # -- shapes, serialization, validation ----------------------------------------
 
 
-def test_make_lift_and_accessors():
-    lift = make_lift(E21_DZ, psi=[E12_DZBAR], order=2)
+def test_lift_accessors_and_errors():
+    zero_b, zero_a = ZERO_B, ZERO_A
+    lift = LambdaLift([zero_b, E12_DZBAR, zero_b], [E21_DZ, zero_a, zero_a])
     assert lift.rank == 2 and lift.order == 2
-    # Both parts are series in t: a = (Phi, 0, 0) and b = (0, Psi_1, 0).
-    zero_b, zero_a = MatrixForm.zero(2, (0, 1)), MatrixForm.zero(2, (1, 0))
+    # Both parts are series in t, stored as tuples: a = (Phi, 0, 0) and
+    # b = (0, Psi_1, 0).
     assert lift.a == (E21_DZ, zero_a, zero_a) and lift.b == (zero_b, E12_DZBAR, zero_b)
     # A lift is a series pair that stores (b, a) and nothing else.
     assert isinstance(lift, TangentSeries) and lift._fields == ("b", "a")
-    with pytest.raises(ValueError):
-        make_lift(E21_DZ, psi=[E12_DZBAR] * 3, order=2)
     with pytest.raises(ValueError, match="order N >= 1"):
         LambdaLift((zero_b,), (E21_DZ,))
     with pytest.raises(ValueError, match="orders 0..N"):
@@ -608,8 +611,10 @@ def test_make_lift_and_accessors():
     with pytest.raises(ValueError, match="b_1 has size 3, expected 2"):
         LambdaLift((zero_b, MatrixForm.zero(3, (0, 1))), (E21_DZ, zero_a))
     not_trace_free = _const_form([[QQi(1), 0], [0, QQi(1)]], (1, 0))
-    with pytest.raises(ValueError, match="a_0 must be trace-free"):
-        make_lift(not_trace_free, order=1)
+    with pytest.raises(ValueError, match="^a_0 must be trace-free$"):
+        LambdaLift((zero_b, zero_b), (not_trace_free, zero_a))
+    with pytest.raises(ValueError, match="^b_1 must be trace-free$"):
+        LambdaLift((zero_b, conj_transpose(not_trace_free)), (E21_DZ, zero_a))
 
 
 def test_lift_json_round_trip():
@@ -629,17 +634,34 @@ def test_lift_json_rejects_a_rank_or_order_that_disagrees_with_the_forms():
 
 
 def test_tangent_and_gauge_series_validation():
-    z = TangentSeries.zero(2, 2)
+    z = _low_pair(TangentSeries, order=2)
     assert z.rank == 2 and z.order == 2
-    assert GaugeSeries((MatrixForm.zero(2),)).order == 0
+    # A tangent need not be trace-free, a lift must.
+    TangentSeries((ZERO_B,), (_const_form([[QQi(1), 0], [0, QQi(1)]], (1, 0)),))
     with pytest.raises(ValueError):
         TangentSeries((MatrixForm.zero(2, (0, 1)),), ())
     with pytest.raises(ValueError):
         TangentSeries((), ())
-    with pytest.raises(ValueError):
-        GaugeSeries((_const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0)),))
-    with pytest.raises(ValueError):
-        GaugeSeries(())
+    lift = _random_lift(random.Random(5))
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="orders 0..N"):
+            gauge_tangent(lift, empty)
+
+
+@pytest.mark.parametrize("gauge, terms, message", [
+    (gauge_tangent, (MatrixForm.zero(3),), "xi_0 has size 3, expected 2"),
+    (gauge_tangent, (MatrixForm.zero(2), MatrixForm.zero(2, (1, 0))),
+     r"xi_1 has bidegree \(1, 0\), expected \(0, 0\)"),
+    (gauge_tangent, (MatrixForm.zero(2), IDENT), "xi_1 must be trace-free"),
+    (gauge_transform_lift, (MatrixForm.identity(3),), "g_1 has size 3, expected 2"),
+    (gauge_transform_lift, (IDENT, MatrixForm.zero(2, (0, 1))),
+     r"g_2 has bidegree \(0, 1\), expected \(0, 0\)"),
+])
+def test_gauge_inputs_name_the_term_that_is_wrong(gauge, terms, message):
+    # g_1 = 1 has a trace and is a valid term: only xi must be trace-free.
+    lift = _random_lift(random.Random(6))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gauge(lift, terms)
 
 
 @pytest.mark.parametrize("build, slot", [
@@ -647,11 +669,16 @@ def test_tangent_and_gauge_series_validation():
     (lambda: TangentSeries((E12_DZBAR, "x"), (E21_DZ, E12_DZ)), "b_1"),
     (lambda: TangentSeries((E12_DZBAR, E12_DZBAR), (E21_DZ, None)), "a_1"),
     (lambda: LambdaLift((1,), (1,)), "b_0"),
-    (lambda: GaugeSeries((1,)), "xi_0"),
-    (lambda: GaugeSeries((MatrixForm.zero(2), 1)), "xi_1"),
+    (lambda: gauge_tangent(_random_lift(random.Random(7)), (1,)), "xi_0"),
+    (lambda: gauge_tangent(_random_lift(random.Random(7)), (MatrixForm.zero(2), 1)),
+     "xi_1"),
+    (lambda: gauge_transform_lift(_random_lift(random.Random(7)), (1,)), "g_1"),
+    (lambda: gauge_transform_lift(_random_lift(random.Random(7)), (IDENT, None)),
+     "g_2"),
 ])
 def test_series_constructors_name_the_slot_that_is_not_a_form(build, slot):
-    # The type is checked before the size is read, at every order.
+    # Every series input, a pair side or a gauge direction or family: the
+    # type is checked before the size is read, at every order.
     with pytest.raises(TypeError, match=f"^{slot} must be a MatrixForm$"):
         build()
 

@@ -9,8 +9,8 @@ with equality, and which types can be changed after they are built.
 import pytest
 
 from twistorsec.flat_model import FlatPoint, FlatSection
-from twistorsec.lambda_lifts import (DHPoint, GaugeSeries, LaurentConnection,
-                                     TangentSeries, make_lift)
+from twistorsec.lambda_lifts import (DHPoint, LambdaLift, LaurentConnection,
+                                     TangentSeries)
 from twistorsec.projline import PolySection, Sl2Element
 from twistorsec.report import RunConfig, ReportRecord
 from twistorsec.scalars import QQi
@@ -48,9 +48,8 @@ VALUE_TYPES = {
 
 #: Types whose values are equal only to themselves.
 IDENTITY_TYPES = {
-    "LambdaLift": lambda: make_lift(_zero((1, 0)), order=1),
-    "TangentSeries": lambda: TangentSeries.zero(2, 1),
-    "GaugeSeries": lambda: GaugeSeries([_zero((0, 0))]),
+    "LambdaLift": lambda: LambdaLift((_zero((0, 1)),) * 2, (_zero((1, 0)),) * 2),
+    "TangentSeries": lambda: TangentSeries((_zero((0, 1)),) * 2, (_zero((1, 0)),) * 2),
 }
 
 BUILD = {**{name: build for name, (build, _) in VALUE_TYPES.items()}, **IDENTITY_TYPES}
