@@ -413,8 +413,8 @@ class DHPoint(Record):
     def __init__(self, dbar_coeff: MatrixForm, d_coeff: MatrixForm, lam):
         if not lam:
             raise ValueError("the parameter must be nonzero")
-        if dbar_coeff.bidegree != (0, 1) or d_coeff.bidegree != (1, 0):
-            raise ValueError("coefficient bidegrees must be (0,1) and (1,0)")
+        _check_coeff(dbar_coeff, None, (0, 1), "dbar_coeff")
+        _check_coeff(d_coeff, dbar_coeff.size, (1, 0), "d_coeff")
         object.__setattr__(self, "dbar_coeff", dbar_coeff)
         object.__setattr__(self, "d_coeff", d_coeff)
         object.__setattr__(self, "lam", lam)

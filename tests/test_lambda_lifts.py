@@ -715,6 +715,21 @@ def test_dh_point_basics():
     assert q.dbar_coeff == b and q.d_coeff == a * QQi(0, 1)
 
 
+@pytest.mark.parametrize("b, a, error, message", [
+    (ZERO_B, MatrixForm.zero(3, (1, 0)), ValueError, "d_coeff has size 3, expected 2"),
+    (ZERO_A, ZERO_A, ValueError,
+     r"dbar_coeff has bidegree \(1, 0\), expected \(0, 1\)"),
+    (ZERO_B, ZERO_B, ValueError,
+     r"d_coeff has bidegree \(0, 1\), expected \(1, 0\)"),
+    (1, 2, TypeError, "dbar_coeff must be a MatrixForm"),
+    (ZERO_B, 2, TypeError, "d_coeff must be a MatrixForm"),
+])
+def test_dh_point_checks_its_forms(b, a, error, message):
+    # Each slot is checked as a form, its size against the other slot's.
+    with pytest.raises(error, match=f"^{message}$"):
+        DHPoint(b, a, QQi(1))
+
+
 def test_real_involution_dh_is_involutive():
     rng = random.Random(119)
     for _ in range(5):
