@@ -224,6 +224,24 @@ def suite_moment_map(cfg, rng, entries):
         out.append(check(f"residue-fixed-{k}", QQi(0),
                          fm.residue_form_phi(_zero_rotation_blocks(s), t, l, v),
                          "residue form"))
+    # A moving section (b1 != 0 in block 0) probed at t != 0 along V, the unit
+    # a1 direction of block 0.  With X = (0, -i a2, i b1, 0), X(t) = (-i a2 t,
+    # i b1) and V(t) = (1, 0) in block 0, so omega = dv ^ dxi gives
+    # omega(X(t), V(t)) = (-i a2 t) * 0 - 1 * (i b1) = -i b1.
+    a1, a2, b1, b2 = (random_qqi(rng), random_nonzero_qqi(rng),
+                      random_nonzero_qqi(rng), random_qqi(rng))
+    s = fm.FlatSection(((a1, a2, b1, b2),) + fm.random_section(rng, 1).blocks)
+    t, l = random_nonzero_qqi(rng), random_nonzero_qqi(rng)
+    unit = fm.FlatSection(((QQi(1), QQi(0), QQi(0), QQi(0)), (QQi(0),) * 4))
+    out.append(check("residue-probe", fm.energy(s) * l - QQi(0, 1) * b1,
+                     fm.residue_form_phi(s, t, l, unit), "residue form"))
+    out.append(check("energy-infinity", QQi(0), fm.energy(s) + fm.energy_infinity(s),
+                     "chart change"))
+    # With a2 = 0 but b1 != 0, xi(t^2)/t keeps a pole at t = 0.
+    out.append(check_true("twist-moving-b1",
+                          fm.twist(fm.FlatSection(((a1, QQi(0), b1, b2),))) is None,
+                          "a section with a2 = 0 and b1 != 0 does not twist",
+                          "fixed locus"))
     return out
 
 
@@ -683,6 +701,9 @@ def suite_second_variation_weights(cfg, rng, entries):
         got = ll.second_variation(lift, t, xi)
         want = QQi(2) * ll.omega_hat(lift, t, ll.circle_field(t))
         out.append(check(f"case-{i:04d}", want, got, "two-form against the circle field"))
+        # The energy is bilinear in (Phi, Psi_1), so dE(L, L) = 2 E(L).
+        out.append(check(f"euler-{i:04d}", QQi(2) * ll.energy_of_lift(lift),
+                         ll.d_energy_of_lift(lift, lift), "energy along the lift"))
     return out
 
 

@@ -404,7 +404,7 @@ def test_acceptance_12_scaling_exponents(verdict):
 #: arithmetic or the suites that alters any record or the config block shows
 #: up here.
 GOLDEN_REPORT_SHA256 = (
-    "8df98ee64e7149f40c8b7c980e3bfe90b9a90edf25aa4e532cda7d734064c87d")
+    "d96598893f5a856132e07cb4cf7a71960581ced9b98f426885ff36fe5de78207")
 
 
 def test_acceptance_13_cli_determinism(verdict, tmp_path):

@@ -795,9 +795,9 @@ def _suite_flags(names):
 
 @pytest.mark.parametrize("command, sha256", [
     (_VERIFY_42 + " --cases 25",
-     "1fa271c8c5a63f5610bca09419fa1f177456c9ba42a3a4a7dd5b5195bf8876aa"),
+     "6c31dcfbdcbc776fe54a51292cfc5109b8f952f303a4daa42178727dd6c109e1"),
     (_VERIFY_42 + " --cases 6 --format csv",
-     "2aaf6f7c7895c337610c1447e4cca05746b922dfbced4ff449470529507fcc17"),
+     "815f824d699b7d427dcd91127ff1e77d31a6e486b53a854612d1d42bdc1b4c33"),
     ("vhs-energy", "f6f62cabf0e9d8705c63a78eb2a20574cde312b7812a2a870138de638f041fd5"),
     ("vhs-energy --format csv",
      "0c63e9760e17b6f29ca296abc9aaf2d9234ad2c60794388a01182bf1cbffb43a"),
@@ -809,13 +809,13 @@ def _suite_flags(names):
     (_FLAT_DEMO + " --format csv",
      "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
     ("verify --seed 7 --cases 10",
-     "7ea0c43544c80883e831de021cf266881f9efbc7f256cac124a9c87abc62ac66"),
+     "a6a2a729b2a2419741cccbf04024ad840b6fe908e8e664c1470d536a9b28b335"),
     ("verify --seed 3 --cases 4 --order 6 --modes 3 --rank 4",
-     "77d822b24199dd4be10d7ff1324eaf00a5d535b543306b485d05dfab1a758d6a"),
+     "9b05bfea61c5b07a4928e3eef9f610a50c88256a44dca9c574d9f1953e188684"),
     (_VERIFY_42 + _suite_flags(_SECTIONS) + " --cases 300",
-     "ffb63b1c91619aeb9bb22f8fa4608663ba6ee0264a3262cada3a28606db0e849"),
+     "469baa0d7041ba4193e2f7ea0a36c0dc09c33d84766cbfcd9f6d75cb79d4f933"),
     (_VERIFY_42 + _suite_flags(_LIFTS) + " --order 6 --modes 3 --cases 2",
-     "07e273eba6e6e50801ac8f62b71e8ce8208960d1d8801233804d5ccff29e3255"),
+     "821890fb7b51d3476c8f26b88c073b8b8ce442c43be621bf9e29e62379efc109"),
 ])
 def test_cli_golden_outputs(tmp_path, command, sha256):
     out = tmp_path / "out"
