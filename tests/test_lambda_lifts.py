@@ -85,6 +85,7 @@ def _random_gauge(rng, rank, order):
 
 
 IDENT = _const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0))
+E11 = _const_form([[QQi(1), 0], [0, 0]], (0, 0))
 
 
 def _strict_upper(rng):
@@ -592,29 +593,28 @@ def test_energy_ignores_beta_one():
 
 
 def test_lift_accessors_and_errors():
-    zero_b, zero_a = ZERO_B, ZERO_A
-    lift = LambdaLift([zero_b, E12_DZBAR, zero_b], [E21_DZ, zero_a, zero_a])
+    lift = LambdaLift([ZERO_B, E12_DZBAR, ZERO_B], [E21_DZ, ZERO_A, ZERO_A])
     assert lift.rank == 2 and lift.order == 2
     # Both parts are series in t, stored as tuples: a = (Phi, 0, 0) and
     # b = (0, Psi_1, 0).
-    assert lift.a == (E21_DZ, zero_a, zero_a) and lift.b == (zero_b, E12_DZBAR, zero_b)
+    assert lift.a == (E21_DZ, ZERO_A, ZERO_A) and lift.b == (ZERO_B, E12_DZBAR, ZERO_B)
     # A lift is a series pair that stores (b, a) and nothing else.
     assert isinstance(lift, TangentSeries) and lift._fields == ("b", "a")
     with pytest.raises(ValueError, match="order N >= 1"):
-        LambdaLift((zero_b,), (E21_DZ,))
+        LambdaLift((ZERO_B,), (E21_DZ,))
     with pytest.raises(ValueError, match="orders 0..N"):
-        LambdaLift((zero_b, E12_DZBAR, E12_DZBAR), (E21_DZ, E12_DZ))
+        LambdaLift((ZERO_B, E12_DZBAR, E12_DZBAR), (E21_DZ, E12_DZ))
     with pytest.raises(ValueError, match="b_1 has bidegree"):
-        LambdaLift((zero_b, E12_DZ), (E21_DZ, E12_DZ))
+        LambdaLift((ZERO_B, E12_DZ), (E21_DZ, E12_DZ))
     with pytest.raises(ValueError, match="b_0 = 0"):
         LambdaLift((E12_DZBAR, E12_DZBAR), (E21_DZ, E12_DZ))
     with pytest.raises(ValueError, match="b_1 has size 3, expected 2"):
-        LambdaLift((zero_b, MatrixForm.zero(3, (0, 1))), (E21_DZ, zero_a))
+        LambdaLift((ZERO_B, MatrixForm.zero(3, (0, 1))), (E21_DZ, ZERO_A))
     not_trace_free = _const_form([[QQi(1), 0], [0, QQi(1)]], (1, 0))
     with pytest.raises(ValueError, match="^a_0 must be trace-free$"):
-        LambdaLift((zero_b, zero_b), (not_trace_free, zero_a))
+        LambdaLift((ZERO_B, ZERO_B), (not_trace_free, ZERO_A))
     with pytest.raises(ValueError, match="^b_1 must be trace-free$"):
-        LambdaLift((zero_b, conj_transpose(not_trace_free)), (E21_DZ, zero_a))
+        LambdaLift((ZERO_B, conj_transpose(not_trace_free)), (E21_DZ, ZERO_A))
 
 
 def test_lift_json_round_trip():
@@ -654,11 +654,11 @@ def test_tangent_and_gauge_series_validation():
      r"xi_1 has bidegree \(1, 0\), expected \(0, 0\)"),
     (gauge_tangent, (MatrixForm.zero(2), IDENT), "xi_1 must be trace-free"),
     (gauge_transform_lift, (MatrixForm.identity(3),), "g_1 has size 3, expected 2"),
-    (gauge_transform_lift, (IDENT, MatrixForm.zero(2, (0, 1))),
+    (gauge_transform_lift, (E11, MatrixForm.zero(2, (0, 1))),
      r"g_2 has bidegree \(0, 1\), expected \(0, 0\)"),
 ])
 def test_gauge_inputs_name_the_term_that_is_wrong(gauge, terms, message):
-    # g_1 = 1 has a trace and is a valid term: only xi must be trace-free.
+    # g_1 = E11 has a trace and is a valid term: only xi must be trace-free.
     lift = _random_lift(random.Random(6))
     with pytest.raises(ValueError, match=f"^{message}$"):
         gauge(lift, terms)
@@ -673,7 +673,7 @@ def test_gauge_inputs_name_the_term_that_is_wrong(gauge, terms, message):
     (lambda: gauge_tangent(_random_lift(random.Random(7)), (MatrixForm.zero(2), 1)),
      "xi_1"),
     (lambda: gauge_transform_lift(_random_lift(random.Random(7)), (1,)), "g_1"),
-    (lambda: gauge_transform_lift(_random_lift(random.Random(7)), (IDENT, None)),
+    (lambda: gauge_transform_lift(_random_lift(random.Random(7)), (E11, None)),
      "g_2"),
 ])
 def test_series_constructors_name_the_slot_that_is_not_a_form(build, slot):
