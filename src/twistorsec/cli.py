@@ -113,8 +113,7 @@ def verify_report(config: RunConfig, records) -> str:
     del block["out_path"]  # where the report lands must not change its bytes
     block["exact"] = True  # the arithmetic model; report checkers require it
     head = {"config": block, "summary": summary(records)}
-    rows = [vars(r) for r in records]  # each record's own field dict, not a copy
-    return render_report(config.out_format, RECORD_COLUMNS, rows, "records", head)
+    return render_report(config.out_format, RECORD_COLUMNS, records, "records", head)
 
 
 def _cmd_verify(args) -> int:

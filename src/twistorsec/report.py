@@ -105,26 +105,10 @@ def read_json(path: str):
         raise ValueError(message) from None
 
 
-class ReportRecord(Record):
-    """One verified identity: both sides as strings plus the outcome.
-
-    A record can be changed, so it has no hash.  Its fields live in its
-    instance dict, which a report writes as the record's row.
-    """
-
-    _fields = ("suite", "case", "status", "expected", "actual", "provenance")
-    __setattr__, __hash__ = object.__setattr__, None
-
-    def __init__(self, suite: str, case: str, status: str, expected: str, actual: str,
-                 provenance: str):
-        if status not in ("pass", "fail"):
-            raise ValueError("status must be pass or fail")
-        self.suite, self.case, self.status = suite, case, status
-        self.expected, self.actual, self.provenance = expected, actual, provenance
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
+#: The keys of a verify record, in report order.  A record is a plain dict
+#: with exactly these keys and string values, a row like those of the
+#: dataset tables; its status is "pass" or "fail".
+RECORD_COLUMNS = ("suite", "case", "status", "expected", "actual", "provenance")
 
 
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -138,33 +122,33 @@ def format_value(v) -> str:
     return str(v)
 
 
-def check(case: str, expected, actual, provenance: str) -> ReportRecord:
+def check(case: str, expected, actual, provenance: str) -> dict:
     """Build a record whose status reflects equality of the two sides.
 
     The suite is left empty: ``run_suites`` files the record under the suite
     that returned it.
     """
-    ok = expected == actual
-    return ReportRecord("", case, "pass" if ok else "fail",
-                        format_value(expected), format_value(actual), provenance)
+    return {"suite": "", "case": case,
+            "status": "pass" if expected == actual else "fail",
+            "expected": format_value(expected), "actual": format_value(actual),
+            "provenance": provenance}
 
 
-def check_true(case: str, condition: bool, detail: str,
-               provenance: str) -> ReportRecord:
+def check_true(case: str, condition: bool, detail: str, provenance: str) -> dict:
     """Record for a boolean property; the detail string names the claim."""
-    return ReportRecord("", case, "pass" if condition else "fail",
-                        detail, detail if condition else f"not ({detail})",
-                        provenance)
+    return {"suite": "", "case": case, "status": "pass" if condition else "fail",
+            "expected": detail, "actual": detail if condition else f"not ({detail})",
+            "provenance": provenance}
 
 
 def summary(records) -> dict:
-    passed = sum(1 for r in records if r.passed)
+    passed = sum(1 for r in records if r["status"] == "pass")
     return {"total": len(records), "passed": passed,
             "failed": len(records) - passed}
 
 
 def failing_suites(records):
-    return sorted({r.suite for r in records if not r.passed})
+    return sorted({r["suite"] for r in records if r["status"] != "pass"})
 
 
 def json_text(doc) -> str:
@@ -187,8 +171,6 @@ def csv_text(columns, rows) -> str:
     writer.writerows(rows)
     return buf.getvalue()
 
-
-RECORD_COLUMNS = ReportRecord._fields
 
 # One row of a JSON report as ``json_text`` lays it out at depth two, less its
 # braces: the C encoder writes it, the item separator carrying the indent.

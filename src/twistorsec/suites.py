@@ -24,7 +24,7 @@ from . import torus_forms as tf
 from . import vhs
 from .constants import REALITY_SIGN, XI_SCALAR_PHIPSI
 from .datasets import load_vhs_dataset
-from .report import ReportRecord, check, check_true
+from .report import check, check_true
 from .scalars import QQi, draw, random_nonzero_qqi, random_qqi
 
 _BASIS = {"e": pl.E, "h": pl.H, "f": pl.F}
@@ -826,13 +826,13 @@ def run_suites(config):
             while tb.tb_next:  # the frame that raised
                 tb = tb.tb_next
             code = tb.tb_frame.f_code
-            found = [ReportRecord(
-                "", "error", "fail", "the suite runs to completion",
-                f"{type(err).__name__}: {reprlib.repr(str(err))}",
-                f"raised in {code.co_name} at "
-                f"{os.path.basename(code.co_filename)}:{tb.tb_lineno}")]
-        for r in found:  # suites leave the suite field empty; it is set here
-            r.suite = name
+            found = [{"suite": "", "case": "error", "status": "fail",
+                      "expected": "the suite runs to completion",
+                      "actual": f"{type(err).__name__}: {reprlib.repr(str(err))}",
+                      "provenance": f"raised in {code.co_name} at "
+                      f"{os.path.basename(code.co_filename)}:{tb.tb_lineno}"}]
+        for row in found:  # suites leave the suite empty; it is filed here
+            row["suite"] = name
         records += found
-    records.sort(key=lambda r: (r.suite, r.case))
+    records.sort(key=lambda row: (row["suite"], row["case"]))
     return records

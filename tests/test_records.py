@@ -3,7 +3,7 @@
 Each record type lists its fields once and inherits the rest from
 ``records.Record``.  These tests pin what callers rely on: the repr text that
 reports print, equality within one type over the fields, a hash that agrees
-with equality, and which types can be changed after they are built.
+with equality, and fields that cannot be assigned once a record is built.
 """
 
 import pytest
@@ -12,7 +12,7 @@ from twistorsec.flat_model import FlatPoint, FlatSection
 from twistorsec.lambda_lifts import (DHPoint, LambdaLift, LaurentConnection,
                                      TangentSeries)
 from twistorsec.projline import PolySection, Sl2Element
-from twistorsec.report import RunConfig, ReportRecord
+from twistorsec.report import RunConfig
 from twistorsec.scalars import QQi
 from twistorsec.torus_forms import MatrixForm
 from twistorsec.vhs import VhsBlockData
@@ -42,8 +42,6 @@ VALUE_TYPES = {
                 lambda: DHPoint(_zero((0, 1)), _zero((1, 0)), QQi(3))),
     "RunConfig": (lambda: RunConfig(suites=["stokes"], seed=3),
                   lambda: RunConfig(suites=["stokes"], seed=4)),
-    "ReportRecord": (lambda: ReportRecord("s", "c", "pass", "1", "1", "p"),
-                     lambda: ReportRecord("s", "c", "fail", "1", "2", "p")),
 }
 
 #: Types whose values are equal only to themselves.
@@ -85,10 +83,7 @@ def test_equality_is_over_the_fields_of_one_type(name):
 @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
 def test_equal_values_hash_alike_where_hashable(name):
     value, again = VALUE_TYPES[name][0](), VALUE_TYPES[name][0]()
-    if name == "ReportRecord":  # it can change, so it has no hash
-        with pytest.raises(TypeError):
-            hash(value)
-    elif name == "LaurentConnection":  # its fields are dicts
+    if name == "LaurentConnection":  # its fields are dicts
         with pytest.raises(TypeError, match="dict"):
             hash(value)
     else:
@@ -103,7 +98,7 @@ def test_series_and_lifts_are_equal_only_to_themselves(name):
     assert value != IDENTITY_TYPES[name]()
 
 
-@pytest.mark.parametrize("name", sorted(set(BUILD) - {"ReportRecord"}))
+@pytest.mark.parametrize("name", sorted(BUILD))
 def test_frozen_fields_cannot_be_assigned(name):
     value = BUILD[name]()
     for field in value._fields:
@@ -111,14 +106,6 @@ def test_frozen_fields_cannot_be_assigned(name):
             setattr(value, field, None)
     with pytest.raises(AttributeError):
         value.extra = None
-
-
-def test_a_report_record_can_be_relabelled():
-    record = ReportRecord("", "c", "pass", "1", "1", "p")
-    record.suite = "stokes"
-    assert record.suite == "stokes"
-    assert vars(record) == {"suite": "stokes", "case": "c", "status": "pass",
-                            "expected": "1", "actual": "1", "provenance": "p"}
 
 
 def test_laurent_connections_do_not_share_their_dicts():

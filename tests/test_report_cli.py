@@ -20,9 +20,9 @@ from hypothesis import (HealthCheck, example, given, seed, settings,
 
 from twistorsec import cli, datasets, flat_model, suites
 from twistorsec.datasets import load_vhs_dataset, vhs_energy_table
-from twistorsec.report import (RECORD_COLUMNS, RunConfig, ReportRecord,
-                               atomic_write, check, check_true, failing_suites,
-                               format_value, read_json, render_report, summary)
+from twistorsec.report import (RECORD_COLUMNS, RunConfig, atomic_write, check,
+                               check_true, failing_suites, format_value,
+                               read_json, render_report, summary)
 from twistorsec.scalars import QQi
 from twistorsec.vhs import VhsBlockData, energy_closed, hyperhol_degree
 
@@ -73,24 +73,29 @@ def test_format_value_branches():
     assert doc == v.to_json()
 
 
+_COLUMNS = ("suite", "case", "status", "expected", "actual", "provenance")
+
+
+def _record(*values):
+    """The record with these values of the columns, in order."""
+    return dict(zip(_COLUMNS, values, strict=True))
+
+
 def test_check_and_check_true():
     # A record leaves its suite empty; run_suites files it.
-    good = check("c", QQi(2), QQi(2), "prov")
-    assert good.passed and good.expected == good.actual == "2"
-    assert (good.suite, good.case, good.provenance) == ("", "c", "prov")
-    bad = check("c", QQi(2), QQi(3), "prov")
-    assert not bad.passed and bad.status == "fail"
-    cond = check_true("c", False, "the claim", "prov")
-    assert cond.actual == "not (the claim)" and cond.suite == ""
-    assert check_true("c", True, "the claim", "prov").passed
-    with pytest.raises(ValueError):
-        ReportRecord("s", "c", "maybe", "", "", "")
+    assert check("c", QQi(2), QQi(2), "prov") == _record(
+        "", "c", "pass", "2", "2", "prov")
+    assert check("c", QQi(2), QQi(3), "prov") == _record(
+        "", "c", "fail", "2", "3", "prov")
+    assert check_true("c", False, "the claim", "prov") == _record(
+        "", "c", "fail", "the claim", "not (the claim)", "prov")
+    assert check_true("c", True, "the claim", "prov")["status"] == "pass"
 
 
 def test_record_helpers():
-    records = [ReportRecord("b", "2", "pass", "", "", ""),
-               ReportRecord("a", "1", "fail", "", "", ""),
-               ReportRecord("a", "0", "pass", "", "", "")]
+    records = [_record("b", "2", "pass", "", "", ""),
+               _record("a", "1", "fail", "", "", ""),
+               _record("a", "0", "pass", "", "", "")]
     assert summary(records) == {"total": 3, "passed": 2, "failed": 1}
     assert failing_suites(records) == ["a"]
 
@@ -98,10 +103,8 @@ def test_record_helpers():
 # -- rendering and parsing -----------------------------------------------------
 
 
-SAMPLE = [ReportRecord("beta", "case-1", "pass", "1", "1", "identity A"),
-          ReportRecord("alpha", "case-2", "fail", "0", "1/2", 'quote " comma,')]
-
-_COLUMNS = ("suite", "case", "status", "expected", "actual", "provenance")
+SAMPLE = [_record("beta", "case-1", "pass", "1", "1", "identity A"),
+          _record("alpha", "case-2", "fail", "0", "1/2", 'quote " comma,')]
 
 
 def _read_records(text: str, out_format: str):
@@ -109,20 +112,18 @@ def _read_records(text: str, out_format: str):
     if out_format == "csv":
         rows = list(csv.reader(io.StringIO(text)))
         assert tuple(rows[0]) == _COLUMNS
-        return [ReportRecord(*row) for row in rows[1:]]
-    return [ReportRecord(*(r[c] for c in _COLUMNS))
-            for r in json.loads(text)["records"]]
+        return [_record(*row) for row in rows[1:]]
+    return json.loads(text)["records"]
 
 
 def _render_records(out_format, records):
-    return render_report(out_format, RECORD_COLUMNS, [vars(r) for r in records],
-                         "records")
+    return render_report(out_format, RECORD_COLUMNS, records, "records")
 
 
 def test_render_json_ignores_out_path():
     with_path = RunConfig(suites=["stokes"], out_path="/tmp/x.json")
     without = RunConfig(suites=["stokes"])
-    ordered = sorted(SAMPLE, key=lambda r: (r.suite, r.case))  # as run_suites
+    ordered = sorted(SAMPLE, key=lambda r: (r["suite"], r["case"]))  # as run_suites
     assert (cli.verify_report(with_path, ordered)
             == cli.verify_report(without, ordered))
     text = cli.verify_report(without, ordered)
@@ -191,7 +192,7 @@ def _json_reports(draw):
 @settings(max_examples=100, deadline=None)
 @given(_json_reports())
 @example((("label",), [], "rows", None))
-@example((RECORD_COLUMNS, [vars(r) for r in SAMPLE], "records",
+@example((RECORD_COLUMNS, SAMPLE, "records",
           {"summary": {"total": 2}, "records": [1], "zeta": []}))
 def test_json_rows_match_the_stdlib_encoder(report):
     columns, rows, key, head = report
@@ -233,21 +234,38 @@ def test_run_suites_deterministic():
     first = suites.run_suites(cfg)
     second = suites.run_suites(cfg)
     assert first == second
-    assert first == sorted(first, key=lambda r: (r.suite, r.case))
+    assert first == sorted(first, key=lambda r: (r["suite"], r["case"]))
     # A different seed still verifies, over different samples.
     other = suites.run_suites(RunConfig(suites=["moment-map", "stokes"],
                                         seed=6, cases=4))
-    assert all(r.passed for r in other)
+    assert all(r["status"] == "pass" for r in other)
 
 
 def test_every_suite_passes_smoke():
     cfg = RunConfig(suites=sorted(suites.SUITES), seed=1, cases=2,
                     rank_bound=2)
     records = suites.run_suites(cfg)
-    ran = {r.suite for r in records}
+    ran = {r["suite"] for r in records}
     assert ran == set(suites.SUITES)
-    bad = [r for r in records if not r.passed]
+    bad = [r for r in records if r["status"] != "pass"]
     assert not bad, bad[:3]
+
+
+def test_every_record_is_a_row_of_the_record_columns(monkeypatch):
+    # A record is a plain dict: every suite's, and the <suite>/error record of
+    # a suite that raises, holds exactly the columns, as strings.
+    def raises(config, rng, entries):
+        raise RuntimeError("the suite broke")
+
+    monkeypatch.setitem(suites.SUITES, "zz-raises", raises)
+    records = suites.run_suites(RunConfig(suites=sorted(suites.SUITES), cases=2))
+    assert {r["suite"] for r in records} == set(suites.SUITES)
+    for r in records:
+        assert type(r) is dict and set(r) == set(RECORD_COLUMNS), r
+        assert all(type(v) is str for v in r.values()), r
+        assert r["status"] in ("pass", "fail"), r
+    assert failing_suites(records) == ["zz-raises"]
+    assert [r["case"] for r in records if r["suite"] == "zz-raises"] == ["error"]
 
 
 # -- datasets ------------------------------------------------------------------
@@ -733,11 +751,11 @@ def test_cli_exit_contract_on_arbitrary_json(config, dataset):
             return
         with open(out, encoding="utf-8") as fh:
             records = _read_records(fh.read(), config.get("out_format", "json"))
-        assert (code == 1) == any(not r.passed for r in records)
-        keys = [(r.suite, r.case) for r in records]
+        assert (code == 1) == any(r["status"] != "pass" for r in records)
+        keys = [(r["suite"], r["case"]) for r in records]
         assert len(keys) == len(set(keys))  # one record per identity
         # Every input is checked before a suite runs, so no suite may crash.
-        assert not any(r.case == "error" for r in records)
+        assert not any(r["case"] == "error" for r in records)
 
 
 def test_cli_import_leaves_numpy_unloaded():
