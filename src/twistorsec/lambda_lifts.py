@@ -54,7 +54,7 @@ def _check_series(fs, name: str, bidegree, rank=None, trace_free=False,
     for k, f in enumerate(fs, start):
         _check_coeff(f, rank, bidegree, f"{name}_{k}")
         rank = f.size
-        if trace_free and not trace(f).is_zero:
+        if trace_free and trace(f):
             raise ValueError(f"{name}_{k} must be trace-free")
     return fs
 
@@ -254,8 +254,8 @@ def has_pure_grade(f: MatrixForm, v: VhsBlockData, k: int) -> bool:
     """True when every entry outside the grade-k block positions vanishes."""
     if f.size != v.n:
         return False
-    return all(e.is_zero for row, grade_row in zip(f.entries, grades(v))
-               for e, grade in zip(row, grade_row) if grade != k)
+    return not any(e for row, grade_row in zip(f.entries, grades(v))
+                   for e, grade in zip(row, grade_row) if grade != k)
 
 
 def xi_matrix_form(v: VhsBlockData) -> MatrixForm:
@@ -365,7 +365,11 @@ def gauge_transform_lift(lift: LambdaLift, gs) -> LambdaLift:
     new_b = conjugated(lift.b, [MatrixForm.zero(lift.rank, (0, 1))]
                        + [dbar(g) for g in g_tail])
     new_a = conjugated(lift.a, [zero_a, zero_a] + [del_op(g) for g in g_tail[:n - 1]])
-    return LambdaLift(new_b, new_a)
+    try:
+        return LambdaLift(new_b, new_a)
+    except ValueError as err:  # the result's trace is that of g^-1 dg, d log det g
+        raise ValueError(f"gauge family g: det g(t) must be constant on the torus "
+                         f"({err} in the transformed lift)") from None
 
 
 # -- Laurent regluing and the antiholomorphic involution ----------------------
@@ -405,12 +409,14 @@ def deligne_glue(lc: LaurentConnection) -> LaurentConnection:
 
 class DHPoint(Record):
     """A connection pair at a fixed nonzero parameter: operators
-    (dbar + B, lam*del + A), with B = ``dbar_coeff`` of bidegree (0,1) and
-    A = ``d_coeff`` of bidegree (1,0)."""
+    (dbar + B, lam*del + A), with B = ``dbar_coeff`` of bidegree (0,1),
+    A = ``d_coeff`` of bidegree (1,0) and ``lam`` a ``QQi``."""
 
     __slots__ = _fields = ("dbar_coeff", "d_coeff", "lam")
 
     def __init__(self, dbar_coeff: MatrixForm, d_coeff: MatrixForm, lam):
+        if type(lam) is not QQi:
+            raise TypeError("lam must be a QQi")
         if not lam:
             raise ValueError("the parameter must be nonzero")
         _check_coeff(dbar_coeff, None, (0, 1), "dbar_coeff")

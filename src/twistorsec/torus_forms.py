@@ -80,10 +80,6 @@ class FourierScalar:
     def constant_mode(self):
         return self.modes.get((0, 0), QQi(0))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.modes
-
     def __bool__(self):
         return bool(self.modes)
 
@@ -223,7 +219,7 @@ class MatrixForm(Record):
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
+        return not any(e for row in self.entries for e in row)
 
     # -- serialization --------------------------------------------------------
 

@@ -27,8 +27,8 @@ from twistorsec.lambda_lifts import (DHPoint, LambdaLift,
                                      real_involution_chart, real_involution_dh,
                                      second_variation, xi_matrix_form)
 from twistorsec.scalars import QQi, random_qqi
-from twistorsec.torus_forms import (FourierScalar, MatrixForm, conj_transpose,
-                                    dbar, del_op, integrate_trace,
+from twistorsec.torus_forms import (FS_ZERO, FourierScalar, MatrixForm,
+                                    conj_transpose, dbar, del_op, integrate_trace,
                                     random_fourier_scalar, random_matrix_form,
                                     wedge)
 from twistorsec.vhs import VhsBlockData
@@ -664,6 +664,15 @@ def test_gauge_inputs_name_the_term_that_is_wrong(gauge, terms, message):
         gauge(lift, terms)
 
 
+def test_gauge_transform_names_a_family_of_varying_determinant():
+    # g(t) = 1 + t diag(chi_(1,0), 0) has det 1 + t chi_(1,0), so g^-1 dbar g
+    # gives b_1 a trace: only the output check can see it.
+    g1 = MatrixForm((0, 0), [[FourierScalar.char(1, 0), FS_ZERO], [FS_ZERO, FS_ZERO]])
+    with pytest.raises(ValueError, match=r"^gauge family g: det g\(t\) must be "
+                       r"constant on the torus \(b_1 must be trace-free"):
+        gauge_transform_lift(_low_pair(LambdaLift), (g1,))
+
+
 @pytest.mark.parametrize("build, slot", [
     (lambda: TangentSeries((1,), (1,)), "b_0"),
     (lambda: TangentSeries((E12_DZBAR, "x"), (E21_DZ, E12_DZ)), "b_1"),
@@ -728,6 +737,13 @@ def test_dh_point_checks_its_forms(b, a, error, message):
     # Each slot is checked as a form, its size against the other slot's.
     with pytest.raises(error, match=f"^{message}$"):
         DHPoint(b, a, QQi(1))
+
+
+@pytest.mark.parametrize("lam", [2, 1.5])
+def test_dh_point_takes_only_a_qqi_parameter(lam):
+    # Checked before it is tested for zero: the involution divides by it.
+    with pytest.raises(TypeError, match="^lam must be a QQi$"):
+        DHPoint(ZERO_B, ZERO_A, lam)
 
 
 def test_real_involution_dh_is_involutive():

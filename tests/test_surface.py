@@ -73,7 +73,6 @@ NOT_REACHED = {
     "torus_forms.FourierScalar.__hash__": "a value type hashes like its value",
     "torus_forms.FourierScalar.__repr__": "assertion messages print it",
     "projline._Infinity.__repr__": "assertion messages print it",
-    "torus_forms.FourierScalar.__bool__": "without it every series is truthy",
     "torus_forms.FourierScalar.__setattr__": "the guard that keeps a series "
                                              "immutable",
     "records.Record.__hash__": "a value type hashes like its value",
