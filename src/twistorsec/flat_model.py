@@ -237,6 +237,15 @@ def energy_infinity(s: FlatSection):
     return total
 
 
+def fixed_part(s: FlatSection) -> FlatSection:
+    """Projection onto the circle-fixed locus a2 = b1 = 0: per block (a1, 0, 0, b2).
+
+    The circle acts by (a1, a2/zeta, zeta*b1, b2), so these sections are the
+    fixed ones; on a tangent this is the part the fundamental field kills.
+    """
+    return FlatSection(tuple((a1, QQi(0), QQi(0), b2) for a1, _, _, b2 in s.blocks))
+
+
 def twist(s: FlatSection):
     """t -> t^(-1).s(t^2) when it extends over 0 and infinity, else None.
 
@@ -244,9 +253,7 @@ def twist(s: FlatSection):
     a pole in xi unless b1 = 0; on that fixed locus the twist is the section
     itself.
     """
-    if all(not a2 and not b1 for _, a2, b1, _ in s.blocks):
-        return s
-    return None
+    return s if fixed_part(s) == s else None
 
 
 def residue_form_phi(s: FlatSection, t, l, V: FlatSection):

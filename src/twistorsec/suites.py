@@ -176,11 +176,6 @@ def suite_tau_equivariance(cfg, rng, entries):
     return out
 
 
-def _zero_rotation_blocks(s: fm.FlatSection) -> fm.FlatSection:
-    blocks = tuple((a1, QQi(0), QQi(0), b2) for a1, _, _, b2 in s.blocks)
-    return fm.FlatSection(blocks)
-
-
 def suite_moment_map(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
@@ -189,23 +184,16 @@ def suite_moment_map(cfg, rng, entries):
         lhs = fm.d_energy(s, v)
         rhs = QQi(0, 1) * fm.omega0_killing(s, fm.fundamental_field(s), v)
         out.append(check(f"identity-{i:04d}", rhs, lhs, "energy differential"))
-        fixed = _zero_rotation_blocks(s)
+        fixed = fm.fixed_part(s)
         out.append(check(f"fixed-field-{i:04d}", fm.zero_tangent(s.d),
                          fm.fundamental_field(fixed), "fixed locus"))
         out.append(check(f"fixed-denergy-{i:04d}", QQi(0), fm.d_energy(fixed, v),
                          "fixed locus"))
         if fm.twist(s) is None:  # off the circle-fixed locus
-            probes = []
-            for k, (_, a2, b1, _) in enumerate(s.blocks):
-                if a2:
-                    blocks = [(QQi(0),) * 4] * s.d
-                    blocks[k] = (QQi(0), QQi(0), QQi(1), QQi(0))
-                    probes.append(fm.FlatSection(tuple(blocks)))
-                if b1:
-                    blocks = [(QQi(0),) * 4] * s.d
-                    blocks[k] = (QQi(0), QQi(1), QQi(0), QQi(0))
-                    probes.append(fm.FlatSection(tuple(blocks)))
-            nonzero = any(bool(fm.d_energy(s, p)) for p in probes)
+            # Along V = tau(s), va2 = -conj(b1) and vb1 = -conj(a2) per block,
+            # so d_energy gives dE(s, tau(s)) = -c * sum(|a2|^2 + |b1|^2) with
+            # c = ENERGY_BLOCK_COEFF: nonzero exactly off the fixed locus.
+            nonzero = bool(fm.d_energy(s, fm.real_involution(s)))
             out.append(check_true(f"moving-denergy-{i:04d}", nonzero,
                                   "a probe direction sees a nonzero derivative",
                                   "fixed locus"))
@@ -222,7 +210,7 @@ def suite_moment_map(cfg, rng, entries):
                          "residue form"))
         v = fm.random_section(rng, s.d)
         out.append(check(f"residue-fixed-{k}", QQi(0),
-                         fm.residue_form_phi(_zero_rotation_blocks(s), t, l, v),
+                         fm.residue_form_phi(fm.fixed_part(s), t, l, v),
                          "residue form"))
     # A moving section (b1 != 0 in block 0) probed at t != 0 along V, the unit
     # a1 direction of block 0.  With X = (0, -i a2, i b1, 0), X(t) = (-i a2 t,

@@ -12,9 +12,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from twistorsec.constants import MU_COEFF, REALITY_SIGN
+from twistorsec.constants import ENERGY_BLOCK_COEFF, MU_COEFF, REALITY_SIGN
 from twistorsec.flat_model import (FlatPoint, FlatSection, d_energy, energy,
-                                   energy_infinity, evaluate,
+                                   energy_infinity, evaluate, fixed_part,
                                    fundamental_field, group_action,
                                    holomorphic_metric, moment_map, omega0_killing,
                                    omega0_splitting, random_section,
@@ -322,6 +322,22 @@ def test_twist_examples():
     assert twist(FlatSection(((QQi(1), QQi(2), QQi(3), QQi(4)),))) is None
     assert twist(FlatSection(((QQi(1), QQi(0), QQi(0), QQi(4)),
                               (QQi(0), QQi(1), QQi(0), QQi(0))))) is None
+    assert fixed_part(FlatSection(((QQi(1), QQi(2), QQi(3), QQi(4)),))) == fixed
+
+
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_fixed_part_and_the_tau_direction(d, data):
+    s = data.draw(sections(d))
+    p = fixed_part(s)
+    assert fixed_part(p) == p
+    assert fundamental_field(p) == zero_tangent(d)
+    assert (twist(s) is s) == (p == s) and (twist(s) is None) == (p != s)
+    # tau(s) has va2 = -conj(b1) and vb1 = -conj(a2), so the energy
+    # differential along it is -c * sum(|a2|^2 + |b1|^2).
+    norms = QQi(0)
+    for _, a2, b1, _ in s.blocks:
+        norms = norms + a2 * a2.conjugate() + b1 * b1.conjugate()
+    assert d_energy(s, real_involution(s)) == -ENERGY_BLOCK_COEFF * norms
 
 
 def test_residue_form_examples():
