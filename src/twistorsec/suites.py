@@ -230,6 +230,12 @@ def suite_moment_map(cfg, rng, entries):
                           fm.twist(fm.FlatSection(((a1, QQi(0), b1, b2),))) is None,
                           "a section with a2 = 0 and b1 != 0 does not twist",
                           "fixed locus"))
+    # A section on the fixed locus a2 = b1 = 0, with a1 != 0, is its own
+    # projection and its own twist.
+    on = fm.FlatSection(tuple((random_nonzero_qqi(rng), QQi(0), QQi(0), random_qqi(rng))
+                              for _ in range(2)))
+    out.append(check("on-locus-fixed-part", on, fm.fixed_part(on), "fixed locus"))
+    out.append(check("on-locus-twist", on, fm.twist(on), "fixed locus"))
     return out
 
 

@@ -813,9 +813,9 @@ def _suite_flags(names):
 
 @pytest.mark.parametrize("command, sha256", [
     (_VERIFY_42 + " --cases 25",
-     "6c31dcfbdcbc776fe54a51292cfc5109b8f952f303a4daa42178727dd6c109e1"),
+     "218bf9898ea4f017201893aaa4ba30f0aef5db6fcb255e948b8bdc196f38fbc4"),
     (_VERIFY_42 + " --cases 6 --format csv",
-     "815f824d699b7d427dcd91127ff1e77d31a6e486b53a854612d1d42bdc1b4c33"),
+     "300f81b663cdc35a581838fa3a5cbdde0be003f66be80682517efd3ec68bf54f"),
     ("vhs-energy", "f6f62cabf0e9d8705c63a78eb2a20574cde312b7812a2a870138de638f041fd5"),
     ("vhs-energy --format csv",
      "0c63e9760e17b6f29ca296abc9aaf2d9234ad2c60794388a01182bf1cbffb43a"),
@@ -827,11 +827,11 @@ def _suite_flags(names):
     (_FLAT_DEMO + " --format csv",
      "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
     ("verify --seed 7 --cases 10",
-     "a6a2a729b2a2419741cccbf04024ad840b6fe908e8e664c1470d536a9b28b335"),
+     "dacce725accef07bc305a134644cf4a0b944a1cd95e2f8e0c4ff109e0511663d"),
     ("verify --seed 3 --cases 4 --order 6 --modes 3 --rank 4",
-     "9b05bfea61c5b07a4928e3eef9f610a50c88256a44dca9c574d9f1953e188684"),
+     "faeff76aeeab8588b1237942f4e467dba420f9ea04ebb5d150ceb59af0303d3c"),
     (_VERIFY_42 + _suite_flags(_SECTIONS) + " --cases 300",
-     "469baa0d7041ba4193e2f7ea0a36c0dc09c33d84766cbfcd9f6d75cb79d4f933"),
+     "ee49fba7aa7a338fdf189b722872553e812829a0d2a3b229465046c48f241463"),
     (_VERIFY_42 + _suite_flags(_LIFTS) + " --order 6 --modes 3 --cases 2",
      "821890fb7b51d3476c8f26b88c073b8b8ce442c43be621bf9e29e62379efc109"),
 ])
