@@ -759,6 +759,18 @@ def suite_beta1_independence(cfg, rng, entries):
     out.append(check_true("grafting-residual", residual.is_zero,
                           "constant quadratic-differential slot solves the "
                           "first slice equation", "grafting family"))
+    # The bracket term by hand, on v2 with constant Phi = h E21 dz,
+    # phi_0 = p diag(1, -1) dz and beta_1 = b E12 dzbar.  For two 1-forms
+    # [A ^ B] = (AB - BA) dz ^ dzbar; with A = Phi + phi_0 = ((p, 0), (h, -p))
+    # and B = ((0, b), (0, 0)) that is ((-hb, 2pb), (0, hb)).
+    h, b, p, zero = QQi(2, 1), QQi(Fraction(-1, 3)), QQi(5), QQi(0)
+    residual = ll.bb_slice_residual(
+        v2, tf.MatrixForm.from_scalar_matrix(((zero, zero), (h, zero)), (1, 0)),
+        beta={1: tf.MatrixForm.from_scalar_matrix(((zero, b), (zero, zero)), (0, 1))},
+        phi={0: tf.MatrixForm.from_scalar_matrix(((p, zero), (zero, -p)), (1, 0))})
+    want = tf.MatrixForm.from_scalar_matrix(((-h * b, QQi(2) * p * b), (zero, h * b)),
+                                            (1, 1))
+    out.append(check("bracket-residual", want, residual, "hand value"))
     return out
 
 

@@ -404,7 +404,7 @@ def test_acceptance_12_scaling_exponents(verdict):
 #: arithmetic or the suites that alters any record or the config block shows
 #: up here.
 GOLDEN_REPORT_SHA256 = (
-    "ad0546079fb1e2d42fbf2d33f56370ec744a48ba6883cf15ad2333efa4da44bf")
+    "09713f482d70dbb983e36b920ec4b5058db2eff9734bdf25c808665872f62545")
 
 
 def test_acceptance_13_cli_determinism(verdict, tmp_path):

@@ -813,9 +813,9 @@ def _suite_flags(names):
 
 @pytest.mark.parametrize("command, sha256", [
     (_VERIFY_42 + " --cases 25",
-     "218bf9898ea4f017201893aaa4ba30f0aef5db6fcb255e948b8bdc196f38fbc4"),
+     "14c40faa8989ceffde4a2b5734e3631af002f6f77d73b70d0c6f7c5c9720582b"),
     (_VERIFY_42 + " --cases 6 --format csv",
-     "300f81b663cdc35a581838fa3a5cbdde0be003f66be80682517efd3ec68bf54f"),
+     "a9bc45d07f8828cd45701999baab78b8131b614f862046e257b476bde7d775e8"),
     ("vhs-energy", "f6f62cabf0e9d8705c63a78eb2a20574cde312b7812a2a870138de638f041fd5"),
     ("vhs-energy --format csv",
      "0c63e9760e17b6f29ca296abc9aaf2d9234ad2c60794388a01182bf1cbffb43a"),
@@ -827,13 +827,13 @@ def _suite_flags(names):
     (_FLAT_DEMO + " --format csv",
      "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
     ("verify --seed 7 --cases 10",
-     "dacce725accef07bc305a134644cf4a0b944a1cd95e2f8e0c4ff109e0511663d"),
+     "2529e21899e800c6bc0db70e09e54fec9194115b6245a0cf649df01b1c6d097e"),
     ("verify --seed 3 --cases 4 --order 6 --modes 3 --rank 4",
-     "faeff76aeeab8588b1237942f4e467dba420f9ea04ebb5d150ceb59af0303d3c"),
+     "0058e7985a36d4426ba20b124c6c8150327df4ca769d87e07a38a0ebadb24957"),
     (_VERIFY_42 + _suite_flags(_SECTIONS) + " --cases 300",
      "ee49fba7aa7a338fdf189b722872553e812829a0d2a3b229465046c48f241463"),
     (_VERIFY_42 + _suite_flags(_LIFTS) + " --order 6 --modes 3 --cases 2",
-     "821890fb7b51d3476c8f26b88c073b8b8ce442c43be621bf9e29e62379efc109"),
+     "e646409b9bd475ebc9da79d79a490008cc31372b4b7ac3ccc44435cb5333a31d"),
 ])
 def test_cli_golden_outputs(tmp_path, command, sha256):
     out = tmp_path / "out"
