@@ -22,7 +22,8 @@ from . import lambda_lifts as ll
 from . import projline as pl
 from . import torus_forms as tf
 from . import vhs
-from .constants import REALITY_SIGN, XI_SCALAR_PHIPSI
+from .constants import (ENERGY_LIFT_COEFF, REALITY_SIGN, VOLUME_CONST,
+                        XI_SCALAR_PHIPSI)
 from .datasets import load_vhs_dataset
 from .report import check, check_true
 from .scalars import QQi, draw, random_nonzero_qqi, random_qqi
@@ -698,6 +699,36 @@ def suite_second_variation_weights(cfg, rng, entries):
         # The energy is bilinear in (Phi, Psi_1), so dE(L, L) = 2 E(L).
         out.append(check(f"euler-{i:04d}", QQi(2) * ll.energy_of_lift(lift),
                          ll.d_energy_of_lift(lift, lift), "energy along the lift"))
+    # One fixed lift with constant data in every grade (only the grades
+    # enter), drawn on three rank-1 blocks, so grades -2..2, whatever
+    # cfg.cases is.  In c_star_fixed_lift each t^k coefficient has one grade,
+    # k for b_k and k - 1 for a_k (Phi has grade -1, phi_j sits at t^(j+1)).
+    # xi_0 is constant and brackets grade g as [f, xi_0] = -g f
+    # (Phi = [Phi, xi_0]), so the gauge tangent of (xi_0, 0, ...) maps b_k to
+    # -k b_k and a_k to (1 - k) a_k: the circle field is i times it, the
+    # circle action undone by a gauge motion.  That is G(i xi_0), as G is
+    # linear; G stops at the order of xi, hence the zeros.
+    v = vhs.VhsBlockData((1, 1, 1), (2, 0, -2))
+    higgs = ll.random_pure_grade_form(rng, v, -1, (1, 0), constant=True)
+    beta = {j: ll.random_pure_grade_form(rng, v, j, (0, 1), constant=True)
+            for j in range(1, v.l)}
+    phi = {j: ll.random_pure_grade_form(rng, v, j, (1, 0), constant=True)
+           for j in range(v.l)}
+    lift = ll.c_star_fixed_lift(v, higgs, beta=beta, phi=phi)
+    xis = ([ll.xi_matrix_form(v) * (XI_SCALAR_PHIPSI * QQi(0, 1))]
+           + [tf.MatrixForm.zero(v.n, (0, 0))] * lift.order)
+    field, gauge = ll.circle_field(lift), ll.gauge_tangent(lift, xis)
+    out.append(check_true("fixed-circle", (field.b, field.a) == (gauge.b, gauge.a),
+                          "the circle field is i times the gauge tangent of xi_0 "
+                          "at every order", "circle-fixed lift"))
+    # With no beta and no phi, Psi_1 = conj_transpose(Phi); for Phi = H dz
+    # constant, tr(Phi ^ Psi_1) = tr(H H*) dz ^ dzbar = sum |h_ij|^2 dz ^ dzbar,
+    # which integrates to VOLUME_CONST times that.
+    norm = reduce(add, (h * h.conjugate() for row in higgs.entries
+                        for h in map(tf.FourierScalar.constant_mode, row)))
+    out.append(check("fixed-energy", ENERGY_LIFT_COEFF * VOLUME_CONST * norm,
+                     ll.energy_of_lift(ll.c_star_fixed_lift(v, higgs)),
+                     "circle-fixed lift"))
     return out
 
 

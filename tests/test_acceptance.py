@@ -404,7 +404,7 @@ def test_acceptance_12_scaling_exponents(verdict):
 #: arithmetic or the suites that alters any record or the config block shows
 #: up here.
 GOLDEN_REPORT_SHA256 = (
-    "09713f482d70dbb983e36b920ec4b5058db2eff9734bdf25c808665872f62545")
+    "2095b1b5c669958edc444a4880403c5505fe8d9c50dd296884704c831c81b53a")
 
 
 def test_acceptance_13_cli_determinism(verdict, tmp_path):

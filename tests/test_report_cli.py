@@ -813,9 +813,9 @@ def _suite_flags(names):
 
 @pytest.mark.parametrize("command, sha256", [
     (_VERIFY_42 + " --cases 25",
-     "14c40faa8989ceffde4a2b5734e3631af002f6f77d73b70d0c6f7c5c9720582b"),
+     "a1d24e4c7cd12208fae848be5dcf9590960e29793e1f63e8e0be792ef3a60d01"),
     (_VERIFY_42 + " --cases 6 --format csv",
-     "a9bc45d07f8828cd45701999baab78b8131b614f862046e257b476bde7d775e8"),
+     "d04b44b055530b0583b5f6533151391298b647c222d2597f7f83e51fbd741c72"),
     ("vhs-energy", "f6f62cabf0e9d8705c63a78eb2a20574cde312b7812a2a870138de638f041fd5"),
     ("vhs-energy --format csv",
      "0c63e9760e17b6f29ca296abc9aaf2d9234ad2c60794388a01182bf1cbffb43a"),
@@ -827,13 +827,13 @@ def _suite_flags(names):
     (_FLAT_DEMO + " --format csv",
      "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
     ("verify --seed 7 --cases 10",
-     "2529e21899e800c6bc0db70e09e54fec9194115b6245a0cf649df01b1c6d097e"),
+     "798dbb77aa83c12a43b2e1a7f3f58ee9a971ccc6c9ac024702fcf3b2ec5d7380"),
     ("verify --seed 3 --cases 4 --order 6 --modes 3 --rank 4",
-     "0058e7985a36d4426ba20b124c6c8150327df4ca769d87e07a38a0ebadb24957"),
+     "09b97557b36e4dcbbe8ced3ed3493c5c68809898f8ca2fbbb88badb2d92f21a3"),
     (_VERIFY_42 + _suite_flags(_SECTIONS) + " --cases 300",
      "ee49fba7aa7a338fdf189b722872553e812829a0d2a3b229465046c48f241463"),
     (_VERIFY_42 + _suite_flags(_LIFTS) + " --order 6 --modes 3 --cases 2",
-     "e646409b9bd475ebc9da79d79a490008cc31372b4b7ac3ccc44435cb5333a31d"),
+     "8b60bd67bbc43f44ec6d3d192848d58a4440ac7eb36c39307f5929bca47342f2"),
 ])
 def test_cli_golden_outputs(tmp_path, command, sha256):
     out = tmp_path / "out"
