@@ -8,8 +8,10 @@ mutant must leave the report of ``verify --seed 42 --cases 25`` byte for byte
 as the unmutated package writes it.
 """
 
+import compileall
 import json
 import os
+import py_compile
 import shutil
 import subprocess
 import sys
@@ -27,7 +29,12 @@ def mutate(tmp_path):
     applied (or none), returning the process and the report's bytes."""
     shutil.copytree(PACKAGE, tmp_path / "twistorsec",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    # No bytecode: two mutants of one module may share a size and a second.
+    # Compile the copy once, with pycs checked against the source's hash (two
+    # mutants of one module may share a size and a second): a mutated module
+    # fails the check and is compiled in memory, as nothing is written back.
+    assert compileall.compile_dir(
+        tmp_path / "twistorsec", quiet=1,
+        invalidation_mode=py_compile.PycInvalidationMode.CHECKED_HASH)
     env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
     report = tmp_path / "report.json"
 
@@ -39,8 +46,8 @@ def mutate(tmp_path):
             path.write_text(text.replace(row["old"], row["new"]), encoding="utf-8")
         report.unlink(missing_ok=True)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "twistorsec.cli", "verify", "--seed", "42",
+            proc = subprocess.run(  # -S: the package needs nothing from site
+                [sys.executable, "-S", "-m", "twistorsec.cli", "verify", "--seed", "42",
                  *args, "--out", str(report)],
                 env=env, capture_output=True, text=True, timeout=60)
         finally:
