@@ -10,8 +10,9 @@ is the same kind of pair without that condition, so one type holds both.
 Every series input is a plain sequence of forms: the two sides of a pair, a
 gauge direction (xi_0, xi_1, ...) and a gauge family (g_1, g_2, ...), whose
 g_0 = 1 is implied.  One helper checks each term of each, and names it.
-Every series operation is exact through order N and raises if a higher order
-is requested.  The slot a_1 is kept (normalized germs have a_1 = 0) because
+A gauge direction or family is a polynomial, zero past its last term.  Every
+series operation is exact through the lift's order N, which it reads off the
+lift.  The slot a_1 is kept (normalized germs have a_1 = 0) because
 circle-fixed lifts built from graded slice data place their grade-0 datum there.
 
 On top of the lifts this module provides the curvature-type integrability
@@ -126,70 +127,76 @@ class LambdaLift(TangentSeries):
         return lift
 
 
-def _check_reach(up_to: int, lift: LambdaLift, *ts: TangentSeries):
-    """The lift and each tangent in ts have the lift's rank and reach order up_to >= 0."""
-    if up_to < 0:
-        raise ValueError("order must be >= 0")
+def _check_reach(order: int, lift: LambdaLift, *ts: TangentSeries):
+    """The lift and each tangent in ts have the lift's rank and reach the order."""
     for t in (lift,) + ts:
-        if t.rank != lift.rank or t.order < up_to:
+        if t.rank != lift.rank or t.order < order:
             raise ValueError(f"series must have rank {lift.rank} and reach "
-                             f"order {up_to}")
+                             f"order {order}")
 
 
 def _bracket_terms(xs, ys, k: int) -> list:
-    """The :func:`wedge_sum` terms of sum_i [x_i ^ y_(k-i)], i = 0..k, the t^k
-    coefficient of the graded bracket of the series xs and ys."""
-    return [term for x, y in zip(xs[:k + 1], ys[k::-1]) for term in bracket_terms(x, y)]
+    """The :func:`wedge_sum` terms of sum_j [x_(k-j) ^ y_j], j = 0..k, the t^k
+    coefficient of the graded bracket of the series xs and ys, where ys is
+    zero past its last term."""
+    return [term for j, y in enumerate(ys[:k + 1]) for term in bracket_terms(xs[k - j], y)]
 
 
-def _curvature_terms(t: TangentSeries, pairs, up_to: int) -> list:
-    """t^k coefficients, k = 0..up_to, of dbar(t.a) + t*del(t.b) plus the
-    graded bracket [x ^ y] of every series pair (x, y) in pairs."""
+def _d_series(xs, rank: int, n: int, start: int = 0) -> tuple:
+    """The dbar and t*del series, orders 0..n, of the polynomial
+    sum_k t^(start + k) xs[k] of (0,0) forms, zero past its last term."""
+    zb, za = MatrixForm.zero(rank, (0, 1)), MatrixForm.zero(rank, (1, 0))
+    db = [zb] * start + [dbar(x) for x in xs[:n + 1 - start]]
+    da = [za] * (start + 1) + [del_op(x) for x in xs[:n - start]]
+    return db + [zb] * (n + 1 - len(db)), da + [za] * (n + 1 - len(da))
+
+
+def _curvature_terms(t: TangentSeries, pairs, n: int) -> list:
+    """t^k coefficients, k = 0..n, of dbar(t.a) + t*del(t.b) plus the graded
+    bracket [x ^ y] of every series pair (x, y) in pairs."""
     out = []
-    for k in range(up_to + 1):
+    for k in range(n + 1):
         r = dbar(t.a[k]) + del_op(t.b[k - 1]) if k else dbar(t.a[k])
         out.append(wedge_sum(r, [term for x, y in pairs
                                  for term in _bracket_terms(x, y, k)]))
     return out
 
 
-def integrability_residuals(lift: LambdaLift, up_to: int):
-    """t^k coefficients, k = 0..up_to, of the curvature of the lift.
+def integrability_residuals(lift: LambdaLift):
+    """t^k coefficients, k = 0..N, of the curvature of the lift of order N.
 
     The full curvature is dbar(a(t)) + t*del(b(t)) + [a(t) ^ b(t)]; the
     trivial background contributes nothing (del and dbar commute exactly on
     the mode model).  Order 0 is dbar(a_0); order 1 is
     dbar(a_1) + del(b_0) + [a_0 ^ b_1], with b_0 = 0.
     """
-    _check_reach(up_to, lift)
-    return _curvature_terms(lift, [(lift.a, lift.b)], up_to)
+    return _curvature_terms(lift, [(lift.a, lift.b)], lift.order)
 
 
-def linearized_residuals(lift: LambdaLift, t: TangentSeries, up_to: int):
-    """Linearization of the curvature expansion at the lift, order by order:
-    dbar(t.a) + t*del(t.b) + [lift.a ^ t.b] + [t.a ^ lift.b]."""
-    _check_reach(up_to, lift, t)
-    return _curvature_terms(t, [(lift.a, t.b), (t.a, lift.b)], up_to)
+def linearized_residuals(lift: LambdaLift, t: TangentSeries):
+    """Linearization of the curvature expansion at the lift, t^k coefficients
+    k = 0..N of dbar(t.a) + t*del(t.b) + [lift.a ^ t.b] + [t.a ^ lift.b]; the
+    tangent must have the lift's rank and reach its order N."""
+    _check_reach(lift.order, lift, t)
+    return _curvature_terms(t, [(lift.a, t.b), (t.a, lift.b)], lift.order)
 
 
 def gauge_tangent(lift: LambdaLift, xis) -> TangentSeries:
     """The tangent series of the infinitesimal gauge action by
-    xi(t) = sum t^k xi_k, given as the trace-free functions (xi_0, xi_1, ...).
+    xi(t) = sum t^k xi_k, given as the trace-free functions (xi_0, xi_1, ...),
+    zero past the last one.
 
     b_k = dbar(xi_k) + sum_i [b_i, xi_(k-i)] and
     a_k = del(xi_(k-1)) + sum_i [a_i, xi_(k-i)], with the lift's b and a,
-    up to the lower of the two orders.
+    through the lift's order N.
     """
     xs = _check_series(xis, "xi", (0, 0), lift.rank, trace_free=True)
     if not xs:
         raise ValueError("need gauge coefficients for orders 0..N")
-    a, b = lift.a, lift.b
-    tb, ta = [], []
-    for k in range(min(lift.order + 1, len(xs))):
-        tb.append(wedge_sum(dbar(xs[k]), _bracket_terms(b, xs, k)))
-        r = del_op(xs[k - 1]) if k else MatrixForm.zero(lift.rank, (1, 0))
-        ta.append(wedge_sum(r, _bracket_terms(a, xs, k)))
-    return TangentSeries(tb, ta)
+    db, da = _d_series(xs, lift.rank, lift.order)
+    return TangentSeries(
+        [wedge_sum(r, _bracket_terms(lift.b, xs, k)) for k, r in enumerate(db)],
+        [wedge_sum(r, _bracket_terms(lift.a, xs, k)) for k, r in enumerate(da)])
 
 
 def energy_of_lift(lift: LambdaLift):
@@ -292,10 +299,10 @@ def c_star_fixed_lift(v: VhsBlockData, higgs: MatrixForm, beta=None,
     form of that grade; phi maps grade j >= 0 to a (1,0) form of that grade
     (entering the D-part one t-power higher, so its grade-0 member occupies
     the t^1 slot).  The dbar-part then has t-degree at most l and the D-part
-    at most l + 1, so truncating at order max(4, l + 1) keeps every datum.
+    at most l + 1, so the lift has order l + 1, which keeps every datum.
     """
     beta, phi = _checked_slice_data(v, higgs, beta, phi)
-    n = max(4, v.l + 1)
+    n = v.l + 1
     b = [MatrixForm.zero(v.n, (0, 1)) for _ in range(n + 1)]
     a = [higgs] + [MatrixForm.zero(v.n, (1, 0)) for _ in range(n)]
     b[1] = conj_transpose(higgs)
@@ -345,28 +352,21 @@ def gauge_transform_lift(lift: LambdaLift, gs) -> LambdaLift:
     (g^-1 A g + g^-1 t del g)_k.
     """
     gs = _check_series(gs, "g", (0, 0), lift.rank, start=1)
-    n = lift.order
-    # g_1, ..., g_n; terms missing from a short family count as zero.
-    g_tail = gs[:n] + (MatrixForm.zero(lift.rank, (0, 0)),) * (n - len(gs))
 
     def conjugated(xs, dgs):
         # y = x g + dg, then z = g^-1 y as the solution of g z = y.  As
-        # g_0 = 1, y_k is x_k + dg_k plus the t^(k-1) coefficient of
-        # x (g_1 + t g_2 + ...), and z_k = y_k - sum_(i>=1) g_i z_(k-i);
-        # both sums go into one wedge_sum.
+        # g_0 = 1, y_k = x_k + dg_k + sum_(i>=1) x_(k-i) g_i and
+        # z_k = y_k - sum_(i>=1) g_i z_(k-i); both sums go into one wedge_sum.
         zs = []
-        for k in range(n + 1):
-            zs.append(wedge_sum(xs[k] + dgs[k],
-                                [(1, x, g) for x, g in zip(xs[:k], g_tail[k - 1::-1])]
-                                + [(-1, g, z) for g, z in zip(g_tail, zs[::-1])]))
+        for k, dg in enumerate(dgs):
+            zs.append(wedge_sum(xs[k] + dg,
+                                [(1, xs[k - i], g) for i, g in enumerate(gs[:k], 1)]
+                                + [(-1, g, z) for g, z in zip(gs, zs[::-1])]))
         return zs
 
-    zero_a = MatrixForm.zero(lift.rank, (1, 0))
-    new_b = conjugated(lift.b, [MatrixForm.zero(lift.rank, (0, 1))]
-                       + [dbar(g) for g in g_tail])
-    new_a = conjugated(lift.a, [zero_a, zero_a] + [del_op(g) for g in g_tail[:n - 1]])
+    db, da = _d_series(gs, lift.rank, lift.order, start=1)
     try:
-        return LambdaLift(new_b, new_a)
+        return LambdaLift(conjugated(lift.b, db), conjugated(lift.a, da))
     except ValueError as err:  # the result's trace is that of g^-1 dg, d log det g
         raise ValueError(f"gauge family g: det g(t) must be constant on the torus "
                          f"({err} in the transformed lift)") from None

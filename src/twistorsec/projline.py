@@ -32,22 +32,21 @@ INFINITY = _Infinity()
 
 
 class PolySection(Record):
-    """A section of O(k): polynomial of degree <= k in the 0-chart coordinate."""
+    """A section of O(k): polynomial of degree <= k in the 0-chart coordinate,
+    given by its k + 1 coefficients; ``degree_bound`` is k."""
 
     __slots__ = _fields = ("degree_bound", "coeffs")
 
-    def __init__(self, degree_bound: int, coeffs):
-        if degree_bound < 0:
-            raise ValueError("degree bound must be >= 0")
-        if len(coeffs) != degree_bound + 1:
-            raise ValueError(
-                f"need {degree_bound + 1} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "degree_bound", degree_bound)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
+        if not coeffs:
+            raise ValueError("a section needs at least one coefficient")
+        object.__setattr__(self, "degree_bound", len(coeffs) - 1)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def chart_involution(self) -> "PolySection":
         """The infinity-chart representative (reversed coefficients)."""
-        return PolySection(self.degree_bound, self.coeffs[::-1])
+        return PolySection(self.coeffs[::-1])
 
 
 def wronskian(p: PolySection, q: PolySection):

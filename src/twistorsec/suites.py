@@ -90,31 +90,31 @@ def suite_killing_form(cfg, rng, entries):
 
 
 def _random_degree_one(rng) -> pl.PolySection:
-    return pl.PolySection(1, (random_qqi(rng), random_qqi(rng)))
+    return pl.PolySection((random_qqi(rng), random_qqi(rng)))
 
 
 def suite_wronskian_pairing(cfg, rng, entries):
     out = [check("hand-const-lambda", QQi(1),
-                 pl.wronskian(pl.PolySection(1, (QQi(1), QQi(0))),
-                              pl.PolySection(1, (QQi(0), QQi(1)))), "hand value"),
+                 pl.wronskian(pl.PolySection((QQi(1), QQi(0))),
+                              pl.PolySection((QQi(0), QQi(1)))), "hand value"),
            check("hand-mixed", QQi(-5),
-                 pl.wronskian(pl.PolySection(1, (QQi(2), QQi(3))),
-                              pl.PolySection(1, (QQi(1), QQi(-1)))), "hand value")]
+                 pl.wronskian(pl.PolySection((QQi(2), QQi(3))),
+                              pl.PolySection((QQi(1), QQi(-1)))), "hand value")]
     for i in range(cfg.cases):
         p, q, r = (_random_degree_one(rng) for _ in range(3))
         c = random_qqi(rng)
         out.append(check(f"antisymmetric-{i:04d}", -pl.wronskian(p, q),
                          pl.wronskian(q, p), "bilinear algebra"))
-        lin = pl.PolySection(1, (p.coeffs[0] + c * r.coeffs[0],
-                                 p.coeffs[1] + c * r.coeffs[1]))
+        lin = pl.PolySection((p.coeffs[0] + c * r.coeffs[0],
+                              p.coeffs[1] + c * r.coeffs[1]))
         out.append(check(f"bilinear-{i:04d}",
                          pl.wronskian(p, q) + c * pl.wronskian(r, q),
                          pl.wronskian(lin, q), "bilinear algebra"))
         out.append(check(f"chart-agreement-{i:04d}", pl.wronskian(p, q),
                          pl.wronskian_infinity_chart(p, q), "transition cocycle"))
         if bool(p.coeffs[0]) or bool(p.coeffs[1]):
-            basis = (pl.PolySection(1, (QQi(1), QQi(0))),
-                     pl.PolySection(1, (QQi(0), QQi(1))))
+            basis = (pl.PolySection((QQi(1), QQi(0))),
+                     pl.PolySection((QQi(0), QQi(1))))
             hit = any(bool(pl.wronskian(p, b)) for b in basis)
             out.append(check_true(f"nondegenerate-{i:04d}", hit,
                                   "some basis pairing is nonzero", "bilinear algebra"))
@@ -125,7 +125,7 @@ def suite_chart_involution(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
         k = _cycle(range(7), i)
-        p = pl.PolySection(k, tuple(random_qqi(rng) for _ in range(k + 1)))
+        p = pl.PolySection(tuple(random_qqi(rng) for _ in range(k + 1)))
         back = p.chart_involution().chart_involution()
         out.append(check(f"poly-deg{k}-{i:04d}", p, back, "coefficient reversal"))
     return out
@@ -548,8 +548,8 @@ def suite_gauge_covariance(cfg, rng, entries):
         lift = _random_lift(cfg, rng, size, depth)
         gs = (_strict_upper(rng, size), _strict_upper(rng, size))  # g_1, g_2
         moved = ll.gauge_transform_lift(lift, gs)
-        want = ll.integrability_residuals(lift, depth)
-        got = ll.integrability_residuals(moved, depth)
+        want = ll.integrability_residuals(lift)
+        got = ll.integrability_residuals(moved)
         # got = g^-1 want g, checked as g got = want g order by order; the
         # g_0 = 1 term starts each sum.
         agree = all(
@@ -614,7 +614,7 @@ def _commutant_tangent(cfg, rng, lift, c_matrix):
 
 def _random_gauge(cfg, rng, size):
     """xi_0 and xi_1: omega_hat and d_energy_of_lift read the gauge tangent at
-    orders 0 and 1 only, and gauge_tangent stops at the order of xi."""
+    orders 0 and 1 only, and gauge_tangent takes the later xi_k as zero."""
     return [tf.random_matrix_form(rng, size, (0, 0), cfg.mode_bound, 2,
                                   trace_free=True) for _ in range(2)]
 
@@ -624,13 +624,13 @@ def suite_omega_hat_degeneracy(cfg, rng, entries):
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
         lift, c_matrix = _commuting_lift(cfg, rng, size)
-        res = ll.integrability_residuals(lift, 1)
+        res = ll.integrability_residuals(lift)
         out.append(check_true(f"integrable-{i:04d}", all(r.is_zero for r in res),
                               "commuting data is integrable to order 1",
                               "construction"))
         gauge_dir = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
         flat_dir = _commutant_tangent(cfg, rng, lift, c_matrix)
-        lin = ll.linearized_residuals(lift, flat_dir, 1)
+        lin = ll.linearized_residuals(lift, flat_dir)
         out.append(check_true(f"tangent-flat-{i:04d}", all(r.is_zero for r in lin),
                               "commutant tangent solves the linearized equations",
                               "construction"))
@@ -645,7 +645,7 @@ def suite_omega_hat_degeneracy(cfg, rng, entries):
         size = _cycle(range(2, cfg.rank_bound + 1), k)
         lift, _ = _commuting_lift(cfg, rng, size)
         gauge_dir = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
-        lin = ll.linearized_residuals(lift, gauge_dir, 1)
+        lin = ll.linearized_residuals(lift, gauge_dir)
         out.append(check_true(f"tangent-gauge-{k}", all(r.is_zero for r in lin),
                               "gauge tangent solves the linearized equations",
                               "gauge action"))
@@ -707,7 +707,7 @@ def suite_second_variation_weights(cfg, rng, entries):
     # (Phi = [Phi, xi_0]), so the gauge tangent of (xi_0, 0, ...) maps b_k to
     # -k b_k and a_k to (1 - k) a_k: the circle field is i times it, the
     # circle action undone by a gauge motion.  That is G(i xi_0), as G is
-    # linear; G stops at the order of xi, hence the zeros.
+    # linear; G takes xi_k = 0 for k >= 1.
     v = vhs.VhsBlockData((1, 1, 1), (2, 0, -2))
     higgs = ll.random_pure_grade_form(rng, v, -1, (1, 0), constant=True)
     beta = {j: ll.random_pure_grade_form(rng, v, j, (0, 1), constant=True)
@@ -715,9 +715,8 @@ def suite_second_variation_weights(cfg, rng, entries):
     phi = {j: ll.random_pure_grade_form(rng, v, j, (1, 0), constant=True)
            for j in range(v.l)}
     lift = ll.c_star_fixed_lift(v, higgs, beta=beta, phi=phi)
-    xis = ([ll.xi_matrix_form(v) * (XI_SCALAR_PHIPSI * QQi(0, 1))]
-           + [tf.MatrixForm.zero(v.n, (0, 0))] * lift.order)
-    field, gauge = ll.circle_field(lift), ll.gauge_tangent(lift, xis)
+    xi0 = ll.xi_matrix_form(v) * (XI_SCALAR_PHIPSI * QQi(0, 1))
+    field, gauge = ll.circle_field(lift), ll.gauge_tangent(lift, [xi0])
     out.append(check_true("fixed-circle", (field.b, field.a) == (gauge.b, gauge.a),
                           "the circle field is i times the gauge tangent of xi_0 "
                           "at every order", "circle-fixed lift"))

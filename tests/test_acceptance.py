@@ -267,7 +267,7 @@ def test_acceptance_08_stokes_and_gauge_degeneracy(verdict):
         psi1 = _nilpotent_combo(rng, size, (0, 1))
         zero_b, zero_a = MatrixForm.zero(size, (0, 1)), MatrixForm.zero(size, (1, 0))
         lift = LambdaLift((zero_b, psi1) + (zero_b,) * 3, (phi0,) + (zero_a,) * 4)
-        res = integrability_residuals(lift, 1)
+        res = integrability_residuals(lift)
         ok = ok and res[0].is_zero and res[1].is_zero
         xis = [random_matrix_form(rng, size, (0, 0), mode_bound=3, trace_free=True)
                for _ in range(5)]
@@ -279,7 +279,7 @@ def test_acceptance_08_stokes_and_gauge_degeneracy(verdict):
                                 (_nilpotent_combo(rng, size, (1, 0)),)
                                 + tuple(MatrixForm.zero(size, (1, 0))
                                         for _ in range(4)))
-        lin = linearized_residuals(lift, tangent, 1)
+        lin = linearized_residuals(lift, tangent)
         ok = ok and lin[0].is_zero and lin[1].is_zero
         ok = ok and omega_hat(lift, gauge_dir, tangent) == QQi(0)
     verdict("08 Stokes vanishing and two-form(gauge, integrable) = 0"
@@ -335,7 +335,7 @@ def test_acceptance_10_integrability_oracle(verdict):
                   for _ in range(2))
         lift = LambdaLift((MatrixForm.zero(size, (0, 1)),) + b, (a0,) + a)
         u = random_matrix_form(rng, size, (0, 0))
-        model = integrability_residuals(lift, 1)
+        model = integrability_residuals(lift)
         oracle = composition_residuals(lift, u, 1)
         ok = ok and all(wedge(model[k], u) == oracle[k] for k in range(2))
     verdict("10 curvature orders 0-1 match the operator-composition oracle"

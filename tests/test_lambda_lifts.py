@@ -110,8 +110,8 @@ def test_residuals_match_composition_oracle():
     for _ in range(20):
         lift = _random_lift(rng)
         u = random_matrix_form(rng, 2, (0, 0))
-        model = integrability_residuals(lift, 2)
-        oracle = composition_residuals(lift, u, 2)
+        model = integrability_residuals(lift)
+        oracle = composition_residuals(lift, u, lift.order)
         for r, o in zip(model, oracle):
             assert wedge(r, u) == o
 
@@ -121,15 +121,15 @@ def test_residuals_on_identity_section():
     rng = random.Random(101)
     lift = _random_lift(rng)
     ident = _const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0))
-    oracle = composition_residuals(lift, ident, 2)
-    for r, o in zip(integrability_residuals(lift, 2), oracle):
+    oracle = composition_residuals(lift, ident, lift.order)
+    for r, o in zip(integrability_residuals(lift), oracle):
         assert r == o
 
 
 def test_residual_low_orders_closed_form():
     rng = random.Random(102)
     lift = _random_lift(rng)
-    res = integrability_residuals(lift, 1)
+    res = integrability_residuals(lift)
     a0, a1, b1 = lift.a[0], lift.a[1], lift.b[1]
     assert res[0] == dbar(a0)
     assert res[1] == dbar(a1) + wedge(a0, b1) + wedge(b1, a0)
@@ -152,11 +152,11 @@ def test_linearization_matches_quadratic_extraction():
     for _ in range(15):
         lift = _random_lift(rng)
         t = _random_tangent(rng, 2, lift.order, zero_b0=True)
-        base = integrability_residuals(lift, 2)
-        once = integrability_residuals(_shift(lift, t, QQi(1)), 2)
-        twice = integrability_residuals(_shift(lift, t, QQi(2)), 2)
-        model = linearized_residuals(lift, t, 2)
-        for k in range(3):
+        base = integrability_residuals(lift)
+        once = integrability_residuals(_shift(lift, t, QQi(1)))
+        twice = integrability_residuals(_shift(lift, t, QQi(2)))
+        model = linearized_residuals(lift, t)
+        for k in range(lift.order + 1):
             oracle = ((once[k] * QQi(4) + -twice[k] + base[k] * QQi(-3))
                       * QQi(Fraction(1, 2)))
             assert model[k] == oracle
@@ -170,9 +170,9 @@ def test_linearization_along_gauge_directions_is_conjugation():
         lift = _random_lift(rng)
         xi = _random_gauge(rng, 2, lift.order)
         tangent = gauge_tangent(lift, xi)
-        res = integrability_residuals(lift, lift.order)
-        lin = linearized_residuals(lift, tangent, 2)
-        for k in range(3):
+        res = integrability_residuals(lift)
+        lin = linearized_residuals(lift, tangent)
+        for k in range(lift.order + 1):
             expected = MatrixForm.zero(2, (1, 1))
             for i in range(k + 1):
                 expected = expected + _commutator(res[i], xi[k - i])
@@ -180,14 +180,15 @@ def test_linearization_along_gauge_directions_is_conjugation():
 
 
 def test_order_bound_errors():
+    # The residuals run through the lift's order N, and the tangent of the
+    # linearization must have the lift's rank and reach N.
     lift = _random_lift(random.Random(0), order=2)
-    with pytest.raises(ValueError):
-        integrability_residuals(lift, 3)
-    with pytest.raises(ValueError):
-        integrability_residuals(lift, -1)
     t = _random_tangent(random.Random(1), 2, 1)
-    with pytest.raises(ValueError, match="reach order 2"):
-        linearized_residuals(lift, t, 2)
+    with pytest.raises(ValueError, match="rank 2 and reach order 2"):
+        linearized_residuals(lift, t)
+    t = _random_tangent(random.Random(1), 3, 2)
+    with pytest.raises(ValueError, match="rank 2 and reach order 2"):
+        linearized_residuals(lift, t)
 
 
 # -- a lift integrable through order one --------------------------------------
@@ -202,7 +203,7 @@ def _commuting_lift(c=QQi(1), order=3):
 
 def test_commuting_lift_is_integrable_to_order_one():
     lift = _commuting_lift(QQi(2, 1))
-    res = integrability_residuals(lift, 1)
+    res = integrability_residuals(lift)
     assert res[0].is_zero and res[1].is_zero
 
 
@@ -216,7 +217,7 @@ def _commutant_tangent(a, b, order=3):
 def test_commutant_tangent_solves_linearized_equations():
     lift = _commuting_lift(QQi(3))
     t = _commutant_tangent(QQi(1, 2), QQi(0, -1))
-    lin = linearized_residuals(lift, t, 1)
+    lin = linearized_residuals(lift, t)
     assert lin[0].is_zero and lin[1].is_zero
 
 
@@ -329,8 +330,8 @@ def test_gauge_transform_conjugates_curvature():
     moved = gauge_transform_lift(lift, gs)
     n = lift.order
     gs_full = [IDENT] + gs + [MatrixForm.zero(2, (0, 0))] * (n - len(gs))
-    res = integrability_residuals(lift, n)
-    moved_res = integrability_residuals(moved, n)
+    res = integrability_residuals(lift)
+    moved_res = integrability_residuals(moved)
     for k in range(n + 1):
         lhs = rhs = MatrixForm.zero(2, (1, 1))
         for i in range(k + 1):
@@ -360,6 +361,43 @@ def test_gauge_transform_of_a_truncated_lift_is_the_truncated_transform():
                 assert cut_moved.b == moved.b[:d + 1]
 
 
+def _strict_upper_of_rank(rng, rank):
+    return MatrixForm((0, 0), [[random_fourier_scalar(rng) if c > r else FS_ZERO
+                                for c in range(rank)] for r in range(rank)])
+
+
+def test_gauge_inputs_are_polynomials():
+    # A gauge direction xi or family g is zero past its last term: zero
+    # terms appended to it change nothing, and the result has the lift's
+    # order whatever the length of the input.
+    rng = random.Random(124)
+    for rank in (2, 3):
+        for order in (1, 3):
+            lift = _random_lift(rng, rank=rank, order=order)
+            zeros = [MatrixForm.zero(rank)] * (order + 2)
+            for count in (1, 2):
+                xs = _random_gauge(rng, rank, count - 1)
+                short, padded = gauge_tangent(lift, xs), gauge_tangent(lift, xs + zeros)
+                assert short.order == padded.order == order
+                assert short.b == padded.b and short.a == padded.a
+                gs = [_strict_upper_of_rank(rng, rank) for _ in range(count)]
+                moved = gauge_transform_lift(lift, gs)
+                moved_padded = gauge_transform_lift(lift, gs + zeros)
+                assert moved.order == moved_padded.order == order
+                assert moved.b == moved_padded.b and moved.a == moved_padded.a
+
+
+def test_residuals_run_through_the_lift_order():
+    # N + 1 forms, t^0..t^N, for a lift of order N; the linearization stops
+    # there too along a tangent that reaches further.
+    rng = random.Random(125)
+    for order in (1, 2, 4):
+        lift = _random_lift(rng, order=order)
+        assert len(integrability_residuals(lift)) == order + 1
+        tangent = _random_tangent(rng, 2, order + 1)
+        assert len(linearized_residuals(lift, tangent)) == order + 1
+
+
 # -- circle-fixed lifts from graded data --------------------------------------
 
 UNI = VhsBlockData((1, 1), (1, -1), label="uniformizing-like")
@@ -367,7 +405,8 @@ UNI = VhsBlockData((1, 1), (1, -1), label="uniformizing-like")
 
 def test_fixed_lift_layout():
     lift = c_star_fixed_lift(UNI, E21_DZ)
-    assert lift.rank == 2 and lift.order == 4
+    # UNI has l = 2 blocks, so the lift has order l + 1 = 3.
+    assert lift.rank == 2 and lift.order == 3
     # dbar-part: the adjoint of the Higgs field sits at t^1.
     assert lift.b[1] == E12_DZBAR
     assert all(f.is_zero for f in lift.b[2:]) and lift.b[0].is_zero
@@ -528,8 +567,8 @@ def test_a_lift_read_as_its_own_tangent():
         energy = energy_of_lift(lift)
         assert d_energy_of_lift(lift, lift) == QQi(2) * energy
         nonzero += bool(energy)
-        res = integrability_residuals(lift, 3)
-        lin = linearized_residuals(lift, lift, 3)
+        res = integrability_residuals(lift)
+        lin = linearized_residuals(lift, lift)
         for k in range(4):
             linear = dbar(lift.a[k])
             if k:
@@ -653,7 +692,8 @@ def test_tangent_and_gauge_series_validation():
     (gauge_tangent, (MatrixForm.zero(2), MatrixForm.zero(2, (1, 0))),
      r"xi_1 has bidegree \(1, 0\), expected \(0, 0\)"),
     (gauge_tangent, (MatrixForm.zero(2), IDENT), "xi_1 must be trace-free"),
-    (gauge_transform_lift, (MatrixForm.identity(3),), "g_1 has size 3, expected 2"),
+    (gauge_transform_lift, (_const_form([[QQi(1), 0, 0], [0, QQi(1), 0], [0, 0, QQi(1)]],
+                                        (0, 0)),), "g_1 has size 3, expected 2"),
     (gauge_transform_lift, (E11, MatrixForm.zero(2, (0, 1))),
      r"g_2 has bidegree \(0, 1\), expected \(0, 0\)"),
 ])

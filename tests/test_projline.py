@@ -86,7 +86,7 @@ def test_killing_invariance(a, b, c):
 @given(st.integers(min_value=0, max_value=6), st.data())
 def test_chart_involution_is_an_involution(k, data):
     coeffs = data.draw(st.lists(qqis, min_size=k + 1, max_size=k + 1))
-    p = PolySection(k, tuple(coeffs))
+    p = PolySection(coeffs)
     assert p.chart_involution().chart_involution() == p
 
 
@@ -102,15 +102,15 @@ def _horner(coeffs, t):
 def test_chart_involution_value_law(k, data):
     coeffs = data.draw(st.lists(qqis, min_size=k + 1, max_size=k + 1))
     t = data.draw(qqis.filter(bool))
-    p = PolySection(k, tuple(coeffs))
+    p = PolySection(coeffs)
     t_power_k = _horner((QQi(0),) * k + (QQi(1),), t)
     assert (_horner(p.chart_involution().coeffs, t)
             == t_power_k * _horner(p.coeffs, QQi(1) / t))
 
 
 def test_wronskian_hand_value():
-    p = PolySection(1, (QQi(1), QQi(2)))
-    q = PolySection(1, (QQi(3), QQi(4)))
+    p = PolySection((QQi(1), QQi(2)))
+    q = PolySection((QQi(3), QQi(4)))
     assert wronskian(p, q) == QQi(-2)
     assert wronskian(q, p) == QQi(2)
     assert wronskian(p, p) == QQi(0)
@@ -118,18 +118,19 @@ def test_wronskian_hand_value():
 
 @given(st.lists(qqis, min_size=4, max_size=4))
 def test_wronskian_chart_independence(vals):
-    p = PolySection(1, (vals[0], vals[1]))
-    q = PolySection(1, (vals[2], vals[3]))
+    p = PolySection(vals[:2])
+    q = PolySection(vals[2:])
     assert wronskian_infinity_chart(p, q) == wronskian(p, q)
 
 
 def test_wronskian_rejects_higher_degree():
     with pytest.raises(ValueError):
-        wronskian(PolySection(2, (1, 2, 3)), PolySection(1, (1, 2)))
+        wronskian(PolySection((1, 2, 3)), PolySection((1, 2)))
 
 
 def test_poly_section_validation():
-    with pytest.raises(ValueError):
-        PolySection(1, (1, 2, 3))
-    with pytest.raises(ValueError):
-        PolySection(-1, ())
+    # The degree bound is read off the coefficients: k + 1 of them for O(k).
+    assert PolySection((QQi(1), QQi(2), QQi(3))).degree_bound == 2
+    assert PolySection([QQi(5)]).coeffs == (QQi(5),)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        PolySection(())

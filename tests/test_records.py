@@ -25,8 +25,8 @@ def _zero(bidegree):
 #: For each type with field equality: a builder of one value, and a builder
 #: of a value that differs from it in one field.
 VALUE_TYPES = {
-    "PolySection": (lambda: PolySection(1, [QQi(1), QQi(2)]),
-                    lambda: PolySection(1, [QQi(1), QQi(3)])),
+    "PolySection": (lambda: PolySection([QQi(1), QQi(2)]),
+                    lambda: PolySection([QQi(1), QQi(3)])),
     "Sl2Element": (lambda: Sl2Element(QQi(1), QQi(0, 1), QQi(-1)),
                    lambda: Sl2Element(QQi(1), QQi(0, 1), QQi(1))),
     "FlatPoint": (lambda: FlatPoint([[QQi(1), QQi(2)]]),
@@ -35,7 +35,8 @@ VALUE_TYPES = {
                     lambda: FlatSection([[QQi(1), QQi(2), QQi(3), QQi(5)]])),
     "VhsBlockData": (lambda: VhsBlockData([1, 1], ["1/2", "-1/2"], "a"),
                      lambda: VhsBlockData([1, 1], ["1/2", "-1/2"], "a", "b")),
-    "MatrixForm": (lambda: MatrixForm.identity(2), lambda: _zero((0, 0))),
+    "MatrixForm": (lambda: MatrixForm.from_scalar_matrix([[QQi(1), 0], [0, QQi(1)]]),
+                   lambda: _zero((0, 0))),
     "LaurentConnection": (lambda: LaurentConnection({0: "dbar"}),
                           lambda: LaurentConnection({1: "dbar"})),
     "DHPoint": (lambda: DHPoint(_zero((0, 1)), _zero((1, 0)), QQi(2)),
@@ -54,7 +55,7 @@ BUILD = {**{name: build for name, (build, _) in VALUE_TYPES.items()}, **IDENTITY
 
 
 def test_reprs_are_the_report_text():
-    assert repr(PolySection(0, (QQi(8, -4),))) == (
+    assert repr(PolySection((QQi(8, -4),))) == (
         "PolySection(degree_bound=0, coeffs=(QQi('8-4i'),))")
     assert repr(Sl2Element(QQi(1), QQi(0, 1), QQi(-1))) == (
         "Sl2Element(a_e=QQi('1'), a_h=QQi('0+1i'), a_f=QQi('-1'))")
