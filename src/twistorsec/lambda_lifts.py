@@ -321,10 +321,7 @@ def bb_slice_residual(v: VhsBlockData, higgs: MatrixForm, beta=None, phi=None):
     beta, phi = _checked_slice_data(v, higgs, beta, phi)
     beta_total = sum((f for _, f in sorted(beta.items())), MatrixForm.zero(v.n, (0, 1)))
     phi_total = sum((f for _, f in sorted(phi.items())), MatrixForm.zero(v.n, (1, 0)))
-    r1 = dbar(phi_total)
-    if not beta_total.is_zero:
-        r1 = r1 + wedge_bracket(higgs + phi_total, beta_total)
-    return r1
+    return wedge_sum(dbar(phi_total), bracket_terms(higgs + phi_total, beta_total))
 
 
 def random_pure_grade_form(rng, v: VhsBlockData, k: int, bidegree,

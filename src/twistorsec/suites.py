@@ -453,7 +453,7 @@ def suite_d_squared(cfg, rng, entries):
         out.append(check_true(f"mixed-{i:04d}", _dbar_del_sum(f).is_zero,
                               "dbar del + del dbar annihilates functions",
                               "mode symbols"))
-    const = tf.MatrixForm.identity(2) * QQi(3)
+    const = tf.MatrixForm.from_scalar_matrix(((QQi(3), QQi(0)), (QQi(0), QQi(3))))
     out.append(check_true("mixed-constant", _dbar_del_sum(const).is_zero,
                           "dbar del + del dbar annihilates constants",
                           "mode symbols"))

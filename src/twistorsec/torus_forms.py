@@ -189,11 +189,6 @@ class MatrixForm(Record):
         return cls(bidegree, ((FS_ZERO,) * size,) * size)
 
     @classmethod
-    def identity(cls, size: int) -> "MatrixForm":
-        return cls.from_scalar_matrix([[QQi(int(r == c)) for c in range(size)]
-                                       for r in range(size)])
-
-    @classmethod
     def from_scalar_matrix(cls, matrix, bidegree=(0, 0)) -> "MatrixForm":
         """Constant-coefficient form from the rows of a plain scalar matrix."""
         rows = _map_rows(matrix, lambda c: FourierScalar.const(c) if c else FS_ZERO)
@@ -398,6 +393,6 @@ def random_matrix_form(rng, size: int, bidegree=(0, 0), mode_bound: int = 2,
         raise ValueError(f"bad bidegree {bidegree}")
     ent = [[random_fourier_scalar(rng, mode_bound, terms) for _ in range(size)]
            for _ in range(size)]
-    if trace_free and size > 0:
+    if trace_free:
         ent[-1][-1] = -sum((ent[i][i] for i in range(size - 1)), FS_ZERO)
     return _mf(bidegree, tuple(map(tuple, ent)))
