@@ -34,10 +34,10 @@ class FlatPoint(Record):
     __slots__ = _fields = ("coords",)
 
     def __init__(self, coords):
-        coords = tuple(tuple(pair) for pair in coords)
+        coords = tuple(map(tuple, coords))
         if len(coords) < 1:
             raise ValueError("need at least one quaternionic block")
-        if any(len(pair) != 2 for pair in coords):
+        if set(map(len, coords)) != {2}:
             raise ValueError("coordinates are (z, w) pairs")
         object.__setattr__(self, "coords", coords)
 
@@ -51,10 +51,10 @@ class FlatSection(Record):
     __slots__ = _fields = ("blocks",)
 
     def __init__(self, blocks):
-        blocks = tuple(tuple(q) for q in blocks)
+        blocks = tuple(map(tuple, blocks))
         if len(blocks) < 1:
             raise ValueError("need at least one quaternionic block")
-        if any(len(q) != 4 for q in blocks):
+        if set(map(len, blocks)) != {4}:
             raise ValueError("blocks are quadruples (a1, a2, b1, b2)")
         object.__setattr__(self, "blocks", blocks)
 
