@@ -277,6 +277,14 @@ def suite_evaluation_fiber(cfg, rng, entries):
         x = (QQi(0), pl.INFINITY, random_nonzero_qqi(rng))[k]
         out.append(check(f"fiber-zero-{k}", fm.FlatPoint(((QQi(0), QQi(0)),) * s.d),
                          fm.evaluate(_vanishing_at(rng, s.d, x), x), "common zero"))
+    # The splitting construction of Omega_0 against the Killing pairing, at
+    # general tangents where both are nonzero: three draws, whatever
+    # cfg.cases is.
+    for k in range(3):
+        s = _random_flat(rng, k)
+        v, w = fm.random_section(rng, s.d), fm.random_section(rng, s.d)
+        out.append(check(f"split-{k}", fm.omega0_killing(s, v, w),
+                         fm.omega0_splitting(s, v, w), "two constructions"))
     return out
 
 

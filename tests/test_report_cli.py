@@ -813,9 +813,9 @@ def _suite_flags(names):
 
 @pytest.mark.parametrize("command, sha256", [
     (_VERIFY_42 + " --cases 25",
-     "a1d24e4c7cd12208fae848be5dcf9590960e29793e1f63e8e0be792ef3a60d01"),
+     "9c385f71908a81f3f6293b13fe428fdcff9f56fa1d59d772bf10cc25b1dacd96"),
     (_VERIFY_42 + " --cases 6 --format csv",
-     "d04b44b055530b0583b5f6533151391298b647c222d2597f7f83e51fbd741c72"),
+     "49c800f3ec781d548cb4ce884f2f61e219f7b577b9e60dd89daea0a867924eaa"),
     ("vhs-energy", "f6f62cabf0e9d8705c63a78eb2a20574cde312b7812a2a870138de638f041fd5"),
     ("vhs-energy --format csv",
      "0c63e9760e17b6f29ca296abc9aaf2d9234ad2c60794388a01182bf1cbffb43a"),
@@ -827,11 +827,11 @@ def _suite_flags(names):
     (_FLAT_DEMO + " --format csv",
      "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
     ("verify --seed 7 --cases 10",
-     "798dbb77aa83c12a43b2e1a7f3f58ee9a971ccc6c9ac024702fcf3b2ec5d7380"),
+     "7c42f14705f9ce2f71e5e10bf77c06ddc9a6e4a87c3c4765aa18145177af58d6"),
     ("verify --seed 3 --cases 4 --order 6 --modes 3 --rank 4",
-     "09b97557b36e4dcbbe8ced3ed3493c5c68809898f8ca2fbbb88badb2d92f21a3"),
+     "d093b5a9c62fdab237b00496d099f96eacf5153684dfb1e25ffe0d915de1dd8f"),
     (_VERIFY_42 + _suite_flags(_SECTIONS) + " --cases 300",
-     "ee49fba7aa7a338fdf189b722872553e812829a0d2a3b229465046c48f241463"),
+     "6d99c1f8c06626bb8659a33493e542668fc6be1d2ad8ef50dd54b865692e7275"),
     (_VERIFY_42 + _suite_flags(_LIFTS) + " --order 6 --modes 3 --cases 2",
      "8b60bd67bbc43f44ec6d3d192848d58a4440ac7eb36c39307f5929bca47342f2"),
 ])
