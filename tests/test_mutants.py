@@ -2,8 +2,9 @@
 
 ``mutants.json`` holds one row per mutant: the module, the exact old text
 (found once in that module) and its replacement, and either the suite that
-must fail with the fewest ``--cases`` that catch it, or, with ``suite`` null,
-a note saying why the mutant is inert or still escapes ``verify``.  An inert
+must fail with the fewest ``--cases`` that catch it (so it passes with one
+case less), or, with ``suite`` null, a note saying why the mutant is inert
+or still escapes ``verify``.  An inert
 mutant must leave the report of ``verify --seed 42 --cases 25`` byte for byte
 as the unmutated package writes it.
 """
@@ -68,6 +69,9 @@ def test_every_live_mutant_fails_its_suite(mutate):
         proc, _ = mutate(row, "--suite", row["suite"], "--cases", str(row["cases"]))
         assert proc.returncode == 1, (row["note"], proc.stderr)
         assert row["suite"] in proc.stderr.split(), (row["note"], proc.stderr)
+        if row["cases"]:  # the fewest: one case less lets the mutant through
+            proc, _ = mutate(row, "--suite", row["suite"], "--cases", str(row["cases"] - 1))
+            assert proc.returncode == 0, (row["note"], "caught with fewer cases")
 
 
 def test_every_inert_mutant_keeps_the_report(mutate):
