@@ -393,29 +393,23 @@ def suite_det_exponent(cfg, rng, entries):
     return out
 
 
-def _random_graded_matrix(rng, v, k):
-    """Rows of a matrix with random grade-k entries and zeros elsewhere.
-
-    Each block row holds at most one grade-k block, so the row-major draws
-    fall block by block, in the order of the block rows.
-    """
-    zero = QQi(0)
-    return [[random_qqi(rng) if grade == k else zero for grade in row]
-            for row in vhs.grades(v)]
-
-
 def suite_grade_bracket(cfg, rng, entries):
+    # [M, xi]_rc = M_rc (xi_cc - xi_rr) for a diagonal xi, so a diagonal xi
+    # whose weight differences are the grades gives [M, xi] = k M for every
+    # grade-k M.  Each record checks that on every entry of xi.
+    zero = QQi(0)
+    detail = "diagonal xi, xi_cc - xi_rr = the grade of (r, c)"
     out = []
     for i in range(cfg.cases):
         v = vhs.random_vhs(rng)
-        k = draw(rng, -(v.l - 1), v.l - 1) if v.l > 1 else 0
-        m = _random_graded_matrix(rng, v, k)
-        scale = QQi(k)
-        scaled = all(y == x * scale for row, got_row in zip(m, vhs.xi_bracket(m, v))
-                     for x, y in zip(row, got_row))
-        out.append(check_true(f"case-{i:04d}", scaled,
-                              f"bracket with the grading element scales grade "
-                              f"{k} by {k}", "diagonal weights"))
+        xi, grades = vhs.xi_matrix(v), vhs.grades(v)
+        diag = [xi[r][r] for r in range(v.n)]
+        weight = {k: QQi(k) for k in range(1 - v.l, v.l)}
+        graded = all(
+            [x for c, x in enumerate(xi[r]) if c != r] == [zero] * (v.n - 1)
+            and [d - diag[r] for d in diag] == [weight[k] for k in grades[r]]
+            for r in range(v.n))
+        out.append(check_true(f"case-{i:04d}", graded, detail, "diagonal weights"))
     return out
 
 

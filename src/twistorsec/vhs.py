@@ -145,27 +145,16 @@ def grades(v: VhsBlockData) -> list:
     return [[bc - br for bc in block] for br in block]
 
 
-def _xi_diagonal(v: VhsBlockData) -> list:
-    return [QQi(w) for w, r in zip(xi_weights(v), v.ranks) for _ in range(r)]
-
-
-def xi_bracket(m, v: VhsBlockData) -> list:
-    """M Xi - Xi M for an n x n scalar matrix M (a list of rows), with Xi the
-    diagonal grading element.
-
-    Entry by entry this is x Xi_c - Xi_r x, so a grade-k entry picks up
-    weight_i - weight_j = i - j = k.  Zero entries are skipped.
-    """
-    diag = _xi_diagonal(v)
-    return [[x * diag[c] - diag[r] * x if x else x for c, x in enumerate(row)]
-            for r, row in enumerate(m)]
-
-
 def xi_matrix(v: VhsBlockData):
-    """The grading element as an exact diagonal n x n matrix."""
+    """The grading element as an exact diagonal n x n matrix (a list of rows).
+
+    Its diagonal repeats each block's weight over the block's rank, so for
+    every entry (r, c) the weight difference xi_cc - xi_rr is the grade of
+    the entry, and [M, xi] = M xi - xi M scales each grade-k entry of M by k.
+    """
     zero = QQi(0)
-    return tuple(tuple(w if r == c else zero for c in range(v.n))
-                 for r, w in enumerate(_xi_diagonal(v)))
+    diag = [QQi(w) for w, r in zip(xi_weights(v), v.ranks) for _ in range(r)]
+    return [[w if r == c else zero for c in range(v.n)] for r, w in enumerate(diag)]
 
 
 def grafting_data(g: int) -> VhsBlockData:

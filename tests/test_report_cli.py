@@ -813,9 +813,9 @@ def _suite_flags(names):
 
 @pytest.mark.parametrize("command, sha256", [
     (_VERIFY_42 + " --cases 25",
-     "9c385f71908a81f3f6293b13fe428fdcff9f56fa1d59d772bf10cc25b1dacd96"),
+     "ded376831b1dc911f572243b21ad5a002edd7a34aeb6239c3e763df8acaf52de"),
     (_VERIFY_42 + " --cases 6 --format csv",
-     "49c800f3ec781d548cb4ce884f2f61e219f7b577b9e60dd89daea0a867924eaa"),
+     "024ecbff3b150f1f08624bf55a41fcbdde971a0f1d056bba3bc3ed7348be2a40"),
     ("vhs-energy", "f6f62cabf0e9d8705c63a78eb2a20574cde312b7812a2a870138de638f041fd5"),
     ("vhs-energy --format csv",
      "0c63e9760e17b6f29ca296abc9aaf2d9234ad2c60794388a01182bf1cbffb43a"),
@@ -827,11 +827,11 @@ def _suite_flags(names):
     (_FLAT_DEMO + " --format csv",
      "4ffe50b715735a92584d731a9dd7eec81b45fba75a97e3ad0b9bae3388e2a3aa"),
     ("verify --seed 7 --cases 10",
-     "7c42f14705f9ce2f71e5e10bf77c06ddc9a6e4a87c3c4765aa18145177af58d6"),
+     "2aa8e852053029f09051ace4cf6d246e60d706b3a8a5bcb8d86af2d8e5499ad1"),
     ("verify --seed 3 --cases 4 --order 6 --modes 3 --rank 4",
-     "d093b5a9c62fdab237b00496d099f96eacf5153684dfb1e25ffe0d915de1dd8f"),
+     "3735028cc6a89498b1e22c31b0bddb1a3201835b6b59f3f1020ac3377156410d"),
     (_VERIFY_42 + _suite_flags(_SECTIONS) + " --cases 300",
-     "6d99c1f8c06626bb8659a33493e542668fc6be1d2ad8ef50dd54b865692e7275"),
+     "8f4085fb361961c6c0e02009244befb25b2be7095265682ca04e99d513a7de82"),
     (_VERIFY_42 + _suite_flags(_LIFTS) + " --order 6 --modes 3 --cases 2",
      "8b60bd67bbc43f44ec6d3d192848d58a4440ac7eb36c39307f5929bca47342f2"),
 ])

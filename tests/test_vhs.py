@@ -16,8 +16,7 @@ from hypothesis import given, settings, strategies as st
 from twistorsec.scalars import QQi
 from twistorsec.vhs import (VhsBlockData, det_exponent, energy_closed,
                             energy_recursive, grades, grafting_data,
-                            hyperhol_degree, random_vhs, xi_bracket, xi_matrix,
-                            xi_weights)
+                            hyperhol_degree, random_vhs, xi_matrix, xi_weights)
 
 
 def balanced(degs):
@@ -114,19 +113,15 @@ def test_grade_table_layout():
 
 
 def test_xi_bracket_scales_entries_by_grade():
+    # [m, xi] = m xi - xi m scales each grade-k entry by k, with the products
+    # taken as numpy object arrays, independently of the library's matrices.
     v = VhsBlockData((1, 1), (1, -1))
     zero = QQi(0)
-    lower = [[zero, zero], [QQi(3), zero]]  # grade -1
-    upper = [[zero, QQi(5)], [zero, zero]]  # grade 1
-    # [m, xi] = m xi - xi m scales each grade-k entry by k.
-    assert xi_bracket(lower, v) == [[zero, zero], [QQi(-3), zero]]
-    assert xi_bracket(upper, v) == [[zero, QQi(5)], [zero, zero]]
-
-    # The same bracket via the materialized diagonal matrix, multiplied as
-    # numpy object arrays independently of the library's row matrices.
     xm = np.array(xi_matrix(v), dtype=object)
-    both = np.array(lower, dtype=object) + np.array(upper, dtype=object)
-    assert xi_bracket(both.tolist(), v) == (both @ xm - xm @ both).tolist()
+    lower = np.array([[zero, zero], [QQi(3), zero]], dtype=object)  # grade -1
+    upper = np.array([[zero, QQi(5)], [zero, zero]], dtype=object)  # grade 1
+    assert (lower @ xm - xm @ lower).tolist() == [[zero, zero], [QQi(-3), zero]]
+    assert (upper @ xm - xm @ upper).tolist() == [[zero, QQi(5)], [zero, zero]]
 
 
 def grade_positions(v, k):
@@ -155,20 +150,13 @@ def test_grade_table_agrees_with_grade_positions(v):
 @given(vhs_data(lmax=4, rmax=2, dmax=5), st.data())
 @settings(max_examples=40)
 def test_xi_bracket_matches_matrix_commutator(v, data):
-    k = data.draw(st.integers(-(v.l - 1), v.l - 1)) if v.l > 1 else 0
-    cells = [(r, c) for r, row in enumerate(grades(v))
-             for c, grade in enumerate(row) if grade == k]
-    if not cells:
-        return
-    r, c = cells[0]
-    m = [[QQi(0)] * v.n for _ in range(v.n)]
-    m[r][c] = QQi(2)
+    # M Xi - Xi M = k M for a random grade-k matrix M, Xi = xi_matrix(v).
+    k = data.draw(st.integers(-(v.l - 1), v.l - 1))
+    m = np.array([[QQi(data.draw(st.integers(-9, 9))) if grade == k else QQi(0)
+                   for grade in row] for row in grades(v)], dtype=object)
     xm = np.array(xi_matrix(v), dtype=object)
-    full = np.array(m, dtype=object)
-    direct = full @ xm - xm @ full
-    via_weights = xi_bracket(m, v)
-    assert direct.tolist() == via_weights
-    assert via_weights[r][c] == QQi(k) * QQi(2)
+    assert (m @ xm - xm @ m).tolist() == [[x * QQi(k) for x in row]
+                                          for row in m.tolist()]
 
 
 def test_grafting_data():
