@@ -191,8 +191,6 @@ def gauge_tangent(lift: LambdaLift, xis) -> TangentSeries:
     through the lift's order N.
     """
     xs = _check_series(xis, "xi", (0, 0), lift.rank, trace_free=True)
-    if not xs:
-        raise ValueError("need gauge coefficients for orders 0..N")
     db, da = _d_series(xs, lift.rank, lift.order)
     return TangentSeries(
         [wedge_sum(r, _bracket_terms(lift.b, xs, k)) for k, r in enumerate(db)],
