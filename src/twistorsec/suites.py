@@ -522,15 +522,15 @@ def suite_backend_exactness(cfg, rng, entries):
 
 
 def _random_coeffs(cfg, rng, size, bidegree, count):
-    return tuple(tf.random_matrix_form(rng, size, bidegree, cfg.mode_bound, 2,
-                                       trace_free=True) for _ in range(count))
+    return [tf.random_matrix_form(rng, size, bidegree, cfg.mode_bound, 2,
+                                  trace_free=True) for _ in range(count)]
 
 
 def _random_lift(cfg, rng, size, order):
     """A random lift of the order: b_1..b_N, then a_1..a_N, then a_0."""
     b = _random_coeffs(cfg, rng, size, (0, 1), order)
     a = _random_coeffs(cfg, rng, size, (1, 0), order)
-    return ll.LambdaLift((tf.MatrixForm.zero(size, (0, 1)),) + b,
+    return ll.LambdaLift([tf.MatrixForm.zero(size, (0, 1))] + b,
                          _random_coeffs(cfg, rng, size, (1, 0), 1) + a)
 
 
@@ -614,14 +614,10 @@ def _commutant_tangent(cfg, rng, lift, c_matrix):
                             (phi_0, tf.MatrixForm.zero(size, (1, 0))))
 
 
-def _random_gauge(cfg, rng, size):
-    """xi_0 and xi_1: omega_hat and d_energy_of_lift read the gauge tangent at
-    orders 0 and 1 only, and gauge_tangent takes the later xi_k as zero."""
-    return [tf.random_matrix_form(rng, size, (0, 0), cfg.mode_bound, 2,
-                                  trace_free=True) for _ in range(2)]
-
-
 def suite_omega_hat_degeneracy(cfg, rng, entries):
+    # Gauge directions are drawn as xi_0 and xi_1: omega_hat and
+    # d_energy_of_lift read the gauge tangent at orders 0 and 1 only, and
+    # gauge_tangent takes the later xi_k as zero.
     out = []
     for i in range(cfg.cases):
         size = _cycle(range(2, cfg.rank_bound + 1), i)
@@ -630,7 +626,7 @@ def suite_omega_hat_degeneracy(cfg, rng, entries):
         out.append(check_true(f"integrable-{i:04d}", all(r.is_zero for r in res),
                               "commuting data is integrable to order 1",
                               "construction"))
-        gauge_dir = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
+        gauge_dir = ll.gauge_tangent(lift, _random_coeffs(cfg, rng, size, (0, 0), 2))
         flat_dir = _commutant_tangent(cfg, rng, lift, c_matrix)
         lin = ll.linearized_residuals(lift, flat_dir)
         out.append(check_true(f"tangent-flat-{i:04d}", all(r.is_zero for r in lin),
@@ -638,7 +634,7 @@ def suite_omega_hat_degeneracy(cfg, rng, entries):
                               "construction"))
         out.append(check(f"gauge-vs-flat-{i:04d}", QQi(0),
                          ll.omega_hat(lift, gauge_dir, flat_dir), "gauge degeneracy"))
-        other = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
+        other = ll.gauge_tangent(lift, _random_coeffs(cfg, rng, size, (0, 0), 2))
         out.append(check(f"gauge-vs-gauge-{i:04d}", QQi(0),
                          ll.omega_hat(lift, gauge_dir, other), "gauge degeneracy"))
     # The lift is integrable to order 1, so the linearization along a gauge
@@ -646,7 +642,7 @@ def suite_omega_hat_degeneracy(cfg, rng, entries):
     for k in range(3):
         size = _cycle(range(2, cfg.rank_bound + 1), k)
         lift, _ = _commuting_lift(cfg, rng, size)
-        gauge_dir = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
+        gauge_dir = ll.gauge_tangent(lift, _random_coeffs(cfg, rng, size, (0, 0), 2))
         lin = ll.linearized_residuals(lift, gauge_dir)
         out.append(check_true(f"tangent-gauge-{k}", all(r.is_zero for r in lin),
                               "gauge tangent solves the linearized equations",
@@ -663,8 +659,8 @@ def suite_energy_gauge_invariance(cfg, rng, entries):
         b1 = _random_coeffs(cfg, rng, size, (0, 1), 1)
         a1 = _random_coeffs(cfg, rng, size, (1, 0), 1)
         a0 = tf.MatrixForm.from_scalar_matrix(_random_trace_free(rng, size), (1, 0))
-        lift = ll.LambdaLift((tf.MatrixForm.zero(size, (0, 1)),) + b1, (a0,) + a1)
-        tangent = ll.gauge_tangent(lift, _random_gauge(cfg, rng, size))
+        lift = ll.LambdaLift([tf.MatrixForm.zero(size, (0, 1))] + b1, [a0] + a1)
+        tangent = ll.gauge_tangent(lift, _random_coeffs(cfg, rng, size, (0, 0), 2))
         out.append(check(f"case-{i:04d}", QQi(0), ll.d_energy_of_lift(lift, tangent),
                          "first variation along gauge directions"))
     return out
@@ -864,11 +860,10 @@ def run_suites(config):
             while tb.tb_next:  # the frame that raised
                 tb = tb.tb_next
             code = tb.tb_frame.f_code
-            found = [{"suite": "", "case": "error", "status": "fail",
-                      "expected": "the suite runs to completion",
-                      "actual": f"{type(err).__name__}: {reprlib.repr(str(err))}",
-                      "provenance": f"raised in {code.co_name} at "
-                      f"{os.path.basename(code.co_filename)}:{tb.tb_lineno}"}]
+            found = [check("error", "the suite runs to completion",
+                           f"{type(err).__name__}: {reprlib.repr(str(err))}",
+                           f"raised in {code.co_name} at "
+                           f"{os.path.basename(code.co_filename)}:{tb.tb_lineno}")]
         for row in found:  # suites leave the suite empty; it is filed here
             row["suite"] = name
         records += found
