@@ -46,7 +46,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(order=0)
     with pytest.raises(ValueError):
+        RunConfig(mode_bound=-1)
+    with pytest.raises(ValueError):
         RunConfig(cases=-1)
+    edge = RunConfig(order=1, mode_bound=0)  # the least of each bound
+    assert (edge.order, edge.mode_bound) == (1, 0)
     with pytest.raises(ValueError, match="unknown config fields"):
         RunConfig.from_json({"seeed": 3})
 

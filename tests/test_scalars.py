@@ -1,5 +1,6 @@
 """Gaussian-rational scalar layer: field axioms, string form, serialization."""
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from twistorsec.scalars import (I, QQi, draw, random_nonzero_qqi, random_qqi,
-                                scalar_from_json, scalar_to_json)
+                                random_term, scalar_from_json, scalar_to_json)
 from twistorsec.torus_forms import FourierScalar
 
 from qqi_parts import fraction_parts
@@ -249,7 +250,7 @@ def test_random_qqi_matches_its_fraction_form():
     import random
 
     rng, oracle = random.Random(11), random.Random(11)
-    for span in (9, 1, 1000):
+    for span in (9, 1, 0, 1000):
         for _ in range(2000):
             z = random_qqi(rng, span)
             a, b = oracle.randint(-span, span), oracle.randint(1, 4)
@@ -280,8 +281,13 @@ def test_draw_is_randint(lo, hi):
 def test_draw_rejects_an_empty_range():
     import random
 
-    with pytest.raises(ValueError, match="empty range"):
-        draw(random.Random(0), 2, 1)
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match=re.escape("empty range for draw (2, 1)")):
+        draw(rng, 2, 1)
+    with pytest.raises(ValueError, match=re.escape("empty range for draw (1, -1)")):
+        random_qqi(rng, -1)
+    with pytest.raises(ValueError, match=re.escape("empty range for draw (1, -1)")):
+        random_term(rng, -1, 6)
 
 
 @given(st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 9, 10 ** 9))
