@@ -1,9 +1,9 @@
 """Frozen normalization and sign conventions, with the oracle results that fixed them.
 
 Every constant below was determined by an explicit derivation (recorded in the
-test oracles) before being frozen here.  Downstream code must read these values
-instead of re-deriving or inlining them, so a convention can only be changed in
-one place, together with its recorded justification.
+test oracles) and is pinned by a live ``tests/mutants.json`` row or computed
+from one that is.  Downstream code reads these values instead of re-deriving or
+inlining them, so a convention changes in one place, with its justification.
 """
 
 from fractions import Fraction
@@ -20,18 +20,16 @@ MU_COEFF = QQi(0, Fraction(-1, 2))
 #: terms cancel identically).
 ENERGY_BLOCK_COEFF = QQi(0, Fraction(1, 2))
 
-#: Empirical sign in the reality relation conj(E(tau(s))) = REALITY_SIGN * E(s)
-#: (+ a locally constant term, which is 0 on the flat model).
-REALITY_SIGN = QQi(-1)
+#: Sign in the reality relation conj(E(tau(s))) = REALITY_SIGN * E(s) (+ a
+#: locally constant term, which is 0 on the flat model).  tau sends a block's
+#: (a2, b1) to (-conj(b1), -conj(a2)), so with c = ENERGY_BLOCK_COEFF,
+#: conj(E(tau(s))) = conj(c * conj(a2 * b1)) = (conj(c) / c) * E(s): -1 here.
+REALITY_SIGN = ENERGY_BLOCK_COEFF.conjugate() / ENERGY_BLOCK_COEFF
 
 #: Prefactor of the splitting construction of the degenerate-point symplectic
 #: form: Omega_0(V, W) = OMEGA0_SPLIT_COEFF * (g(V_0, W_inf) - g(V_inf, W_0)).
 #: Fixed by requiring exact agreement with the Killing-pairing construction.
 OMEGA0_SPLIT_COEFF = QQi(0, Fraction(-1, 2))
-
-#: Torus integration: the integral of a (1,1)-form in the dz^dzbar frame is
-#: VOLUME_CONST times the constant Fourier mode of its coefficient.
-VOLUME_CONST = QQi(1)
 
 #: Prefactor c of the energy of a truncated lambda-connection lift,
 #: E = ENERGY_LIFT_COEFF * integral(tr(Phi ^ Psi_1)).  The transcendental

@@ -22,8 +22,7 @@ from . import lambda_lifts as ll
 from . import projline as pl
 from . import torus_forms as tf
 from . import vhs
-from .constants import (ENERGY_LIFT_COEFF, REALITY_SIGN, VOLUME_CONST,
-                        XI_SCALAR_PHIPSI)
+from .constants import ENERGY_LIFT_COEFF, REALITY_SIGN, XI_SCALAR_PHIPSI
 from .datasets import load_vhs_dataset
 from .report import check, check_true
 from .scalars import QQi, draw, random_nonzero_qqi, random_qqi
@@ -720,10 +719,10 @@ def suite_second_variation_weights(cfg, rng, entries):
                           "at every order", "circle-fixed lift"))
     # With no beta and no phi, Psi_1 = conj_transpose(Phi); for Phi = H dz
     # constant, tr(Phi ^ Psi_1) = tr(H H*) dz ^ dzbar = sum |h_ij|^2 dz ^ dzbar,
-    # which integrates to VOLUME_CONST times that.
+    # whose integral is that sum, so E = ENERGY_LIFT_COEFF times it.
     norm = reduce(add, (h * h.conjugate() for row in higgs.entries
                         for h in map(tf.FourierScalar.constant_mode, row)))
-    out.append(check("fixed-energy", ENERGY_LIFT_COEFF * VOLUME_CONST * norm,
+    out.append(check("fixed-energy", ENERGY_LIFT_COEFF * norm,
                      ll.energy_of_lift(ll.c_star_fixed_lift(v, higgs)),
                      "circle-fixed lift"))
     return out

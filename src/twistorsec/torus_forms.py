@@ -21,9 +21,8 @@ once per stored coefficient.  The operations build their results with
 :func:`_fs` and :func:`_mf`, which skip the constructors' checks; those hold
 for what the operations build from valid forms, and every form built from
 outside input goes through the checked ``MatrixForm(...)``.  Integration over
-the torus extracts the constant Fourier mode of the trace (times the frozen
-volume constant), which kills every derivative mode: Stokes holds exactly,
-with no tolerance.
+the torus (of volume 1) reads the constant Fourier mode of the trace, which
+kills every derivative mode: Stokes holds exactly, with no tolerance.
 
 This backend is a genus-1 stand-in used only for pointwise/integral algebra
 that does not depend on the metric or the genus; degree bookkeeping lives in
@@ -36,7 +35,6 @@ from __future__ import annotations
 import reprlib
 from operator import add
 
-from .constants import VOLUME_CONST
 from .records import Record
 from .scalars import (QQi, _sum_products, random_term, scalar_from_json,
                       scalar_to_json)
@@ -334,16 +332,16 @@ def trace(f: MatrixForm) -> FourierScalar:
 
 
 def integrate_trace(f: MatrixForm):
-    """Integral over the torus of tr(f) for a (1,1)-form: volume times the
-    constant Fourier mode of the trace coefficient."""
+    """Integral over the torus of tr(f) for a (1,1)-form: the constant Fourier
+    mode of the trace coefficient."""
     if f.bidegree != (1, 1):
         raise ValueError(f"can only integrate (1,1)-forms, got {f.bidegree}")
-    return VOLUME_CONST * trace(f).constant_mode()
+    return trace(f).constant_mode()
 
 
 def pair_trace(a: MatrixForm, b: MatrixForm):
     """integrate_trace(wedge(a, b)) for a (1,0)-form a and a (0,1)-form b, read
-    off without forming the product: the volume times
+    off without forming the product:
     sum_ij sum_(m,n) a_ij[(m,n)] * b_ji[(-m,-n)].  In this order the frame
     sign of the wedge is +1."""
     if a.bidegree != (1, 0) or b.bidegree != (0, 1):
@@ -359,7 +357,7 @@ def pair_trace(a: MatrixForm, b: MatrixForm):
                 d = y_modes.get((-m, -n))
                 if d is not None:
                     total = total + c * d
-    return VOLUME_CONST * total
+    return total
 
 
 def conj_transpose(f: MatrixForm) -> MatrixForm:
