@@ -42,10 +42,11 @@ def _make(a: int, b: int, d: int) -> "QQi":
 def _sum_products(start: dict, products) -> dict:
     """The modes of start + sum of x * y (with ``negate``, minus x * y) over the
     (negate, x, y) in products, where start, x and y map modes to QQi.  Each
-    mode's sum runs on ints ``(re, im, den)``: a product joins it over the lcm
-    of the two denominators.  Only a sum that does not cancel is stored, and
-    each stored coefficient costs one :func:`_make`."""
-    acc = {k: (c._a, c._b, c._d) for k, c in start.items()}
+    mode that a product reaches sums on ints ``(re, im, den)``, from the start
+    coefficient if there is one: a product joins it over the lcm of the two
+    denominators.  A sum that cancels drops its mode, each other costs one
+    :func:`_make`, and a mode of start that no product reaches is kept as is."""
+    acc = {}
     for negate, x, y in products:
         for (m1, n1), c1 in x.items():
             a, b, d = (-c1._a, -c1._b, c1._d) if negate else (c1._a, c1._b, c1._d)
@@ -54,6 +55,9 @@ def _sum_products(start: dict, products) -> dict:
                 re, im, den = a * c - b * e, a * e + b * c, d * c2._d
                 k = (m1 + m2, n1 + n2)
                 old = acc.get(k)
+                if old is None and k in start:  # the first product to reach it
+                    z = start[k]
+                    old = z._a, z._b, z._d
                 if old is not None:
                     p, q, f = old
                     if f == den:
@@ -63,7 +67,25 @@ def _sum_products(start: dict, products) -> dict:
                         s, t = den // g, f // g
                         re, im, den = re * t + p * s, im * t + q * s, f * s
                 acc[k] = (re, im, den)
-    return {k: _make(re, im, den) for k, (re, im, den) in acc.items() if re or im}
+    out = dict(start)
+    for k, (re, im, den) in acc.items():
+        if re or im:
+            out[k] = _make(re, im, den)
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _times_symbol(modes: dict, s: int, t: int) -> dict:
+    """The modes (m, n) of ``modes`` other than (0, 0), each coefficient times
+    the Gaussian integer s*n + t*m*i: one :func:`_make` per mode.  The symbol
+    of a derivative; it kills the constant mode, and no other product is 0."""
+    out = {}
+    for (m, n), c in modes.items():
+        if m or n:
+            a, b, p, q = c._a, c._b, s * n, t * m
+            out[(m, n)] = _make(a * p - b * q, a * q + b * p, c._d)
+    return out
 
 
 class QQi:

@@ -847,8 +847,7 @@ def run_suites(config):
     entries = load_vhs_dataset(*config.datasets)
     for e in entries:
         if _uniformizing_genus(e) is not None and not e.pair:
-            raise ValueError(f"dataset entry {reprlib.repr(e.label)}: pair "
-                             f"{reprlib.repr(e.pair)} is not in the dataset")
+            raise ValueError(f"dataset entry {reprlib.repr(e.label)} names no pair")
     records = []
     for name in config.suites:
         rng = _rng_for(config.seed, name)

@@ -36,8 +36,8 @@ import reprlib
 from operator import add
 
 from .records import Record
-from .scalars import (QQi, _sum_products, random_term, scalar_from_json,
-                      scalar_to_json)
+from .scalars import (QQi, _sum_products, _times_symbol, random_term,
+                      scalar_from_json, scalar_to_json)
 
 
 class FourierScalar:
@@ -112,13 +112,11 @@ class FourierScalar:
 
     def d_z(self) -> "FourierScalar":
         """Apply D: multiply mode (m, n) by n + i*m."""
-        return _fs({(m, n): c * QQi(n, m) for (m, n), c in self.modes.items()
-                    if m or n})
+        return _fs(_times_symbol(self.modes, 1, 1))
 
     def d_zbar(self) -> "FourierScalar":
         """Apply Dbar: multiply mode (m, n) by -n + i*m."""
-        return _fs({(m, n): c * QQi(-n, m) for (m, n), c in self.modes.items()
-                    if m or n})
+        return _fs(_times_symbol(self.modes, -1, 1))
 
     def __eq__(self, other):
         if not isinstance(other, FourierScalar):
@@ -252,14 +250,16 @@ def dbar(f: MatrixForm) -> MatrixForm:
     """The (0,1)-raising derivative.
 
     On functions: (Dbar f) dzbar.  On (1,0)-forms a dz: (Dbar a) dzbar^dz =
-    -(Dbar a) dz^dzbar, hence the sign.  Undefined on (0,1) and (1,1) inputs.
+    -(Dbar a) dz^dzbar, hence the symbol n - i*m of -Dbar there.  Undefined
+    on (0,1) and (1,1) inputs.
     """
     p, q = f.bidegree
     if q != 0:
         raise ValueError(f"dbar undefined on bidegree {f.bidegree}")
     if p == 0:
         return _mf((0, 1), _map_rows(f.entries, FourierScalar.d_zbar))
-    return _mf((1, 1), _map_rows(f.entries, lambda e: -e.d_zbar()))
+    return _mf((1, 1), _map_rows(f.entries,
+                                 lambda e: _fs(_times_symbol(e.modes, 1, -1))))
 
 
 def del_op(f: MatrixForm) -> MatrixForm:

@@ -9,6 +9,7 @@ mutant must leave the report of ``verify --seed 42 --cases 25`` byte for byte
 as the unmutated package writes it.
 """
 
+import ast
 import compileall
 import json
 import os
@@ -57,6 +58,19 @@ def mutate(tmp_path):
         return proc, report.read_bytes() if report.exists() else None
 
     return run
+
+
+def test_every_frozen_constant_has_a_live_row():
+    """Each name assigned in ``constants.py`` begins the old text of a live
+    row, so changing its value fails ``verify``."""
+    tree = ast.parse((PACKAGE / "constants.py").read_text(encoding="utf-8"))
+    names = [target.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets]
+    pinned = [row["old"] for row in MUTANTS
+              if row["module"] == "constants" and row["suite"] is not None]
+    assert names
+    assert [name for name in names
+            if not any(old.startswith(f"{name} = ") for old in pinned)] == []
 
 
 def test_every_live_mutant_fails_its_suite(mutate):

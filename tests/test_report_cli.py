@@ -510,7 +510,7 @@ _WIDE_GENUS = [dict(_ENTRY, label="uniformizing-g" + "1" * 5000, pair="b"),
     ([_ENTRY], "verify --suite hyperhol-degree --cases 1 --dataset DATA", 0, ""),
     ([dict(_ENTRY, label="uniformizing-g2")],
      "verify --suite hyperhol-degree --cases 1 --dataset DATA", 2,
-     "'uniformizing-g2': pair ''"),
+     "'uniformizing-g2' names no pair"),
     ([dict(_ENTRY, label="uniformizing-gx")], _VERIFY_VHS, 2,
      "'uniformizing-gx': expected"),
     ([dict(_ENTRY, label="uniformizing-g02")], _VERIFY_VHS, 2,
