@@ -10,8 +10,9 @@ and ``QQi(1) == 1`` is ``False``.  So every exact value the library computes
 is a ``QQi``, and renders one way.  The constructor takes an ``int`` (not a
 ``bool``) or a ``Fraction`` for each part.  Only this module reads the ints:
 :func:`_sum_products`, the mode loop of every Fourier-series product, sums on
-them and normalizes once per stored coefficient, and the text and JSON forms
-are written from them.  :func:`draw` draws an int as ``rng.randint`` does;
+them and normalizes once per stored coefficient, :func:`_times_symbol` applies
+a derivative's symbol on them, and the text and JSON forms are written from
+them.  :func:`draw` draws an int as ``rng.randint`` does;
 :func:`random_qqi` and :func:`random_term`, which draw most of the ints of a
 run, replay its rule inline.
 """
@@ -78,8 +79,9 @@ def _sum_products(start: dict, products) -> dict:
 
 def _times_symbol(modes: dict, s: int, t: int) -> dict:
     """The modes (m, n) of ``modes`` other than (0, 0), each coefficient times
-    the Gaussian integer s*n + t*m*i: one :func:`_make` per mode.  The symbol
-    of a derivative; it kills the constant mode, and no other product is 0."""
+    the Gaussian integer s*n + t*m*i (the symbol of a derivative, for s and t
+    each 1 or -1): one :func:`_make` per mode.  The symbol vanishes only at
+    (0, 0), so no stored coefficient is 0."""
     out = {}
     for (m, n), c in modes.items():
         if m or n:
