@@ -64,10 +64,9 @@ class TangentSeries(Record):
     """A pair of truncated series: ``b`` holds the (0,1) forms b_0..b_N and
     ``a`` the (1,0) forms a_0..a_N, all of one size.  As a tangent to the
     space of lifts, b_k and a_k are the t^k coefficients of the variations of
-    the dbar-part and of the D-part.  Equal only to itself."""
+    the dbar-part and of the D-part."""
 
     __slots__ = _fields = ("b", "a")
-    __eq__, __hash__ = object.__eq__, object.__hash__
     _trace_free = False
 
     def __init__(self, b, a):
@@ -95,7 +94,7 @@ class LambdaLift(TangentSeries):
     ``a`` is (Phi, Phi_1, ..., Phi_N), the D-part with Phi_1 = 0 for
     normalized germs, and ``b`` is (0, Psi_1, ..., Psi_N), the dbar-part.  The
     rank is the size of the forms.  A lift is read as a tangent wherever one
-    is expected.  Equal only to itself.
+    is expected.
     """
 
     __slots__ = ()

@@ -1,4 +1,4 @@
-"""The base of the package's record types.
+"""The base of the record types: every value type but ``scalars.QQi``.
 
 A record type names its fields once, as ``__slots__ = _fields = (...)``, and
 its own ``__init__`` checks the arguments and stores them with

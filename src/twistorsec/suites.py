@@ -714,7 +714,7 @@ def suite_second_variation_weights(cfg, rng, entries):
     lift = ll.c_star_fixed_lift(v, higgs, beta=beta, phi=phi)
     xi0 = ll.xi_matrix_form(v) * (XI_SCALAR_PHIPSI * QQi(0, 1))
     field, gauge = ll.circle_field(lift), ll.gauge_tangent(lift, [xi0])
-    out.append(check_true("fixed-circle", (field.b, field.a) == (gauge.b, gauge.a),
+    out.append(check_true("fixed-circle", field == gauge,
                           "the circle field is i times the gauge tangent of xi_0 "
                           "at every order", "circle-fixed lift"))
     # With no beta and no phi, Psi_1 = conj_transpose(Phi); for Phi = H dz

@@ -17,12 +17,13 @@ orientation.  Wedging multiplies matrices and reorders frames with the sign
 :func:`wedge_sum`, which fills each output entry in one pass; its Gaussian
 multiply-add is ``scalars._sum_products``, next to ``QQi`` so that no other
 module reads the ints of a ``QQi``.  It sums each mode on ints and normalizes
-once per stored coefficient.  The operations build their results with
-:func:`_fs` and :func:`_mf`, which skip the constructors' checks; those hold
-for what the operations build from valid forms, and every form built from
-outside input goes through the checked ``MatrixForm(...)``.  Integration over
-the torus (of volume 1) reads the constant Fourier mode of the trace, which
-kills every derivative mode: Stokes holds exactly, with no tolerance.
+once per stored coefficient.  Series and forms are records, equal by value.
+The operations build their results with :func:`_fs` and :func:`_mf`, which
+skip the constructors' checks; those hold for what the operations build from
+valid forms, and every form built from outside input goes through the
+checked ``MatrixForm(...)``.  Integration over the torus (of volume 1) reads
+the constant Fourier mode of the trace, which kills every derivative mode:
+Stokes holds exactly, with no tolerance.
 
 This backend is a genus-1 stand-in used only for pointwise/integral algebra
 that does not depend on the metric or the genus; degree bookkeeping lives in
@@ -40,7 +41,7 @@ from .scalars import (QQi, _sum_products, _times_symbol, random_term,
                       scalar_from_json, scalar_to_json)
 
 
-class FourierScalar:
+class FourierScalar(Record):
     """A finite Fourier series on the torus.
 
     ``modes`` maps int pairs to nonzero coefficients.  The constructor casts
@@ -52,7 +53,7 @@ class FourierScalar:
     with a series only; ``*`` also takes a ``QQi`` on the right.
     """
 
-    __slots__ = ("modes",)
+    __slots__ = _fields = ("modes",)
 
     def __init__(self, modes=None):
         cleaned = {}
@@ -60,9 +61,6 @@ class FourierScalar:
             if c:
                 cleaned[(int(m), int(n))] = c
         object.__setattr__(self, "modes", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FourierScalar is immutable")
 
     @classmethod
     def const(cls, c) -> "FourierScalar":
@@ -118,19 +116,8 @@ class FourierScalar:
         """Apply Dbar: multiply mode (m, n) by -n + i*m."""
         return _fs(_times_symbol(self.modes, -1, 1))
 
-    def __eq__(self, other):
-        if not isinstance(other, FourierScalar):
-            return NotImplemented
-        return self.modes == other.modes
-
-    def __hash__(self):
+    def __hash__(self):  # the one field is a dict
         return hash(self.items())
-
-    def __repr__(self):
-        if not self.modes:
-            return "FourierScalar({})"
-        terms = ", ".join(f"({m},{n}): {c!r}" for (m, n), c in self.items())
-        return f"FourierScalar({{{terms}}})"
 
 
 _set_modes = FourierScalar.modes.__set__

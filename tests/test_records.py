@@ -6,6 +6,9 @@ reports print, equality within one type over the fields, a hash that agrees
 with equality, and fields that cannot be assigned once a record is built.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from twistorsec.flat_model import FlatPoint, FlatSection
@@ -14,12 +17,19 @@ from twistorsec.lambda_lifts import (DHPoint, LambdaLift, LaurentConnection,
 from twistorsec.projline import PolySection, Sl2Element
 from twistorsec.report import RunConfig
 from twistorsec.scalars import QQi
-from twistorsec.torus_forms import MatrixForm
+from twistorsec.torus_forms import FourierScalar, MatrixForm
 from twistorsec.vhs import VhsBlockData
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "twistorsec"
 
 
 def _zero(bidegree):
     return MatrixForm.zero(2, bidegree)
+
+
+def _e12(bidegree):
+    """The trace-free constant form with a single 1 in row 0, column 1."""
+    return MatrixForm.from_scalar_matrix([[0, QQi(1)], [0, 0]], bidegree)
 
 
 #: For each type with field equality: a builder of one value, and a builder
@@ -43,15 +53,14 @@ VALUE_TYPES = {
                 lambda: DHPoint(_zero((0, 1)), _zero((1, 0)), QQi(3))),
     "RunConfig": (lambda: RunConfig(suites=["stokes"], seed=3),
                   lambda: RunConfig(suites=["stokes"], seed=4)),
+    "FourierScalar": (lambda: FourierScalar({(0, 0): QQi(1)}),
+                      lambda: FourierScalar({(1, 0): QQi(1)})),
+    "TangentSeries": (lambda: TangentSeries((_zero((0, 1)),) * 2, (_zero((1, 0)),) * 2),
+                      lambda: TangentSeries((_zero((0, 1)), _e12((0, 1))),
+                                            (_zero((1, 0)),) * 2)),
+    "LambdaLift": (lambda: LambdaLift((_zero((0, 1)),) * 2, (_zero((1, 0)),) * 2),
+                   lambda: LambdaLift((_zero((0, 1)),) * 2, (_e12((1, 0)), _zero((1, 0))))),
 }
-
-#: Types whose values are equal only to themselves.
-IDENTITY_TYPES = {
-    "LambdaLift": lambda: LambdaLift((_zero((0, 1)),) * 2, (_zero((1, 0)),) * 2),
-    "TangentSeries": lambda: TangentSeries((_zero((0, 1)),) * 2, (_zero((1, 0)),) * 2),
-}
-
-BUILD = {**{name: build for name, (build, _) in VALUE_TYPES.items()}, **IDENTITY_TYPES}
 
 
 def test_reprs_are_the_report_text():
@@ -87,21 +96,16 @@ def test_equal_values_hash_alike_where_hashable(name):
     if name == "LaurentConnection":  # its fields are dicts
         with pytest.raises(TypeError, match="dict"):
             hash(value)
+    elif name == "FourierScalar":  # its one field is a dict: it hashes its modes
+        assert hash(value) == hash(again) == hash(value.items())
     else:
         fields = tuple(getattr(value, f) for f in value._fields)
         assert hash(value) == hash(again) == hash(fields)
 
 
-@pytest.mark.parametrize("name", sorted(IDENTITY_TYPES))
-def test_series_and_lifts_are_equal_only_to_themselves(name):
-    value = IDENTITY_TYPES[name]()
-    assert value == value and hash(value) == hash(value)
-    assert value != IDENTITY_TYPES[name]()
-
-
-@pytest.mark.parametrize("name", sorted(BUILD))
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
 def test_frozen_fields_cannot_be_assigned(name):
-    value = BUILD[name]()
+    value = VALUE_TYPES[name][0]()
     for field in value._fields:
         with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
             setattr(value, field, None)
@@ -121,3 +125,41 @@ def test_run_config_keywords_and_unknown_fields():
     assert RunConfig(seed=3) == RunConfig.from_json({"seed": 3})
     with pytest.raises(ValueError, match=r"^unknown config fields: \['bogus', 'zz'\]$"):
         RunConfig.from_json({"seed": 1, "zz": 2, "bogus": 3})
+
+
+def _class_members(node: ast.ClassDef) -> set:
+    """The names that a class body defines or assigns."""
+    names = set()
+    for stmt in node.body:
+        if isinstance(stmt, ast.FunctionDef):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names.update(n.id for t in stmt.targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_value_type_but_qqi_is_a_record():
+    # One value-type mechanism: every class with __slots__ derives from
+    # Record, except QQi, whose _make sets its slots directly on the hottest
+    # path; and no record replaces the base's equality or assignment guard.
+    classes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                assert node.name not in classes, f"two classes named {node.name}"
+                classes[node.name] = (path.stem, node)
+
+    def is_record(name):
+        if name == "Record":
+            return True
+        return name in classes and any(isinstance(b, ast.Name) and is_record(b.id)
+                                       for b in classes[name][1].bases)
+
+    members = {name: _class_members(node) for name, (_, node) in classes.items()}
+    slotted_outside = sorted(f"{classes[name][0]}.{name}" for name in classes
+                             if "__slots__" in members[name] and not is_record(name))
+    overriding = sorted(f"{classes[name][0]}.{name}" for name in classes
+                        if name != "Record" and is_record(name)
+                        and members[name] & {"__eq__", "__setattr__"})
+    assert (slotted_outside, overriding) == (["scalars.QQi"], [])
