@@ -114,14 +114,15 @@ class LambdaLift(TangentSeries):
     @classmethod
     def from_json(cls, doc: dict) -> "LambdaLift":
         """The lift of a ``to_json`` document, whose ``rank`` and ``order`` must
-        match its forms."""
+        be the ints that match its forms."""
         phi0 = MatrixForm.from_json(doc["phi0"])
         lift = cls((MatrixForm.zero(phi0.size, (0, 1)),)
                    + tuple(MatrixForm.from_json(f) for f in doc["psi"]),
                    (phi0,) + tuple(MatrixForm.from_json(f) for f in doc["phi"]))
-        if (doc["rank"], doc["order"]) != (lift.rank, lift.order):
-            raise ValueError(f"declared rank {reprlib.repr(doc['rank'])} and order "
-                             f"{reprlib.repr(doc['order'])} disagree with the forms "
+        rank, order = doc["rank"], doc["order"]
+        if (type(rank), type(order), rank, order) != (int, int, lift.rank, lift.order):
+            raise ValueError(f"declared rank {reprlib.repr(rank)} and order "
+                             f"{reprlib.repr(order)} disagree with the forms "
                              f"(rank {lift.rank}, order {lift.order})")
         return lift
 

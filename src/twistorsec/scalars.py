@@ -209,10 +209,12 @@ def scalar_to_json(z: QQi):
     return [a // g, d // g, b // h, d // h]
 
 
-def scalar_from_json(value):
-    """Inverse of :func:`scalar_to_json`."""
-    if len(value) != 4:
-        raise ValueError(f"malformed scalar payload: {value!r}")
+def scalar_from_json(value, what: str = "scalar payload"):
+    """Inverse of :func:`scalar_to_json`: four ints, neither denominator 0.
+    A malformed value raises ValueError, naming it as ``what``."""
+    if len(value) != 4 or any(type(p) is not int for p in value) or 0 in value[1::2]:
+        raise ValueError(f"{what} {value!r} is not four ints [re_num, re_den, "
+                         f"im_num, im_den] with nonzero denominators")
     rn, rd, im_n, im_d = value
     return QQi(Fraction(rn, rd), Fraction(im_n, im_d))
 

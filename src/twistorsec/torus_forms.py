@@ -44,23 +44,20 @@ from .scalars import (QQi, _sum_products, _times_symbol, random_term,
 class FourierScalar(Record):
     """A finite Fourier series on the torus.
 
-    ``modes`` maps int pairs to nonzero coefficients.  The constructor casts
-    the keys and drops zero coefficients.  Arithmetic builds its results with
-    :func:`_fs` and drops a mode where a sum cancels to zero: coefficients lie
-    in a field, so a product of nonzero coefficients is nonzero.  A product
-    of series runs the one mode loop, ``scalars._sum_products``, which
-    normalizes each stored coefficient once.  A series adds to and compares
-    with a series only; ``*`` also takes a ``QQi`` on the right.
+    ``modes`` maps int pairs to nonzero coefficients; the constructor drops
+    zero coefficients.  Arithmetic builds its results with :func:`_fs` and
+    drops a mode where a sum cancels to zero: coefficients lie in a field, so
+    a product of nonzero coefficients is nonzero.  A product of series runs
+    the one mode loop, ``scalars._sum_products``, which normalizes each
+    stored coefficient once.  A series adds to and compares with a series
+    only; ``*`` also takes a ``QQi`` on the right.
     """
 
     __slots__ = _fields = ("modes",)
 
     def __init__(self, modes=None):
-        cleaned = {}
-        for (m, n), c in (modes or {}).items():
-            if c:
-                cleaned[(int(m), int(n))] = c
-        object.__setattr__(self, "modes", cleaned)
+        object.__setattr__(self, "modes",
+                           {k: c for k, c in (modes or {}).items() if c})
 
     @classmethod
     def const(cls, c) -> "FourierScalar":
@@ -209,15 +206,28 @@ class MatrixForm(Record):
 
     @classmethod
     def from_json(cls, doc: dict) -> "MatrixForm":
-        """The form of a ``to_json`` document, whose ``size`` must match its rows."""
-        ent = [[FourierScalar({(m, n): scalar_from_json(c)
-                               for m, n, c in cell["modes"]})
-                for cell in row] for row in doc["entries"]]
+        """The form of a ``to_json`` document, whose ``size`` must be the int
+        count of its rows, and whose every entry lists each int mode once."""
+        ent = [[_series_from_json(cell["modes"], i, j) for j, cell in enumerate(row)]
+               for i, row in enumerate(doc["entries"])]
         form = cls(tuple(doc["bidegree"]), ent)
-        if doc["size"] != form.size:
+        if type(doc["size"]) is not int or doc["size"] != form.size:
             raise ValueError(f"declared size {reprlib.repr(doc['size'])} disagrees "
                              f"with the {form.size} rows of the form")
         return form
+
+
+def _series_from_json(modes, i: int, j: int) -> FourierScalar:
+    """The series of the ``[m, n, scalar]`` modes of entry (i, j)."""
+    out = {}
+    for m, n, c in modes:
+        where = f"entry ({i}, {j}) mode {reprlib.repr([m, n])}"
+        if type(m) is not int or type(n) is not int:
+            raise ValueError(f"{where} must be a pair of ints")
+        if (m, n) in out:
+            raise ValueError(f"{where} is listed twice")
+        out[m, n] = scalar_from_json(c, f"{where} coefficient")
+    return FourierScalar(out)
 
 
 _set_bidegree, _set_entries = MatrixForm.bidegree.__set__, MatrixForm.entries.__set__

@@ -672,6 +672,17 @@ def test_lift_json_rejects_a_rank_or_order_that_disagrees_with_the_forms():
             LambdaLift.from_json(dict(doc, **{key: wrong}))
 
 
+@pytest.mark.parametrize("key", ["rank", "order"])
+def test_lift_json_rank_and_order_must_be_ints(key):
+    # A rank-1 lift of order 1, where True and 1.0 equal the true values.
+    zero_b, zero_a = MatrixForm.zero(1, (0, 1)), MatrixForm.zero(1, (1, 0))
+    doc = LambdaLift((zero_b, zero_b), (zero_a, zero_a)).to_json()
+    assert (doc["rank"], doc["order"]) == (1, 1)
+    for wrong in (True, 1.0):
+        with pytest.raises(ValueError, match="disagree with the forms"):
+            LambdaLift.from_json(dict(doc, **{key: wrong}))
+
+
 def test_tangent_and_gauge_series_validation():
     z = _low_pair(TangentSeries, order=2)
     assert z.rank == 2 and z.order == 2

@@ -444,6 +444,43 @@ def test_json_rejects_a_size_that_disagrees_with_the_rows():
             MatrixForm.from_json(dict(doc, size=wrong))
 
 
+def test_json_size_must_be_an_int():
+    # True == 1 == 1.0 in Python, but a bool or a float is not a size.
+    doc = MatrixForm.zero(1).to_json()
+    for wrong in (True, 1.0):
+        with pytest.raises(ValueError, match="declared size"):
+            MatrixForm.from_json(dict(doc, size=wrong))
+
+
+def _one_cell_doc(modes):
+    """A 2 x 2 (0,0)-form document whose entry (1, 0) lists the modes."""
+    doc = MatrixForm.zero(2).to_json()
+    doc["entries"][1][0] = {"modes": modes}
+    return doc
+
+
+@pytest.mark.parametrize("mode", [[1.7, 0], [True, "2"]], ids=["float", "bool-str"])
+def test_json_rejects_a_mode_that_is_not_two_ints(mode):
+    # int() would load [1.7, 0] as (1, 0) and [true, "2"] as (1, 2).
+    with pytest.raises(ValueError, match=r"^entry \(1, 0\) mode .* must be a pair of ints$"):
+        MatrixForm.from_json(_one_cell_doc([mode + [[1, 1, 0, 1]]]))
+
+
+def test_json_rejects_a_mode_listed_twice():
+    doc = _one_cell_doc([[1, 0, [1, 1, 0, 1]], [1, 0, [2, 1, 0, 1]]])
+    with pytest.raises(ValueError, match=r"^entry \(1, 0\) mode \[1, 0\] is listed twice$"):
+        MatrixForm.from_json(doc)
+
+
+@pytest.mark.parametrize("scalar", [[1, 0, 0, 1], [0, 1, 1, 0], [1.5, 1, 0, 1],
+                                    [1, 1, 0, 1.0]],
+                         ids=["zero-re-den", "zero-im-den", "float-re", "float-im-den"])
+def test_json_rejects_a_coefficient_with_a_zero_denominator_or_a_float_part(scalar):
+    with pytest.raises(ValueError, match=r"^entry \(1, 0\) mode \[2, -1\] coefficient "
+                                         r".* is not four ints"):
+        MatrixForm.from_json(_one_cell_doc([[2, -1, scalar]]))
+
+
 def test_trace_free_generator():
     rng = random.Random(2)
     f = random_matrix_form(rng, 3, trace_free=True)
