@@ -374,7 +374,7 @@ def test_cli_suite_crash_is_a_failing_record(tmp_path, monkeypatch, capsys, erro
 
     monkeypatch.setattr(suites.vhs, "det_exponent", crash)
     out = tmp_path / "report.json"
-    code = cli.main(["verify", "--suite", "det-exponent", "--suite", "xi-weights",
+    code = cli.main(["verify", "--suite", "det-exponent", "--suite", "grade-bracket",
                      "--cases", "2", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1
@@ -387,7 +387,7 @@ def test_cli_suite_crash_is_a_failing_record(tmp_path, monkeypatch, capsys, erro
     assert crashed[0]["provenance"].startswith("raised in crash at test_report_cli.py:")
     assert crashed[0]["actual"].startswith(f"{error.__name__}: 'yyy")
     assert len(crashed[0]["actual"]) < 100
-    assert {r["status"] for r in records if r["suite"] == "xi-weights"} == {"pass"}
+    assert {r["status"] for r in records if r["suite"] == "grade-bracket"} == {"pass"}
 
 
 def test_cli_verify_catches_a_broken_residue_form(monkeypatch, capsys):
