@@ -3,7 +3,8 @@
 Each record type lists its fields once and inherits the rest from
 ``records.Record``.  These tests pin what callers rely on: the repr text that
 reports print, equality within one type over the fields, a hash that agrees
-with equality, and fields that cannot be assigned once a record is built.
+with equality, and fields that cannot be assigned once a record is built;
+and, read off the source, that every value type but ``QQi`` is a record.
 """
 
 import ast
