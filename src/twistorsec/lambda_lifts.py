@@ -374,16 +374,16 @@ class LaurentConnection(Record):
     """Laurent data of a connection pair in one coordinate.
 
     Operator symbols ("dbar", "del") and form coefficients are kept per
-    exponent, each part in a dict of its own (a fresh one when omitted).
+    exponent, in four dicts that every caller passes.
     """
 
     __slots__ = _fields = ("dbar_ops", "dbar_forms", "d_ops", "d_forms")
 
-    def __init__(self, dbar_ops=None, dbar_forms=None, d_ops=None, d_forms=None):
-        object.__setattr__(self, "dbar_ops", {} if dbar_ops is None else dbar_ops)
-        object.__setattr__(self, "dbar_forms", {} if dbar_forms is None else dbar_forms)
-        object.__setattr__(self, "d_ops", {} if d_ops is None else d_ops)
-        object.__setattr__(self, "d_forms", {} if d_forms is None else d_forms)
+    def __init__(self, dbar_ops, dbar_forms, d_ops, d_forms):
+        object.__setattr__(self, "dbar_ops", dbar_ops)
+        object.__setattr__(self, "dbar_forms", dbar_forms)
+        object.__setattr__(self, "d_ops", d_ops)
+        object.__setattr__(self, "d_forms", d_forms)
 
 
 def lift_to_laurent(lift: LambdaLift) -> LaurentConnection:

@@ -64,11 +64,7 @@ class RunConfig(Record):
             object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
-        return {"suites": list(self.suites), "seed": self.seed,
-                "order": self.order, "mode_bound": self.mode_bound,
-                "rank_bound": self.rank_bound, "datasets": list(self.datasets),
-                "out_format": self.out_format, "out_path": self.out_path,
-                "cases": self.cases}
+        return {name: getattr(self, name) for name in self._fields}
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
@@ -174,11 +170,8 @@ def csv_text(columns, rows) -> str:
 
 # One row of a JSON report as ``json_text`` lays it out at depth two, less its
 # braces: the C encoder writes it, the item separator carrying the indent.
-# Only a row with a value outside the _FLAT types is searched for a list or
-# a dict.
 _ROW = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
                         separators=(",\n      ", ": "))
-_FLAT = {str, int, float, bool, type(None)}
 
 
 def render_report(out_format: str, columns, rows, key: str, head=None) -> str:
@@ -187,8 +180,8 @@ def render_report(out_format: str, columns, rows, key: str, head=None) -> str:
     CSV for ``"csv"``, JSON otherwise: the CLI and ``RunConfig`` accept only
     the ``FORMATS``.  The CSV holds the columns only; the JSON holds the
     fields of ``head`` and the whole rows under ``key``, the same text as
-    ``json_text`` of that document.  A JSON row value may not be a list or a
-    dict (``TypeError``): the one-line row layout would render it otherwise.
+    ``json_text`` of that document.  Row values are strings and numbers, as
+    ``check``, ``check_true`` and the dataset tables make them.
     """
     if out_format == "csv":
         return csv_text(columns, ([row[c] for c in columns] for row in rows))
@@ -201,10 +194,6 @@ def render_report(out_format: str, columns, rows, key: str, head=None) -> str:
     before, _, after = text.partition(f"\n  {name}: []")
     pieces = [before, f"\n  {name}: [\n    {{\n      "]
     for row in rows:
-        if not _FLAT.issuperset(map(type, row.values())):
-            nested = [k for k, v in row.items() if isinstance(v, (list, tuple, dict))]
-            if nested:
-                raise TypeError(f"report row value {nested[0]!r} is a list or a dict")
         pieces += (_ROW.encode(row)[1:-1], "\n    },\n    {\n      ")
     pieces[-1] = "\n    }\n  ]"
     pieces.append(after)

@@ -257,10 +257,10 @@ def random_qqi(rng, span: int = 9) -> QQi:
     return _make((a - span) * (e + 1), (c - span) * (b + 1), (b + 1) * (e + 1))
 
 
-def random_term(rng, mode_bound: int, span: int):
+def random_term(rng, mode_bound: int):
     """One term of a random Fourier series: the mode (m, n) with m, n in
     [-mode_bound, mode_bound], drawn as :func:`draw` draws them, then the
-    coefficient ``random_qqi(rng, span)``."""
+    coefficient ``random_qqi(rng, 6)``."""
     n = 2 * mode_bound + 1
     if n < 1:
         raise ValueError(f"empty range for draw ({-mode_bound}, {mode_bound})")
@@ -271,7 +271,7 @@ def random_term(rng, mode_bound: int, span: int):
     r = bits(k)
     while r >= n:
         r = bits(k)
-    return (m - mode_bound, r - mode_bound), random_qqi(rng, span)
+    return (m - mode_bound, r - mode_bound), random_qqi(rng, 6)
 
 
 def random_nonzero_qqi(rng) -> QQi:

@@ -737,11 +737,8 @@ def suite_dh_involutions(cfg, rng, entries):
         out.append(check_true(f"glue-{i:04d}",
                               ll.deligne_glue(ll.deligne_glue(lc)) == lc,
                               "regluing twice is the identity", "exponent map"))
-        b = tf.random_matrix_form(rng, size, (0, 1), cfg.mode_bound, 2,
-                                  trace_free=True)
-        a = tf.random_matrix_form(rng, size, (1, 0), cfg.mode_bound, 2,
-                                  trace_free=True)
-        p = ll.DHPoint(b, a, random_nonzero_qqi(rng))
+        p = ll.DHPoint(*_random_coeffs(cfg, rng, size, (0, 1), 1),
+                       *_random_coeffs(cfg, rng, size, (1, 0), 1), random_nonzero_qqi(rng))
         out.append(check_true(f"square-{i:04d}",
                               ll.real_involution_dh(ll.real_involution_dh(p)) == p,
                               "involution squares to the identity",

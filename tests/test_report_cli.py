@@ -161,6 +161,9 @@ def test_render_report_dispatch():
         "records": []}
     text = render_report("csv", ("label", "pair"), rows, "rows", head)
     assert text == "label,pair\na,\n"
+    # The CSV reads the columns alone, whatever the other values are.
+    rows = [{"label": "a", "pair": ""}, {"label": "b", "pair": [1], "x": {}}]
+    assert render_report("csv", ("label",), rows, "rows") == "label\na\nb\n"
     assert render_report("csv", RECORD_COLUMNS, [], "records") == (
         ",".join(RECORD_COLUMNS) + "\n")
 
@@ -203,14 +206,6 @@ def test_json_rows_match_the_stdlib_encoder(report):
     expected = json.dumps({**(head or {}), key: rows}, sort_keys=True, indent=2,
                           ensure_ascii=False) + "\n"
     assert render_report("json", columns, rows, key, head) == expected
-
-
-@pytest.mark.parametrize("value", [[], [1], {"a": 1}, {}, ("x",)])
-def test_json_rows_reject_a_nested_value(value):
-    rows = [{"label": "a", "pair": ""}, {"label": "b", "pair": value}]
-    with pytest.raises(TypeError, match="'pair'"):
-        render_report("json", ("label",), rows, "rows")
-    assert render_report("csv", ("label",), rows, "rows") == "label\na\nb\n"
 
 
 def test_atomic_write(tmp_path):

@@ -287,7 +287,7 @@ def test_draw_rejects_an_empty_range():
     with pytest.raises(ValueError, match=re.escape("empty range for draw (1, -1)")):
         random_qqi(rng, -1)
     with pytest.raises(ValueError, match=re.escape("empty range for draw (1, -1)")):
-        random_term(rng, -1, 6)
+        random_term(rng, -1)
 
 
 @given(st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 9, 10 ** 9))
