@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {_describe(err)}", file=sys.stderr)
         return 2
 

@@ -212,7 +212,7 @@ def scalar_to_json(z: QQi):
 def scalar_from_json(value, what: str = "scalar payload"):
     """Inverse of :func:`scalar_to_json`: four ints, neither denominator 0.
     A malformed value raises ValueError, naming it as ``what``."""
-    if len(value) != 4 or any(type(p) is not int for p in value) or 0 in value[1::2]:
+    if type(value) is not list or [*map(type, value)] != [int] * 4 or 0 in value[1::2]:
         raise ValueError(f"{what} {value!r} is not four ints [re_num, re_den, "
                          f"im_num, im_den] with nonzero denominators")
     rn, rd, im_n, im_d = value

@@ -208,20 +208,31 @@ class MatrixForm(Record):
     def from_json(cls, doc: dict) -> "MatrixForm":
         """The form of a ``to_json`` document, whose ``size`` must be the int
         count of its rows, and whose every entry lists each int mode once."""
-        ent = [[_series_from_json(cell["modes"], i, j) for j, cell in enumerate(row)]
-               for i, row in enumerate(doc["entries"])]
-        form = cls(tuple(doc["bidegree"]), ent)
-        if type(doc["size"]) is not int or doc["size"] != form.size:
-            raise ValueError(f"declared size {reprlib.repr(doc['size'])} disagrees "
+        rows = _list(doc.get("entries") if type(doc) is dict else None, "field 'entries'")
+        ent = [[_series_from_json(cell, i, j) for j, cell in enumerate(_list(r, f"row {i}"))]
+               for i, r in enumerate(rows)]
+        form = cls(tuple(_list(doc.get("bidegree"), "field 'bidegree'")), ent)
+        if type(doc.get("size")) is not int or doc["size"] != form.size:
+            raise ValueError(f"declared size {reprlib.repr(doc.get('size'))} disagrees "
                              f"with the {form.size} rows of the form")
         return form
 
 
-def _series_from_json(modes, i: int, j: int) -> FourierScalar:
+def _list(value, what: str) -> list:
+    """A list read from a form document; ``what`` names it if it is not one."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {reprlib.repr(value)}")
+    return value
+
+
+def _series_from_json(cell, i: int, j: int) -> FourierScalar:
     """The series of the ``[m, n, scalar]`` modes of entry (i, j)."""
-    out = {}
-    for m, n, c in modes:
-        where = f"entry ({i}, {j}) mode {reprlib.repr([m, n])}"
+    at, out = f"entry ({i}, {j})", {}
+    for mode in _list(cell.get("modes") if type(cell) is dict else None, f"{at} modes"):
+        if type(mode) is not list or len(mode) != 3:
+            raise ValueError(f"{at} mode {reprlib.repr(mode)} is not [m, n, scalar]")
+        m, n, c = mode
+        where = f"{at} mode {reprlib.repr([m, n])}"
         if type(m) is not int or type(n) is not int:
             raise ValueError(f"{where} must be a pair of ints")
         if (m, n) in out:

@@ -385,6 +385,17 @@ def test_cli_suite_crash_is_a_failing_record(tmp_path, monkeypatch, capsys, erro
     assert {r["status"] for r in records if r["suite"] == "grade-bracket"} == {"pass"}
 
 
+def test_cli_defect_outside_a_suite_is_not_an_input_error(monkeypatch):
+    # Every input is checked before it is read, so a KeyError outside a suite
+    # is a defect: it propagates instead of exiting 2 as bad input would.
+    def broken(entries):
+        raise KeyError("ranks")
+
+    monkeypatch.setattr(cli, "vhs_energy_table", broken)
+    with pytest.raises(KeyError, match="ranks"):
+        cli.main(["vhs-energy"])
+
+
 def test_cli_verify_catches_a_broken_residue_form(monkeypatch, capsys):
     # The residue form without its base term energy(s) * l: the moment-map
     # suite checks the residue form on a fixed number of draws, so it fails
@@ -735,6 +746,13 @@ def test_cli_exit_contract_on_arbitrary_json(config, dataset):
         data = os.path.join(tmp, "data.json")
         with open(data, "w", encoding="utf-8") as fh:
             json.dump(dataset, fh)
+        # The table commands read the same dataset; no defect may reach them.
+        for command in ("vhs-energy", "hyperhol-degree"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--dataset", data])
+            assert code in (0, 2) and "Traceback" not in err.getvalue()
+            assert (code == 2) == err.getvalue().startswith("error: ")
         if isinstance(config, dict) and config.get("datasets") == ["DATA"]:
             config = dict(config, datasets=[data])
         cfg = os.path.join(tmp, "run.json")

@@ -481,6 +481,24 @@ def test_json_rejects_a_coefficient_with_a_zero_denominator_or_a_float_part(scal
         MatrixForm.from_json(_one_cell_doc([[2, -1, scalar]]))
 
 
+@pytest.mark.parametrize("doc, message", [
+    (_one_cell_doc([[2, -1, 5]]), r"^entry \(1, 0\) mode \[2, -1\] coefficient 5 is not"),
+    (_one_cell_doc([[0, 0]]), r"^entry \(1, 0\) mode \[0, 0\] is not \[m, n, scalar\]$"),
+    (_one_cell_doc(7), r"^entry \(1, 0\) modes must be a list, got 7$"),
+    (dict(_one_cell_doc([]), bidegree=5), r"^field 'bidegree' must be a list, got 5$"),
+    ({"bidegree": [0, 0], "size": 2}, r"^field 'entries' must be a list, got None$"),
+    (dict(_one_cell_doc([]), entries=[[{}]]),
+     r"^entry \(0, 0\) modes must be a list, got None$"),
+    (dict(_one_cell_doc([]), entries=[3]), r"^row 0 must be a list, got 3$"),
+    ([], r"^field 'entries' must be a list, got None$"),
+], ids=["int-coefficient", "short-mode", "int-modes", "int-bidegree", "no-entries",
+        "no-modes", "int-row", "list-document"])
+def test_json_of_the_wrong_structure_names_the_field(doc, message):
+    # Each raised TypeError, KeyError or an unpacking error that named nothing.
+    with pytest.raises(ValueError, match=message):
+        MatrixForm.from_json(doc)
+
+
 def test_trace_free_generator():
     rng = random.Random(2)
     f = random_matrix_form(rng, 3, trace_free=True)
