@@ -494,7 +494,6 @@ def test_json_rejects_a_coefficient_with_a_zero_denominator_or_a_float_part(scal
 ], ids=["int-coefficient", "short-mode", "int-modes", "int-bidegree", "no-entries",
         "no-modes", "int-row", "list-document"])
 def test_json_of_the_wrong_structure_names_the_field(doc, message):
-    # Each raised TypeError, KeyError or an unpacking error that named nothing.
     with pytest.raises(ValueError, match=message):
         MatrixForm.from_json(doc)
 
