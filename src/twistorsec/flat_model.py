@@ -18,6 +18,12 @@ the oracle results that fixed them.
 
 At t = infinity all formulas use the explicit chart change (coefficient
 reversal with the O(1) twist), never numerical limits.
+
+The operations that return a section, and :func:`random_section`, build it
+with :func:`_section`, which skips the shape checks of ``FlatSection(...)``:
+each block they build is a quadruple, one per block of a valid input.  A
+section from outside the library (a hand-built one, a dataset, a symbolic
+test) goes through the checked ``FlatSection(...)``.
 """
 
 from __future__ import annotations
@@ -68,14 +74,26 @@ class FlatSection(Record):
                            for blk in self.blocks]}
 
 
+_set_blocks = FlatSection.blocks.__set__
+
+
+def _section(blocks: tuple) -> FlatSection:
+    """The section of a nonempty tuple of quadruples, without the checks of
+    ``FlatSection(...)``: only for blocks that an operation built from a
+    valid section, one quadruple per block of it."""
+    s = object.__new__(FlatSection)
+    _set_blocks(s, blocks)
+    return s
+
+
 def zero_tangent(d: int) -> FlatSection:
     return FlatSection(tuple((QQi(0),) * 4 for _ in range(d)))
 
 
 def twistor_line(m: FlatPoint) -> FlatSection:
     """The constant section through m: per block (z, -conj(w), w, conj(z))."""
-    return FlatSection(tuple((z, -w.conjugate(), w, z.conjugate())
-                             for z, w in m.coords))
+    return _section(tuple((z, -w.conjugate(), w, z.conjugate())
+                          for z, w in m.coords))
 
 
 def evaluate(s: FlatSection, t) -> FlatPoint:
@@ -96,7 +114,7 @@ def real_involution(s: FlatSection) -> FlatSection:
     fixed sections are exactly the twistor lines.  The same formula is the
     differential acting on tangents (the map is conjugate-linear).
     """
-    return FlatSection(tuple(
+    return _section(tuple(
         (b2.conjugate(), -b1.conjugate(), -a2.conjugate(), a1.conjugate())
         for a1, a2, b1, b2 in s.blocks))
 
@@ -105,14 +123,14 @@ def group_action(zeta, s: FlatSection) -> FlatSection:
     """(zeta.s)(t) = zeta.(s(zeta^-1 t)): per block (a1, a2/zeta, zeta*b1, b2)."""
     if not zeta:
         raise ValueError("the acting scalar must be nonzero")
-    return FlatSection(tuple((a1, a2 / zeta, zeta * b1, b2)
-                             for a1, a2, b1, b2 in s.blocks))
+    return _section(tuple((a1, a2 / zeta, zeta * b1, b2)
+                          for a1, a2, b1, b2 in s.blocks))
 
 
 def fundamental_field(s: FlatSection) -> FlatSection:
     """d/dtheta at theta=0 of the circle orbit: per block (0, -i*a2, i*b1, 0)."""
-    return FlatSection(tuple((QQi(0), -I * a2, I * b1, QQi(0))
-                             for a1, a2, b1, b2 in s.blocks))
+    return _section(tuple((QQi(0), -I * a2, I * b1, QQi(0))
+                          for a1, a2, b1, b2 in s.blocks))
 
 
 def moment_map(m: FlatPoint):
@@ -145,14 +163,14 @@ def omega0_killing(s: FlatSection, V: FlatSection, W: FlatSection):
 
 def vanishing_at_zero_part(V: FlatSection) -> FlatSection:
     """Component of V vanishing at t = 0 (the t * constant part)."""
-    return FlatSection(tuple((QQi(0), a2, QQi(0), b2)
-                             for _, a2, _, b2 in V.blocks))
+    return _section(tuple((QQi(0), a2, QQi(0), b2)
+                          for _, a2, _, b2 in V.blocks))
 
 
 def vanishing_at_infinity_part(V: FlatSection) -> FlatSection:
     """Component of V vanishing at t = infinity (the constant part)."""
-    return FlatSection(tuple((a1, QQi(0), b1, QQi(0))
-                             for a1, _, b1, _ in V.blocks))
+    return _section(tuple((a1, QQi(0), b1, QQi(0))
+                          for a1, _, b1, _ in V.blocks))
 
 
 def holomorphic_metric(s: FlatSection, V: FlatSection, W: FlatSection):
@@ -243,7 +261,7 @@ def fixed_part(s: FlatSection) -> FlatSection:
     The circle acts by (a1, a2/zeta, zeta*b1, b2), so these sections are the
     fixed ones; on a tangent this is the part the fundamental field kills.
     """
-    return FlatSection(tuple((a1, QQi(0), QQi(0), b2) for a1, _, _, b2 in s.blocks))
+    return _section(tuple((a1, QQi(0), QQi(0), b2) for a1, _, _, b2 in s.blocks))
 
 
 def twist(s: FlatSection):
@@ -271,6 +289,8 @@ def residue_form_phi(s: FlatSection, t, l, V: FlatSection):
 
 
 def random_section(rng, d: int = 1) -> FlatSection:
-    """Deterministic random section (or tangent) with d blocks."""
-    return FlatSection(tuple(tuple(random_qqi(rng) for _ in range(4))
-                             for _ in range(d)))
+    """Deterministic random section (or tangent) with d >= 1 blocks."""
+    if d < 1:
+        raise ValueError("need at least one quaternionic block")
+    return _section(tuple(tuple(random_qqi(rng) for _ in range(4))
+                          for _ in range(d)))

@@ -30,7 +30,7 @@ import reprlib
 from .constants import ENERGY_LIFT_COEFF, OMEGA_HAT_COEFF
 from .records import Record
 from .scalars import QQi, random_qqi
-from .torus_forms import (FS_ZERO, FourierScalar, MatrixForm, bracket_terms,
+from .torus_forms import (FS_ZERO, FourierScalar, MatrixForm, _list, bracket_terms,
                           conj_transpose, dbar, del_op, pair_trace,
                           random_fourier_scalar, trace, wedge_bracket, wedge_sum)
 from .vhs import VhsBlockData, grades, xi_matrix
@@ -115,11 +115,16 @@ class LambdaLift(TangentSeries):
     def from_json(cls, doc: dict) -> "LambdaLift":
         """The lift of a ``to_json`` document, whose ``rank`` and ``order`` must
         be the ints that match its forms."""
-        phi0 = MatrixForm.from_json(doc["phi0"])
+        fields = doc if type(doc) is dict else {}
+        if type(fields.get("phi0")) is not dict:
+            raise ValueError("field 'phi0' must be an object, got "
+                             f"{reprlib.repr(fields.get('phi0'))}")
+        psi, phi = (_list(fields.get(name), f"field {name!r}") for name in ("psi", "phi"))
+        phi0 = MatrixForm.from_json(fields["phi0"])
         lift = cls((MatrixForm.zero(phi0.size, (0, 1)),)
-                   + tuple(MatrixForm.from_json(f) for f in doc["psi"]),
-                   (phi0,) + tuple(MatrixForm.from_json(f) for f in doc["phi"]))
-        rank, order = doc["rank"], doc["order"]
+                   + tuple(MatrixForm.from_json(f) for f in psi),
+                   (phi0,) + tuple(MatrixForm.from_json(f) for f in phi))
+        rank, order = fields.get("rank"), fields.get("order")
         if (type(rank), type(order), rank, order) != (int, int, lift.rank, lift.order):
             raise ValueError(f"declared rank {reprlib.repr(rank)} and order "
                              f"{reprlib.repr(order)} disagree with the forms "

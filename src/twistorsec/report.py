@@ -17,6 +17,7 @@ import tempfile
 from collections import Counter
 
 from .records import Record
+from .scalars import QQi
 
 FORMATS = ("json", "csv")
 
@@ -112,7 +113,11 @@ _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 def format_value(v) -> str:
     """Exact string form of a verification value: the ``to_json`` document
-    as compact JSON where the value has one, else ``str``."""
+    as compact JSON where the value has one, else ``str``.  A ``QQi``, the
+    most common value, is tested first: ``hasattr`` raises and catches an
+    ``AttributeError`` inside for a value without ``to_json``."""
+    if type(v) is QQi:
+        return str(v)
     if hasattr(v, "to_json"):
         return _COMPACT.encode(v.to_json())
     return str(v)

@@ -12,13 +12,18 @@ is a ``QQi``, and renders one way.  The constructor takes an ``int`` (not a
 :func:`_sum_products`, the mode loop of every Fourier-series product, sums on
 them and normalizes once per stored coefficient, :func:`_times_symbol` applies
 a derivative's symbol on them, and the text and JSON forms are written from
-them.  :func:`draw` draws an int as ``rng.randint`` does;
+them.  ``+``, ``-`` and ``*`` divide their result by its gcd in their own
+frame, with no call to :func:`_make`; ``/`` and the kernels call it.
+Negation and conjugation compute no gcd: negating one or both of ``a`` and
+``b`` keeps ``gcd(a, b, d) == 1`` and ``d > 0``, so the result is already in
+normal form.  :func:`draw` draws an int as ``rng.randint`` does;
 :func:`random_qqi` and :func:`random_term`, which draw most of the ints of a
 run, replay its rule inline.
 """
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -121,8 +126,15 @@ class QQi:
         c, e, f = other._a, other._b, other._d
         d = self._d
         if d == f:
-            return _make(self._a + c, self._b + e, d)
-        return _make(self._a * f + c * d, self._b * f + e * d, d * f)
+            a, b = self._a + c, self._b + e
+        else:
+            a, b, d = self._a * f + c * d, self._b * f + e * d, d * f
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        q = _new(QQi)
+        q._a, q._b, q._d = a, b, d
+        return q
 
     # No valid operand reaches it; perfbench/tracing.py counts it by name.
     __radd__ = __add__
@@ -133,15 +145,28 @@ class QQi:
         c, e, f = other._a, other._b, other._d
         d = self._d
         if d == f:
-            return _make(self._a - c, self._b - e, d)
-        return _make(self._a * f - c * d, self._b * f - e * d, d * f)
+            a, b = self._a - c, self._b - e
+        else:
+            a, b, d = self._a * f - c * d, self._b * f - e * d, d * f
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        q = _new(QQi)
+        q._a, q._b, q._d = a, b, d
+        return q
 
     def __mul__(self, other):
         if type(other) is not QQi:
             return NotImplemented
         c, e = other._a, other._b
         a, b = self._a, self._b
-        return _make(a * c - b * e, a * e + b * c, self._d * other._d)
+        a, b, d = a * c - b * e, a * e + b * c, self._d * other._d
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        q = _new(QQi)
+        q._a, q._b, q._d = a, b, d
+        return q
 
     # No valid operand reaches it; perfbench/tracing.py counts it by name.
     __rmul__ = __mul__
@@ -157,10 +182,14 @@ class QQi:
         return _make(f * (a * c + b * e), f * (b * c - a * e), self._d * n2)
 
     def __neg__(self):
-        return _make(-self._a, -self._b, self._d)
+        q = _new(QQi)
+        q._a, q._b, q._d = -self._a, -self._b, self._d
+        return q
 
     def conjugate(self) -> "QQi":
-        return _make(self._a, -self._b, self._d)
+        q = _new(QQi)
+        q._a, q._b, q._d = self._a, -self._b, self._d
+        return q
 
     # -- comparisons / conversions -------------------------------------------
 
@@ -213,7 +242,7 @@ def scalar_from_json(value, what: str = "scalar payload"):
     """Inverse of :func:`scalar_to_json`: four ints, neither denominator 0.
     A malformed value raises ValueError, naming it as ``what``."""
     if type(value) is not list or [*map(type, value)] != [int] * 4 or 0 in value[1::2]:
-        raise ValueError(f"{what} {value!r} is not four ints [re_num, re_den, "
+        raise ValueError(f"{what} {reprlib.repr(value)} is not four ints [re_num, re_den, "
                          f"im_num, im_den] with nonzero denominators")
     rn, rd, im_n, im_d = value
     return QQi(Fraction(rn, rd), Fraction(im_n, im_d))

@@ -15,7 +15,12 @@ and j-th exponents.
 
 The degree-weighted energy sum is implemented including the k = 1 term,
 which vanishes identically, so the sum may be read as starting at k = 1
-or k = 2 interchangeably.
+or k = 2 interchangeably.  The weights of xi and the exponent of det g(t)
+are computed on ints, as numerators over n, and each value is one Fraction.
+
+Every dataset, drawn or read, goes through the checked ``VhsBlockData(...)``.
+:func:`random_vhs` keeps it too: its zero-sum check is what makes ``verify``
+fail when the last drawn degree is wrong, since no record reads the sum.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import re
 import reprlib
 from fractions import Fraction
+from operator import mul
 
 from .records import Record
 from .scalars import QQi, draw
@@ -123,19 +129,27 @@ def hyperhol_degree(v0: VhsBlockData, vinf: VhsBlockData):
     return energy_closed(v0) + energy_closed(vinf)
 
 
+def _weight_numerators(v: VhsBlockData) -> list:
+    """The weights m + j - l times n, as ints: with S = sum of (l - j) * r_j,
+    m = S / n, so the j-th is S + (j - l) * n."""
+    l, n = v.l, v.n
+    s = sum((l - j) * r for j, r in enumerate(v.ranks, start=1))
+    return [s + (j - l) * n for j in range(1, l + 1)]
+
+
 def xi_weights(v: VhsBlockData) -> tuple:
     """Weights of the diagonal grading element xi: m + j - l on the j-th block.
 
     They are also the exponents of t on the blocks of g(t).
     """
-    l, n = v.l, v.n
-    m = Fraction(sum((l - j) * r for j, r in enumerate(v.ranks, start=1)), n)
-    return tuple(m + j - l for j in range(1, l + 1))
+    n = v.n
+    return tuple(Fraction(k, n) for k in _weight_numerators(v))
 
 
 def det_exponent(v: VhsBlockData) -> Fraction:
-    """Exponent of t in det g(t): the rank-weighted sum of the exponents."""
-    return sum((r * w for r, w in zip(v.ranks, xi_weights(v))), start=Fraction(0))
+    """Exponent of t in det g(t): the rank-weighted sum of the exponents, as
+    one Fraction over n."""
+    return Fraction(sum(map(mul, v.ranks, _weight_numerators(v))), v.n)
 
 
 def grades(v: VhsBlockData) -> list:

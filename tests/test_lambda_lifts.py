@@ -683,6 +683,30 @@ def test_lift_json_rank_and_order_must_be_ints(key):
             LambdaLift.from_json(dict(doc, **{key: wrong}))
 
 
+_LIFT_DOC = LambdaLift((MatrixForm.zero(1, (0, 1)),) * 2,
+                       (MatrixForm.zero(1, (1, 0)),) * 2).to_json()
+
+
+def _without(key):
+    return {k: v for k, v in _LIFT_DOC.items() if k != key}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "^field 'phi0' must be an object, got None$"),
+    (5, "^field 'phi0' must be an object, got None$"),
+    (_without("phi0"), "^field 'phi0' must be an object, got None$"),
+    (dict(_LIFT_DOC, phi0=[]), r"^field 'phi0' must be an object, got \[\]$"),
+    (_without("psi"), "^field 'psi' must be a list, got None$"),
+    (dict(_LIFT_DOC, psi={}), r"^field 'psi' must be a list, got \{\}$"),
+    (_without("phi"), "^field 'phi' must be a list, got None$"),
+    (_without("rank"), "^declared rank None and order 1 disagree with the forms"),
+], ids=["empty", "not-an-object", "no-phi0", "phi0-a-list", "no-psi", "psi-an-object",
+        "no-phi", "no-rank"])
+def test_lift_json_names_the_field_at_fault(doc, message):
+    with pytest.raises(ValueError, match=message):
+        LambdaLift.from_json(doc)
+
+
 def test_tangent_and_gauge_series_validation():
     z = _low_pair(TangentSeries, order=2)
     assert z.rank == 2 and z.order == 2

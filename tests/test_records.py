@@ -8,16 +8,18 @@ and, read off the source, that every value type but ``QQi`` is a record.
 """
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
 
+from twistorsec import flat_model as fm
 from twistorsec.flat_model import FlatPoint, FlatSection
 from twistorsec.lambda_lifts import (DHPoint, LambdaLift, LaurentConnection,
                                      TangentSeries)
 from twistorsec.projline import PolySection, Sl2Element
 from twistorsec.report import RunConfig
-from twistorsec.scalars import QQi
+from twistorsec.scalars import QQi, random_nonzero_qqi, random_qqi
 from twistorsec.torus_forms import FourierScalar, MatrixForm
 from twistorsec.vhs import VhsBlockData
 
@@ -135,8 +137,8 @@ def _class_members(node: ast.ClassDef) -> set:
 
 def test_every_value_type_but_qqi_is_a_record():
     # One value-type mechanism: every class with __slots__ derives from
-    # Record, except QQi, whose _make sets its slots directly on the hottest
-    # path; and no record replaces the base's equality or assignment guard.
+    # Record, except QQi, whose arithmetic sets its slots directly on the
+    # hottest path; and no record replaces the base's equality or assignment guard.
     classes = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -157,3 +159,22 @@ def test_every_value_type_but_qqi_is_a_record():
                         if name != "Record" and is_record(name)
                         and members[name] & {"__eq__", "__setattr__"})
     assert (slotted_outside, overriding) == (["scalars.QQi"], [])
+
+
+def test_library_built_sections_are_what_the_checked_constructor_builds():
+    # The flat-model operations and random_section build their sections
+    # without the constructor's checks; each equals what the checked one
+    # builds from its blocks, and Record equality tells a list from a tuple.
+    rng = random.Random(2024)
+    sections = []
+    for d in (1, 2, 3) * 4:
+        s = fm.random_section(rng, d)
+        sections += [s, fm.twistor_line(fm.evaluate(s, random_qqi(rng))),
+                     fm.real_involution(s), fm.group_action(random_nonzero_qqi(rng), s),
+                     fm.fundamental_field(s), fm.fixed_part(s),
+                     fm.vanishing_at_zero_part(s), fm.vanishing_at_infinity_part(s)]
+    for s in sections:
+        assert s == FlatSection(s.blocks)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="^need at least one quaternionic block$"):
+            fm.random_section(rng, d)

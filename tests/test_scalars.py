@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from twistorsec import scalars
 from twistorsec.scalars import (I, QQi, draw, random_nonzero_qqi, random_qqi,
                                 random_term, scalar_from_json, scalar_to_json)
 from twistorsec.torus_forms import FourierScalar
@@ -144,6 +145,29 @@ def test_float_and_complex_are_rejected():
         QQi(1) + 1j
     with pytest.raises(ValueError):
         scalar_from_json([0.5, 3.0])
+
+
+def test_scalar_payload_errors_echo_a_short_payload():
+    with pytest.raises(ValueError, match=r"^entry \(0, 0\) coefficient \[0, 1, ") as info:
+        scalar_from_json(list(range(100_000)), "entry (0, 0) coefficient")
+    assert len(str(info.value)) < 300
+
+
+def test_negation_and_conjugation_are_built_without_a_gcd(monkeypatch):
+    # Negating a part of a value in normal form keeps gcd(a, b, d) = 1 and
+    # d > 0, so -x and x.conjugate() need no reduction.
+    parts = [(Fraction(3, 4), Fraction(-5, 6)), (Fraction(-7, 2), 0), (0, 1), (0, 0),
+             (6, Fraction(9, 4)), (Fraction(-10, 3), Fraction(2, 9))]
+    cases = [(QQi(re, im), QQi(-re, -im), QQi(re, -im)) for re, im in parts]
+
+    def refuse(*args):
+        raise AssertionError(f"reduced {args}")
+
+    monkeypatch.setattr(scalars, "_make", refuse)
+    monkeypatch.setattr(scalars, "gcd", refuse)
+    for x, negated, conjugated in cases:
+        assert -x == negated and x.conjugate() == conjugated
+        assert (-x)._d == x.conjugate()._d == x._d > 0
 
 
 def test_equality_and_hash_consistency():
