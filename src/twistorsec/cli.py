@@ -1,5 +1,8 @@
 """Command-line front end: verification suites and energy/degree tables.
 
+The files it reads and writes are read and laid out by ``report``; this
+module parses the arguments, computes the flat-demo values and dispatches.
+
 Output is deterministic for a fixed seed and is written atomically, so a
 failing run never leaves a partial report behind.  Exit status is 0 exactly
 when every executed check passes; failing suite names go to stderr.
@@ -8,17 +11,15 @@ when every executed check passes; failing suite names go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import reprlib
 import sys
 
 from . import flat_model as fm
 from .constants import REALITY_SIGN
-from .datasets import TABLE_COLUMNS, load_vhs_dataset, vhs_energy_table
-from .report import (FORMATS, RECORD_COLUMNS, RunConfig, atomic_write, csv_text,
-                     failing_suites, format_value, json_text, render_report,
-                     summary)
+from .report import (FORMATS, RunConfig, atomic_write, failing_suites,
+                     flat_demo_report, format_value, hyperhol_degree_report,
+                     load_vhs_dataset, verify_report, vhs_energy_report)
 from .scalars import QQi
 from .suites import SUITES, run_suites
 
@@ -107,15 +108,6 @@ def _verify_config(args) -> RunConfig:
     return RunConfig.from_json(doc)
 
 
-def verify_report(config: RunConfig, records) -> str:
-    """The verify report of ``records`` in ``config.out_format``."""
-    block = config.to_json()
-    del block["out_path"]  # where the report lands must not change its bytes
-    block["exact"] = True  # the arithmetic model; report checkers require it
-    head = {"config": block, "summary": summary(records)}
-    return render_report(config.out_format, RECORD_COLUMNS, records, "records", head)
-
-
 def _cmd_verify(args) -> int:
     config = _verify_config(args)
     records = run_suites(config)
@@ -128,18 +120,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_vhs_energy(args) -> int:
-    rows = vhs_energy_table(load_vhs_dataset(args.dataset))
-    _emit(render_report(args.format, TABLE_COLUMNS, rows, "rows"), args.out)
+    _emit(vhs_energy_report(args.format, load_vhs_dataset(args.dataset)), args.out)
     return 0
 
 
-_DEGREE_COLUMNS = ("label", "pair", "hyperhol_degree")
-
-
 def _cmd_hyperhol_degree(args) -> int:
-    table = vhs_energy_table(load_vhs_dataset(args.dataset))
-    rows = [{c: r[c] for c in _DEGREE_COLUMNS} for r in table if r["pair"]]
-    _emit(render_report(args.format, _DEGREE_COLUMNS, rows, "rows"), args.out)
+    _emit(hyperhol_degree_report(args.format, load_vhs_dataset(args.dataset)), args.out)
     return 0
 
 
@@ -161,14 +147,7 @@ def _cmd_flat_demo(args) -> int:
         "moment_map_identity": moment,
         "reality_identity": reality,
     }
-    # A key/value CSV, not render_report: the demo is one nested document,
-    # not a list of rows with fixed columns.
-    if args.format == "csv":
-        text = csv_text(("key", "value"), ([key, json.dumps(doc[key], sort_keys=True)]
-                                           for key in sorted(doc)))
-    else:
-        text = json_text(doc)
-    _emit(text, args.out)
+    _emit(flat_demo_report(args.format, doc), args.out)
     return 0
 
 

@@ -1,4 +1,6 @@
-"""Run configuration, verification records, and deterministic report output.
+"""Every file the program reads or writes: the run configuration and the
+block datasets it reads, checked whole, and the verify report, the two
+dataset tables and the flat-demo document it writes.
 
 Verify reports and the dataset tables are rendered to JSON or CSV by one
 function, from rows in a fixed order and with sorted JSON keys, so that two
@@ -18,8 +20,13 @@ from collections import Counter
 
 from .records import Record
 from .scalars import QQi
+from .vhs import VhsBlockData, energy_closed, hyperhol_degree
 
 FORMATS = ("json", "csv")
+
+#: The lowest value of each bounded integer config field; the lift suites
+#: draw ranks 2..rank_bound (``suites._lift_rank``).
+_LOWEST = {"order": 1, "mode_bound": 0, "rank_bound": 2, "cases": 0}
 
 
 class RunConfig(Record):
@@ -31,11 +38,12 @@ class RunConfig(Record):
     def __init__(self, suites=(), seed: int = 0, order: int = 4, mode_bound: int = 2,
                  rank_bound: int = 3, datasets=(), out_format: str = "json",
                  out_path: str = None, cases: int = 25):
-        for name, value in (("seed", seed), ("order", order), ("mode_bound", mode_bound),
-                            ("rank_bound", rank_bound), ("cases", cases)):
-            if not isinstance(value, int) or isinstance(value, bool):
+        given = dict(zip(self._fields, (suites, seed, order, mode_bound, rank_bound,
+                                        datasets, out_format, out_path, cases)))
+        for name in ("seed", *_LOWEST):
+            if not isinstance(given[name], int) or isinstance(given[name], bool):
                 raise ValueError(f"config field {name!r} must be an integer, "
-                                 f"got {reprlib.repr(value)}")
+                                 f"got {reprlib.repr(given[name])}")
         for name, value in (("suites", suites), ("datasets", datasets)):
             if (not isinstance(value, (list, tuple))
                     or not all(isinstance(x, str) for x in value)):
@@ -51,17 +59,11 @@ class RunConfig(Record):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if out_format not in FORMATS:
             raise ValueError(f"config field 'out_format' must be one of {FORMATS}")
-        if order < 1:
-            raise ValueError("config field 'order' must be >= 1")
-        if mode_bound < 0:
-            raise ValueError("config field 'mode_bound' must be >= 0")
-        if rank_bound < 2:  # the lift suites draw ranks 2..rank_bound
-            raise ValueError("config field 'rank_bound' must be >= 2")
-        if cases < 0:
-            raise ValueError("config field 'cases' must be >= 0")
-        for name, value in zip(self._fields, (
-                tuple(suites), seed, order, mode_bound, rank_bound, tuple(datasets),
-                out_format, out_path, cases)):
+        for name, lowest in _LOWEST.items():
+            if given[name] < lowest:
+                raise ValueError(f"config field {name!r} must be >= {lowest}")
+        given.update(suites=tuple(suites), datasets=tuple(datasets))
+        for name, value in given.items():
             object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
@@ -91,6 +93,16 @@ class RunConfig(Record):
         return cls.from_json(read_json(path))
 
 
+def verify_report(config: RunConfig, records) -> str:
+    """The verify report of ``records`` in ``config.out_format``; its config
+    block loads back through ``RunConfig.from_json``."""
+    block = config.to_json()
+    del block["out_path"]  # where the report lands must not change its bytes
+    block["exact"] = True  # the arithmetic model; report checkers require it
+    head = {"config": block, "summary": summary(records)}
+    return render_report(config.out_format, RECORD_COLUMNS, records, "records", head)
+
+
 def read_json(path: str):
     """The JSON document in a file; one nested too deeply to parse is an input error."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -100,6 +112,46 @@ def read_json(path: str):
     except RecursionError:
         message = f"{reprlib.repr(path)}: JSON nested too deeply to read"
         raise ValueError(message) from None
+
+
+SHIPPED_DATASET = os.path.join(os.path.dirname(__file__), "data", "vhs_samples.json")
+
+
+def load_vhs_dataset(path: str = None):
+    """Entries of a dataset file; the shipped sample collection by default.
+
+    Labels are unique, a non-empty pair names an entry of the same rank, and
+    every energy and pair degree has few enough digits for a report to print.
+    """
+    doc = read_json(SHIPPED_DATASET if path is None else path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+        raise ValueError("malformed dataset: expected an object with an 'entries' list")
+    entries = []
+    for index, entry in enumerate(doc["entries"]):
+        try:
+            entries.append(VhsBlockData.from_json(entry))
+        except ValueError as err:
+            raise ValueError(f"malformed dataset entry {index}: {err}") from None
+    labels = [e.label for e in entries]
+    if len(set(labels)) != len(labels):
+        raise ValueError("malformed dataset: duplicate labels")
+    by_label = dict(zip(labels, entries))
+    for e in entries:
+        if e.pair and e.pair not in by_label:
+            raise ValueError(f"dataset entry {reprlib.repr(e.label)}: pair "
+                             f"{reprlib.repr(e.pair)} is not in the dataset")
+        _check_printable(e, "energy", energy_closed(e))
+        if e.pair:
+            _check_printable(e, "pair degree", hyperhol_degree(e, by_label[e.pair]))
+    return entries
+
+
+def _check_printable(e, name: str, value):
+    try:
+        str(value)
+    except ValueError:  # past Python's int-to-str digit limit
+        raise ValueError(f"dataset entry {reprlib.repr(e.label)}: {name} has too "
+                         f"many digits to print") from None
 
 
 #: The keys of a verify record, in report order.  A record is a plain dict
@@ -203,6 +255,49 @@ def render_report(out_format: str, columns, rows, key: str, head=None) -> str:
     pieces[-1] = "\n    }\n  ]"
     pieces.append(after)
     return "".join(pieces)
+
+
+TABLE_COLUMNS = ("label", "n", "l", "energy", "pair", "hyperhol_degree")
+_DEGREE_COLUMNS = ("label", "pair", "hyperhol_degree")
+
+
+def vhs_energy_table(entries):
+    """Rows (label, n, l, energy, paired label, hyperholomorphic degree).
+
+    The pair and degree cells stay empty for entries without a declared
+    partner on the other side of the parameter line.
+    """
+    by_label = {e.label: e for e in entries}
+    rows = []
+    for e in entries:
+        row = {"label": e.label, "n": e.n, "l": e.l,
+               "energy": format_value(energy_closed(e)),
+               "pair": e.pair or "", "hyperhol_degree": ""}
+        if e.pair:
+            row["hyperhol_degree"] = format_value(hyperhol_degree(e, by_label[e.pair]))
+        rows.append(row)
+    return rows
+
+
+def vhs_energy_report(out_format: str, entries) -> str:
+    """The vhs-energy table: a row of ``vhs_energy_table`` per entry."""
+    return render_report(out_format, TABLE_COLUMNS, vhs_energy_table(entries), "rows")
+
+
+def hyperhol_degree_report(out_format: str, entries) -> str:
+    """The hyperhol-degree table: the paired rows, cut to label, pair and degree."""
+    rows = [{c: r[c] for c in _DEGREE_COLUMNS} for r in vhs_energy_table(entries)
+            if r["pair"]]
+    return render_report(out_format, _DEGREE_COLUMNS, rows, "rows")
+
+
+def flat_demo_report(out_format: str, doc: dict) -> str:
+    """The flat-demo document; as CSV, a key/value table, not render_report's:
+    the demo is one nested document, not a list of rows with fixed columns."""
+    if out_format == "csv":
+        return csv_text(("key", "value"), ([key, json.dumps(doc[key], sort_keys=True)]
+                                           for key in sorted(doc)))
+    return json_text(doc)
 
 
 def atomic_write(path: str, text: str):

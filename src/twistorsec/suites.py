@@ -23,8 +23,7 @@ from . import projline as pl
 from . import torus_forms as tf
 from . import vhs
 from .constants import ENERGY_LIFT_COEFF, REALITY_SIGN, XI_SCALAR_PHIPSI
-from .datasets import load_vhs_dataset
-from .report import check, check_true
+from .report import check, check_true, load_vhs_dataset
 from .scalars import QQi, draw, random_nonzero_qqi, random_qqi
 
 _BASIS = {"e": pl.E, "h": pl.H, "f": pl.F}
@@ -43,6 +42,10 @@ def _random_sl2(rng) -> pl.Sl2Element:
 
 def _cycle(values, i):
     return values[i % len(values)]
+
+
+def _lift_rank(cfg, i):  # 2..rank_bound in turn: RunConfig requires rank_bound >= 2
+    return _cycle(range(2, cfg.rank_bound + 1), i)
 
 
 # -- projline -----------------------------------------------------------------
@@ -542,7 +545,7 @@ def _strict_upper(rng, size):
 def suite_gauge_covariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
-        size = _cycle(range(2, cfg.rank_bound + 1), i)
+        size = _lift_rank(cfg, i)
         # Only orders <= depth of the moved lift are checked, and they depend
         # only on orders <= depth of the lift, so the lift is drawn to there.
         depth = min(2, cfg.order)
@@ -591,26 +594,17 @@ def _trace_adjusted_poly(rng, c_matrix):
                  for r, s in zip(c_matrix, adjusted))
 
 
-def _commuting_lift(cfg, rng, size):
-    """An order-1 lift: omega-hat-degeneracy reads orders 0 and 1 only."""
-    c_matrix = _random_trace_free(rng, size)
-    phi0 = tf.MatrixForm.from_scalar_matrix(c_matrix, (1, 0))
+def _commuting_pair(cls, cfg, rng, c_matrix, phi0):
+    """An order-1 lift or tangent (omega-hat-degeneracy reads orders 0 and 1
+    only): a_0 = phi0 dz, b_1 = p(C) f dzbar, drawing the series f first and
+    then the trace-free polynomial p in the constant matrix C."""
+    size = len(c_matrix)
     f = tf.random_fourier_scalar(rng, cfg.mode_bound, 2)
     psi1 = tf.MatrixForm.from_scalar_matrix(
         _trace_adjusted_poly(rng, c_matrix), (0, 1)) * f
-    return ll.LambdaLift((tf.MatrixForm.zero(size, (0, 1)), psi1),
-                         (phi0, tf.MatrixForm.zero(size, (1, 0)))), c_matrix
-
-
-def _commutant_tangent(cfg, rng, lift, c_matrix):
-    size = lift.rank
-    phi_0 = tf.MatrixForm.from_scalar_matrix(
-        _trace_adjusted_poly(rng, c_matrix), (1, 0))
-    h = tf.random_fourier_scalar(rng, cfg.mode_bound, 2)
-    psi_1 = tf.MatrixForm.from_scalar_matrix(
-        _trace_adjusted_poly(rng, c_matrix), (0, 1)) * h
-    return ll.TangentSeries((tf.MatrixForm.zero(size, (0, 1)), psi_1),
-                            (phi_0, tf.MatrixForm.zero(size, (1, 0))))
+    return cls((tf.MatrixForm.zero(size, (0, 1)), psi1),
+               (tf.MatrixForm.from_scalar_matrix(phi0, (1, 0)),
+                tf.MatrixForm.zero(size, (1, 0))))
 
 
 def suite_omega_hat_degeneracy(cfg, rng, entries):
@@ -619,14 +613,16 @@ def suite_omega_hat_degeneracy(cfg, rng, entries):
     # gauge_tangent takes the later xi_k as zero.
     out = []
     for i in range(cfg.cases):
-        size = _cycle(range(2, cfg.rank_bound + 1), i)
-        lift, c_matrix = _commuting_lift(cfg, rng, size)
+        size = _lift_rank(cfg, i)
+        c_matrix = _random_trace_free(rng, size)
+        lift = _commuting_pair(ll.LambdaLift, cfg, rng, c_matrix, c_matrix)
         res = ll.integrability_residuals(lift)
         out.append(check_true(f"integrable-{i:04d}", all(r.is_zero for r in res),
                               "commuting data is integrable to order 1",
                               "construction"))
         gauge_dir = ll.gauge_tangent(lift, _random_coeffs(cfg, rng, size, (0, 0), 2))
-        flat_dir = _commutant_tangent(cfg, rng, lift, c_matrix)
+        flat_dir = _commuting_pair(ll.TangentSeries, cfg, rng, c_matrix,
+                                   _trace_adjusted_poly(rng, c_matrix))
         lin = ll.linearized_residuals(lift, flat_dir)
         out.append(check_true(f"tangent-flat-{i:04d}", all(r.is_zero for r in lin),
                               "commutant tangent solves the linearized equations",
@@ -639,8 +635,9 @@ def suite_omega_hat_degeneracy(cfg, rng, entries):
     # The lift is integrable to order 1, so the linearization along a gauge
     # direction xi is [R, xi] = 0: three draws, whatever cfg.cases is.
     for k in range(3):
-        size = _cycle(range(2, cfg.rank_bound + 1), k)
-        lift, _ = _commuting_lift(cfg, rng, size)
+        size = _lift_rank(cfg, k)
+        c_matrix = _random_trace_free(rng, size)
+        lift = _commuting_pair(ll.LambdaLift, cfg, rng, c_matrix, c_matrix)
         gauge_dir = ll.gauge_tangent(lift, _random_coeffs(cfg, rng, size, (0, 0), 2))
         lin = ll.linearized_residuals(lift, gauge_dir)
         out.append(check_true(f"tangent-gauge-{k}", all(r.is_zero for r in lin),
@@ -652,7 +649,7 @@ def suite_omega_hat_degeneracy(cfg, rng, entries):
 def suite_energy_gauge_invariance(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
-        size = _cycle(range(2, cfg.rank_bound + 1), i)
+        size = _lift_rank(cfg, i)
         # The first variation reads orders <= 1 of the lift, so it is drawn
         # to order 1: b_1 and a_1, then a constant a_0.
         b1 = _random_coeffs(cfg, rng, size, (0, 1), 1)
@@ -731,7 +728,7 @@ def suite_second_variation_weights(cfg, rng, entries):
 def suite_dh_involutions(cfg, rng, entries):
     out = []
     for i in range(cfg.cases):
-        size = _cycle(range(2, cfg.rank_bound + 1), i)
+        size = _lift_rank(cfg, i)
         lift = _random_lift(cfg, rng, size, cfg.order)  # the glue walks every order
         lc = ll.lift_to_laurent(lift)
         out.append(check_true(f"glue-{i:04d}",

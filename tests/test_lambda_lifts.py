@@ -36,19 +36,15 @@ from twistorsec.vhs import VhsBlockData
 from curvature_oracle import composition_residuals
 
 
-def _const_form(rows, bidegree):
-    return MatrixForm.from_scalar_matrix(rows, bidegree)
-
-
 def _commutator(a, b):
     """The matrix commutator a b - b a, written out from wedge, independently
     of the library's graded bracket."""
     return wedge(a, b) + -wedge(b, a)
 
 
-E21_DZ = _const_form([[0, 0], [QQi(1), 0]], (1, 0))
-E12_DZBAR = _const_form([[0, QQi(1)], [0, 0]], (0, 1))
-E12_DZ = _const_form([[0, QQi(1)], [0, 0]], (1, 0))
+E21_DZ = MatrixForm.from_scalar_matrix([[0, 0], [QQi(1), 0]], (1, 0))
+E12_DZBAR = MatrixForm.from_scalar_matrix([[0, QQi(1)], [0, 0]], (0, 1))
+E12_DZ = MatrixForm.from_scalar_matrix([[0, QQi(1)], [0, 0]], (1, 0))
 ZERO_B, ZERO_A = MatrixForm.zero(2, (0, 1)), MatrixForm.zero(2, (1, 0))
 
 
@@ -84,16 +80,15 @@ def _random_gauge(rng, rank, order):
             for _ in range(order + 1)]
 
 
-IDENT = _const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0))
-E11 = _const_form([[QQi(1), 0], [0, 0]], (0, 0))
+IDENT = MatrixForm.from_scalar_matrix([[QQi(1), 0], [0, QQi(1)]], (0, 0))
+E11 = MatrixForm.from_scalar_matrix([[QQi(1), 0], [0, 0]], (0, 0))
 
 
-def _strict_upper(rng):
+def _strict_upper_of_rank(rng, rank):
     # Families 1 + sum t^k g_k with strictly triangular g_k have determinant
     # one, which the transformed lift's trace-free validation requires.
-    return MatrixForm((0, 0),
-                      [[FourierScalar(), random_fourier_scalar(rng)],
-                       [FourierScalar(), FourierScalar()]])
+    return MatrixForm((0, 0), [[random_fourier_scalar(rng) if c > r else FS_ZERO
+                                for c in range(rank)] for r in range(rank)])
 
 
 def _strict_lower(rng):
@@ -120,7 +115,7 @@ def test_residuals_on_identity_section():
     # With u = 1 the composition returns the curvature coefficients directly.
     rng = random.Random(101)
     lift = _random_lift(rng)
-    ident = _const_form([[QQi(1), 0], [0, QQi(1)]], (0, 0))
+    ident = MatrixForm.from_scalar_matrix([[QQi(1), 0], [0, QQi(1)]], (0, 0))
     oracle = composition_residuals(lift, ident, lift.order)
     for r, o in zip(integrability_residuals(lift), oracle):
         assert r == o
@@ -197,8 +192,8 @@ def test_order_bound_errors():
 def _commuting_lift(c=QQi(1), order=3):
     """Constant Phi = c E21 dz with Psi_1 = c E12-free choice commuting at
     order 1: take Psi_1 proportional to E21 dzbar so [Phi ^ Psi_1] = 0."""
-    return _low_pair(LambdaLift, E21_DZ * c, _const_form([[0, 0], [c, 0]], (0, 1)),
-                     order)
+    return _low_pair(LambdaLift, E21_DZ * c,
+                     MatrixForm.from_scalar_matrix([[0, 0], [c, 0]], (0, 1)), order)
 
 
 def test_commuting_lift_is_integrable_to_order_one():
@@ -210,8 +205,8 @@ def test_commuting_lift_is_integrable_to_order_one():
 def _commutant_tangent(a, b, order=3):
     """a_0 and b_1 proportional to E21: linearized-integrable through
     order 1 at the commuting lift."""
-    return _low_pair(TangentSeries, E21_DZ * a, _const_form([[0, 0], [b, 0]], (0, 1)),
-                     order)
+    return _low_pair(TangentSeries, E21_DZ * a,
+                     MatrixForm.from_scalar_matrix([[0, 0], [b, 0]], (0, 1)), order)
 
 
 def test_commutant_tangent_solves_linearized_equations():
@@ -247,7 +242,8 @@ def test_omega_hat_hand_value_and_antisymmetry():
     lift = _commuting_lift()
     order = lift.order
     t1 = _low_pair(TangentSeries, a0=E12_DZ, order=order)
-    t2 = _low_pair(TangentSeries, b1=_const_form([[0, 0], [QQi(1), 0]], (0, 1)),
+    t2 = _low_pair(TangentSeries,
+                   b1=MatrixForm.from_scalar_matrix([[0, 0], [QQi(1), 0]], (0, 1)),
                    order=order)
     # Only the first pairing survives: -tr(E12 E21) integrated, times the
     # prefactor -i/2.
@@ -278,7 +274,7 @@ def test_energy_gauge_invariance():
     rng = random.Random(108)
     for _ in range(6):
         lift = _commuting_lift(random_qqi(rng))
-        uppers = [_strict_upper(rng) for _ in range(lift.order)]
+        uppers = [_strict_upper_of_rank(rng, 2) for _ in range(lift.order)]
         moved = gauge_transform_lift(lift, uppers)
         assert energy_of_lift(moved) == energy_of_lift(lift)
 
@@ -289,7 +285,7 @@ def test_gauge_transform_against_series_arithmetic():
     # convolutions, coefficient by coefficient.
     rng = random.Random(109)
     lift = _random_lift(rng, order=3)
-    gs = [_strict_upper(rng), _strict_upper(rng)]
+    gs = [_strict_upper_of_rank(rng, 2), _strict_upper_of_rank(rng, 2)]
     n = lift.order
     gs_full = [IDENT] + gs + [MatrixForm.zero(2, (0, 0))] * (n - len(gs))
 
@@ -359,11 +355,6 @@ def test_gauge_transform_of_a_truncated_lift_is_the_truncated_transform():
                 cut_moved = gauge_transform_lift(cut, gs)
                 assert cut_moved.a == moved.a[:d + 1]
                 assert cut_moved.b == moved.b[:d + 1]
-
-
-def _strict_upper_of_rank(rng, rank):
-    return MatrixForm((0, 0), [[random_fourier_scalar(rng) if c > r else FS_ZERO
-                                for c in range(rank)] for r in range(rank)])
 
 
 def test_gauge_inputs_are_polynomials():
@@ -487,7 +478,7 @@ def test_fixed_relations_single_out_the_frozen_xi_scalars():
     assert [c for c in _XI_CANDIDATES
             if _phipsi_relation_holds(lift, xi, c)] == [XI_SCALAR_PHIPSI]
     # A lift whose Psi_1 is not an eigenvector of the bracket with xi.
-    e21_dzbar = _const_form([[0, 0], [QQi(1), 0]], (0, 1))
+    e21_dzbar = MatrixForm.from_scalar_matrix([[0, 0], [QQi(1), 0]], (0, 1))
     bad = _low_pair(LambdaLift, E21_DZ, E12_DZBAR + e21_dzbar, order=3)
     assert not any(_dlambda_relation_holds(bad, xi_matrix_form(UNI), c)
                    for c in _XI_CANDIDATES)
@@ -649,7 +640,7 @@ def test_lift_accessors_and_errors():
         LambdaLift((E12_DZBAR, E12_DZBAR), (E21_DZ, E12_DZ))
     with pytest.raises(ValueError, match="b_1 has size 3, expected 2"):
         LambdaLift((ZERO_B, MatrixForm.zero(3, (0, 1))), (E21_DZ, ZERO_A))
-    not_trace_free = _const_form([[QQi(1), 0], [0, QQi(1)]], (1, 0))
+    not_trace_free = MatrixForm.from_scalar_matrix([[QQi(1), 0], [0, QQi(1)]], (1, 0))
     with pytest.raises(ValueError, match="^a_0 must be trace-free$"):
         LambdaLift((ZERO_B, ZERO_B), (not_trace_free, ZERO_A))
     with pytest.raises(ValueError, match="^b_1 must be trace-free$"):
@@ -711,7 +702,8 @@ def test_tangent_and_gauge_series_validation():
     z = _low_pair(TangentSeries, order=2)
     assert z.rank == 2 and z.order == 2
     # A tangent need not be trace-free, a lift must.
-    TangentSeries((ZERO_B,), (_const_form([[QQi(1), 0], [0, QQi(1)]], (1, 0)),))
+    TangentSeries((ZERO_B,),
+                  (MatrixForm.from_scalar_matrix([[QQi(1), 0], [0, QQi(1)]], (1, 0)),))
     with pytest.raises(ValueError):
         TangentSeries((MatrixForm.zero(2, (0, 1)),), ())
     with pytest.raises(ValueError):
@@ -729,8 +721,9 @@ def test_tangent_and_gauge_series_validation():
     (gauge_tangent, (MatrixForm.zero(2), MatrixForm.zero(2, (1, 0))),
      r"xi_1 has bidegree \(1, 0\), expected \(0, 0\)"),
     (gauge_tangent, (MatrixForm.zero(2), IDENT), "xi_1 must be trace-free"),
-    (gauge_transform_lift, (_const_form([[QQi(1), 0, 0], [0, QQi(1), 0], [0, 0, QQi(1)]],
-                                        (0, 0)),), "g_1 has size 3, expected 2"),
+    (gauge_transform_lift,
+     (MatrixForm.from_scalar_matrix([[QQi(1), 0, 0], [0, QQi(1), 0], [0, 0, QQi(1)]],
+                                    (0, 0)),), "g_1 has size 3, expected 2"),
     (gauge_transform_lift, (E11, MatrixForm.zero(2, (0, 1))),
      r"g_2 has bidegree \(0, 1\), expected \(0, 0\)"),
 ])

@@ -18,11 +18,11 @@ import pytest
 from hypothesis import (HealthCheck, example, given, seed, settings,
                         strategies as st)
 
-from twistorsec import cli, datasets, flat_model, suites
-from twistorsec.datasets import load_vhs_dataset, vhs_energy_table
+from twistorsec import cli, flat_model, suites
 from twistorsec.report import (RECORD_COLUMNS, RunConfig, atomic_write, check,
                                check_true, failing_suites, format_value,
-                               read_json, render_report, summary)
+                               load_vhs_dataset, read_json, render_report, summary,
+                               verify_report, vhs_energy_table)
 from twistorsec.scalars import QQi
 from twistorsec.vhs import VhsBlockData, energy_closed, hyperhol_degree
 
@@ -128,9 +128,9 @@ def test_render_json_ignores_out_path():
     with_path = RunConfig(suites=["stokes"], out_path="/tmp/x.json")
     without = RunConfig(suites=["stokes"])
     ordered = sorted(SAMPLE, key=lambda r: (r["suite"], r["case"]))  # as run_suites
-    assert (cli.verify_report(with_path, ordered)
-            == cli.verify_report(without, ordered))
-    text = cli.verify_report(without, ordered)
+    assert (verify_report(with_path, ordered)
+            == verify_report(without, ordered))
+    text = verify_report(without, ordered)
     assert text.endswith("\n")
     doc = json.loads(text)
     assert doc["summary"] == {"total": 2, "passed": 1, "failed": 1}
@@ -391,7 +391,7 @@ def test_cli_defect_outside_a_suite_is_not_an_input_error(monkeypatch):
     def broken(entries):
         raise KeyError("ranks")
 
-    monkeypatch.setattr(cli, "vhs_energy_table", broken)
+    monkeypatch.setattr("twistorsec.report.vhs_energy_table", broken)
     with pytest.raises(KeyError, match="ranks"):
         cli.main(["vhs-energy"])
 
@@ -454,8 +454,13 @@ _DEEP_JSON = "[" * 100_000 + "]" * 100_000
     ({"datasets": [1]}, "datasets"), ({"out_format": 3}, "out_format"),
     ({"out_path": 5}, "out_path"), ({"exact": False}, "exact"),
     ([1, 2], "object"), ({"datasets": ["a", "b"]}, "datasets"),
-    ({"rank_bound": 1}, "rank_bound"), ({"order": 0}, "order"),
-    ({"mode_bound": -1}, "mode_bound"), ({"cases": -1}, "cases"),
+    # A bound case checks the whole message, under the id of its field.
+    pytest.param({"rank_bound": 1}, "config field 'rank_bound' must be >= 2",
+                 id="doc10-rank_bound"),
+    pytest.param({"order": 0}, "config field 'order' must be >= 1", id="doc11-order"),
+    pytest.param({"mode_bound": -1}, "config field 'mode_bound' must be >= 0",
+                 id="doc12-mode_bound"),
+    pytest.param({"cases": -1}, "config field 'cases' must be >= 0", id="doc13-cases"),
     ({"suites": ["stokes", "stokes"]}, "suites"),
     pytest.param(_DEEP_JSON, "run.json", id="deep-nesting")])
 def test_cli_rejects_bad_config(tmp_path, capsys, doc, field):
@@ -488,6 +493,8 @@ _G0, _G1 = ([dict(_ENTRY, label=f"uniformizing-g{g}", pair="b"),
              {"ranks": [2], "degrees": [0], "label": "b"}] for g in (0, 1))
 _BELOW_GENUS_2 = "expected uniformizing-g<genus> with genus >= 2"
 _NOT_IN_DATASET = "pair 'missing' is not in the dataset"
+_RANK_MISMATCH = ("the 0- and infinity-side data 'uniformizing-g2' and 'b' must share "
+                  "the same rank")
 #: Degrees in exponent form: Fraction reads "1e5000" as a 5001-digit integer,
 #: more digits than str() writes.
 _E5000 = [dict(_ENTRY, degrees=["1e5000", "-1e5000"], label="uniformizing-g2",
@@ -521,9 +528,10 @@ _WIDE_GENUS = [dict(_ENTRY, label="uniformizing-g" + "1" * 5000, pair="b"),
      "'uniformizing-gx': expected"),
     ([dict(_ENTRY, label="uniformizing-g02")], _VERIFY_VHS, 2,
      "'uniformizing-g02': expected"),
-    ([dict(_ENTRY, label="uniformizing-g2", pair="b"),
-      {"ranks": [3], "degrees": [0], "label": "b"}], "hyperhol-degree --dataset DATA",
-     2, "'uniformizing-g2' and 'b'"),
+    pytest.param([dict(_ENTRY, label="uniformizing-g2", pair="b"),
+                  {"ranks": [3], "degrees": [0], "label": "b"}],
+                 "hyperhol-degree --dataset DATA", 2, _RANK_MISMATCH,
+                 id="entries13-hyperhol-degree --dataset DATA-2-'uniformizing-g2' and 'b'"),
     ([_ENTRY], _VERIFY_VHS + " --dataset DATA", 2, "--dataset"),
     ([_ENTRY], "vhs-energy --dataset DATA --dataset DATA", 2, "--dataset"),
     pytest.param(_DEEP_JSON, _VERIFY_VHS, 2, "data.json': JSON nested too deeply",
@@ -547,9 +555,10 @@ _WIDE_GENUS = [dict(_ENTRY, label="uniformizing-g" + "1" * 5000, pair="b"),
     (_G02, _HYPERHOL, 2, "'uniformizing-g02': expected"),
     (_G02, "vhs-energy --dataset DATA", 0, ""),
     # A pair of another rank is an input error too, not a crash of the suite.
-    ([dict(_ENTRY, label="uniformizing-g2", pair="b"),
-      {"ranks": [3], "degrees": [0], "label": "b"}], _HYPERHOL, 2,
-     "'uniformizing-g2' and 'b' must share the same rank"),
+    pytest.param([dict(_ENTRY, label="uniformizing-g2", pair="b"),
+                  {"ranks": [3], "degrees": [0], "label": "b"}], _HYPERHOL, 2,
+                 _RANK_MISMATCH, id=f"entries30-{_HYPERHOL}-2-'uniformizing-g2' and 'b' "
+                                    "must share the same rank"),
     # A degree is p or p/q in decimal, and every energy and pair degree must
     # have few enough digits for the report to print.
     (_E5000, _VERIFY_VHS, 2, "entry 0: not a degree value: '1e5000'"),
@@ -624,7 +633,7 @@ def test_verify_reads_the_dataset_once(tmp_path, monkeypatch):
         reads.append(name)
         return read_json(name)
 
-    monkeypatch.setattr(datasets, "read_json", counting_read_json)
+    monkeypatch.setattr("twistorsec.report.read_json", counting_read_json)
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--cases", "0", "--dataset", str(path),
                      "--out", str(out)]) == 0

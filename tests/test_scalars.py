@@ -102,7 +102,7 @@ def test_text_and_json_match_fraction(a, b, d):
 
 
 def test_text_past_the_digit_limit_raises_as_fraction():
-    # A dataset's energy is rejected on this ValueError (datasets._check_printable).
+    # A dataset's energy is rejected on this ValueError (report._check_printable).
     limit = sys.get_int_max_str_digits()
     if not limit:
         pytest.skip("this interpreter has no int-to-str digit limit")
