@@ -17,9 +17,10 @@ import sys
 
 from . import flat_model as fm
 from .constants import REALITY_SIGN
-from .report import (FORMATS, RunConfig, atomic_write, failing_suites,
-                     flat_demo_report, format_value, hyperhol_degree_report,
-                     load_vhs_dataset, verify_report, vhs_energy_report)
+from .report import (FORMATS, RunConfig, atomic_write, check_seed,
+                     failing_suites, flat_demo_report, format_value,
+                     hyperhol_degree_report, load_vhs_dataset, verify_report,
+                     vhs_energy_report)
 from .scalars import QQi
 from .suites import SUITES, run_suites
 
@@ -130,7 +131,7 @@ def _cmd_hyperhol_degree(args) -> int:
 
 
 def _cmd_flat_demo(args) -> int:
-    rng = random.Random(args.seed)
+    rng = random.Random(check_seed(args.seed))
     s = fm.random_section(rng, args.blocks)
     v = fm.random_section(rng, args.blocks)
     field = fm.fundamental_field(s)
@@ -160,12 +161,10 @@ _COMMANDS = {
 
 
 def _describe(err) -> str:
-    """The message of an error, with any file names of an OSError shortened."""
+    """The message of an error, with the file name of an OSError shortened."""
     if not isinstance(err, OSError) or err.filename is None:
         return str(err)
-    names = (reprlib.repr(name) for name in (err.filename, err.filename2)
-             if name is not None)
-    return f"[Errno {err.errno}] {err.strerror}: {' -> '.join(names)}"
+    return f"[Errno {err.errno}] {err.strerror}: {reprlib.repr(err.filename)}"
 
 
 def main(argv=None) -> int:

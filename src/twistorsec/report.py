@@ -29,6 +29,14 @@ FORMATS = ("json", "csv")
 _LOWEST = {"order": 1, "mode_bound": 0, "rank_bound": 2, "cases": 0}
 
 
+def check_seed(seed: int) -> int:
+    """The seed, when it fits in an unsigned 64-bit integer (``random.Random``
+    seeds with the absolute value, so a negative seed repeats a positive one)."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
 class RunConfig(Record):
     """Everything a verification run depends on.  Seed fixed => output fixed."""
 
@@ -55,8 +63,7 @@ class RunConfig(Record):
             raise ValueError("config field 'out_path' must be a string or null")
         if len(datasets) > 1:
             raise ValueError("config field 'datasets' holds at most one path")
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        check_seed(seed)
         if out_format not in FORMATS:
             raise ValueError(f"config field 'out_format' must be one of {FORMATS}")
         for name, lowest in _LOWEST.items():
@@ -301,16 +308,21 @@ def flat_demo_report(out_format: str, doc: dict) -> str:
 
 
 def atomic_write(path: str, text: str):
-    """Write the file completely or not at all (temp file plus rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
+    """Write the file completely or not at all (temp file plus rename).  An
+    OSError names ``path``: the temp file's name is random."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".report-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as err:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(err, OSError):
+            raise OSError(err.errno, err.strerror, path) from err
         raise

@@ -10,54 +10,29 @@ as the unmutated package writes it.
 """
 
 import ast
-import compileall
 import json
-import os
-import py_compile
-import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twistorsec"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "twistorsec"
 MUTANTS = json.loads(Path(__file__).with_name("mutants.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture
-def mutate(tmp_path):
-    """Run ``verify`` on a copy of the package with one row's mutation
-    applied (or none), returning the process and the report's bytes."""
-    shutil.copytree(PACKAGE, tmp_path / "twistorsec",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    # Compile the copy once, with pycs checked against the source's hash (two
-    # mutants of one module may share a size and a second): a mutated module
-    # fails the check and is compiled in memory, as nothing is written back.
-    assert compileall.compile_dir(
-        tmp_path / "twistorsec", quiet=1,
-        invalidation_mode=py_compile.PycInvalidationMode.CHECKED_HASH)
-    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
-    report = tmp_path / "report.json"
+def sweep(monkeypatch):
+    """``tools/operator_sweep.py``, whose ``run_all`` runs the mutants."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import operator_sweep
+    return operator_sweep
 
-    def run(row, *args):
-        if row is not None:
-            path = tmp_path / "twistorsec" / f"{row['module']}.py"
-            text = path.read_text(encoding="utf-8")
-            assert text.count(row["old"]) == 1, row["old"]
-            path.write_text(text.replace(row["old"], row["new"]), encoding="utf-8")
-        report.unlink(missing_ok=True)
-        try:
-            proc = subprocess.run(  # -S: the package needs nothing from site
-                [sys.executable, "-S", "-m", "twistorsec.cli", "verify", "--seed", "42",
-                 *args, "--out", str(report)],
-                env=env, capture_output=True, text=True, timeout=60)
-        finally:
-            if row is not None:
-                path.write_text(text, encoding="utf-8")
-        return proc, report.read_bytes() if report.exists() else None
 
-    return run
+def mutated(row):
+    """The source of row's module with its mutation applied."""
+    text = (PACKAGE / f"{row['module']}.py").read_text(encoding="utf-8")
+    assert text.count(row["old"]) == 1, row["old"]
+    return text.replace(row["old"], row["new"])
 
 
 def test_every_frozen_constant_has_a_live_row():
@@ -73,27 +48,52 @@ def test_every_frozen_constant_has_a_live_row():
             if not any(old.startswith(f"{name} = ") for old in pinned)] == []
 
 
-def test_every_live_mutant_fails_its_suite(mutate):
+def test_sweep_sites_are_its_operators_in_source_order(sweep):
+    """Each site the operator sweep finds holds its operator, no site comes
+    twice or out of source order, and each mutant still parses."""
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        found = sweep.sites(text)
+        offsets = [at for at, _, _ in found]
+        assert offsets == sorted(set(offsets)), path.name
+        for at, old, new in found:
+            assert text[at:at + len(old)] == old, (path.name, at, old)
+            ast.parse(sweep.mutate(text, at, old, new))
+        total += len(found)
+    assert total
+
+
+def test_every_live_mutant_fails_its_suite(sweep):
+    jobs = []
     for row in MUTANTS:
+        text = mutated(row)  # the old text is found once, live row or not
         if row["suite"] is None:
             assert row["note"].startswith(("inert: ", "open: ")), row
-            text = (PACKAGE / f"{row['module']}.py").read_text(encoding="utf-8")
-            assert text.count(row["old"]) == 1, row["old"]
             continue
-        proc, _ = mutate(row, "--suite", row["suite"], "--cases", str(row["cases"]))
-        assert proc.returncode == 1, (row["note"], proc.stderr)
-        assert row["suite"] in proc.stderr.split(), (row["note"], proc.stderr)
+        argv = ("verify", "--seed", "42", "--suite", row["suite"], "--cases")
+        jobs.append((row["module"], text, (*argv, str(row["cases"]))))
         if row["cases"]:  # the fewest: one case less lets the mutant through
-            proc, _ = mutate(row, "--suite", row["suite"], "--cases", str(row["cases"] - 1))
-            assert proc.returncode == 0, (row["note"], "caught with fewer cases")
-
-
-def test_every_inert_mutant_keeps_the_report(mutate):
-    proc, want = mutate(None, "--cases", "25")
-    assert proc.returncode == 0, proc.stderr
+            jobs.append((row["module"], text, (*argv, str(row["cases"] - 1))))
+    results = iter(sweep.run_all(jobs))
     for row in MUTANTS:
-        if row["note"].startswith("inert: "):
-            assert row["suite"] is None, row
-            proc, got = mutate(row, "--cases", "25")
-            assert proc.returncode == 0, (row["note"], proc.stderr)
-            assert got == want, row["note"]
+        if row["suite"] is None:
+            continue
+        code, stderr, _ = next(results)
+        assert code == 1, (row["note"], stderr)
+        assert row["suite"] in stderr.split(), (row["note"], stderr)
+        if row["cases"]:
+            code, _, _ = next(results)
+            assert code == 0, (row["note"], "caught with fewer cases")
+
+
+def test_every_inert_mutant_keeps_the_report(sweep):
+    inert = [row for row in MUTANTS if row["note"].startswith("inert: ")]
+    argv = ("verify", "--seed", "42", "--cases", "25")
+    (code, stderr, want), *results = sweep.run_all(
+        [(None, None, argv)] + [(row["module"], mutated(row), argv) for row in inert])
+    assert code == 0, stderr
+    for row, (code, stderr, got) in zip(inert, results, strict=True):
+        assert row["suite"] is None, row
+        assert code == 0, (row["note"], stderr)
+        assert got == want, row["note"]

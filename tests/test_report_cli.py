@@ -700,6 +700,21 @@ def test_cli_error_echoes_a_short_repr(tmp_path, capsys, command, config, entrie
     assert len(captured.err.encode()) <= 200
 
 
+@pytest.mark.parametrize("out", ["missing/r.json", "adir"])
+def test_cli_write_error_names_the_out_path(tmp_path, monkeypatch, capsys, out):
+    """An --out that cannot be written fails with the path given, not the
+    randomly named temp file beside it, so two runs print the same line."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    argv = ["verify", "--suite", "sl2-jacobi", "--cases", "0", "--out", out]
+    errs = []
+    for _ in range(2):
+        assert cli.main(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and errs[0].endswith(f": {out!r}\n"), errs
+    assert sorted(os.listdir(tmp_path)) == ["adir"] and not os.listdir("adir")
+
+
 # Arbitrary JSON.  Object keys come from an alphabet no config field name
 # uses, so an arbitrary object is an unknown-field error, never a slow
 # all-suites run at the default case count.
@@ -881,3 +896,13 @@ def test_cli_flat_demo(tmp_path):
     assert cli.main(["flat-demo", "--seed", "22", "--blocks", "3",
                      "--out", str(other)]) == 0
     assert other.read_bytes() != out1.read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["-7", str(2 ** 64)])
+def test_cli_flat_demo_takes_the_seeds_verify_takes(capsys, seed):
+    """A seed out of 0 <= seed < 2**64 exits 2 with verify's message: a
+    negative one would draw the section of its absolute value."""
+    assert cli.main(["flat-demo", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must fit in an unsigned 64-bit integer\n"

@@ -24,7 +24,8 @@ from the repository root:
 
 It prints the four counts, then one line per same-report survivor, and takes
 about 30 s on two cores.  It is not a test: tier-1 collects
-only ``test_*.py`` files under ``tests`` and ``perfbench``.
+only ``test_*.py`` files under ``tests`` and ``perfbench``.  Its runner,
+``run_all``, also runs the hand-written mutants of ``tests/test_mutants.py``.
 """
 
 from __future__ import annotations
@@ -35,16 +36,16 @@ import os
 import py_compile
 import shutil
 import subprocess
-import queue
 import sys
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twistorsec"
 VERIFY = ("verify", "--seed", "42", "--cases", "5")
 JOBS = 2
-TIMEOUT = 120  # seconds; the unmutated run takes well under one
+TIMEOUT = 120  # seconds per verify; an unmutated one takes well under one
 
 SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"),
          ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
@@ -99,8 +100,9 @@ def mutate(text: str, at: int, old: str, new: str) -> str:
 
 class Worker:
     """A copy of the package in a directory of its own, compiled once with
-    pycs checked against the source's hash, so that only the mutated module
-    is compiled again (in memory: nothing is written back)."""
+    pycs checked against the source's hash (two mutants of one module may
+    share a size and a second), so that only the mutated module is compiled
+    again (in memory: nothing is written back)."""
 
     def __init__(self, root: Path):
         self.root = root
@@ -112,26 +114,39 @@ class Worker:
         self.env = {**os.environ, "PYTHONPATH": str(root),
                     "PYTHONDONTWRITEBYTECODE": "1"}
 
-    def run(self, module=None, text=None):
-        """(exit code, report bytes) of verify, with module's source as text."""
+    def run(self, module, text, argv):
+        """(exit code or "timeout", stderr, report bytes or None) of
+        ``twistorsec.cli *argv --out REPORT``, with module's source replaced
+        by text for the run; module None runs the package unmutated."""
         path = self.root / "twistorsec" / f"{module}.py"
-        original = path.read_text(encoding="utf-8") if module else None
         report = self.root / "report.json"
         report.unlink(missing_ok=True)
+        if module:
+            path.write_text(text, encoding="utf-8")
         try:
-            if module:
-                path.write_text(text, encoding="utf-8")
             proc = subprocess.run(  # -S: the package needs nothing from site
-                [sys.executable, "-S", "-m", "twistorsec.cli", *VERIFY,
+                [sys.executable, "-S", "-m", "twistorsec.cli", *argv,
                  "--out", str(report)],
-                env=self.env, capture_output=True, timeout=TIMEOUT)
-            code = proc.returncode
+                env=self.env, capture_output=True, text=True, timeout=TIMEOUT)
+            code, stderr = proc.returncode, proc.stderr
         except subprocess.TimeoutExpired:
-            code = "timeout"
+            code, stderr = "timeout", ""
         finally:
             if module:
-                path.write_text(original, encoding="utf-8")
-        return code, report.read_bytes() if report.exists() else None
+                shutil.copyfile(PACKAGE / path.name, path)
+        return code, stderr, report.read_bytes() if report.exists() else None
+
+
+def run_all(jobs):
+    """``Worker.run(*job)`` of each (module, text, argv) job, in job order,
+    with one worker in each of JOBS threads."""
+    workers = threading.local()
+    with tempfile.TemporaryDirectory(prefix="operator-sweep-") as tmp:
+        def start():
+            workers.worker = Worker(Path(tempfile.mkdtemp(dir=tmp)))
+
+        with ThreadPoolExecutor(max_workers=JOBS, initializer=start) as pool:
+            return list(pool.map(lambda job: workers.worker.run(*job), jobs))
 
 
 def main() -> int:
@@ -142,36 +157,19 @@ def main() -> int:
             line = text.count("\n", 0, at) + 1
             mutants.append((path.stem, line, old, new, mutate(text, at, old, new)))
 
-    with tempfile.TemporaryDirectory(prefix="operator-sweep-") as tmp:
-        idle = queue.SimpleQueue()
-        for index in range(JOBS):
-            idle.put(Worker(Path(tmp) / f"w{index}"))
-
-        def run(module=None, text=None):
-            worker = idle.get()
-            try:
-                return worker.run(module, text)
-            finally:
-                idle.put(worker)
-
-        code, reference = run()
-        if code != 0:
-            print(f"the unmutated package exits {code}", file=sys.stderr)
-            return 2
-        with ThreadPoolExecutor(max_workers=JOBS) as pool:
-            results = list(pool.map(lambda m: run(m[0], m[4]), mutants))
-
-    fail = [m for m, (code, _) in zip(mutants, results) if code != 0]
-    changed = [m for m, (code, report) in zip(mutants, results)
-               if code == 0 and report != reference]
-    same = [m for m, (code, report) in zip(mutants, results)
-            if code == 0 and report == reference]
+    (code, _, reference), *results = run_all(
+        [(None, None, VERIFY)] + [(m[0], m[4], VERIFY) for m in mutants])
+    if code != 0:
+        print(f"the unmutated package exits {code}", file=sys.stderr)
+        return 2
+    kinds = ["fail" if code != 0 else "same report" if report == reference
+             else "changed report" for code, _, report in results]
     print(f"mutants {len(mutants)}")
-    print(f"fail {len(fail)}")
-    print(f"changed report {len(changed)}")
-    print(f"same report {len(same)}")
-    for module, line, old, new, _ in same:
-        print(f"  {module}.py:{line}: {old!r} -> {new!r}")
+    for kind in ("fail", "changed report", "same report"):
+        print(f"{kind} {kinds.count(kind)}")
+    for (module, line, old, new, _), kind in zip(mutants, kinds):
+        if kind == "same report":
+            print(f"  {module}.py:{line}: {old!r} -> {new!r}")
     return 0
 
 
